@@ -29,11 +29,11 @@ from .search import (
     rank_hyperparameters,
     read_trial_log_csv,
     run_grid_search,
+    scan_anchors,
     write_parallel_coordinates,
     write_trial_log_csv,
     write_trial_log_json,
 )
-from .shaping import make_sliding_windows, pair_arrays
 from .verify import (
     EMBEDDINGS,
     SyntheticSpec,
@@ -161,7 +161,6 @@ def _measure_whole_series(args, frame, features, measures) -> list[dict]:
             ys,
             bin_width=args.bin_bp * 1e-4,
             feature_bins=args.feature_bins,
-            seed=args.seed,
         )
         rows.append(
             {
@@ -177,32 +176,18 @@ def _measure_whole_series(args, frame, features, measures) -> list[dict]:
 
 def _measure_windowed(args, frame, features, measures) -> list[dict]:
     horizon = args.horizon if args.horizon is not None else args.window
-    dataset = make_sliding_windows(
-        frame, features, args.target, args.window, args.step, horizon
-    )
     rows = []
     for measure in measures:
-        values = []
-        rejected = 0
-        for sample in dataset.samples:
-            xs, ys = pair_arrays(sample, args.pairing)
-            result = evaluate_pairs(
-                measure,
-                xs,
-                ys,
-                bin_width=args.bin_bp * 1e-4,
-                feature_bins=args.feature_bins,
-                seed=args.seed,
-            )
-            if result.degenerate:
-                rejected += 1
-            else:
-                values.append(result.value)
+        scored = scan_anchors(
+            frame, features, args.target, measure, args.window, args.step, horizon, args.pairing,
+            bin_width=args.bin_bp * 1e-4, feature_bins=args.feature_bins,
+        )
+        values = [r.value for _, r in scored if not r.degenerate]
         rows.append(
             {
                 "measure": measure,
                 "value": float(np.median(values)) if values else None,
-                "sample_size": len(dataset),
+                "sample_size": len(scored),
                 "degenerate": not values,
                 "reason": "" if values else "no scorable anchors",
             }
@@ -288,7 +273,6 @@ def cmd_verify(args) -> int:
             step=args.step,
             bin_width=args.bin_bp * 1e-4,
             feature_bins=args.feature_bins,
-            seed=args.seed,
         )
     else:
         spec = SyntheticSpec(

@@ -16,6 +16,7 @@ import numpy as np
 from .result import MeasureResult, degenerate_result
 
 PROBABILITY_TOL = 1e-12
+MAX_SET_SIZE = 3  # synergy capacity limit: the joint table grows multiplicatively
 
 
 def _canon(symbol):
@@ -182,20 +183,19 @@ def information_gain(parent_symbols, child_assignment) -> MeasureResult:
     return MeasureResult("IG", max(h_parent - weighted, 0.0), n)
 
 
-def redundancy_synergy_index(feature_symbol_lists, y_symbols, max_set_size: int = 3) -> MeasureResult:
+def redundancy_synergy_index(feature_symbol_lists, y_symbols) -> MeasureResult:
     """Joint information minus the sum of single-feature informations, in bits.
 
     I(S;Y) - sum_i I(Xi;Y): positive means the set carries synergy beyond its
     parts, negative means the parts are redundant, and a single-feature set
-    scores exactly 0.  Set sizes above max_set_size are refused because the
-    joint table grows multiplicatively.
+    scores exactly 0.  Set sizes above MAX_SET_SIZE are refused.
     """
     features = [list(f) for f in feature_symbol_lists]
     if not features:
         raise ValueError("need at least one feature symbol sequence")
-    if len(features) > max_set_size:
+    if len(features) > MAX_SET_SIZE:
         raise ValueError(
-            f"feature set of size {len(features)} exceeds the capacity limit {max_set_size}"
+            f"feature set of size {len(features)} exceeds the capacity limit {MAX_SET_SIZE}"
         )
     y = list(y_symbols)
     for f in features:

@@ -169,7 +169,6 @@ def pps(
     X,
     y,
     folds: int = 1,
-    seed: int = 42,
     max_depth: int = 4,
     min_samples_leaf: int = 5,
 ) -> MeasureResult:
@@ -177,7 +176,7 @@ def pps(
 
     folds=1 fits and scores in sample; folds>=2 assembles out-of-fold
     predictions over contiguous, time-ordered folds (no shuffling, so the
-    seed only tags the result).  A constant target makes the baseline MAE
+    score is deterministic).  A constant target makes the baseline MAE
     zero and the score degenerate.
     """
     xs = _as_matrix(X)
@@ -191,7 +190,6 @@ def pps(
         raise ValueError(f"need at least {4 * folds} rows for {folds} folds, got {n}")
     params = {
         "folds": folds,
-        "seed": seed,
         "max_depth": max_depth,
         "min_samples_leaf": min_samples_leaf,
     }

@@ -26,7 +26,9 @@ def _pearson_value(x: np.ndarray, y: np.ndarray) -> float | None:
     """Correlation as sxy/sqrt(sxx*syy); None when either variance is zero.
 
     The sample-variance denominators cancel, and the single sqrt keeps
-    perfectly linear inputs at exactly +/-1.0.
+    perfectly linear inputs at exactly +/-1.0.  When sxx*syy is not a
+    positive finite float (non-finite input, overflow, underflow) r would be
+    NaN or meaningless, so that raises ValueError.
     """
     dx = x - x.mean()
     dy = y - y.mean()
@@ -34,7 +36,10 @@ def _pearson_value(x: np.ndarray, y: np.ndarray) -> float | None:
     syy = dy @ dy
     if sxx == 0.0 or syy == 0.0:
         return None
-    r = (dx @ dy) / math.sqrt(sxx * syy)
+    product = sxx * syy
+    if not (0.0 < product < math.inf):
+        raise ValueError("sums of squares are not finite and positive")
+    r = (dx @ dy) / math.sqrt(product)
     return min(1.0, max(-1.0, r))
 
 

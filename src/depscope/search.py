@@ -36,7 +36,7 @@ from .measures import (
     spearman,
 )
 from .measures.information import JointHistogram
-from .shaping import PAIRING_MODES, discretize, make_sliding_windows, pair_arrays
+from .shaping import PAIRING_MODES, WindowSample, discretize, make_sliding_windows, pair_arrays
 
 log = logging.getLogger(__name__)
 
@@ -199,16 +199,14 @@ def evaluate_pairs(
     *,
     bin_width: float = 0.001,
     feature_bins: int = 8,
-    max_set_size: int = 3,
-    pps_folds: int = 1,
-    seed: int = 42,
 ) -> MeasureResult:
     """Score one measure on paired windows, binning as each measure requires.
 
     xs is (n, F); ys is (n,) pointwise or (n, H) for a joint horizon.
-    Pairwise-only measures are degenerate-flagged on multivariate input, as
-    are synergy sets above the capacity limit; numeric degeneracies inside a
-    measure come back flagged as well.
+    Non-finite input and pairwise-only measures on multivariate input are
+    degenerate-flagged up front; numeric degeneracies inside a measure,
+    including synergy sets above its capacity limit, come back flagged as
+    well.
     """
     if measure not in MEASURE_IDS:
         raise ValueError(f"unknown measure id {measure!r}; valid ids are {MEASURE_IDS}")
@@ -221,6 +219,8 @@ def evaluate_pairs(
     n, n_features = xs.shape
     y_joint = ys.ndim == 2
 
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        return degenerate_result(measure, n, "non-finite input")
     if measure in ("PC", "SC", "MIC") and (n_features > 1 or y_joint):
         return degenerate_result(measure, n, "pairwise measure on multivariate input")
     if measure == "PPS" and y_joint:
@@ -236,16 +236,10 @@ def evaluate_pairs(
         if measure == "MIC":
             return mic(xs[:, 0], ys)
         if measure == "PPS":
-            return pps(xs, ys, folds=pps_folds, seed=seed)
+            return pps(xs, ys)
         if measure == "RSI_SYNERGY":
-            if n_features > max_set_size:
-                return degenerate_result(
-                    measure, n, f"feature set larger than capacity limit {max_set_size}"
-                )
             feats = _feature_symbols(xs, feature_bins)
-            return redundancy_synergy_index(
-                feats, _target_symbols(ys, bin_width), max_set_size=max_set_size
-            )
+            return redundancy_synergy_index(feats, _target_symbols(ys, bin_width))
         x_sym = _tuple_or_single(_feature_symbols(xs, feature_bins))
         y_sym = _target_symbols(ys, bin_width)
         if measure == "MI":
@@ -255,41 +249,60 @@ def evaluate_pairs(
         return degenerate_result(measure, n, str(exc))
 
 
-def _eval_config(args) -> list[dict]:
-    frame, space, window, features, target, measure, seed = args
-    horizon = space.horizon if space.horizon is not None else window
-    dataset = make_sliding_windows(frame, features, target, window, space.step, horizon)
-    close = frame.column("close")
-    rows: list[dict] = []
+def scan_anchors(
+    frame: TimeSeriesFrame,
+    features,
+    target: str,
+    measure: str,
+    window: int,
+    step: int,
+    horizon: int,
+    pairing_mode: str,
+    *,
+    bin_width: float,
+    feature_bins: int,
+    min_samples: int = 1,
+) -> list[tuple[WindowSample, MeasureResult]]:
+    """Score one measure at every anchor of one window grid, oldest anchor first.
+
+    This is the one anchor loop behind the grid search, verification and
+    windowed measurement.  Windows with fewer than min_samples pairs come
+    back degenerate without being scored.
+    """
+    dataset = make_sliding_windows(frame, features, target, window, step, horizon)
+    scored = []
     for sample in dataset.samples:
-        xs, ys = pair_arrays(sample, space.pairing_mode)
-        trend = label_trend(close, sample.anchor, space.trend_lookback, space.trend_threshold)
-        if xs.shape[0] < space.min_samples:
-            result = degenerate_result(
-                measure, xs.shape[0], f"fewer than {space.min_samples} pairs"
-            )
+        xs, ys = pair_arrays(sample, pairing_mode)
+        if xs.shape[0] < min_samples:
+            result = degenerate_result(measure, xs.shape[0], f"fewer than {min_samples} pairs")
         else:
-            result = evaluate_pairs(
-                measure,
-                xs,
-                ys,
-                bin_width=space.bin_width,
-                feature_bins=space.feature_bins,
-                seed=seed,
-            )
-        rows.append(
-            {
-                "window_size": window,
-                "features": features,
-                "target": target,
-                "measure": measure,
-                "anchor_date": str(sample.anchor_time),
-                "trend": trend,
-                "objective": result.value,
-                "degenerate": result.degenerate,
-            }
-        )
-    return rows
+            # measure and xs stay positional: perfbench's span tags read them from args.
+            result = evaluate_pairs(measure, xs, ys, bin_width=bin_width, feature_bins=feature_bins)
+        scored.append((sample, result))
+    return scored
+
+
+def _eval_config(args) -> list[dict]:
+    frame, space, window, features, target, measure = args
+    horizon = space.horizon if space.horizon is not None else window
+    scored = scan_anchors(
+        frame, features, target, measure, window, space.step, horizon, space.pairing_mode,
+        bin_width=space.bin_width, feature_bins=space.feature_bins, min_samples=space.min_samples,
+    )
+    close = frame.column("close")
+    return [
+        {
+            "window_size": window,
+            "features": features,
+            "target": target,
+            "measure": measure,
+            "anchor_date": str(sample.anchor_time),
+            "trend": label_trend(close, sample.anchor, space.trend_lookback, space.trend_threshold),
+            "objective": result.value,
+            "degenerate": result.degenerate,
+        }
+        for sample, result in scored
+    ]
 
 
 def run_grid_search(
@@ -309,7 +322,7 @@ def run_grid_search(
 
     started = time.perf_counter()
     configs = [
-        (frame, space, window, features, target, measure, seed)
+        (frame, space, window, features, target, measure)
         for window in space.window_sizes
         for features in space.feature_sets
         for target in space.targets

@@ -167,6 +167,9 @@ def discretize(values, bin_width: float, origin: float = 0.0) -> DiscreteSeries:
         raise ValueError("values must be one-dimensional")
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
-    symbols = np.floor((v - origin) / bin_width).astype(np.int64)
+    scaled = (v - origin) / bin_width
+    if np.any(np.abs(scaled) >= 2.0**63):
+        raise ValueError("values span more bins than int64 symbols can index")
+    symbols = np.floor(scaled).astype(np.int64)
     symbols.flags.writeable = False
     return DiscreteSeries(symbols=symbols, bin_width=float(bin_width), origin=float(origin))

@@ -19,8 +19,11 @@ import numpy as np
 
 from .frame import TimeSeriesFrame
 from .indicators import returns
-from .search import evaluate_pairs
-from .shaping import make_sliding_windows, pair_arrays
+from .search import scan_anchors
+
+# Unused here; perfbench/layers.py looks both names up in this module to trace a run.
+from .search import evaluate_pairs  # noqa: F401
+from .shaping import pair_arrays  # noqa: F401
 
 EMBEDDINGS = ("none", "linear_lag", "nonlinear_lag", "regime_pattern")
 BASES = ("gaussian_walk",)
@@ -162,30 +165,6 @@ class VerificationReport:
         return any(m.inconclusive for m in self.measures)
 
 
-def _anchor_scores(
-    frame: TimeSeriesFrame,
-    measure: str,
-    window: int,
-    step: int,
-    bin_width: float,
-    feature_bins: int,
-    seed: int,
-) -> tuple[list[float], int]:
-    dataset = make_sliding_windows(frame, ("signal",), "ret", window, step, window)
-    values: list[float] = []
-    rejected = 0
-    for sample in dataset.samples:
-        xs, ys = pair_arrays(sample, "pointwise")
-        result = evaluate_pairs(
-            measure, xs, ys, bin_width=bin_width, feature_bins=feature_bins, seed=seed
-        )
-        if result.degenerate:
-            rejected += 1
-        else:
-            values.append(result.value)
-    return values, rejected
-
-
 def _median_se(values: list[float]) -> float:
     med = float(np.median(values))
     mad = float(np.median(np.abs(np.asarray(values) - med)))
@@ -206,7 +185,6 @@ def run_verification(
     step: int = 50,
     bin_width: float = 0.001,
     feature_bins: int = 8,
-    seed: int = 42,
 ) -> VerificationReport:
     """Score each measure on both frames and compare anchor-level medians.
 
@@ -217,30 +195,22 @@ def run_verification(
     frames = (dependence_frame(embedded), dependence_frame(control))
     rows = []
     for measure in measures:
-        (e_vals, e_rej), (c_vals, c_rej) = (
-            _anchor_scores(f, measure, window, step, bin_width, feature_bins, seed)
-            for f in frames
-        )
+        sides = []
+        for f in frames:
+            scored = scan_anchors(
+                f, ("signal",), "ret", measure, window, step, window, "pointwise",
+                bin_width=bin_width, feature_bins=feature_bins,
+            )
+            values = [r.value for _, r in scored if not r.degenerate]
+            sides.append((values, len(scored) - len(values)))
+        (e_vals, e_rej), (c_vals, c_rej) = sides
         inconclusive = not e_vals or not c_vals
         if inconclusive:
-            rows.append(
-                MeasureVerification(
-                    measure_id=measure,
-                    embedded_median=float("nan"),
-                    control_median=float("nan"),
-                    margin=float("nan"),
-                    embedded_trials=len(e_vals),
-                    control_trials=len(c_vals),
-                    embedded_degenerate=e_rej,
-                    control_degenerate=c_rej,
-                    passed=False,
-                    inconclusive=True,
-                )
-            )
-            continue
-        e_med = float(np.median(e_vals))
-        c_med = float(np.median(c_vals))
-        margin = _noise_margin(e_vals, c_vals)
+            e_med = c_med = margin = math.nan
+        else:
+            e_med = float(np.median(e_vals))
+            c_med = float(np.median(c_vals))
+            margin = _noise_margin(e_vals, c_vals)
         rows.append(
             MeasureVerification(
                 measure_id=measure,
@@ -251,8 +221,8 @@ def run_verification(
                 control_trials=len(c_vals),
                 embedded_degenerate=e_rej,
                 control_degenerate=c_rej,
-                passed=e_med > c_med + margin,
-                inconclusive=False,
+                passed=e_med > c_med + margin,  # False whenever a median is NaN
+                inconclusive=inconclusive,
             )
         )
     return VerificationReport(
@@ -292,7 +262,6 @@ def run_synthetic_verification(
         step=step,
         bin_width=bin_width,
         feature_bins=feature_bins,
-        seed=spec.seed,
     )
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from depscope.cli import main
-from depscope.frame import load_ohlcv
+from depscope.frame import load_ohlcv, read_frame
+from depscope.search import SearchSpace, run_grid_search
 from depscope.verify import SyntheticSpec, generate_synthetic
 from depscope.frame import write_csv
 
@@ -104,6 +105,46 @@ def test_measure_windowed_json_output(tmp_path, features_csv):
     rows = json.loads(out.read_text())
     assert rows[0]["measure"] == "DC"
     assert not rows[0]["degenerate"]
+
+
+def test_measure_window_agrees_with_grid_search(features_csv, capsys):
+    """measure --window prints the median of the search's scored objectives."""
+    rc = main(
+        [
+            "measure",
+            "--input",
+            str(features_csv),
+            "--features",
+            "f_vol_pct",
+            "--target",
+            "t_ret_c_1",
+            "--measures",
+            "mi,dcor,pc",
+            "--window",
+            "100",
+            "--step",
+            "25",
+        ]
+    )
+    assert rc == 0
+    printed = {
+        line.split(",")[0]: float(line.split(",")[1])
+        for line in capsys.readouterr().out.splitlines()[1:]
+    }
+    space = SearchSpace(
+        window_sizes=(100,),
+        feature_sets=(("f_vol_pct",),),
+        targets=("t_ret_c_1",),
+        measures=("MI", "DC", "PC"),
+        step=25,
+    )
+    log_ = run_grid_search(read_frame(features_csv), space)
+    for measure in space.measures:
+        objectives = [
+            r.objective for r in log_.records if r.measure == measure and not r.degenerate
+        ]
+        assert len(objectives) == 8
+        assert printed[measure] == float(np.median(objectives))
 
 
 def test_measure_unknown_name_is_config_error(features_csv, capsys):

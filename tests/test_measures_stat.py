@@ -50,6 +50,17 @@ def test_pearson_constant_input_is_degenerate():
     assert "variance" in r.params["reason"]
 
 
+def test_correlations_refuse_non_finite_sums():
+    # A NaN r used to be clamped to -1.0, and 1e200-scale sums of squares overflow.
+    x = np.random.default_rng(0).standard_normal(50)
+    with pytest.raises(ValueError, match="not finite"):
+        pearson(x * 1e200, x * 1e200)
+    with pytest.raises(ValueError, match="not finite"):
+        pearson(np.append(x[:-1], np.nan), x)
+    with pytest.raises(ValueError, match="not finite"):
+        spearman(np.append(x[:-1], np.nan), x)
+
+
 def test_pearson_rejects_bad_shapes():
     with pytest.raises(ValueError):
         pearson([1.0], [1.0])

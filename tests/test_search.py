@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from depscope.frame import TimeSeriesFrame
+from depscope.measures import MEASURE_IDS
 from depscope.search import (
     TRIAL_CSV_HEADER,
     SearchSpace,
@@ -135,6 +136,35 @@ def test_evaluate_pairs_synergy_capacity():
     r = evaluate_pairs("RSI_SYNERGY", xs, y)
     assert r.degenerate
     assert "capacity" in r.params["reason"]
+
+
+def test_evaluate_pairs_flags_non_finite_input():
+    rng = np.random.default_rng(5)
+    xs = rng.standard_normal((40, 1))
+    y = rng.standard_normal(40)
+    for bad in (np.nan, np.inf, -np.inf):
+        x_bad = xs.copy()
+        x_bad[7, 0] = bad
+        y_bad = y.copy()
+        y_bad[0] = bad
+        for measure in MEASURE_IDS:
+            for pair in ((x_bad, y), (xs, y_bad)):
+                r = evaluate_pairs(measure, *pair)
+                assert r.degenerate and np.isnan(r.value)
+                assert r.params["reason"] == "non-finite input"
+
+
+def test_evaluate_pairs_flags_overflow_instead_of_scoring_it():
+    x = np.random.default_rng(6).standard_normal(200)
+    for measure in ("PC", "SC"):
+        assert evaluate_pairs(measure, x, x).value == 1.0
+    r = evaluate_pairs("PC", x * 1e200, x * 1e200)
+    assert r.degenerate and "not finite" in r.params["reason"]
+    # Fixed-width target bins of 0.001 on values near 1e17 exceed int64.
+    v = np.linspace(1.0, 1e17, 200)
+    for measure in ("MI", "IG", "RSI_SYNERGY"):
+        r = evaluate_pairs(measure, v, v)
+        assert r.degenerate and "int64" in r.params["reason"]
 
 
 def test_evaluate_pairs_turns_value_errors_into_degenerate_records():

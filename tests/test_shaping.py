@@ -162,6 +162,16 @@ def test_discretize_input_checks():
         discretize(np.array([[1.0]]), 0.1)
 
 
+def test_discretize_refuses_symbols_beyond_int64():
+    # 1e17 / 0.001 = 1e20 bins would wrap around int64 instead of failing.
+    with pytest.raises(ValueError, match="int64"):
+        discretize(np.linspace(1.0, 1e17, 200), 0.001)
+    with pytest.raises(ValueError, match="int64"):
+        discretize(np.array([0.0, 1e300]), 1e-300)
+    d = discretize(np.array([-9.2e18, 9.2e18]), 1.0)
+    assert list(d.symbols) == [-9200000000000000000, 9200000000000000000]
+
+
 def test_discrete_series_is_locked():
     d = discretize(np.array([0.1, 0.2]), 0.1)
     assert isinstance(d, DiscreteSeries)
