@@ -343,7 +343,6 @@ def cmd_report(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
     parser.add_argument(
         "--bin-bp",
         type=float,
@@ -405,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairing", choices=("pointwise", "joint"), default="pointwise")
     p.add_argument("--min-samples", type=int, default=100)
     p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--seed", type=int, default=42, help="seed recorded in trials.json (default 42)")
     _add_common(p)
     p.set_defaults(handler=cmd_search)
 
@@ -419,6 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=None, help="default: the planted lag")
     p.add_argument("--step", type=int, default=50)
     p.add_argument("--measures", default="pc,mi,dcor,mic")
+    p.add_argument("--seed", type=int, default=42, help="seeds only the synthetic series (default 42)")
     _add_common(p)
     p.set_defaults(handler=cmd_verify)
 

@@ -1,10 +1,13 @@
 """Information-theoretic dependence measures on discrete symbols.
 
-All entropies are in bits and are computed from exact empirical count
-tables.  Probability terms are summed smallest-first in plain Python floats,
-which makes results deterministic and keeps symmetric quantities exactly
-symmetric.  Continuous data must be binned by the caller: fixed-width bins
-via shaping.discretize, equal-frequency bins via equal_frequency_symbols.
+MI, IG, RSI_SYNERGY and MIC count through one kernel on integer codes: one
+np.unique turns a symbol vector, or a matrix's rows read as fixed-width bytes
+(a feature set, a joint-horizon target), into codes that np.bincount counts.
+Entropies are in bits with one pinned arithmetic: Python-float terms c / n
+summed smallest-first as p * math.log2(p), so results are deterministic and MI
+is exactly symmetric.  IG and conditional entropy add their branches in repr
+order of the branch symbol ("10" before "2"), whatever the codes are.  Binning
+is the caller's: shaping.discretize or equal_frequency_symbols.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .result import MeasureResult, degenerate_result
+from .result import MeasureResult
 
 PROBABILITY_TOL = 1e-12
 MAX_SET_SIZE = 3  # synergy capacity limit: the joint table grows multiplicatively
@@ -28,16 +31,84 @@ def _canon(symbol):
     return symbol
 
 
-def _entropy_from_probs(probs) -> float:
-    ps = sorted(p for p in probs if p > 0.0)
+def _plain(symbols: np.ndarray, rows: np.ndarray) -> list:
+    """The given rows as the plain Python symbols _canon makes of them."""
+    values = symbols[rows].tolist()
+    if symbols.dtype == object:
+        return [_canon(v) for v in values]
+    return [tuple(v) for v in values] if symbols.ndim == 2 else values
+
+
+def _entropy_from_counts(counts, n) -> float:
+    """Entropy in bits from the terms p = c / n of positive counts, added smallest-first.
+
+    Probabilities go in as counts with n = 1.
+    """
     total = 0.0
-    for p in ps:
+    for p in sorted(c / n for c in counts if c > 0):
         total += p * math.log2(p)
     return -total if total != 0.0 else 0.0
 
 
-def _entropy_from_counts(counts, n: int) -> float:
-    return _entropy_from_probs(c / n for c in counts if c)
+def _paired(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Two symbol sequences as arrays of one shared, non-zero length."""
+    xa = np.asarray(xs)
+    ya = np.asarray(ys)
+    if len(xa) != len(ya):
+        raise ValueError(f"length mismatch: {len(xa)} vs {len(ya)}")
+    if not len(xa):
+        raise ValueError("empty symbol sequences")
+    return xa, ya
+
+
+def _codes(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense codes 0..k-1 of a symbol vector or of a matrix's rows, and each code's first row.
+
+    Rows are read as fixed-width bytes, which is far cheaper than
+    np.unique(axis=0); adding 0.0 to float rows keeps -0.0 and 0.0 one symbol.
+    """
+    if symbols.ndim == 2:
+        rows = np.ascontiguousarray(symbols + 0.0 if symbols.dtype.kind == "f" else symbols)
+        symbols = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    elif symbols.ndim != 1:
+        raise ValueError("symbols must be a vector or a matrix of symbol rows")
+    _, first, codes = np.unique(symbols, return_index=True, return_inverse=True)
+    return codes, first
+
+
+def _entropy(codes: np.ndarray) -> float:
+    return _entropy_from_counts(np.bincount(codes).tolist(), codes.shape[0])
+
+
+def _mi_codes(x: np.ndarray, kx: int, y: np.ndarray, ky: int) -> float:
+    """I(X;Y) = H(X) + H(Y) - H(X,Y) in bits from codes x < kx and y < ky, clipped at 0.
+
+    A joint table with more cells than observations is counted by sorting.
+    """
+    n = x.shape[0]
+    cells = x * ky + y
+    if kx * ky <= n:
+        joint = np.bincount(cells).tolist()
+    else:
+        joint = np.unique(cells, return_counts=True)[1].tolist()
+    return max(_entropy(x) + _entropy(y) - _entropy_from_counts(joint, n), 0.0)
+
+
+def _mi_symbols(xs: np.ndarray, ys: np.ndarray) -> float:
+    """I(X;Y) in bits of two paired symbol arrays, each a vector or a matrix of rows."""
+    x, x_first = _codes(xs)
+    y, y_first = _codes(ys)
+    return _mi_codes(x, len(x_first), y, len(y_first))
+
+
+def _weighted_entropy(branches, n: int) -> float:
+    """sum_t p(t) H(S|t) in bits over per-branch count lists, added in the order given."""
+    total = 0.0
+    for cell in branches:
+        if len(cell) > 1:  # a pure branch adds exactly 0.0
+            nt = sum(cell)
+            total += (nt / n) * _entropy_from_counts(cell, nt)
+    return total
 
 
 @dataclass(frozen=True)
@@ -59,14 +130,13 @@ class DiscreteDistribution:
 
     @classmethod
     def from_symbols(cls, symbols) -> "DiscreteDistribution":
-        counts: dict = {}
-        n = 0
-        for s in symbols:
-            counts[_canon(s)] = counts.get(_canon(s), 0) + 1
-            n += 1
-        if n == 0:
+        values = np.asarray(symbols)
+        if not len(values):
             raise ValueError("empty symbol sequence")
-        return cls({s: c / n for s, c in counts.items()})
+        codes, first = _codes(values)
+        n = len(values)
+        counts = np.bincount(codes).tolist()
+        return cls({s: c / n for s, c in zip(_plain(values, first), counts)})
 
     def __len__(self) -> int:
         return len(self.probabilities)
@@ -94,29 +164,24 @@ class JointHistogram:
 
     @classmethod
     def from_symbols(cls, xs, ys) -> "JointHistogram":
-        xs = list(xs)
-        ys = list(ys)
-        if len(xs) != len(ys):
-            raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-        if not xs:
-            raise ValueError("empty symbol sequences")
-        counts: dict = {}
-        for x, y in zip(xs, ys):
-            key = (_canon(x), _canon(y))
-            counts[key] = counts.get(key, 0) + 1
-        return cls(counts, len(xs))
+        xa, ya = _paired(xs, ys)
+        x, _ = _codes(xa)
+        y, y_first = _codes(ya)
+        _, first, counts = np.unique(x * len(y_first) + y, return_index=True, return_counts=True)
+        cells = zip(_plain(xa, first), _plain(ya, first))
+        return cls(dict(zip(cells, counts.tolist())), len(xa))
+
+    def _marginal(self, axis: int) -> DiscreteDistribution:
+        acc: dict = {}
+        for cell, c in self.counts.items():
+            acc[cell[axis]] = acc.get(cell[axis], 0) + c
+        return DiscreteDistribution({s: c / self.n for s, c in acc.items()})
 
     def marginal_x(self) -> DiscreteDistribution:
-        acc: dict = {}
-        for (x, _), c in self.counts.items():
-            acc[x] = acc.get(x, 0) + c
-        return DiscreteDistribution({s: c / self.n for s, c in acc.items()})
+        return self._marginal(0)
 
     def marginal_y(self) -> DiscreteDistribution:
-        acc: dict = {}
-        for (_, y), c in self.counts.items():
-            acc[y] = acc.get(y, 0) + c
-        return DiscreteDistribution({s: c / self.n for s, c in acc.items()})
+        return self._marginal(1)
 
     def swapped(self) -> "JointHistogram":
         return JointHistogram({(y, x): c for (x, y), c in self.counts.items()}, self.n)
@@ -124,20 +189,15 @@ class JointHistogram:
 
 def entropy(dist: DiscreteDistribution) -> float:
     """Shannon entropy in bits: -sum p log2 p, with 0 log 0 taken as 0."""
-    return _entropy_from_probs(dist.probabilities.values())
+    return _entropy_from_counts(dist.probabilities.values(), 1)
 
 
 def conditional_entropy(joint: JointHistogram) -> float:
     """H(X|Y) in bits: the y-weighted average entropy of the conditional columns."""
     by_y: dict = {}
-    for (x, y), c in joint.counts.items():
-        by_y.setdefault(y, {})[x] = c
-    total = 0.0
-    for y in sorted(by_y, key=repr):
-        cell = by_y[y]
-        ny = sum(cell.values())
-        total += (ny / joint.n) * _entropy_from_counts(cell.values(), ny)
-    return total
+    for (_, y), c in joint.counts.items():
+        by_y.setdefault(y, []).append(c)
+    return _weighted_entropy([by_y[y] for y in sorted(by_y, key=repr)], joint.n)
 
 
 def mutual_information(joint: JointHistogram) -> MeasureResult:
@@ -159,28 +219,19 @@ def information_gain(parent_symbols, child_assignment) -> MeasureResult:
     Numerically this coincides with the mutual information between the two
     labelings.
     """
-    parent = [_canon(s) for s in parent_symbols]
-    assignment = [_canon(s) for s in child_assignment]
-    if len(parent) != len(assignment):
-        raise ValueError(f"length mismatch: {len(parent)} vs {len(assignment)}")
-    if not parent:
-        raise ValueError("empty symbol sequences")
+    parent, branch = _paired(parent_symbols, child_assignment)
+    s, s_first = _codes(parent)
+    t, t_first = _codes(branch)
+    ks = len(s_first)
+    cells, counts = np.unique(t * ks + s, return_counts=True)
+    by_branch: list[list[int]] = [[] for _ in range(len(t_first))]
+    for b, c in zip((cells // ks).tolist(), counts.tolist()):
+        by_branch[b].append(c)
+    names = [repr(t) for t in _plain(branch, t_first)]
+    order = sorted(range(len(t_first)), key=names.__getitem__)
     n = len(parent)
-    counts: dict = {}
-    for s in parent:
-        counts[s] = counts.get(s, 0) + 1
-    h_parent = _entropy_from_counts(counts.values(), n)
-
-    branches: dict = {}
-    for s, t in zip(parent, assignment):
-        cell = branches.setdefault(t, {})
-        cell[s] = cell.get(s, 0) + 1
-    weighted = 0.0
-    for t in sorted(branches, key=repr):
-        cell = branches[t]
-        nt = sum(cell.values())
-        weighted += (nt / n) * _entropy_from_counts(cell.values(), nt)
-    return MeasureResult("IG", max(h_parent - weighted, 0.0), n)
+    weighted = _weighted_entropy([by_branch[b] for b in order], n)
+    return MeasureResult("IG", max(_entropy(s) - weighted, 0.0), n)
 
 
 def redundancy_synergy_index(feature_symbol_lists, y_symbols) -> MeasureResult:
@@ -190,25 +241,20 @@ def redundancy_synergy_index(feature_symbol_lists, y_symbols) -> MeasureResult:
     parts, negative means the parts are redundant, and a single-feature set
     scores exactly 0.  Set sizes above MAX_SET_SIZE are refused.
     """
-    features = [list(f) for f in feature_symbol_lists]
+    features = [np.asarray(f) for f in feature_symbol_lists]
     if not features:
         raise ValueError("need at least one feature symbol sequence")
     if len(features) > MAX_SET_SIZE:
         raise ValueError(
             f"feature set of size {len(features)} exceeds the capacity limit {MAX_SET_SIZE}"
         )
-    y = list(y_symbols)
-    for f in features:
-        if len(f) != len(y):
-            raise ValueError("feature and target symbol sequences must share a length")
-    joint_symbols = list(zip(*features))
-    i_joint = mutual_information(JointHistogram.from_symbols(joint_symbols, y)).value
+    joint, y = _paired(np.column_stack(features), y_symbols)
     i_single = 0.0
     for f in features:
-        i_single += mutual_information(JointHistogram.from_symbols(f, y)).value
+        i_single += _mi_symbols(f, y)
     return MeasureResult(
         "RSI_SYNERGY",
-        i_joint - i_single,
+        _mi_symbols(joint, y) - i_single,
         len(y),
         params={"set_size": len(features)},
     )
@@ -258,14 +304,6 @@ def _grid_shapes(n: int, alpha: float) -> list[tuple[int, int]]:
     return shapes
 
 
-def _normalized_grid_mi(xsym: np.ndarray, gx: int, ysym: np.ndarray, gy: int, n: int) -> float:
-    joint = np.bincount(xsym * gy + ysym, minlength=gx * gy)
-    hx = _entropy_from_counts(np.bincount(xsym, minlength=gx).tolist(), n)
-    hy = _entropy_from_counts(np.bincount(ysym, minlength=gy).tolist(), n)
-    hxy = _entropy_from_counts(joint.tolist(), n)
-    return max(hx + hy - hxy, 0.0) / math.log2(min(gx, gy))
-
-
 def mic(x, y, alpha: float = 0.6) -> MeasureResult:
     """Maximal information coefficient with equal-frequency grid placement.
 
@@ -296,7 +334,7 @@ def mic(x, y, alpha: float = 0.6) -> MeasureResult:
             x_cache[gx] = equal_frequency_symbols(xa, gx)
         if gy not in y_cache:
             y_cache[gy] = equal_frequency_symbols(ya, gy)
-        m = _normalized_grid_mi(x_cache[gx], gx, y_cache[gy], gy, n)
+        m = _mi_codes(x_cache[gx], gx, y_cache[gy], gy) / math.log2(min(gx, gy))
         if m > best:
             best = m
             best_grid = (gx, gy)

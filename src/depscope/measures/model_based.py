@@ -133,6 +133,7 @@ def fit_regression_tree(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> 
 
     Splits must strictly reduce the summed squared error, every leaf keeps at
     least min_samples_leaf rows, and max_depth 0 yields the mean predictor.
+    Non-finite targets, or targets whose squared sums overflow float64, are refused.
     """
     xs = _as_matrix(X)
     ys = np.asarray(y, dtype=np.float64)
@@ -144,6 +145,9 @@ def fit_regression_tree(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> 
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     if min_samples_leaf < 1:
         raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
+    bound = float(np.abs(ys).sum())  # bound**2 caps every squared sum the split scan forms
+    if not math.isfinite(bound * bound):
+        raise ValueError("targets are non-finite or overflow the split scan's squared sums")
     root = _grow(xs, ys, max_depth, min_samples_leaf)
     return RegressionTree(
         root=root,

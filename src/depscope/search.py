@@ -29,13 +29,12 @@ from .measures import (
     equal_frequency_symbols,
     information_gain,
     mic,
-    mutual_information,
     pearson,
     pps,
     redundancy_synergy_index,
     spearman,
 )
-from .measures.information import JointHistogram
+from .measures.information import _mi_symbols
 from .shaping import PAIRING_MODES, WindowSample, discretize, make_sliding_windows, pair_arrays
 
 log = logging.getLogger(__name__)
@@ -179,17 +178,10 @@ def _feature_symbols(xs: np.ndarray, bins: int) -> list[np.ndarray]:
     return [equal_frequency_symbols(xs[:, j], bins) for j in range(xs.shape[1])]
 
 
-def _target_symbols(ys: np.ndarray, bin_width: float):
+def _target_symbols(ys: np.ndarray, bin_width: float) -> np.ndarray:
     if ys.ndim == 1:
         return discretize(ys, bin_width).symbols
-    cols = [discretize(ys[:, j], bin_width).symbols for j in range(ys.shape[1])]
-    return list(zip(*cols))
-
-
-def _tuple_or_single(columns: list):
-    if len(columns) == 1:
-        return columns[0]
-    return list(zip(*columns))
+    return np.column_stack([discretize(ys[:, j], bin_width).symbols for j in range(ys.shape[1])])
 
 
 def evaluate_pairs(
@@ -237,13 +229,13 @@ def evaluate_pairs(
             return mic(xs[:, 0], ys)
         if measure == "PPS":
             return pps(xs, ys)
-        if measure == "RSI_SYNERGY":
-            feats = _feature_symbols(xs, feature_bins)
-            return redundancy_synergy_index(feats, _target_symbols(ys, bin_width))
-        x_sym = _tuple_or_single(_feature_symbols(xs, feature_bins))
+        feats = _feature_symbols(xs, feature_bins)
         y_sym = _target_symbols(ys, bin_width)
+        if measure == "RSI_SYNERGY":
+            return redundancy_synergy_index(feats, y_sym)
+        x_sym = feats[0] if n_features == 1 else np.column_stack(feats)
         if measure == "MI":
-            return mutual_information(JointHistogram.from_symbols(x_sym, y_sym))
+            return MeasureResult("MI", _mi_symbols(x_sym, y_sym), n)
         return information_gain(y_sym, x_sym)  # IG: features assign the split branches
     except ValueError as exc:
         return degenerate_result(measure, n, str(exc))

@@ -121,6 +121,19 @@ def brute_information_gain(parent, assignment):
     return brute_mi(list(parent), list(assignment))
 
 
+def pinned_information_gain(parent, assignment):
+    """IG in the package's pinned arithmetic: branches in repr order, each by sorted_entropy."""
+    n = len(parent)
+    branches = {}
+    for s, t in zip(parent, assignment):
+        branches.setdefault(t, []).append(s)
+    weighted = 0.0
+    for t in sorted(branches, key=repr):
+        members = branches[t]
+        weighted += (len(members) / n) * sorted_entropy(_count(members).values(), len(members))
+    return max(sorted_entropy(_count(parent).values(), n) - weighted, 0.0)
+
+
 def brute_synergy(feature_lists, ys):
     joint = list(zip(*feature_lists))
     total = brute_mi(joint, list(ys))

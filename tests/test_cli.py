@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from depscope.cli import main
+from depscope.cli import EXIT_INVALID, EXIT_OK, build_parser, main
 from depscope.frame import load_ohlcv, read_frame
 from depscope.search import SearchSpace, run_grid_search
 from depscope.verify import SyntheticSpec, generate_synthetic
@@ -369,6 +369,17 @@ def test_report_empty_after_filter_exits_three(tmp_path, features_csv, capsys):
 def test_argparse_errors_map_to_exit_two(capsys):
     assert main(["measure", "--input", "x.csv"]) == 2
     assert main(["unknown-command"]) == 2
+
+
+def test_seed_is_an_option_of_search_and_verify_only(features_csv, capsys):
+    args = ["measure", "--input", str(features_csv), "--features", "f_ret_c_1"]
+    args += ["--target", "t_ret_c_1"]
+    assert main(args) == EXIT_OK
+    assert main(args + ["--seed", "1"]) == EXIT_INVALID
+    assert "--seed" in capsys.readouterr().err
+    parser = build_parser()
+    assert parser.parse_args(["search", "--input", "a", "--output", "b", "--seed", "5"]).seed == 5
+    assert parser.parse_args(["verify", "--seed", "3"]).seed == 3
 
 
 def test_log_level_env_is_honored(monkeypatch, tmp_path, ohlcv_csv):

@@ -1,8 +1,11 @@
-"""Property test of the evaluate_pairs contract on hostile input.
+"""Property tests of the evaluate_pairs contract.
 
-For every measure id the call never raises: it returns a finite value
-inside the measure's declared range, or a degenerate result that says why.
-Non-finite input is always degenerate.
+On hostile input, for every measure id the call never raises: it returns a
+finite value inside the measure's declared range, or a degenerate result
+that says why.  Non-finite input is always degenerate.  On windows the
+search codes, the discrete measures keep the identities of the paper: IG
+equals MI, both ignore strictly increasing maps of the features, and a
+single feature carries no synergy.
 """
 import math
 
@@ -56,3 +59,61 @@ def test_evaluate_pairs_scores_in_range_or_says_why(measure, pair):
     else:
         lo, hi = VALUE_RANGES[measure]
         assert math.isfinite(r.value) and lo <= r.value <= hi
+
+
+# Quarter steps make ties and keep distinct values far apart, so the maps
+# below stay strictly increasing in float64 and move no equal-frequency edge
+# across a value.
+grid_values = st.integers(-40, 40).map(lambda k: k / 4)
+INCREASING_MAPS = {
+    "affine": lambda v: 3.0 * v - 7.0,
+    "cube": lambda v: v**3,
+    "exp": lambda v: np.exp(v / 8.0),
+}
+
+
+@st.composite
+def search_windows(draw):
+    """A window as the search scores it: 1-3 feature columns, a pointwise or
+    joint-horizon target on coarse return steps, and a feature bin count."""
+    n = draw(st.integers(2, 40))
+    n_features = draw(st.integers(1, 3))
+    horizon = draw(st.sampled_from((0, 2)))
+    xs = draw(st.lists(grid_values, min_size=n * n_features, max_size=n * n_features))
+    cells = n * max(horizon, 1)
+    steps = draw(st.lists(st.integers(-6, 6), min_size=cells, max_size=cells))
+    ys = 0.0013 * np.array(steps, dtype=np.float64)
+    if horizon:
+        ys = ys.reshape(n, horizon)
+    bins = draw(st.sampled_from((2, 8, 12, 16)))
+    return np.array(xs).reshape(n, n_features), ys, bins
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(window=search_windows())
+def test_information_gain_equals_mutual_information(window):
+    xs, ys, bins = window
+    ig = evaluate_pairs("IG", xs, ys, feature_bins=bins)
+    mi = evaluate_pairs("MI", xs, ys, feature_bins=bins)
+    assert not (ig.degenerate or mi.degenerate)
+    assert abs(ig.value - mi.value) <= 1e-12
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(window=search_windows(), name=st.sampled_from(sorted(INCREASING_MAPS)))
+def test_mi_and_ig_ignore_strictly_increasing_feature_maps(window, name):
+    xs, ys, bins = window
+    mapped = INCREASING_MAPS[name](xs)
+    for measure in ("MI", "IG"):
+        before = evaluate_pairs(measure, xs, ys, feature_bins=bins)
+        after = evaluate_pairs(measure, mapped, ys, feature_bins=bins)
+        assert after.value == before.value
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(window=search_windows())
+def test_single_feature_synergy_is_exactly_zero(window):
+    xs, ys, bins = window
+    r = evaluate_pairs("RSI_SYNERGY", xs[:, :1], ys, feature_bins=bins)
+    assert not r.degenerate
+    assert r.value == 0.0

@@ -181,3 +181,12 @@ def test_tree_record_fields():
     assert tree.n_features == 1
     assert tree.max_depth == 2
     assert tree.root.samples == 6
+
+
+def test_fit_refuses_targets_whose_squared_sums_overflow():
+    x = np.random.default_rng(6).standard_normal(200)
+    fit_regression_tree(x, x * 1e150)  # (sum |y|)^2 stays finite
+    with pytest.raises(ValueError, match="overflow"):
+        fit_regression_tree(x, x * 1e200)
+    with pytest.raises(ValueError, match="overflow"):
+        pps(x, x * 1e200)

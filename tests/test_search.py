@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from depscope.frame import TimeSeriesFrame
-from depscope.measures import MEASURE_IDS
+from depscope.measures import (
+    MEASURE_IDS,
+    JointHistogram,
+    equal_frequency_symbols,
+    mutual_information,
+)
 from depscope.search import (
     TRIAL_CSV_HEADER,
     SearchSpace,
@@ -21,6 +26,9 @@ from depscope.search import (
     write_trial_log_csv,
     write_trial_log_json,
 )
+from depscope.shaping import discretize
+
+from _oracles import pinned_information_gain
 
 
 def small_frame(n=20, seed=0):
@@ -165,6 +173,49 @@ def test_evaluate_pairs_flags_overflow_instead_of_scoring_it():
     for measure in ("MI", "IG", "RSI_SYNERGY"):
         r = evaluate_pairs(measure, v, v)
         assert r.degenerate and "int64" in r.params["reason"]
+
+
+def test_evaluate_pairs_flags_pps_targets_whose_squared_sums_overflow():
+    x = np.random.default_rng(6).standard_normal(200)
+    assert evaluate_pairs("PPS", x, x).value > 0.9
+    r = evaluate_pairs("PPS", x, x * 1e200)
+    assert r.degenerate and "overflow" in r.params["reason"]
+
+
+def _window_symbols(xs, ys, feature_bins, bin_width):
+    """The symbols evaluate_pairs bins a window into, as plain ints and tuples."""
+    cols = [equal_frequency_symbols(xs[:, j], feature_bins).tolist() for j in range(xs.shape[1])]
+    x = cols[0] if len(cols) == 1 else list(zip(*cols))
+    if ys.ndim == 1:
+        return cols, x, discretize(ys, bin_width).symbols.tolist()
+    y_cols = [discretize(ys[:, j], bin_width).symbols.tolist() for j in range(ys.shape[1])]
+    return cols, x, list(zip(*y_cols))
+
+
+@pytest.mark.parametrize("feature_bins", (2, 8, 12, 16))
+def test_discrete_measures_match_the_exact_tables_bit_for_bit(feature_bins):
+    """MI, IG and RSI on search windows equal the exact-table references with ==."""
+    rng = np.random.default_rng(feature_bins)
+    for trial in range(36):
+        n = int(rng.integers(20, 160))
+        xs = rng.standard_normal((n, 1 + trial % 3))
+        horizon = (0, 2, 3)[trial // 3 % 3]
+        # Coarse targets repeat bins, so joint-horizon rows repeat too.
+        ys = 0.0013 * rng.integers(-6, 7, (n, horizon) if horizon else n)
+        cols, x, y = _window_symbols(xs, ys, feature_bins, 0.001)
+
+        def mi(symbols):
+            return mutual_information(JointHistogram.from_symbols(symbols, y)).value
+
+        def score(measure):
+            return evaluate_pairs(measure, xs, ys, feature_bins=feature_bins).value
+
+        assert score("MI") == mi(x)
+        assert score("IG") == pinned_information_gain(y, x)
+        i_single = 0.0
+        for col in cols:
+            i_single += mi(col)
+        assert score("RSI_SYNERGY") == mi(list(zip(*cols))) - i_single
 
 
 def test_evaluate_pairs_turns_value_errors_into_degenerate_records():
