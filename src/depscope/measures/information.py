@@ -20,6 +20,7 @@ from .result import MeasureResult
 
 PROBABILITY_TOL = 1e-12
 MAX_SET_SIZE = 3  # synergy capacity limit: the joint table grows multiplicatively
+MIC_ALPHA = 0.6  # MIC grids need gx * gy below n ** MIC_ALPHA
 
 
 def _canon(symbol):
@@ -121,8 +122,8 @@ class DiscreteDistribution:
         probs = {_canon(s): float(p) for s, p in self.probabilities.items()}
         if not probs:
             raise ValueError("distribution needs at least one symbol")
-        if any(p < 0.0 for p in probs.values()):
-            raise ValueError("probabilities must be non-negative")
+        if not all(p >= 0.0 for p in probs.values()):
+            raise ValueError("probabilities must be non-negative numbers")
         total = math.fsum(probs.values())
         if abs(total - 1.0) > PROBABILITY_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
@@ -289,10 +290,7 @@ def equal_frequency_symbols(values, bins: int) -> np.ndarray:
     return np.searchsorted(np.asarray(edges), v, side="right").astype(np.int64)
 
 
-def _grid_shapes(n: int, alpha: float) -> list[tuple[int, int]]:
-    # The bound is floored so the minimal 2x2 grid stays admissible for the
-    # smallest allowed samples.
-    bound = max(n**alpha, 5.0)
+def _grid_shapes(bound: float) -> list[tuple[int, int]]:
     shapes = []
     gx = 2
     while gx * 2 < bound:
@@ -304,14 +302,15 @@ def _grid_shapes(n: int, alpha: float) -> list[tuple[int, int]]:
     return shapes
 
 
-def mic(x, y, alpha: float = 0.6) -> MeasureResult:
+def mic(x, y) -> MeasureResult:
     """Maximal information coefficient with equal-frequency grid placement.
 
     Searches every grid shape (gx, gy) with gx, gy >= 2 and gx*gy below the
-    sample-size bound n**alpha, normalizing each grid's mutual information by
-    log2(min(gx, gy)); ties prefer the smaller gx, then gy.  One partition per
-    shape (equal-frequency on each axis) stands in for the exhaustive
-    partition search, which keeps the estimate deterministic and fast.
+    sample-size bound max(n**0.6, 5) (0.6 is MIC_ALPHA, fixed), normalizing
+    each grid's mutual information by log2(min(gx, gy)); ties prefer the
+    smaller gx, then gy.  One partition per shape (equal-frequency on each
+    axis) stands in for the exhaustive partition search, which keeps the
+    estimate deterministic and fast.
     """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
@@ -322,14 +321,15 @@ def mic(x, y, alpha: float = 0.6) -> MeasureResult:
     n = xa.shape[0]
     if n < 8:
         raise ValueError(f"mic needs at least 8 observations, got {n}")
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
 
     x_cache: dict[int, np.ndarray] = {}
     y_cache: dict[int, np.ndarray] = {}
     best = 0.0
     best_grid: tuple[int, int] | None = None
-    for gx, gy in _grid_shapes(n, alpha):
+    # The bound is floored so the minimal 2x2 grid stays admissible for the
+    # smallest allowed samples.
+    bound = max(n**MIC_ALPHA, 5.0)
+    for gx, gy in _grid_shapes(bound):
         if gx not in x_cache:
             x_cache[gx] = equal_frequency_symbols(xa, gx)
         if gy not in y_cache:
@@ -338,7 +338,7 @@ def mic(x, y, alpha: float = 0.6) -> MeasureResult:
         if m > best:
             best = m
             best_grid = (gx, gy)
-    params = {"alpha": float(alpha), "bound": float(max(n**alpha, 5.0))}
+    params = {"alpha": MIC_ALPHA, "bound": bound}
     if best_grid is not None:
         params["grid"] = best_grid
     return MeasureResult("MIC", min(best, 1.0), n, params=params)

@@ -165,55 +165,26 @@ def naive_median_mae(y) -> float:
     return float(np.mean(np.abs(ys - np.median(ys))))
 
 
-def _fold_slices(n: int, folds: int) -> list[np.ndarray]:
-    return [idx for idx in np.array_split(np.arange(n), folds)]
-
-
-def pps(
-    X,
-    y,
-    folds: int = 1,
-    max_depth: int = 4,
-    min_samples_leaf: int = 5,
-) -> MeasureResult:
+def pps(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> MeasureResult:
     """Predictive power score: 1 - MAE(tree)/MAE(median baseline), floored at 0.
 
-    folds=1 fits and scores in sample; folds>=2 assembles out-of-fold
-    predictions over contiguous, time-ordered folds (no shuffling, so the
-    score is deterministic).  A constant target makes the baseline MAE
-    zero and the score degenerate.
+    The tree is fitted and scored in sample on the same rows, so the score
+    is deterministic and reads how well the features can describe the
+    target, not how well they forecast unseen rows.  A constant target makes
+    the baseline MAE zero and the score degenerate.
     """
     xs = _as_matrix(X)
     ys = np.asarray(y, dtype=np.float64)
     if ys.ndim != 1 or ys.shape[0] != xs.shape[0]:
         raise ValueError("y must be a vector matching X row count")
     n = ys.shape[0]
-    if folds < 1:
-        raise ValueError(f"folds must be >= 1, got {folds}")
-    if folds > 1 and n < 4 * folds:
-        raise ValueError(f"need at least {4 * folds} rows for {folds} folds, got {n}")
-    params = {
-        "folds": folds,
-        "max_depth": max_depth,
-        "min_samples_leaf": min_samples_leaf,
-    }
+    params = {"max_depth": max_depth, "min_samples_leaf": min_samples_leaf}
     baseline = naive_median_mae(ys)
     if baseline == 0.0:
         return degenerate_result("PPS", n, "constant target", **params)
 
-    if folds == 1:
-        tree = fit_regression_tree(xs, ys, max_depth, min_samples_leaf)
-        preds = tree.predict(xs)
-    else:
-        preds = np.empty(n)
-        for test_idx in _fold_slices(n, folds):
-            train_mask = np.ones(n, dtype=bool)
-            train_mask[test_idx] = False
-            tree = fit_regression_tree(
-                xs[train_mask], ys[train_mask], max_depth, min_samples_leaf
-            )
-            preds[test_idx] = tree.predict(xs[test_idx])
-    mae_model = float(np.mean(np.abs(ys - preds)))
+    tree = fit_regression_tree(xs, ys, max_depth, min_samples_leaf)
+    mae_model = float(np.mean(np.abs(ys - tree.predict(xs))))
     raw = 1.0 - mae_model / baseline
     params["raw"] = raw
     params["mae_model"] = mae_model

@@ -23,17 +23,21 @@ def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pearson_value(x: np.ndarray, y: np.ndarray) -> float | None:
-    """Correlation as sxy/sqrt(sxx*syy); None when either variance is zero.
+    """Correlation as sxy/sqrt(sxx*syy); None when a side is constant or its variance is zero.
 
-    The sample-variance denominators cancel, and the single sqrt keeps
-    perfectly linear inputs at exactly +/-1.0.  When sxx*syy is not a
-    positive finite float (non-finite input, overflow, underflow) r would be
-    NaN or meaningless, so that raises ValueError.
+    Constancy is read off min and max: a rounded mean leaves a constant
+    column a sxx near 1e-33, not 0.  The variance denominators cancel, and
+    the single sqrt keeps perfectly linear inputs at exactly +/-1.0.  When
+    sxx*syy is not a positive finite float (non-finite input, overflow,
+    underflow) r would be NaN or meaningless, so that raises ValueError.
     """
+    if x.min() == x.max() or y.min() == y.max():
+        return None
     dx = x - x.mean()
     dy = y - y.mean()
-    sxx = dx @ dx
-    syy = dy @ dy
+    with np.errstate(over="ignore"):  # an overflowed sum is refused below
+        sxx = dx @ dx
+        syy = dy @ dy
     if sxx == 0.0 or syy == 0.0:
         return None
     product = sxx * syy

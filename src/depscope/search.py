@@ -14,7 +14,7 @@ import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -40,18 +40,8 @@ from .shaping import PAIRING_MODES, WindowSample, discretize, make_sliding_windo
 log = logging.getLogger(__name__)
 
 TREND_LABELS = ("DOWN", "NEUTRAL", "UP")
-
-TRIAL_CSV_HEADER = (
-    "trial_id",
-    "window_size",
-    "features",
-    "target",
-    "measure",
-    "anchor_date",
-    "trend",
-    "objective",
-    "degenerate",
-)
+TREND_LOOKBACK = 20  # rows back from the anchor that the trend return spans
+TREND_THRESHOLD = 0.02  # a trend return above this is UP, below its negative DOWN
 
 
 @dataclass(frozen=True)
@@ -67,8 +57,6 @@ class SearchSpace:
     pairing_mode: str = "pointwise"
     bin_width: float = 0.001
     feature_bins: int = 8
-    trend_lookback: int = 20
-    trend_threshold: float = 0.02
     min_samples: int = 100
 
     def __post_init__(self):
@@ -97,10 +85,6 @@ class SearchSpace:
             raise ValueError("bin_width must be positive")
         if not (2 <= self.feature_bins <= 16):
             raise ValueError("feature_bins must be between 2 and 16")
-        if self.trend_lookback < 1:
-            raise ValueError("trend_lookback must be >= 1")
-        if not (self.trend_threshold > 0.0):
-            raise ValueError("trend_threshold must be positive")
         if self.min_samples < 2:
             raise ValueError("min_samples must be >= 2")
 
@@ -132,6 +116,8 @@ def default_search_space() -> SearchSpace:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial; its fields, in order, are the trial-log columns."""
+
     trial_id: int
     window_size: int
     features: tuple[str, ...]
@@ -143,6 +129,29 @@ class TrialRecord:
     degenerate: bool
 
 
+TRIAL_CSV_HEADER = tuple(f.name for f in fields(TrialRecord))
+GROUP_AXES = ("window_size", "features", "target", "measure")
+
+# CSV text of the fields that are not written with str(), and the parsers back.
+_FORMATTERS = {
+    "features": "|".join,
+    "objective": lambda v: repr(float(v)),
+    "degenerate": lambda v: "true" if v else "false",
+}
+_PARSERS = {
+    "trial_id": int,
+    "window_size": int,
+    "features": lambda text: tuple(text.split("|")),
+    "objective": float,
+    "degenerate": lambda text: text == "true",
+}
+
+
+def _cell(record: TrialRecord, name: str) -> str:
+    """One field of a trial as it appears in the CSV artifacts and in rankings."""
+    return _FORMATTERS.get(name, str)(getattr(record, name))
+
+
 @dataclass(frozen=True)
 class TrialLog:
     records: tuple[TrialRecord, ...]
@@ -152,24 +161,24 @@ class TrialLog:
     elapsed_s: float = 0.0
 
 
-def label_trend(
-    close, anchor: int, lookback: int = 20, threshold: float = 0.02
-) -> str:
-    """Label the backward return at an anchor as UP, DOWN or NEUTRAL.
+def label_trend(close, anchor: int) -> str:
+    """Label the TREND_LOOKBACK-row return up to an anchor as UP, DOWN or NEUTRAL.
 
-    Anchors with fewer than lookback prior rows cannot be labeled; they come
-    back NEUTRAL and a warning is logged.
+    Anchors with fewer than TREND_LOOKBACK prior rows cannot be labeled;
+    they come back NEUTRAL and a warning is logged.
     """
     c = np.asarray(close, dtype=np.float64)
     if not (0 <= anchor < c.shape[0]):
         raise ValueError(f"anchor {anchor} outside series of length {c.shape[0]}")
-    if anchor < lookback:
-        log.warning("anchor %d has fewer than %d prior rows; labeling NEUTRAL", anchor, lookback)
+    if anchor < TREND_LOOKBACK:
+        log.warning(
+            "anchor %d has fewer than %d prior rows; labeling NEUTRAL", anchor, TREND_LOOKBACK
+        )
         return "NEUTRAL"
-    r = c[anchor] / c[anchor - lookback] - 1.0
-    if r > threshold:
+    r = c[anchor] / c[anchor - TREND_LOOKBACK] - 1.0
+    if r > TREND_THRESHOLD:
         return "UP"
-    if r < -threshold:
+    if r < -TREND_THRESHOLD:
         return "DOWN"
     return "NEUTRAL"
 
@@ -274,7 +283,8 @@ def scan_anchors(
     return scored
 
 
-def _eval_config(args) -> list[dict]:
+def _eval_config(args) -> list[tuple]:
+    """TrialRecord fields after trial_id, in field order, for every anchor of one configuration."""
     frame, space, window, features, target, measure = args
     horizon = space.horizon if space.horizon is not None else window
     scored = scan_anchors(
@@ -283,16 +293,16 @@ def _eval_config(args) -> list[dict]:
     )
     close = frame.column("close")
     return [
-        {
-            "window_size": window,
-            "features": features,
-            "target": target,
-            "measure": measure,
-            "anchor_date": str(sample.anchor_time),
-            "trend": label_trend(close, sample.anchor, space.trend_lookback, space.trend_threshold),
-            "objective": result.value,
-            "degenerate": result.degenerate,
-        }
+        (
+            window,
+            features,
+            target,
+            measure,
+            str(sample.anchor_time),
+            label_trend(close, sample.anchor),
+            result.value,
+            result.degenerate,
+        )
         for sample, result in scored
     ]
 
@@ -326,14 +336,9 @@ def run_grid_search(
     else:
         chunks = [_eval_config(cfg) for cfg in configs]
 
-    records = []
-    trial_id = 0
-    for chunk in chunks:
-        for row in chunk:
-            records.append(TrialRecord(trial_id=trial_id, **row))
-            trial_id += 1
+    rows = [row for chunk in chunks for row in chunk]
     return TrialLog(
-        records=tuple(records),
+        records=tuple(TrialRecord(trial_id, *row) for trial_id, row in enumerate(rows)),
         space=space,
         seed=seed,
         created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -346,30 +351,25 @@ def config_key(window_size: int, features, target: str, measure: str) -> str:
     return f"{window_size}|{'+'.join(features)}|{target}|{measure}"
 
 
-def write_trial_log_csv(log_: TrialLog, destination=None) -> str | None:
-    """Write trial rows as CSV; feature names inside a set are joined with '|'."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRIAL_CSV_HEADER)
-    for r in log_.records:
-        writer.writerow(
-            [
-                r.trial_id,
-                r.window_size,
-                "|".join(r.features),
-                r.target,
-                r.measure,
-                r.anchor_date,
-                r.trend,
-                repr(float(r.objective)),
-                "true" if r.degenerate else "false",
-            ]
-        )
-    text = buf.getvalue()
+def _emit(text: str, destination) -> str | None:
+    """Return the text when destination is None, else write it there as UTF-8 and return None."""
     if destination is None:
         return text
     Path(destination).write_text(text, encoding="utf-8")
     return None
+
+
+def _csv_text(columns: tuple[str, ...], records) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(r, name) for name in columns] for r in records)
+    return buf.getvalue()
+
+
+def write_trial_log_csv(log_: TrialLog, destination=None) -> str | None:
+    """Write trial rows as CSV; feature names inside a set are joined with '|'."""
+    return _emit(_csv_text(TRIAL_CSV_HEADER, log_.records), destination)
 
 
 def read_trial_log_csv(source) -> TrialLog:
@@ -381,52 +381,27 @@ def read_trial_log_csv(source) -> TrialLog:
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != TRIAL_CSV_HEADER:
         raise ValueError(f"expected header {','.join(TRIAL_CSV_HEADER)}")
-    records = []
-    for row in rows[1:]:
-        records.append(
-            TrialRecord(
-                trial_id=int(row[0]),
-                window_size=int(row[1]),
-                features=tuple(row[2].split("|")),
-                target=row[3],
-                measure=row[4],
-                anchor_date=row[5],
-                trend=row[6],
-                objective=float(row[7]),
-                degenerate=row[8] == "true",
-            )
-        )
+    parsers = [_PARSERS.get(name, str) for name in TRIAL_CSV_HEADER]
+    records = [TrialRecord(*[p(cell) for p, cell in zip(parsers, row)]) for row in rows[1:]]
     return TrialLog(records=tuple(records), space=None, seed=-1)
 
 
-def _record_dict(r: TrialRecord) -> dict:
-    return {
-        "trial_id": r.trial_id,
-        "window_size": r.window_size,
-        "features": list(r.features),
-        "target": r.target,
-        "measure": r.measure,
-        "anchor_date": r.anchor_date,
-        "trend": r.trend,
-        "objective": None if math.isnan(r.objective) else r.objective,
-        "degenerate": r.degenerate,
-    }
-
-
 def write_trial_log_json(log_: TrialLog, destination=None) -> str | None:
-    """JSON form: the search-space echo, the seed, wall-clock metadata, all trials."""
+    """JSON form: the search-space echo, the seed, wall-clock metadata, all trials.
+
+    Each trial is its record's fields, with a NaN objective written as null.
+    """
     payload = {
         "space": asdict(log_.space) if log_.space is not None else None,
         "seed": log_.seed,
         "created_utc": log_.created_utc,
         "elapsed_s": log_.elapsed_s,
-        "trials": [_record_dict(r) for r in log_.records],
+        "trials": [
+            {**vars(r), "objective": None if math.isnan(r.objective) else r.objective}
+            for r in log_.records
+        ],
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if destination is None:
-        return text
-    Path(destination).write_text(text, encoding="utf-8")
-    return None
+    return _emit(json.dumps(payload, indent=2) + "\n", destination)
 
 
 def write_parallel_coordinates(log_: TrialLog, destination=None) -> str | None:
@@ -434,23 +409,8 @@ def write_parallel_coordinates(log_: TrialLog, destination=None) -> str | None:
 
     Degenerate trials are omitted because they have no objective to plot.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("window_size", "features", "target", "measure", "objective"))
-    for r in log_.records:
-        if r.degenerate:
-            continue
-        writer.writerow(
-            [r.window_size, "|".join(r.features), r.target, r.measure, repr(float(r.objective))]
-        )
-    text = buf.getvalue()
-    if destination is None:
-        return text
-    Path(destination).write_text(text, encoding="utf-8")
-    return None
-
-
-GROUP_AXES = ("window_size", "features", "target", "measure")
+    scored = [r for r in log_.records if not r.degenerate]
+    return _emit(_csv_text(GROUP_AXES + ("objective",), scored), destination)
 
 
 @dataclass(frozen=True)
@@ -475,16 +435,6 @@ class RankingReport:
         return self.rows[-1] if self.rows else None
 
 
-def _group_value(record: TrialRecord, axis: str) -> str:
-    if axis == "window_size":
-        return str(record.window_size)
-    if axis == "features":
-        return "|".join(record.features)
-    if axis == "target":
-        return record.target
-    return record.measure
-
-
 def rank_hyperparameters(log_: TrialLog, group_by: str, trend: str | None = None) -> RankingReport:
     """Rank one axis by the median objective of its non-degenerate trials.
 
@@ -499,7 +449,7 @@ def rank_hyperparameters(log_: TrialLog, group_by: str, trend: str | None = None
     for r in log_.records:
         if r.degenerate or (trend is not None and r.trend != trend):
             continue
-        groups.setdefault(_group_value(r, group_by), []).append(r.objective)
+        groups.setdefault(_cell(r, group_by), []).append(r.objective)
     rows = [
         RankedGroup(value=v, median_objective=float(np.median(objs)), trials=len(objs))
         for v, objs in groups.items()

@@ -148,18 +148,20 @@ def pair_samples(sample: WindowSample, mode: str = "pointwise") -> list[tuple]:
 
 @dataclass(frozen=True)
 class DiscreteSeries:
-    """Integer bin symbols plus the binning that produced them."""
+    """Integer bin symbols plus the bin width that produced them."""
 
     symbols: np.ndarray
     bin_width: float
-    origin: float
 
     def __len__(self) -> int:
         return int(self.symbols.shape[0])
 
 
-def discretize(values, bin_width: float, origin: float = 0.0) -> DiscreteSeries:
-    """Map reals onto half-open fixed-width bins: symbol k covers [origin + k*w, origin + (k+1)*w)."""
+def discretize(values, bin_width: float) -> DiscreteSeries:
+    """Map reals onto half-open fixed-width bins anchored at zero: symbol k covers [k*w, (k+1)*w).
+
+    Values more than 2**63 bins from zero are refused instead of wrapping around int64.
+    """
     if not (bin_width > 0.0):
         raise ValueError(f"bin_width must be positive, got {bin_width}")
     v = np.asarray(values, dtype=np.float64)
@@ -167,9 +169,10 @@ def discretize(values, bin_width: float, origin: float = 0.0) -> DiscreteSeries:
         raise ValueError("values must be one-dimensional")
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
-    scaled = (v - origin) / bin_width
-    if np.any(np.abs(scaled) >= 2.0**63):
+    # Rounded division is monotone, so max |v| / w is the largest |v / w|; testing it
+    # first, in Python floats, keeps v / w from overflowing.
+    if float(np.abs(v).max(initial=0.0)) / float(bin_width) >= 2.0**63:
         raise ValueError("values span more bins than int64 symbols can index")
-    symbols = np.floor(scaled).astype(np.int64)
+    symbols = np.floor(v / bin_width).astype(np.int64)
     symbols.flags.writeable = False
-    return DiscreteSeries(symbols=symbols, bin_width=float(bin_width), origin=float(origin))
+    return DiscreteSeries(symbols=symbols, bin_width=float(bin_width))

@@ -13,20 +13,19 @@ import json
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from pathlib import Path
 
 import numpy as np
 
 from .frame import TimeSeriesFrame
 from .indicators import returns
-from .search import scan_anchors
+from .search import _emit, scan_anchors
 
 # Unused here; perfbench/layers.py looks both names up in this module to trace a run.
 from .search import evaluate_pairs  # noqa: F401
 from .shaping import pair_arrays  # noqa: F401
 
 EMBEDDINGS = ("none", "linear_lag", "nonlinear_lag", "regime_pattern")
-BASES = ("gaussian_walk",)
+REGIME_BLOCK = 100  # regime embedding: coupling toggles every this many rows
 
 CRITERION_TEXT = (
     "a dependence measure passes when its median score on series with a "
@@ -37,29 +36,23 @@ CRITERION_TEXT = (
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Recipe for one synthetic OHLCV series."""
+    """Recipe for one synthetic OHLCV series; the base is always a Gaussian random walk."""
 
     length: int = 2000
     embedding: str = "linear_lag"
     lag: int = 100
     strength: float = 1.0
     seed: int = 42
-    block: int = 100  # regime embedding: coupling toggles every this many rows
-    base: str = "gaussian_walk"
 
     def __post_init__(self):
         if self.length < 300:
             raise ValueError("length must be >= 300 to leave room for lags and windows")
         if self.embedding not in EMBEDDINGS:
             raise ValueError(f"embedding must be one of {EMBEDDINGS}")
-        if self.base not in BASES:
-            raise ValueError(f"base must be one of {BASES}")
         if not (1 <= self.lag <= self.length // 4):
             raise ValueError("lag must be between 1 and length // 4")
         if not (0.0 <= self.strength <= 1.0):
             raise ValueError("strength must be within [0, 1]")
-        if self.block < 1:
-            raise ValueError("block must be >= 1")
 
 
 def _coupling_signal(z: np.ndarray, spec: SyntheticSpec) -> np.ndarray:
@@ -91,7 +84,7 @@ def generate_synthetic(spec: SyntheticSpec) -> TimeSeriesFrame:
         coupled = np.zeros(t, dtype=bool)
         coupled[spec.lag :] = True
         if spec.embedding == "regime_pattern":
-            coupled &= (np.arange(t) // spec.block) % 2 == 0
+            coupled &= (np.arange(t) // REGIME_BLOCK) % 2 == 0
         mix = math.sqrt(1.0 - spec.strength * spec.strength)
         driver = np.empty(t)
         driver[spec.lag :] = g[: t - spec.lag]
@@ -296,8 +289,4 @@ def write_verification_report(report: VerificationReport, destination=None) -> s
             for m in report.measures
         ],
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    if destination is None:
-        return text
-    Path(destination).write_text(text, encoding="utf-8")
-    return None
+    return _emit(json.dumps(payload, indent=2) + "\n", destination)

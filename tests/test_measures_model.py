@@ -134,43 +134,32 @@ def test_pps_constant_target_is_degenerate():
 
 
 def test_pps_worse_than_baseline_floors_at_zero():
-    # Out-of-fold predictions on pure noise usually do worse than the median.
+    # The mean predictor on a skewed target does worse than the median.
     rng = np.random.default_rng(3)
-    floored = 0
     for _ in range(20):
         X = rng.standard_normal((40, 2))
-        y = rng.standard_normal(40)
-        r = pps(X, y, folds=4, min_samples_leaf=2)
-        assert 0.0 <= r.value <= 1.0
-        if r.params["raw"] < 0.0:
-            floored += 1
-            assert r.value == 0.0
-    assert floored > 0
+        y = rng.exponential(size=40)
+        r = pps(X, y, max_depth=0)
+        assert r.params["raw"] < 0.0
+        assert r.value == 0.0
 
 
-def test_pps_out_of_fold_beats_noise_on_real_structure():
+def test_pps_beats_noise_on_real_structure():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((80, 1))
     y = np.where(X[:, 0] > 0.0, 4.0, -4.0) + rng.standard_normal(80) * 0.1
-    strong = pps(X, y, folds=4)
-    weak = pps(X, rng.standard_normal(80), folds=4)
+    strong = pps(X, y)
+    weak = pps(X, rng.standard_normal(80))
     assert strong.value > 0.8
     assert strong.value > weak.value
-
-
-def test_pps_fold_arithmetic_checks():
-    with pytest.raises(ValueError):
-        pps(np.arange(7.0), np.arange(7.0), folds=2)
-    with pytest.raises(ValueError):
-        pps(np.arange(8.0), np.arange(8.0), folds=0)
 
 
 def test_pps_is_deterministic():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((50, 2))
     y = X[:, 0] + rng.standard_normal(50) * 0.4
-    a = pps(X, y, folds=5)
-    b = pps(X, y, folds=5)
+    a = pps(X, y)
+    b = pps(X, y)
     assert a.value == b.value
     assert a.params == b.params
 

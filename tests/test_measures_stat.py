@@ -48,6 +48,11 @@ def test_pearson_constant_input_is_degenerate():
     assert r.degenerate
     assert np.isnan(r.value)
     assert "variance" in r.params["reason"]
+    # For 0.1, 1/3 and 0.0005 the mean rounds, so the sum of squares is ~1e-33, not 0.
+    y = np.random.default_rng(1).standard_normal(100)
+    for c in (0.1, 1 / 3, 0.0005, 7.0, 1e-9):
+        assert pearson(np.full(100, c), y).params["reason"] == "zero variance"
+        assert pearson(y, np.full(100, c)).params["reason"] == "zero variance"
 
 
 def test_correlations_refuse_non_finite_sums():

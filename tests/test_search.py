@@ -1,5 +1,8 @@
+import io
 import json
 import logging
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from depscope.measures import (
 from depscope.search import (
     TRIAL_CSV_HEADER,
     SearchSpace,
+    TrialLog,
+    TrialRecord,
     config_key,
     correlate_measure_with_scores,
     default_search_space,
@@ -97,9 +102,9 @@ def test_default_space_shape():
 
 def test_label_trend_thresholds():
     close = np.concatenate([np.full(20, 100.0), [103.0, 97.0, 100.5]])
-    assert label_trend(close, 20, lookback=20, threshold=0.02) == "UP"
-    assert label_trend(close, 21, lookback=20, threshold=0.02) == "DOWN"
-    assert label_trend(close, 22, lookback=20, threshold=0.02) == "NEUTRAL"
+    assert label_trend(close, 20) == "UP"
+    assert label_trend(close, 21) == "DOWN"
+    assert label_trend(close, 22) == "NEUTRAL"
     with pytest.raises(ValueError):
         label_trend(close, 23)
 
@@ -107,7 +112,7 @@ def test_label_trend_thresholds():
 def test_label_trend_warns_when_history_is_short(caplog):
     close = np.linspace(100.0, 110.0, 30)
     with caplog.at_level(logging.WARNING, logger="depscope.search"):
-        assert label_trend(close, 5, lookback=20) == "NEUTRAL"
+        assert label_trend(close, 5) == "NEUTRAL"
     assert any("fewer than" in rec.message for rec in caplog.records)
 
 
@@ -332,6 +337,93 @@ def test_parallel_coordinates_drops_degenerate_rows():
     assert all(line.split(",")[0] == "32" for line in lines[1:])
     scored = [r for r in log.records if not r.degenerate]
     assert len(lines) - 1 == len(scored)
+
+
+GOLDEN_LOG = TrialLog(
+    records=(
+        TrialRecord(0, 50, ("f_rsi",), "t_ret_c_1", "MI", "2000-02-21", "UP", 0.1, False),
+        TrialRecord(1, 100, ("a", "b"), "t_ret_c_5", "DC", "2000-03-01", "NEUTRAL", 1 / 3, False),
+        TrialRecord(2, 100, ("a",), "y", "PC", "2000-03-02", "DOWN", math.nan, True),
+    ),
+    space=None,
+    seed=7,
+)
+
+GOLDEN_TRIALS_CSV = """\
+trial_id,window_size,features,target,measure,anchor_date,trend,objective,degenerate
+0,50,f_rsi,t_ret_c_1,MI,2000-02-21,UP,0.1,false
+1,100,a|b,t_ret_c_5,DC,2000-03-01,NEUTRAL,0.3333333333333333,false
+2,100,a,y,PC,2000-03-02,DOWN,nan,true
+"""
+
+GOLDEN_PARALLEL_COORDINATES = """\
+window_size,features,target,measure,objective
+50,f_rsi,t_ret_c_1,MI,0.1
+100,a|b,t_ret_c_5,DC,0.3333333333333333
+"""
+
+GOLDEN_TRIALS_JSON = """\
+{
+  "space": null,
+  "seed": 7,
+  "created_utc": "",
+  "elapsed_s": 0.0,
+  "trials": [
+    {
+      "trial_id": 0,
+      "window_size": 50,
+      "features": [
+        "f_rsi"
+      ],
+      "target": "t_ret_c_1",
+      "measure": "MI",
+      "anchor_date": "2000-02-21",
+      "trend": "UP",
+      "objective": 0.1,
+      "degenerate": false
+    },
+    {
+      "trial_id": 1,
+      "window_size": 100,
+      "features": [
+        "a",
+        "b"
+      ],
+      "target": "t_ret_c_5",
+      "measure": "DC",
+      "anchor_date": "2000-03-01",
+      "trend": "NEUTRAL",
+      "objective": 0.3333333333333333,
+      "degenerate": false
+    },
+    {
+      "trial_id": 2,
+      "window_size": 100,
+      "features": [
+        "a"
+      ],
+      "target": "y",
+      "measure": "PC",
+      "anchor_date": "2000-03-02",
+      "trend": "DOWN",
+      "objective": null,
+      "degenerate": true
+    }
+  ]
+}
+"""
+
+
+def test_trial_writers_produce_the_golden_bytes():
+    assert write_trial_log_csv(GOLDEN_LOG) == GOLDEN_TRIALS_CSV
+    assert write_parallel_coordinates(GOLDEN_LOG) == GOLDEN_PARALLEL_COORDINATES
+    assert write_trial_log_json(GOLDEN_LOG) == GOLDEN_TRIALS_JSON
+    back = read_trial_log_csv(io.StringIO(GOLDEN_TRIALS_CSV)).records
+    assert back[:2] == GOLDEN_LOG.records[:2]
+    assert math.isnan(back[2].objective)
+    assert replace(back[2], objective=0.0) == replace(GOLDEN_LOG.records[2], objective=0.0)
+    ranked = rank_hyperparameters(GOLDEN_LOG, "features").rows
+    assert [(g.value, g.trials) for g in ranked] == [("a|b", 1), ("f_rsi", 1)]
 
 
 def test_rank_hyperparameters_orders_by_median():

@@ -148,11 +148,6 @@ def test_discretize_known_values():
     assert d.bin_width == 0.001
 
 
-def test_discretize_shifted_origin():
-    d = discretize(np.array([0.5, 1.49]), 1.0, origin=0.5)
-    assert list(d.symbols) == [0, 0]
-
-
 def test_discretize_input_checks():
     with pytest.raises(ValueError):
         discretize(np.array([1.0]), 0.0)

@@ -28,10 +28,6 @@ def test_spec_validation():
         SyntheticSpec(length=400, lag=101)
     with pytest.raises(ValueError):
         SyntheticSpec(strength=1.5)
-    with pytest.raises(ValueError):
-        SyntheticSpec(block=0)
-    with pytest.raises(ValueError):
-        SyntheticSpec(base="ornstein_uhlenbeck")
 
 
 def test_none_embedding_ignores_strength():
@@ -98,7 +94,7 @@ def test_nonlinear_coupling_is_invisible_to_linear_correlation():
 
 def test_regime_coupling_toggles_in_blocks():
     spec = SyntheticSpec(
-        length=1200, embedding="regime_pattern", lag=10, strength=1.0, seed=7, block=100
+        length=1200, embedding="regime_pattern", lag=10, strength=1.0, seed=7
     )
     frame = generate_synthetic(spec)
     r = returns(frame.column("close"))
