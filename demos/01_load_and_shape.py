@@ -47,10 +47,6 @@ print(
 )
 
 # Pointwise pairing flattens one window into scalar (x, y) observations.
-xs, ys = pair_arrays(first, mode="pointwise")
+xs, ys = pair_arrays(first)
 print(f"pointwise pairing of the first window yields {len(xs)} observations per side")
-print(f"the same pairing as plain tuples: {pair_samples(first, mode='pointwise')[:2]} ...")
-
-# The joint mode keeps whole blocks so multivariate measures can use them.
-xs_j, ys_j = pair_arrays(first, mode="joint_horizon")
-print(f"joint pairing keeps blocks: x {np.shape(xs_j)}, y {np.shape(ys_j)}")
+print(f"the same pairing as plain tuples: {pair_samples(first)[:2]} ...")

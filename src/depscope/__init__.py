@@ -73,8 +73,6 @@ from .search import (
     write_trial_log_json,
 )
 from .shaping import (
-    PAIRING_MODES,
-    DiscreteSeries,
     ShapedDataset,
     WindowSample,
     discretize,

@@ -179,7 +179,7 @@ def _measure_windowed(args, frame, features, measures) -> list[dict]:
     rows = []
     for measure in measures:
         scored = scan_anchors(
-            frame, features, args.target, measure, args.window, args.step, horizon, args.pairing,
+            frame, features, args.target, measure, args.window, args.step, horizon,
             bin_width=args.bin_bp * 1e-4, feature_bins=args.feature_bins,
         )
         values = [r.value for _, r in scored if not r.degenerate]
@@ -232,7 +232,6 @@ def cmd_search(args) -> int:
         measures=_parse_measures(args.measures) if args.measures else base.measures,
         horizon=args.horizon,
         step=args.step,
-        pairing_mode=args.pairing,
         bin_width=args.bin_bp * 1e-4,
         feature_bins=args.feature_bins,
         min_samples=args.min_samples,
@@ -383,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=None, help="window width; omit for whole-series")
     p.add_argument("--step", type=int, default=100)
     p.add_argument("--horizon", type=int, default=None, help="default: the window width")
-    p.add_argument("--pairing", choices=("pointwise", "joint"), default="pointwise")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p)
     p.set_defaults(handler=cmd_measure)
@@ -401,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measures", default=None)
     p.add_argument("--step", type=int, default=100)
     p.add_argument("--horizon", type=int, default=None, help="default: each window width")
-    p.add_argument("--pairing", choices=("pointwise", "joint"), default="pointwise")
     p.add_argument("--min-samples", type=int, default=100)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=42, help="seed recorded in trials.json (default 42)")
@@ -450,8 +447,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_INVALID
-    if getattr(args, "pairing", None) == "joint":
-        args.pairing = "joint_horizon"
     try:
         return args.handler(args)
     except OSError as exc:

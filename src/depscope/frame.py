@@ -16,8 +16,6 @@ import numpy as np
 
 OHLCV_HEADER = ("date", "open", "high", "low", "close", "volume")
 
-ISSUE_KINDS = ("missing", "non_finite", "non_monotonic_time", "duplicate_time")
-
 
 class CsvParseError(ValueError):
     """Structurally malformed CSV input (bad header, field count, unparseable cell)."""

@@ -2,7 +2,7 @@
 
 MI, IG, RSI_SYNERGY and MIC count through one kernel on integer codes: one
 np.unique turns a symbol vector, or a matrix's rows read as fixed-width bytes
-(a feature set, a joint-horizon target), into codes that np.bincount counts.
+(a feature set), into codes that np.bincount counts.
 Entropies are in bits with one pinned arithmetic: Python-float terms c / n
 summed smallest-first as p * math.log2(p), so results are deterministic and MI
 is exactly symmetric.  IG and conditional entropy add their branches in repr

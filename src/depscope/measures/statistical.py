@@ -23,7 +23,7 @@ def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pearson_value(x: np.ndarray, y: np.ndarray) -> float | None:
-    """Correlation as sxy/sqrt(sxx*syy); None when a side is constant or its variance is zero.
+    """Correlation as sxy/sqrt(sxx*syy); None when a side is constant.
 
     Constancy is read off min and max: a rounded mean leaves a constant
     column a sxx near 1e-33, not 0.  The variance denominators cancel, and
@@ -38,8 +38,6 @@ def _pearson_value(x: np.ndarray, y: np.ndarray) -> float | None:
     with np.errstate(over="ignore"):  # an overflowed sum is refused below
         sxx = dx @ dx
         syy = dy @ dy
-    if sxx == 0.0 or syy == 0.0:
-        return None
     product = sxx * syy
     if not (0.0 < product < math.inf):
         raise ValueError("sums of squares are not finite and positive")
@@ -89,7 +87,8 @@ def distance_correlation(x, y) -> MeasureResult:
     Both pairwise Euclidean distance matrices are double-centered; dCov^2 is
     the mean elementwise product (a biased V-statistic, so independent data
     scores above zero at small n), and tiny negative rounding residue is
-    clipped before the square root.
+    clipped before the square root.  A constant side is degenerate; distance
+    variances that underflow to zero on non-constant points raise ValueError.
     """
     xp = _as_points(x)
     yp = _as_points(y)
@@ -102,8 +101,11 @@ def distance_correlation(x, y) -> MeasureResult:
     b = _centered_distances(yp)
     dvar_x = (a * a).mean()
     dvar_y = (b * b).mean()
-    if dvar_x <= 0.0 or dvar_y <= 0.0:
-        return degenerate_result("DC", n, "zero distance variance")
+    dvar = dvar_x * dvar_y
+    if dvar == 0.0:
+        if (xp == xp[0]).all() or (yp == yp[0]).all():
+            return degenerate_result("DC", n, "zero distance variance")
+        raise ValueError("distance variance underflows to zero")
     dcov2 = max((a * b).mean(), 0.0)
-    value = math.sqrt(dcov2 / math.sqrt(dvar_x * dvar_y))
+    value = math.sqrt(dcov2 / math.sqrt(dvar))
     return MeasureResult("DC", min(value, 1.0), n)

@@ -35,7 +35,7 @@ from .measures import (
     spearman,
 )
 from .measures.information import _mi_symbols
-from .shaping import PAIRING_MODES, WindowSample, discretize, make_sliding_windows, pair_arrays
+from .shaping import WindowSample, discretize, make_sliding_windows, pair_arrays
 
 log = logging.getLogger(__name__)
 
@@ -54,7 +54,6 @@ class SearchSpace:
     measures: tuple[str, ...]
     horizon: int | None = None  # None keeps the horizon equal to each window size
     step: int = 100
-    pairing_mode: str = "pointwise"
     bin_width: float = 0.001
     feature_bins: int = 8
     min_samples: int = 100
@@ -76,8 +75,6 @@ class SearchSpace:
             raise ValueError("horizon must be >= 1 when given")
         if self.step < 1:
             raise ValueError("step must be >= 1")
-        if self.pairing_mode not in PAIRING_MODES:
-            raise ValueError(f"pairing_mode must be one of {PAIRING_MODES}")
         unknown = [m for m in self.measures if m not in MEASURE_IDS]
         if unknown:
             raise ValueError(f"unknown measure ids {unknown}; valid ids are {MEASURE_IDS}")
@@ -187,12 +184,6 @@ def _feature_symbols(xs: np.ndarray, bins: int) -> list[np.ndarray]:
     return [equal_frequency_symbols(xs[:, j], bins) for j in range(xs.shape[1])]
 
 
-def _target_symbols(ys: np.ndarray, bin_width: float) -> np.ndarray:
-    if ys.ndim == 1:
-        return discretize(ys, bin_width).symbols
-    return np.column_stack([discretize(ys[:, j], bin_width).symbols for j in range(ys.shape[1])])
-
-
 def evaluate_pairs(
     measure: str,
     xs: np.ndarray,
@@ -203,11 +194,11 @@ def evaluate_pairs(
 ) -> MeasureResult:
     """Score one measure on paired windows, binning as each measure requires.
 
-    xs is (n, F); ys is (n,) pointwise or (n, H) for a joint horizon.
-    Non-finite input and pairwise-only measures on multivariate input are
-    degenerate-flagged up front; numeric degeneracies inside a measure,
-    including synergy sets above its capacity limit, come back flagged as
-    well.
+    xs is (n, F) or (n,); ys is the (n,) target vector, and any other
+    shape raises ValueError.  Non-finite input and pairwise-only measures on
+    multivariate input are degenerate-flagged up front; numeric
+    degeneracies inside a measure, including synergy sets above its
+    capacity limit, come back flagged as well.
     """
     if measure not in MEASURE_IDS:
         raise ValueError(f"unknown measure id {measure!r}; valid ids are {MEASURE_IDS}")
@@ -215,17 +206,14 @@ def evaluate_pairs(
     if xs.ndim == 1:
         xs = xs[:, None]
     ys = np.asarray(ys, dtype=np.float64)
-    if ys.ndim == 2 and ys.shape[1] == 1:
-        ys = ys[:, 0]
+    if ys.ndim != 1:
+        raise ValueError(f"ys must be a vector of targets, got shape {ys.shape}")
     n, n_features = xs.shape
-    y_joint = ys.ndim == 2
 
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         return degenerate_result(measure, n, "non-finite input")
-    if measure in ("PC", "SC", "MIC") and (n_features > 1 or y_joint):
+    if measure in ("PC", "SC", "MIC") and n_features > 1:
         return degenerate_result(measure, n, "pairwise measure on multivariate input")
-    if measure == "PPS" and y_joint:
-        return degenerate_result(measure, n, "model target must be a single column")
 
     try:
         if measure == "PC":
@@ -239,7 +227,7 @@ def evaluate_pairs(
         if measure == "PPS":
             return pps(xs, ys)
         feats = _feature_symbols(xs, feature_bins)
-        y_sym = _target_symbols(ys, bin_width)
+        y_sym = discretize(ys, bin_width)
         if measure == "RSI_SYNERGY":
             return redundancy_synergy_index(feats, y_sym)
         x_sym = feats[0] if n_features == 1 else np.column_stack(feats)
@@ -258,7 +246,6 @@ def scan_anchors(
     window: int,
     step: int,
     horizon: int,
-    pairing_mode: str,
     *,
     bin_width: float,
     feature_bins: int,
@@ -273,7 +260,7 @@ def scan_anchors(
     dataset = make_sliding_windows(frame, features, target, window, step, horizon)
     scored = []
     for sample in dataset.samples:
-        xs, ys = pair_arrays(sample, pairing_mode)
+        xs, ys = pair_arrays(sample)
         if xs.shape[0] < min_samples:
             result = degenerate_result(measure, xs.shape[0], f"fewer than {min_samples} pairs")
         else:
@@ -288,7 +275,7 @@ def _eval_config(args) -> list[tuple]:
     frame, space, window, features, target, measure = args
     horizon = space.horizon if space.horizon is not None else window
     scored = scan_anchors(
-        frame, features, target, measure, window, space.step, horizon, space.pairing_mode,
+        frame, features, target, measure, window, space.step, horizon,
         bin_width=space.bin_width, feature_bins=space.feature_bins, min_samples=space.min_samples,
     )
     close = frame.column("close")
@@ -429,10 +416,6 @@ class RankingReport:
     @property
     def best(self) -> RankedGroup | None:
         return self.rows[0] if self.rows else None
-
-    @property
-    def worst(self) -> RankedGroup | None:
-        return self.rows[-1] if self.rows else None
 
 
 def rank_hyperparameters(log_: TrialLog, group_by: str, trend: str | None = None) -> RankingReport:

@@ -13,8 +13,6 @@ import numpy as np
 
 from .frame import TimeSeriesFrame
 
-PAIRING_MODES = ("pointwise", "joint_horizon")
-
 
 @dataclass(frozen=True)
 class WindowSample:
@@ -24,10 +22,6 @@ class WindowSample:
     anchor_time: np.datetime64
     x_block: np.ndarray  # (W, F), oldest row first
     y_horizon: np.ndarray  # (H,)
-
-    @property
-    def window_width(self) -> int:
-        return int(self.x_block.shape[0])
 
     @property
     def horizon(self) -> int:
@@ -81,9 +75,6 @@ class ShapedDataset:
     def __len__(self) -> int:
         return int(self.anchors.shape[0])
 
-    def __iter__(self):
-        return iter(self.samples)
-
 
 def make_sliding_windows(
     frame: TimeSeriesFrame,
@@ -116,51 +107,30 @@ def make_sliding_windows(
     )
 
 
-def pair_arrays(sample: WindowSample, mode: str = "pointwise") -> tuple[np.ndarray, np.ndarray]:
-    """Array form of pair_samples: xs is (W, F); ys is (W,) pointwise or (W, H) joint."""
-    if mode not in PAIRING_MODES:
-        raise ValueError(f"mode must be one of {PAIRING_MODES}, got {mode!r}")
+def pair_arrays(sample: WindowSample) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of pair_samples: xs is (W, F) and ys is (W,)."""
     xs = sample.x_block
-    w = xs.shape[0]
-    h = sample.horizon
-    if mode == "pointwise":
-        # offset j pairs with horizon offset j; the modulo keeps the map total
-        # when W != H, and reduces to exact same-offset alignment when H == W.
-        ys = sample.y_horizon[np.arange(w) % h]
-    else:
-        ys = np.broadcast_to(sample.y_horizon, (w, h))
+    # offset j pairs with horizon offset j; the modulo keeps the map total
+    # when W != H, and reduces to exact same-offset alignment when H == W.
+    ys = sample.y_horizon[np.arange(xs.shape[0]) % sample.horizon]
     return xs, ys
 
 
-def pair_samples(sample: WindowSample, mode: str = "pointwise") -> list[tuple]:
+def pair_samples(sample: WindowSample) -> list[tuple]:
     """Turn one window sample into W (x, y) pairs.
 
-    pointwise pairs the feature tuple at each lag offset with the target at
-    the matching offset of the forward horizon; joint_horizon pairs every
-    feature tuple with the whole horizon as one y tuple.
+    The feature tuple at each lag offset pairs with the target at the
+    matching offset of the forward horizon.
     """
-    xs, ys = pair_arrays(sample, mode)
-    if mode == "pointwise":
-        return [(tuple(map(float, x)), float(y)) for x, y in zip(xs, ys)]
-    yt = tuple(map(float, sample.y_horizon))
-    return [(tuple(map(float, x)), yt) for x in xs]
+    xs, ys = pair_arrays(sample)
+    return [(tuple(map(float, x)), float(y)) for x, y in zip(xs, ys)]
 
 
-@dataclass(frozen=True)
-class DiscreteSeries:
-    """Integer bin symbols plus the bin width that produced them."""
-
-    symbols: np.ndarray
-    bin_width: float
-
-    def __len__(self) -> int:
-        return int(self.symbols.shape[0])
-
-
-def discretize(values, bin_width: float) -> DiscreteSeries:
+def discretize(values, bin_width: float) -> np.ndarray:
     """Map reals onto half-open fixed-width bins anchored at zero: symbol k covers [k*w, (k+1)*w).
 
-    Values more than 2**63 bins from zero are refused instead of wrapping around int64.
+    The symbols come back as a read-only int64 vector.  Values more than
+    2**63 bins from zero are refused instead of wrapping around int64.
     """
     if not (bin_width > 0.0):
         raise ValueError(f"bin_width must be positive, got {bin_width}")
@@ -175,4 +145,4 @@ def discretize(values, bin_width: float) -> DiscreteSeries:
         raise ValueError("values span more bins than int64 symbols can index")
     symbols = np.floor(v / bin_width).astype(np.int64)
     symbols.flags.writeable = False
-    return DiscreteSeries(symbols=symbols, bin_width=float(bin_width))
+    return symbols

@@ -191,7 +191,7 @@ def run_verification(
         sides = []
         for f in frames:
             scored = scan_anchors(
-                f, ("signal",), "ret", measure, window, step, window, "pointwise",
+                f, ("signal",), "ret", measure, window, step, window,
                 bin_width=bin_width, feature_bins=feature_bins,
             )
             values = [r.value for _, r in scored if not r.degenerate]

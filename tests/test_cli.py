@@ -369,6 +369,13 @@ def test_report_empty_after_filter_exits_three(tmp_path, features_csv, capsys):
 def test_argparse_errors_map_to_exit_two(capsys):
     assert main(["measure", "--input", "x.csv"]) == 2
     assert main(["unknown-command"]) == 2
+    # Pairing is pointwise only; without the flag both commands would fail with I/O code 1.
+    measure = ["measure", "--input", "x.csv", "--features", "a", "--target", "y"]
+    search = ["search", "--input", "x.csv", "--output", "runs"]
+    for args in (measure, search):
+        capsys.readouterr()
+        assert main(args + ["--pairing", "joint"]) == 2
+        assert "unrecognized arguments: --pairing joint" in capsys.readouterr().err
 
 
 def test_seed_is_an_option_of_search_and_verify_only(features_csv, capsys):

@@ -64,6 +64,11 @@ def test_correlations_refuse_non_finite_sums():
         pearson(np.append(x[:-1], np.nan), x)
     with pytest.raises(ValueError, match="not finite"):
         spearman(np.append(x[:-1], np.nan), x)
+    # Squared deviations of 1e-170 underflow to 0.0, yet the column is not constant.
+    tiny = [0.0, 1e-170, 2e-170, 3e-170]
+    with pytest.raises(ValueError, match="not finite"):
+        pearson(tiny, [1.0, 2.0, 3.0, 5.0])
+    assert spearman(tiny, [1.0, 2.0, 3.0, 5.0]).value == 1.0
 
 
 def test_pearson_rejects_bad_shapes():
@@ -156,6 +161,9 @@ def test_distance_correlation_constant_side_is_degenerate():
     r = distance_correlation(np.ones(10), np.arange(10.0))
     assert r.degenerate
     assert "distance variance" in r.params["reason"]
+    # Distances of 1e-170-scale points underflow to zero; that is not constancy.
+    with pytest.raises(ValueError, match="underflow"):
+        distance_correlation(np.arange(10) * 1e-170, np.arange(10.0))
 
 
 def test_distance_correlation_independence_stays_low():

@@ -77,8 +77,6 @@ def test_search_space_validation():
     with pytest.raises(ValueError):
         tiny_space(step=0)
     with pytest.raises(ValueError):
-        tiny_space(pairing_mode="zip")
-    with pytest.raises(ValueError):
         tiny_space(bin_width=0.0)
     with pytest.raises(ValueError):
         tiny_space(feature_bins=17)
@@ -136,10 +134,10 @@ def test_evaluate_pairs_arity_rules():
         assert "multivariate" in r.params["reason"]
     assert not evaluate_pairs("DC", xs, y).degenerate
     assert not evaluate_pairs("MI", xs, y).degenerate
-    y_joint = rng.standard_normal((40, 3))
-    r = evaluate_pairs("PPS", xs, y_joint)
-    assert r.degenerate and "single column" in r.params["reason"]
-    assert not evaluate_pairs("DC", xs, y_joint).degenerate
+    for measure in MEASURE_IDS:
+        for ys in (rng.standard_normal((40, 3)), y[:, None]):
+            with pytest.raises(ValueError, match="vector"):
+                evaluate_pairs(measure, xs, ys)
 
 
 def test_evaluate_pairs_synergy_capacity():
@@ -178,6 +176,18 @@ def test_evaluate_pairs_flags_overflow_instead_of_scoring_it():
     for measure in ("MI", "IG", "RSI_SYNERGY"):
         r = evaluate_pairs(measure, v, v)
         assert r.degenerate and "int64" in r.params["reason"]
+    # Squared distances of 1e-170-scale points underflow: cdist is all zeros.
+    tiny = np.arange(200) * 1e-170
+    r = evaluate_pairs("DC", tiny, np.arange(200.0))
+    assert r.degenerate and "underflow" in r.params["reason"]
+    # Each distance variance is ~1e-200, so their product underflows to zero.
+    rng = np.random.default_rng(7)
+    r = evaluate_pairs("DC", rng.standard_normal(100) * 1e-100, rng.standard_normal(100) * 1e-100)
+    assert r.degenerate and "underflow" in r.params["reason"]
+    r = evaluate_pairs("DC", np.full(200, 1e-170), np.arange(200.0))
+    assert r.params["reason"] == "zero distance variance"
+    r = evaluate_pairs("PC", tiny, np.arange(200.0))
+    assert r.degenerate and "not finite and positive" in r.params["reason"]
 
 
 def test_evaluate_pairs_flags_pps_targets_whose_squared_sums_overflow():
@@ -191,10 +201,7 @@ def _window_symbols(xs, ys, feature_bins, bin_width):
     """The symbols evaluate_pairs bins a window into, as plain ints and tuples."""
     cols = [equal_frequency_symbols(xs[:, j], feature_bins).tolist() for j in range(xs.shape[1])]
     x = cols[0] if len(cols) == 1 else list(zip(*cols))
-    if ys.ndim == 1:
-        return cols, x, discretize(ys, bin_width).symbols.tolist()
-    y_cols = [discretize(ys[:, j], bin_width).symbols.tolist() for j in range(ys.shape[1])]
-    return cols, x, list(zip(*y_cols))
+    return cols, x, discretize(ys, bin_width).tolist()
 
 
 @pytest.mark.parametrize("feature_bins", (2, 8, 12, 16))
@@ -204,9 +211,7 @@ def test_discrete_measures_match_the_exact_tables_bit_for_bit(feature_bins):
     for trial in range(36):
         n = int(rng.integers(20, 160))
         xs = rng.standard_normal((n, 1 + trial % 3))
-        horizon = (0, 2, 3)[trial // 3 % 3]
-        # Coarse targets repeat bins, so joint-horizon rows repeat too.
-        ys = 0.0013 * rng.integers(-6, 7, (n, horizon) if horizon else n)
+        ys = 0.0013 * rng.integers(-6, 7, n)
         cols, x, y = _window_symbols(xs, ys, feature_bins, 0.001)
 
         def mi(symbols):

@@ -3,7 +3,6 @@ import pytest
 
 from depscope.frame import TimeSeriesFrame
 from depscope.shaping import (
-    DiscreteSeries,
     discretize,
     make_sliding_windows,
     pair_arrays,
@@ -69,7 +68,7 @@ def test_dataset_format_marker():
 def test_pointwise_pairing_same_offset_when_h_equals_w():
     ds = make_sliding_windows(ramp_frame(30), ("x0",), "y", 6, 5, 6)
     sample = ds.samples[0]
-    xs, ys = pair_arrays(sample, "pointwise")
+    xs, ys = pair_arrays(sample)
     assert xs.shape == (6, 1)
     np.testing.assert_array_equal(ys - xs[:, 0], np.full(6, 6.0))
 
@@ -78,28 +77,14 @@ def test_pointwise_pairing_wraps_short_horizons():
     ds = make_sliding_windows(ramp_frame(30), ("x0",), "y", 6, 5, 2)
     sample = ds.samples[0]
     a = sample.anchor
-    _, ys = pair_arrays(sample, "pointwise")
+    _, ys = pair_arrays(sample)
     np.testing.assert_array_equal(ys, [a + 1, a + 2, a + 1, a + 2, a + 1, a + 2])
-
-
-def test_joint_horizon_pairing_shapes():
-    ds = make_sliding_windows(ramp_frame(30), ("x0", "x1"), "y", 5, 5, 3)
-    xs, ys = pair_arrays(ds.samples[0], "joint_horizon")
-    assert xs.shape == (5, 2)
-    assert ys.shape == (5, 3)
-    np.testing.assert_array_equal(ys[0], ys[4])
 
 
 def test_pair_samples_returns_plain_tuples():
     ds = make_sliding_windows(ramp_frame(12), ("x0",), "y", 3, 2, 3)
-    pairs = pair_samples(ds.samples[0], "pointwise")
+    pairs = pair_samples(ds.samples[0])
     assert pairs == [((0.0,), 3.0), ((1.0,), 4.0), ((2.0,), 5.0)]
-
-
-def test_unknown_pairing_mode_rejected():
-    ds = make_sliding_windows(ramp_frame(12), ("x0",), "y", 3, 2, 3)
-    with pytest.raises(ValueError, match="mode"):
-        pair_arrays(ds.samples[0], "zipped")
 
 
 def test_bad_shaping_arguments():
@@ -144,8 +129,7 @@ def test_random_datasets_cover_every_admissible_anchor():
 
 def test_discretize_known_values():
     d = discretize(np.array([0.0234, -0.0005, 0.0, 0.001]), 0.001)
-    assert list(d.symbols) == [23, -1, 0, 1]
-    assert d.bin_width == 0.001
+    assert list(d) == [23, -1, 0, 1]
 
 
 def test_discretize_input_checks():
@@ -164,11 +148,11 @@ def test_discretize_refuses_symbols_beyond_int64():
     with pytest.raises(ValueError, match="int64"):
         discretize(np.array([0.0, 1e300]), 1e-300)
     d = discretize(np.array([-9.2e18, 9.2e18]), 1.0)
-    assert list(d.symbols) == [-9200000000000000000, 9200000000000000000]
+    assert list(d) == [-9200000000000000000, 9200000000000000000]
 
 
 def test_discrete_series_is_locked():
     d = discretize(np.array([0.1, 0.2]), 0.1)
-    assert isinstance(d, DiscreteSeries)
+    assert isinstance(d, np.ndarray) and d.dtype == np.int64
     with pytest.raises(ValueError):
-        d.symbols[0] = 9
+        d[0] = 9
