@@ -29,7 +29,7 @@ from .search import (
     rank_hyperparameters,
     read_trial_log_csv,
     run_grid_search,
-    scan_anchors,
+    scan_window,
     write_parallel_coordinates,
     write_trial_log_csv,
     write_trial_log_json,
@@ -176,18 +176,19 @@ def _measure_whole_series(args, frame, features, measures) -> list[dict]:
 
 def _measure_windowed(args, frame, features, measures) -> list[dict]:
     horizon = args.horizon if args.horizon is not None else args.window
+    _, scores = scan_window(
+        frame, args.window, (features,), (args.target,), measures,
+        step=args.step, horizon=horizon, bin_width=args.bin_bp * 1e-4,
+        feature_bins=args.feature_bins,
+    )
     rows = []
-    for measure in measures:
-        scored = scan_anchors(
-            frame, features, args.target, measure, args.window, args.step, horizon,
-            bin_width=args.bin_bp * 1e-4, feature_bins=args.feature_bins,
-        )
-        values = [r.value for _, r in scored if not r.degenerate]
+    for i, measure in enumerate(measures):
+        values = [r[i].value for r in scores if not r[i].degenerate]
         rows.append(
             {
                 "measure": measure,
                 "value": float(np.median(values)) if values else None,
-                "sample_size": len(scored),
+                "sample_size": len(scores),
                 "degenerate": not values,
                 "reason": "" if values else "no scorable anchors",
             }

@@ -5,14 +5,18 @@ np.unique turns a symbol vector, or a matrix's rows read as fixed-width bytes
 (a feature set), into codes that np.bincount counts.
 Entropies are in bits with one pinned arithmetic: Python-float terms c / n
 summed smallest-first as p * math.log2(p), so results are deterministic and MI
-is exactly symmetric.  IG and conditional entropy add their branches in repr
-order of the branch symbol ("10" before "2"), whatever the codes are.  Binning
-is the caller's: shaping.discretize or equal_frequency_symbols.
+is exactly symmetric.  Counts of n observations look their terms up in a
+per-n table (EntropyTables) and add them with np.cumsum, which sums in the
+same order and so gives the same bits.  IG and conditional entropy add their
+branches in repr order of the branch symbol ("10" before "2"), whatever the
+codes are.  Binning is the caller's: shaping.discretize or
+equal_frequency_symbols.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,29 +81,85 @@ def _codes(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, first
 
 
-def _entropy(codes: np.ndarray) -> float:
-    return _entropy_from_counts(np.bincount(codes).tolist(), codes.shape[0])
+class _MicGrid(NamedTuple):
+    """MIC's admissible grid shapes for one sample size, in search order."""
+
+    bound: float
+    shapes: list[tuple[int, int]]
+    gx: np.ndarray
+    gy: np.ndarray
+    cells: int  # the largest gx * gy: each shape counts its joint table in a row this wide
+    divisors: np.ndarray  # log2(min(gx, gy))
 
 
-def _mi_codes(x: np.ndarray, kx: int, y: np.ndarray, ky: int) -> float:
-    """I(X;Y) = H(X) + H(Y) - H(X,Y) in bits from codes x < kx and y < ky, clipped at 0.
+class EntropyTables:
+    """Per-scan memo, by sample size n, of the pinned entropy terms and of MIC's grid shapes."""
+
+    def __init__(self):
+        self._terms: dict[int, np.ndarray] = {}
+        self._grids: dict[int, _MicGrid] = {}
+
+    def terms(self, n: int) -> np.ndarray:
+        """T[c] = (c / n) * log2(c / n) for c = 0..n in Python floats, with T[0] = 0.0."""
+        table = self._terms.get(n)
+        if table is None:
+            table = np.array([0.0] + [(c / n) * math.log2(c / n) for c in range(1, n + 1)])
+            self._terms[n] = table
+        return table
+
+    def grid(self, n: int) -> _MicGrid:
+        grid = self._grids.get(n)
+        if grid is None:
+            # The bound is floored so the minimal 2x2 grid stays admissible for the
+            # smallest allowed samples.
+            bound = max(n**MIC_ALPHA, 5.0)
+            shapes = _grid_shapes(bound)
+            gx = np.array([s[0] for s in shapes])
+            gy = np.array([s[1] for s in shapes])
+            divisors = np.array([math.log2(min(s)) for s in shapes])
+            grid = _MicGrid(bound, shapes, gx, gy, int((gx * gy).max()), divisors)
+            self._grids[n] = grid
+        return grid
+
+
+def _table_entropy(counts: np.ndarray, terms: np.ndarray):
+    """_entropy_from_counts of each row of counts, bit for bit, from the terms table of their n.
+
+    Sorting counts sorts their p, equal counts give equal terms, zero counts
+    add 0.0 ahead of the rest, and cumsum adds in order; 0.0 - total turns
+    a zero total into +0.0 as the loop does.
+    """
+    return 0.0 - np.cumsum(terms[np.sort(counts, axis=-1)], axis=-1)[..., -1]
+
+
+class _Coded(NamedTuple):
+    """A symbol vector or matrix of symbol rows as dense codes 0..k-1, with its entropy."""
+
+    symbols: np.ndarray
+    codes: np.ndarray
+    first: np.ndarray  # the first row of each code
+    entropy: float
+
+
+def _coded(symbols: np.ndarray, tables: EntropyTables) -> _Coded:
+    codes, first = _codes(symbols)
+    entropy = float(_table_entropy(np.bincount(codes), tables.terms(codes.shape[0])))
+    return _Coded(symbols, codes, first, entropy)
+
+
+def _mi(x: _Coded, y: _Coded, tables: EntropyTables) -> float:
+    """I(X;Y) = H(X) + H(Y) - H(X,Y) in bits of two coded sides, clipped at 0.
 
     A joint table with more cells than observations is counted by sorting.
     """
-    n = x.shape[0]
-    cells = x * ky + y
-    if kx * ky <= n:
-        joint = np.bincount(cells).tolist()
+    n = x.codes.shape[0]
+    ky = len(y.first)
+    cells = x.codes * ky + y.codes
+    if len(x.first) * ky <= n:
+        joint = np.bincount(cells)
     else:
-        joint = np.unique(cells, return_counts=True)[1].tolist()
-    return max(_entropy(x) + _entropy(y) - _entropy_from_counts(joint, n), 0.0)
-
-
-def _mi_symbols(xs: np.ndarray, ys: np.ndarray) -> float:
-    """I(X;Y) in bits of two paired symbol arrays, each a vector or a matrix of rows."""
-    x, x_first = _codes(xs)
-    y, y_first = _codes(ys)
-    return _mi_codes(x, len(x_first), y, len(y_first))
+        joint = np.unique(cells, return_counts=True)[1]
+    return max(x.entropy + y.entropy - float(_table_entropy(joint, tables.terms(n))), 0.0)
 
 
 def _weighted_entropy(branches, n: int) -> float:
@@ -221,18 +281,26 @@ def information_gain(parent_symbols, child_assignment) -> MeasureResult:
     labelings.
     """
     parent, branch = _paired(parent_symbols, child_assignment)
-    s, s_first = _codes(parent)
-    t, t_first = _codes(branch)
-    ks = len(s_first)
-    cells, counts = np.unique(t * ks + s, return_counts=True)
-    by_branch: list[list[int]] = [[] for _ in range(len(t_first))]
+    tables = EntropyTables()
+    return _information_gain(_coded(parent, tables), _coded(branch, tables))
+
+
+def _information_gain(s: _Coded, t: _Coded) -> MeasureResult:
+    ks = len(s.first)
+    cells, counts = np.unique(t.codes * ks + s.codes, return_counts=True)
+    by_branch: list[list[int]] = [[] for _ in range(len(t.first))]
     for b, c in zip((cells // ks).tolist(), counts.tolist()):
         by_branch[b].append(c)
-    names = [repr(t) for t in _plain(branch, t_first)]
-    order = sorted(range(len(t_first)), key=names.__getitem__)
-    n = len(parent)
+    names = [repr(v) for v in _plain(t.symbols, t.first)]
+    order = sorted(range(len(t.first)), key=names.__getitem__)
+    n = s.codes.shape[0]
     weighted = _weighted_entropy([by_branch[b] for b in order], n)
-    return MeasureResult("IG", max(_entropy(s) - weighted, 0.0), n)
+    return MeasureResult("IG", max(s.entropy - weighted, 0.0), n)
+
+
+def _check_set_size(size: int) -> None:
+    if size > MAX_SET_SIZE:
+        raise ValueError(f"feature set of size {size} exceeds the capacity limit {MAX_SET_SIZE}")
 
 
 def redundancy_synergy_index(feature_symbol_lists, y_symbols) -> MeasureResult:
@@ -245,19 +313,22 @@ def redundancy_synergy_index(feature_symbol_lists, y_symbols) -> MeasureResult:
     features = [np.asarray(f) for f in feature_symbol_lists]
     if not features:
         raise ValueError("need at least one feature symbol sequence")
-    if len(features) > MAX_SET_SIZE:
-        raise ValueError(
-            f"feature set of size {len(features)} exceeds the capacity limit {MAX_SET_SIZE}"
-        )
+    _check_set_size(len(features))
     joint, y = _paired(np.column_stack(features), y_symbols)
+    tables = EntropyTables()
+    singles = [_coded(f, tables) for f in features]
+    return _synergy(_coded(joint, tables), singles, _coded(y, tables), tables)
+
+
+def _synergy(joint: _Coded, singles: list[_Coded], y: _Coded, tables: EntropyTables) -> MeasureResult:
     i_single = 0.0
-    for f in features:
-        i_single += _mi_symbols(f, y)
+    for f in singles:
+        i_single += _mi(f, y, tables)
     return MeasureResult(
         "RSI_SYNERGY",
-        _mi_symbols(joint, y) - i_single,
-        len(y),
-        params={"set_size": len(features)},
+        _mi(joint, y, tables) - i_single,
+        y.codes.shape[0],
+        params={"set_size": len(singles)},
     )
 
 
@@ -302,6 +373,38 @@ def _grid_shapes(bound: float) -> list[tuple[int, int]]:
     return shapes
 
 
+def _mic_marginals(bins, n: int, tables: EntropyTables) -> tuple[np.ndarray, np.ndarray]:
+    """One side of MIC: its equal-frequency codes for g = 2..gmax stacked by row, and their entropies.
+
+    bins(g) gives the side's codes at g bins.
+    """
+    if n < 8:
+        raise ValueError(f"mic needs at least 8 observations, got {n}")
+    gmax = int(tables.grid(n).gx[-1])  # the largest gx; gy tops out at the same value
+    codes = np.stack([bins(g) for g in range(2, gmax + 1)])
+    offsets = gmax * np.arange(codes.shape[0])[:, None]
+    counts = np.bincount((codes + offsets).ravel(), minlength=codes.shape[0] * gmax)
+    return codes, _table_entropy(counts.reshape(-1, gmax), tables.terms(n))
+
+
+def _mic(x_marginals, y_marginals, tables: EntropyTables) -> MeasureResult:
+    """MIC from both sides' _mic_marginals: every grid shape's joint table counted in one batch."""
+    (xc, hx), (yc, hy) = x_marginals, y_marginals
+    n = xc.shape[1]
+    grid = tables.grid(n)
+    offsets = grid.cells * np.arange(len(grid.shapes))[:, None]
+    cells = xc[grid.gx - 2] * grid.gy[:, None] + yc[grid.gy - 2] + offsets
+    joint = np.bincount(cells.ravel(), minlength=len(grid.shapes) * grid.cells)
+    hxy = _table_entropy(joint.reshape(-1, grid.cells), tables.terms(n))
+    m = np.maximum(hx[grid.gx - 2] + hy[grid.gy - 2] - hxy, 0.0) / grid.divisors
+    best = int(np.argmax(m))  # the first of equal maxima: ties prefer the smaller gx, then gy
+    params = {"alpha": MIC_ALPHA, "bound": grid.bound}
+    if not m[best] > 0.0:
+        return MeasureResult("MIC", 0.0, n, params=params)
+    params["grid"] = grid.shapes[best]
+    return MeasureResult("MIC", min(float(m[best]), 1.0), n, params=params)
+
+
 def mic(x, y) -> MeasureResult:
     """Maximal information coefficient with equal-frequency grid placement.
 
@@ -319,26 +422,9 @@ def mic(x, y) -> MeasureResult:
     if xa.shape[0] != ya.shape[0]:
         raise ValueError(f"length mismatch: {xa.shape[0]} vs {ya.shape[0]}")
     n = xa.shape[0]
-    if n < 8:
-        raise ValueError(f"mic needs at least 8 observations, got {n}")
-
-    x_cache: dict[int, np.ndarray] = {}
-    y_cache: dict[int, np.ndarray] = {}
-    best = 0.0
-    best_grid: tuple[int, int] | None = None
-    # The bound is floored so the minimal 2x2 grid stays admissible for the
-    # smallest allowed samples.
-    bound = max(n**MIC_ALPHA, 5.0)
-    for gx, gy in _grid_shapes(bound):
-        if gx not in x_cache:
-            x_cache[gx] = equal_frequency_symbols(xa, gx)
-        if gy not in y_cache:
-            y_cache[gy] = equal_frequency_symbols(ya, gy)
-        m = _mi_codes(x_cache[gx], gx, y_cache[gy], gy) / math.log2(min(gx, gy))
-        if m > best:
-            best = m
-            best_grid = (gx, gy)
-    params = {"alpha": MIC_ALPHA, "bound": bound}
-    if best_grid is not None:
-        params["grid"] = best_grid
-    return MeasureResult("MIC", min(best, 1.0), n, params=params)
+    tables = EntropyTables()
+    return _mic(
+        _mic_marginals(lambda g: equal_frequency_symbols(xa, g), n, tables),
+        _mic_marginals(lambda g: equal_frequency_symbols(ya, g), n, tables),
+        tables,
+    )

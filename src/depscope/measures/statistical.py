@@ -74,11 +74,37 @@ def _as_points(v) -> np.ndarray:
     return a
 
 
-def _centered_distances(points: np.ndarray) -> np.ndarray:
-    d = cdist(points, points)
-    row = d.mean(axis=1, keepdims=True)
-    col = d.mean(axis=0, keepdims=True)
-    return d - row - col + d.mean()
+def _centered_distances(points: np.ndarray) -> tuple[np.ndarray, float]:
+    """Double-centered Euclidean distance matrix of row points, and its distance variance.
+
+    Distances too large for float64 would centre inf - inf into NaN, so a
+    non-finite distance variance raises ValueError instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = cdist(points, points)
+        row = d.mean(axis=1, keepdims=True)
+        col = d.mean(axis=0, keepdims=True)
+        a = d - row - col + d.mean()
+        dvar = float((a * a).mean())
+    if not math.isfinite(dvar):
+        raise ValueError("distances overflow")
+    return a, dvar
+
+
+def _distance_correlation(xp: np.ndarray, x_centered, yp: np.ndarray, y_centered) -> MeasureResult:
+    """DC of paired row points from each side's _centered_distances."""
+    (a, dvar_x), (b, dvar_y) = x_centered, y_centered
+    n = a.shape[0]
+    dvar = dvar_x * dvar_y
+    if dvar == 0.0:
+        if (xp == xp[0]).all() or (yp == yp[0]).all():
+            return degenerate_result("DC", n, "zero distance variance")
+        raise ValueError("distance variance underflows to zero")
+    if dvar == math.inf:
+        raise ValueError("distances overflow")
+    dcov2 = max(float((a * b).mean()), 0.0)
+    value = math.sqrt(dcov2 / math.sqrt(dvar))
+    return MeasureResult("DC", min(value, 1.0), n)
 
 
 def distance_correlation(x, y) -> MeasureResult:
@@ -88,24 +114,13 @@ def distance_correlation(x, y) -> MeasureResult:
     the mean elementwise product (a biased V-statistic, so independent data
     scores above zero at small n), and tiny negative rounding residue is
     clipped before the square root.  A constant side is degenerate; distance
-    variances that underflow to zero on non-constant points raise ValueError.
+    variances that underflow to zero on non-constant points, and distances
+    or variances that overflow, raise ValueError.
     """
     xp = _as_points(x)
     yp = _as_points(y)
     if xp.shape[0] != yp.shape[0]:
         raise ValueError(f"length mismatch: {xp.shape[0]} vs {yp.shape[0]}")
-    n = xp.shape[0]
-    if n < 2:
+    if xp.shape[0] < 2:
         raise ValueError("need at least 2 observations")
-    a = _centered_distances(xp)
-    b = _centered_distances(yp)
-    dvar_x = (a * a).mean()
-    dvar_y = (b * b).mean()
-    dvar = dvar_x * dvar_y
-    if dvar == 0.0:
-        if (xp == xp[0]).all() or (yp == yp[0]).all():
-            return degenerate_result("DC", n, "zero distance variance")
-        raise ValueError("distance variance underflows to zero")
-    dcov2 = max((a * b).mean(), 0.0)
-    value = math.sqrt(dcov2 / math.sqrt(dvar))
-    return MeasureResult("DC", min(value, 1.0), n)
+    return _distance_correlation(xp, _centered_distances(xp), yp, _centered_distances(yp))

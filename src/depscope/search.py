@@ -4,6 +4,11 @@ Every (window, feature set, target, measure) configuration is evaluated at
 every anchor on the step grid; one anchor evaluation is one trial.  Trials
 that cannot be scored (too few pairs, incompatible arity, constant input)
 are logged as degenerate records instead of being dropped.
+
+One column-major scan scores them (scan_window): window, then anchor, then
+column.  At each anchor every column's window, and what the measures derive
+from it (codes, entropies, centred distances), is made once and read by
+every trial that uses it.
 """
 from __future__ import annotations
 
@@ -25,17 +30,26 @@ from .measures import (
     MEASURE_IDS,
     MeasureResult,
     degenerate_result,
-    distance_correlation,
     equal_frequency_symbols,
-    information_gain,
-    mic,
     pearson,
     pps,
-    redundancy_synergy_index,
     spearman,
 )
-from .measures.information import _mi_symbols
-from .shaping import WindowSample, discretize, make_sliding_windows, pair_arrays
+from .measures.information import (
+    EntropyTables,
+    _check_set_size,
+    _coded,
+    _information_gain,
+    _mi,
+    _mic,
+    _mic_marginals,
+    _synergy,
+)
+from .measures.statistical import _centered_distances, _distance_correlation
+from .shaping import anchor_grid, discretize, pair_targets
+
+# Unused here; perfbench/layers.py looks this name up in this module to trace a run.
+from .shaping import pair_arrays  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -180,8 +194,136 @@ def label_trend(close, anchor: int) -> str:
     return "NEUTRAL"
 
 
-def _feature_symbols(xs: np.ndarray, bins: int) -> list[np.ndarray]:
-    return [equal_frequency_symbols(xs[:, j], bins) for j in range(xs.shape[1])]
+def _derive(memo: dict, key, make):
+    """memo[key], made on first use; a ValueError is remembered and raised again on every use."""
+    if key not in memo:
+        try:
+            memo[key] = make()
+        except ValueError as exc:
+            memo[key] = exc
+    hit = memo[key]
+    if isinstance(hit, ValueError):
+        raise ValueError(*hit.args)
+    return hit
+
+
+class _Scan:
+    """The binning settings of one scan and its per-scan memo of entropy tables and MIC grids."""
+
+    def __init__(self, bin_width: float, feature_bins: int):
+        self.bin_width = bin_width
+        self.feature_bins = feature_bins
+        self.tables = EntropyTables()
+
+
+class _Column:
+    """One column's values in one window and the codes derived from it alone, each made once."""
+
+    def __init__(self, values: np.ndarray, scan: _Scan):
+        self.values = values
+        self.finite = bool(np.isfinite(values).all())
+        self.scan = scan
+        self._memo: dict = {}
+
+    def bins(self, g: int) -> np.ndarray:
+        """Equal-frequency codes at g bins."""
+        return _derive(self._memo, g, lambda: equal_frequency_symbols(self.values, g))
+
+    def coded(self):
+        """The feature codes MI, IG and RSI_SYNERGY count: equal-frequency at feature_bins."""
+        scan = self.scan
+        return _derive(self._memo, "coded", lambda: _coded(self.bins(scan.feature_bins), scan.tables))
+
+
+class _Side:
+    """A feature set or a target in one window, and what the measures derive from it, each made once.
+
+    A side keeps its centred distance matrix for as long as the scan keeps the
+    side: a target for one anchor, a feature set for one (anchor, feature set).
+    """
+
+    def __init__(self, columns: list[_Column]):
+        self.columns = columns
+        self.n = columns[0].values.shape[0]
+        self.finite = all(c.finite for c in columns)
+        self.scan = columns[0].scan
+        self._memo: dict = {}
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.columns[0].values
+
+    @property
+    def points(self) -> np.ndarray:
+        """The window as an (n, F) matrix of row points."""
+        return _derive(self._memo, "points", lambda: np.column_stack([c.values for c in self.columns]))
+
+    def centered_distances(self):
+        return _derive(self._memo, "distances", lambda: _centered_distances(self.points))
+
+    def coded(self):
+        """Feature codes; a set's rows are its members' codes side by side."""
+        if len(self.columns) == 1:
+            return self.columns[0].coded()
+        scan = self.scan
+        return _derive(self._memo, "coded", lambda: _coded(
+            np.column_stack([c.bins(scan.feature_bins) for c in self.columns]), scan.tables
+        ))
+
+    def fixed_width(self):
+        """Target codes: fixed-width bins of bin_width."""
+        scan = self.scan
+        return _derive(self._memo, "fixed", lambda: _coded(
+            discretize(self.values, scan.bin_width), scan.tables
+        ))
+
+    def mic_marginals(self):
+        tables = self.scan.tables
+        return _derive(self._memo, "mic", lambda: _mic_marginals(self.columns[0].bins, self.n, tables))
+
+
+_PAIRWISE = ("PC", "SC", "MIC")
+
+
+def _score(measure: str, x: _Side, y: _Side) -> MeasureResult:
+    """Score one measure on a window's feature side x and target side y.
+
+    This is the one scorer behind evaluate_pairs and every scan.  Non-finite
+    input and pairwise-only measures on multivariate input are
+    degenerate-flagged up front; a ValueError inside a measure, including a
+    value outside its range, comes back flagged with its message as reason.
+    """
+    n = x.n
+    if not (x.finite and y.finite):
+        return degenerate_result(measure, n, "non-finite input")
+    if measure in _PAIRWISE and len(x.columns) > 1:
+        return degenerate_result(measure, n, "pairwise measure on multivariate input")
+    if y.n != n:
+        return degenerate_result(measure, n, f"length mismatch: {n} vs {y.n}")
+    tables = x.scan.tables
+    try:
+        if measure == "PC":
+            return pearson(x.values, y.values)
+        if measure == "SC":
+            return spearman(x.values, y.values)
+        if measure == "DC":
+            return _distance_correlation(
+                x.points, x.centered_distances(), y.points, y.centered_distances()
+            )
+        if measure == "MIC":
+            return _mic(x.mic_marginals(), y.mic_marginals(), tables)
+        if measure == "PPS":
+            return pps(x.points, y.values)
+        y_codes = y.fixed_width()
+        if measure == "RSI_SYNERGY":
+            _check_set_size(len(x.columns))
+            singles = [c.coded() for c in x.columns]
+            return _synergy(x.coded(), singles, y_codes, tables)
+        if measure == "MI":
+            return MeasureResult("MI", _mi(x.coded(), y_codes, tables), n)
+        return _information_gain(y_codes, x.coded())  # IG: features assign the split branches
+    except ValueError as exc:
+        return degenerate_result(measure, n, str(exc))
 
 
 def evaluate_pairs(
@@ -208,90 +350,85 @@ def evaluate_pairs(
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 1:
         raise ValueError(f"ys must be a vector of targets, got shape {ys.shape}")
-    n, n_features = xs.shape
-
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        return degenerate_result(measure, n, "non-finite input")
-    if measure in ("PC", "SC", "MIC") and n_features > 1:
-        return degenerate_result(measure, n, "pairwise measure on multivariate input")
-
-    try:
-        if measure == "PC":
-            return pearson(xs[:, 0], ys)
-        if measure == "SC":
-            return spearman(xs[:, 0], ys)
-        if measure == "DC":
-            return distance_correlation(xs, ys)
-        if measure == "MIC":
-            return mic(xs[:, 0], ys)
-        if measure == "PPS":
-            return pps(xs, ys)
-        feats = _feature_symbols(xs, feature_bins)
-        y_sym = discretize(ys, bin_width)
-        if measure == "RSI_SYNERGY":
-            return redundancy_synergy_index(feats, y_sym)
-        x_sym = feats[0] if n_features == 1 else np.column_stack(feats)
-        if measure == "MI":
-            return MeasureResult("MI", _mi_symbols(x_sym, y_sym), n)
-        return information_gain(y_sym, x_sym)  # IG: features assign the split branches
-    except ValueError as exc:
-        return degenerate_result(measure, n, str(exc))
+    _, n_features = xs.shape
+    scan = _Scan(bin_width, feature_bins)
+    x = _Side([_Column(xs[:, j], scan) for j in range(n_features)])
+    return _score(measure, x, _Side([_Column(ys, scan)]))
 
 
-def scan_anchors(
+def scan_window(
     frame: TimeSeriesFrame,
-    features,
-    target: str,
-    measure: str,
     window: int,
+    feature_sets,
+    targets,
+    measures,
+    *,
     step: int,
     horizon: int,
-    *,
     bin_width: float,
     feature_bins: int,
     min_samples: int = 1,
-) -> list[tuple[WindowSample, MeasureResult]]:
-    """Score one measure at every anchor of one window grid, oldest anchor first.
+    block: slice = slice(None),
+) -> tuple[np.ndarray, list[list[MeasureResult]]]:
+    """Score every (feature set, target, measure) at every anchor of one window grid.
 
-    This is the one anchor loop behind the grid search, verification and
-    windowed measurement.  Windows with fewer than min_samples pairs come
+    Returns the anchors, oldest first (only those in block), and for each
+    anchor its results in (feature set, target, measure) order.  This is the
+    one anchor loop behind the grid search, verification and windowed
+    measurement.  At each anchor, each column is cut and binned once for all
+    trials; targets keep their derived data for the anchor, feature sets for
+    their own trials only.  Windows with fewer than min_samples pairs come
     back degenerate without being scored.
     """
-    dataset = make_sliding_windows(frame, features, target, window, step, horizon)
-    scored = []
-    for sample in dataset.samples:
-        xs, ys = pair_arrays(sample)
-        if xs.shape[0] < min_samples:
-            result = degenerate_result(measure, xs.shape[0], f"fewer than {min_samples} pairs")
-        else:
-            # measure and xs stay positional: perfbench's span tags read them from args.
-            result = evaluate_pairs(measure, xs, ys, bin_width=bin_width, feature_bins=feature_bins)
-        scored.append((sample, result))
-    return scored
+    unknown = [m for m in measures if m not in MEASURE_IDS]
+    if unknown:
+        raise ValueError(f"unknown measure ids {unknown}; valid ids are {MEASURE_IDS}")
+    anchors = anchor_grid(len(frame), window, step, horizon)[block]
+    trials_per_measure = len(feature_sets) * len(targets)
+    if window < min_samples:
+        flagged = [degenerate_result(m, window, f"fewer than {min_samples} pairs") for m in measures]
+        return anchors, [flagged * trials_per_measure for _ in anchors]
+    feature_columns = {name: frame.column(name) for fs in feature_sets for name in fs}
+    target_columns = [frame.column(t) for t in targets]
+    scan = _Scan(bin_width, feature_bins)
+    scores = []
+    for a in anchors.tolist():
+        columns = {
+            name: _Column(col[a - window + 1 : a + 1], scan) for name, col in feature_columns.items()
+        }
+        ys = [
+            _Side([_Column(pair_targets(col[a + 1 : a + 1 + horizon], window), scan)])
+            for col in target_columns
+        ]
+        results = []
+        for fs in feature_sets:
+            x = _Side([columns[name] for name in fs])
+            results.extend(_score(m, x, y) for y in ys for m in measures)
+        scores.append(results)
+    return anchors, scores
 
 
-def _eval_config(args) -> list[tuple]:
-    """TrialRecord fields after trial_id, in field order, for every anchor of one configuration."""
-    frame, space, window, features, target, measure = args
-    horizon = space.horizon if space.horizon is not None else window
-    scored = scan_anchors(
-        frame, features, target, measure, window, space.step, horizon,
-        bin_width=space.bin_width, feature_bins=space.feature_bins, min_samples=space.min_samples,
+def _scan_block(frame: TimeSeriesFrame, space: SearchSpace, window: int, block: slice) -> list:
+    """(objective, degenerate) of every trial of one window's anchor block, per anchor."""
+    _, scores = scan_window(
+        frame, window, space.feature_sets, space.targets, space.measures,
+        step=space.step, horizon=space.horizon if space.horizon is not None else window,
+        bin_width=space.bin_width, feature_bins=space.feature_bins,
+        min_samples=space.min_samples, block=block,
     )
-    close = frame.column("close")
-    return [
-        (
-            window,
-            features,
-            target,
-            measure,
-            str(sample.anchor_time),
-            label_trend(close, sample.anchor),
-            result.value,
-            result.degenerate,
-        )
-        for sample, result in scored
-    ]
+    return [[(r.value, r.degenerate) for r in results] for results in scores]
+
+
+_worker_scan: tuple | None = None  # a pool worker's (frame, space), sent once by _start_worker
+
+
+def _start_worker(frame: TimeSeriesFrame, space: SearchSpace) -> None:
+    global _worker_scan
+    _worker_scan = (frame, space)
+
+
+def _scan_unit(unit: tuple[int, slice]) -> list:
+    return _scan_block(*_worker_scan, *unit)
 
 
 def run_grid_search(
@@ -299,8 +436,9 @@ def run_grid_search(
 ) -> TrialLog:
     """Evaluate the full cartesian grid; trial order and ids are deterministic.
 
-    Unknown columns fail before any trial runs.  Configurations are
-    independent, so jobs > 1 fans them out over processes without changing
+    Unknown columns fail before any trial runs.  Anchors are independent, so
+    jobs > 1 fans contiguous anchor blocks, about 2 * jobs per window, out
+    over processes (the frame goes to each worker once) without changing
     the log contents.
     """
     referenced = {c for fs in space.feature_sets for c in fs}
@@ -310,22 +448,45 @@ def run_grid_search(
         frame.column(name)
 
     started = time.perf_counter()
+    anchors = {
+        w: anchor_grid(len(frame), w, space.step, space.horizon if space.horizon is not None else w)
+        for w in space.window_sizes
+    }
+    if jobs > 1:
+        units = []
+        for w in anchors:
+            count = len(anchors[w])
+            parts = max(1, min(2 * jobs, count))
+            bounds = [count * i // parts for i in range(parts + 1)]
+            units += [(w, slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_start_worker, initargs=(frame, space)
+        ) as pool:
+            blocks = list(pool.map(_scan_unit, units))
+        scores = {w: [] for w in anchors}
+        for (w, _), block in zip(units, blocks):
+            scores[w] += block
+    else:
+        scores = {w: _scan_block(frame, space, w, slice(None)) for w in anchors}
+
     configs = [
-        (frame, space, window, features, target, measure)
-        for window in space.window_sizes
+        (features, target, measure)
         for features in space.feature_sets
         for target in space.targets
         for measure in space.measures
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_eval_config, configs, chunksize=max(1, len(configs) // (4 * jobs))))
-    else:
-        chunks = [_eval_config(cfg) for cfg in configs]
-
-    rows = [row for chunk in chunks for row in chunk]
+    close = frame.column("close")
+    records = []
+    for w in space.window_sizes:
+        # One trend label per anchor, shared by every configuration.
+        labels = [
+            (str(frame.timestamps[a]), label_trend(close, a)) for a in anchors[w].tolist()
+        ]
+        for c, config in enumerate(configs):
+            for (date, trend), trials in zip(labels, scores[w]):
+                records.append(TrialRecord(len(records), w, *config, date, trend, *trials[c]))
     return TrialLog(
-        records=tuple(TrialRecord(trial_id, *row) for trial_id, row in enumerate(rows)),
+        records=tuple(records),
         space=space,
         seed=seed,
         created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),

@@ -35,6 +35,14 @@ def window_count(length: int, window: int, step: int, horizon: int) -> int:
     return (length - window - horizon) // step + 1
 
 
+def anchor_grid(length: int, window: int, step: int, horizon: int) -> np.ndarray:
+    """Anchor rows of the window grid, oldest first: W-1, W-1+N, ... for every full sample."""
+    if window < 1 or step < 1 or horizon < 1:
+        raise ValueError("window_width, step and horizon must all be >= 1")
+    count = window_count(length, window, step, horizon)
+    return window - 1 + step * np.arange(count, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class ShapedDataset:
     """Ordered window samples over fixed feature columns and one target column."""
@@ -53,8 +61,7 @@ class ShapedDataset:
 
     @cached_property
     def anchors(self) -> np.ndarray:
-        count = window_count(len(self.frame), self.window_width, self.step, self.horizon)
-        return self.window_width - 1 + self.step * np.arange(count, dtype=np.int64)
+        return anchor_grid(len(self.frame), self.window_width, self.step, self.horizon)
 
     @cached_property
     def samples(self) -> tuple[WindowSample, ...]:
@@ -93,8 +100,7 @@ def make_sliding_windows(
     feature_columns = tuple(feature_columns)
     if not feature_columns:
         raise ValueError("feature_columns must name at least one column")
-    if window_width < 1 or step < 1 or horizon < 1:
-        raise ValueError("window_width, step and horizon must all be >= 1")
+    anchor_grid(len(frame), window_width, step, horizon)  # raises on a grid parameter below 1
     for name in feature_columns + (target_column,):
         frame.column(name)  # raises KeyError on unknown names
     return ShapedDataset(
@@ -110,10 +116,14 @@ def make_sliding_windows(
 def pair_arrays(sample: WindowSample) -> tuple[np.ndarray, np.ndarray]:
     """Array form of pair_samples: xs is (W, F) and ys is (W,)."""
     xs = sample.x_block
+    return xs, pair_targets(sample.y_horizon, xs.shape[0])
+
+
+def pair_targets(y_horizon: np.ndarray, window: int) -> np.ndarray:
+    """The target paired with each of a window's W feature rows, oldest first."""
     # offset j pairs with horizon offset j; the modulo keeps the map total
     # when W != H, and reduces to exact same-offset alignment when H == W.
-    ys = sample.y_horizon[np.arange(xs.shape[0]) % sample.horizon]
-    return xs, ys
+    return y_horizon[np.arange(window) % y_horizon.shape[0]]
 
 
 def pair_samples(sample: WindowSample) -> list[tuple]:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .frame import TimeSeriesFrame
 from .indicators import returns
-from .search import _emit, scan_anchors
+from .search import _emit, scan_window
 
 # Unused here; perfbench/layers.py looks both names up in this module to trace a run.
 from .search import evaluate_pairs  # noqa: F401
@@ -185,17 +185,19 @@ def run_verification(
     with the same window grid.  A measure with no scorable anchor on either
     side is reported inconclusive rather than failed.
     """
-    frames = (dependence_frame(embedded), dependence_frame(control))
+    scans = [
+        scan_window(
+            dependence_frame(f), window, (("signal",),), ("ret",), measures,
+            step=step, horizon=window, bin_width=bin_width, feature_bins=feature_bins,
+        )[1]
+        for f in (embedded, control)
+    ]
     rows = []
-    for measure in measures:
+    for i, measure in enumerate(measures):
         sides = []
-        for f in frames:
-            scored = scan_anchors(
-                f, ("signal",), "ret", measure, window, step, window,
-                bin_width=bin_width, feature_bins=feature_bins,
-            )
-            values = [r.value for _, r in scored if not r.degenerate]
-            sides.append((values, len(scored) - len(values)))
+        for scores in scans:
+            values = [r[i].value for r in scores if not r[i].degenerate]
+            sides.append((values, len(scores) - len(values)))
         (e_vals, e_rej), (c_vals, c_rej) = sides
         inconclusive = not e_vals or not c_vals
         if inconclusive:

@@ -4,9 +4,15 @@ Everything here is written from the definitions in plain Python, favoring
 obviousness over speed.  The two places that must agree with the package
 bit for bit (equal-frequency edge placement and the smallest-first entropy
 summation) follow the same pinned arithmetic contract, independently coded.
+
+reference_grid_search is the grid search written one configuration at a
+time, against which the package's column-major scan is checked.
 """
 import math
 from bisect import bisect_right
+
+from depscope.search import TrialRecord, evaluate_pairs, label_trend
+from depscope.shaping import make_sliding_windows, pair_arrays
 
 
 def brute_pearson(xs, ys):
@@ -157,11 +163,11 @@ def brute_equal_frequency(values, bins):
     return [bisect_right(edges, v) for v in vals]
 
 
-def brute_mic(xs, ys, alpha=0.6):
-    """Exhaustive grid scan over the same admissible shapes, bit-exact entropies."""
+def brute_mic_scores(xs, ys, alpha=0.6):
+    """Every admissible grid shape with its normalized MI, in scan order, bit-exact entropies."""
     n = len(xs)
     bound = max(n**alpha, 5.0)
-    best = 0.0
+    scores = []
     for gx in range(2, n + 1):
         if gx * 2 >= bound:
             break
@@ -173,9 +179,16 @@ def brute_mic(xs, ys, alpha=0.6):
             hx = sorted_entropy(_count(xsym).values(), n)
             hy = sorted_entropy(_count(ysym).values(), n)
             hxy = sorted_entropy(_count(zip(xsym, ysym)).values(), n)
-            m = max(hx + hy - hxy, 0.0) / math.log2(min(gx, gy))
-            if m > best:
-                best = m
+            scores.append(((gx, gy), max(hx + hy - hxy, 0.0) / math.log2(min(gx, gy))))
+    return scores
+
+
+def brute_mic(xs, ys, alpha=0.6):
+    """Exhaustive grid scan over the same admissible shapes, bit-exact entropies."""
+    best = 0.0
+    for _, m in brute_mic_scores(xs, ys, alpha):
+        if m > best:
+            best = m
     return min(best, 1.0)
 
 
@@ -282,3 +295,41 @@ def brute_window_anchors(length, window, step, horizon):
         anchors.append(a)
         a += step
     return anchors
+
+
+def reference_grid_search(frame, space):
+    """The trial records of run_grid_search, one configuration and one anchor at a time.
+
+    Each (window, feature set, target, measure) shapes its own windows with
+    make_sliding_windows and pair_arrays, scores each anchor with
+    evaluate_pairs (or flags it when it has fewer than min_samples pairs)
+    and labels each trial's trend on its own.
+    """
+    close = frame.column("close")
+    records = []
+    for window in space.window_sizes:
+        horizon = space.horizon if space.horizon is not None else window
+        for features in space.feature_sets:
+            for target in space.targets:
+                for measure in space.measures:
+                    dataset = make_sliding_windows(
+                        frame, features, target, window, space.step, horizon
+                    )
+                    for sample in dataset.samples:
+                        xs, ys = pair_arrays(sample)
+                        if xs.shape[0] < space.min_samples:
+                            value, degenerate = math.nan, True
+                        else:
+                            r = evaluate_pairs(
+                                measure, xs, ys,
+                                bin_width=space.bin_width, feature_bins=space.feature_bins,
+                            )
+                            value, degenerate = r.value, r.degenerate
+                        records.append(
+                            TrialRecord(
+                                len(records), window, features, target, measure,
+                                str(sample.anchor_time), label_trend(close, sample.anchor),
+                                value, degenerate,
+                            )
+                        )
+    return records

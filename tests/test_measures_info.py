@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depscope.measures import (
     DiscreteDistribution,
@@ -14,6 +16,12 @@ from depscope.measures import (
     mutual_information,
     redundancy_synergy_index,
 )
+from depscope.measures.information import (
+    EntropyTables,
+    _entropy_from_counts,
+    _grid_shapes,
+    _table_entropy,
+)
 
 from _oracles import (
     brute_conditional_entropy,
@@ -22,6 +30,7 @@ from _oracles import (
     brute_information_gain,
     brute_mi,
     brute_mic,
+    brute_mic_scores,
     brute_synergy,
 )
 
@@ -224,6 +233,37 @@ def test_mic_matches_exhaustive_oracle_exactly():
         x = rng.standard_normal(32)
         y = 0.5 * x + rng.standard_normal(32) * 0.3
         assert mic(x, y).value == brute_mic(list(x), list(y))
+    # Tied values at the search's window sizes; the grid reported is the first best shape.
+    for n in (100, 150, 200, 400):
+        x = np.round(rng.standard_normal(n), 2)
+        y = np.round(np.sin(2.0 * x) + 0.5 * rng.standard_normal(n), 2)
+        r = mic(x, y)
+        scores = brute_mic_scores(list(x), list(y))
+        best = max(m for _, m in scores)
+        assert r.value == brute_mic(list(x), list(y)) == min(best, 1.0)
+        assert [shape for shape, _ in scores] == _grid_shapes(r.params["bound"])
+        assert r.params["grid"] == next(shape for shape, m in scores if m == best)
+
+
+@st.composite
+def count_vectors(draw):
+    """n observations split over up to 40 symbols, some of them empty."""
+    n = draw(st.integers(8, 400))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=39)))
+    bounds = [0, *cuts, n]
+    return n, [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(drawn=count_vectors())
+def test_table_entropy_is_the_pinned_sum_bit_for_bit(drawn):
+    n, counts = drawn
+    terms = EntropyTables().terms(n)
+    expected = _entropy_from_counts(counts, n)
+    assert float(_table_entropy(np.array(counts), terms)) == expected
+    # Row-wise, as MIC counts every grid shape at once, with zero padding.
+    rows = np.array([counts + [0], [0] + counts[::-1]])
+    assert _table_entropy(rows, terms).tolist() == [expected, expected]
 
 
 def test_mic_bounded_on_noise():

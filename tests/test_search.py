@@ -33,7 +33,7 @@ from depscope.search import (
 )
 from depscope.shaping import discretize
 
-from _oracles import pinned_information_gain
+from _oracles import pinned_information_gain, reference_grid_search
 
 
 def small_frame(n=20, seed=0):
@@ -186,6 +186,11 @@ def test_evaluate_pairs_flags_overflow_instead_of_scoring_it():
     assert r.degenerate and "underflow" in r.params["reason"]
     r = evaluate_pairs("DC", np.full(200, 1e-170), np.arange(200.0))
     assert r.params["reason"] == "zero distance variance"
+    # Distances near 1e155 square past float64, so centring would subtract inf from inf;
+    # near 1e80 each distance variance is finite but their product is not.
+    for xs, ys in ((x * 1e154, x), (x * 1e80, x * 1e80)):
+        r = evaluate_pairs("DC", xs, ys)
+        assert r.degenerate and r.params["reason"] == "distances overflow"
     r = evaluate_pairs("PC", tiny, np.arange(200.0))
     assert r.degenerate and "not finite and positive" in r.params["reason"]
 
@@ -271,10 +276,73 @@ def test_grid_search_min_samples_guard():
 
 def test_grid_search_parallel_matches_serial():
     frame = small_frame(40, seed=5)
-    space = tiny_space(measures=("PC", "MI"))
-    serial = run_grid_search(frame, space, seed=42, jobs=1)
-    parallel = run_grid_search(frame, space, seed=42, jobs=2)
-    assert serial.records == parallel.records
+    # Window 40 leaves no anchor, so it sends the pool no work; a repeated window repeats its trials.
+    for windows in ((8, 9), (8, 40), (9, 9)):
+        space = tiny_space(window_sizes=windows, measures=("PC", "MI"))
+        serial = run_grid_search(frame, space, seed=42, jobs=1)
+        parallel = run_grid_search(frame, space, seed=42, jobs=2)
+        assert serial.records == parallel.records
+
+
+def _reference_frame():
+    """Feature columns with a NaN in b and a 50-row constant stretch in c; two targets."""
+    rng = np.random.default_rng(11)
+    n = 150
+    a = rng.standard_normal(n)
+    b = rng.standard_normal(n)
+    b[70] = np.nan
+    c = np.round(rng.standard_normal(n), 1)
+    c[20:70] = 0.5
+    return TimeSeriesFrame(
+        timestamps=np.datetime64("2021-01-01") + np.arange(n),
+        columns={
+            "close": 100.0 * np.exp(np.cumsum(rng.standard_normal(n) * 0.01)),
+            "a": a,
+            "b": b,
+            "c": c,
+            "y": 0.01 * np.sin(a) + 0.002 * rng.standard_normal(n),
+            "z": np.round(0.004 * rng.standard_normal(n), 3),
+        },
+    )
+
+
+def test_grid_search_matches_the_per_configuration_reference():
+    """Every record equals the one-configuration-at-a-time scan's, objectives to the bit."""
+    frame = _reference_frame()
+    space = SearchSpace(
+        window_sizes=(12, 40, 64),  # 12 < min_samples: never scored
+        feature_sets=(("a",), ("c",), ("a", "b"), ("c", "b"), ("a", "b", "c")),
+        targets=("y", "z"),
+        measures=MEASURE_IDS,
+        horizon=7,  # H != W pairs by offset modulo H
+        step=9,
+        min_samples=20,
+    )
+
+    def fields(records):
+        return [
+            tuple(repr(float(v)) if k == "objective" else v for k, v in vars(r).items())
+            for r in records
+        ]
+
+    serial = run_grid_search(frame, space)
+    assert fields(serial.records) == fields(reference_grid_search(frame, space))
+    assert fields(run_grid_search(frame, space, jobs=2).records) == fields(serial.records)
+    scored = [r for r in serial.records if not r.degenerate]
+    assert {r.measure for r in scored} == set(MEASURE_IDS)
+    assert {r.window_size for r in scored} == {40, 64}
+    assert any(r.degenerate and r.window_size > 12 for r in serial.records)
+
+
+def test_grid_search_labels_each_anchor_once(caplog):
+    frame = small_frame(40)
+    space = tiny_space(window_sizes=(8,), measures=("PC", "MI"))
+    with caplog.at_level(logging.WARNING, logger="depscope.search"):
+        log = run_grid_search(frame, space)
+    short = [rec.getMessage() for rec in caplog.records if "fewer than" in rec.getMessage()]
+    # Anchors 7, 10, ..., 34; the five below row 20 lack trend history.
+    assert len(log.records) == 4 * 10
+    assert short == [f"anchor {a} has fewer than 20 prior rows; labeling NEUTRAL" for a in (7, 10, 13, 16, 19)]
 
 
 def test_trial_log_csv_round_trip():
