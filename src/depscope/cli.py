@@ -18,7 +18,7 @@ import numpy as np
 
 from .frame import load_ohlcv, read_frame, validate_frame, write_csv
 from .indicators import build_feature_matrix, standard_indicator_specs
-from .measures import MEASURE_IDS
+from .measures.result import MEASURES
 from .search import (
     GROUP_AXES,
     SearchSpace,
@@ -36,6 +36,7 @@ from .search import (
 )
 from .verify import (
     EMBEDDINGS,
+    VERIFY_MEASURES,
     SyntheticSpec,
     run_synthetic_verification,
     run_verification,
@@ -47,33 +48,18 @@ EXIT_IO = 1
 EXIT_INVALID = 2
 EXIT_DEGENERATE = 3
 
-MEASURE_ALIASES = {
-    "pc": "PC",
-    "pearson": "PC",
-    "sc": "SC",
-    "spearman": "SC",
-    "dc": "DC",
-    "dcor": "DC",
-    "mic": "MIC",
-    "mi": "MI",
-    "rsi": "RSI_SYNERGY",
-    "rsi_synergy": "RSI_SYNERGY",
-    "pps": "PPS",
-    "ig": "IG",
-}
-
 
 def _parse_measures(text: str) -> tuple[str, ...]:
+    """Measure ids of comma-separated CLI names: any case of a lower-case id or a row's names."""
+    ids = {name: m.id for m in MEASURES for name in (m.id.lower(), *m.names)}
     out = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             continue
-        canonical = MEASURE_ALIASES.get(token.lower())
+        canonical = ids.get(token.lower())
         if canonical is None:
-            raise ValueError(
-                f"unknown measure {token!r}; known names are {sorted(MEASURE_ALIASES)}"
-            )
+            raise ValueError(f"unknown measure {token!r}; known names are {sorted(ids)}")
         out.append(canonical)
     if not out:
         raise ValueError("at least one measure is required")
@@ -114,13 +100,6 @@ def _emit(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
-def _finite_rows(columns: list[np.ndarray]) -> np.ndarray:
-    mask = np.ones(columns[0].shape[0], dtype=bool)
-    for col in columns:
-        mask &= np.isfinite(col)
-    return mask
-
-
 def cmd_ingest(args) -> int:
     frame = load_ohlcv(args.input)
     report = validate_frame(frame)
@@ -146,13 +125,8 @@ def cmd_features(args) -> int:
 
 
 def _measure_whole_series(args, frame, features, measures) -> list[dict]:
-    columns = [frame.column(c) for c in features] + [frame.column(args.target)]
-    mask = _finite_rows(columns)
-    dropped = int(columns[0].shape[0] - mask.sum())
-    if dropped:
-        logging.getLogger(__name__).info("dropped %d rows with non-finite values", dropped)
-    xs = np.column_stack([col[mask] for col in columns[:-1]])
-    ys = columns[-1][mask]
+    xs = np.column_stack([frame.column(c) for c in features])
+    ys = frame.column(args.target)
     rows = []
     for measure in measures:
         result = evaluate_pairs(
@@ -416,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strength", type=float, default=1.0)
     p.add_argument("--window", type=int, default=None, help="default: the planted lag")
     p.add_argument("--step", type=int, default=50)
-    p.add_argument("--measures", default="pc,mi,dcor,mic")
+    p.add_argument("--measures", default=",".join(VERIFY_MEASURES))
     p.add_argument("--seed", type=int, default=42, help="seeds only the synthetic series (default 42)")
     _add_common(p)
     p.set_defaults(handler=cmd_verify)

@@ -143,8 +143,10 @@ def read_frame(source, required_header: tuple[str, ...] | None = None) -> TimeSe
 
     The first column must be named "date" and hold ISO-8601 dates; every
     other column is parsed as float64.  Rows are sorted into ascending date
-    order (the one permitted normalization).  Empty or non-finite cells and
-    duplicate dates raise FrameValidationError naming each offending row.
+    order (the one permitted normalization).  A frame that fails
+    validate_frame, because of empty (or NaN) cells, infinite cells or
+    duplicate dates, raises FrameValidationError with validate_frame's issues
+    sorted by row, column and kind.
     """
     text, label = _as_text(source)
     rows = list(csv.reader(io.StringIO(text)))
@@ -163,8 +165,7 @@ def read_frame(source, required_header: tuple[str, ...] | None = None) -> TimeSe
 
     n = len(rows) - 1
     dates = np.empty(n, dtype="datetime64[D]")
-    values = np.full((n, len(header) - 1), np.nan)
-    cell_issues: list[tuple[int, str, str]] = []  # (file row idx, column, kind)
+    values = np.full((n, len(header) - 1), np.nan)  # an empty cell stays NaN: "missing"
     for r, row in enumerate(rows[1:]):
         line = r + 2
         if len(row) != len(header):
@@ -177,34 +178,22 @@ def read_frame(source, required_header: tuple[str, ...] | None = None) -> TimeSe
             raise CsvParseError(f"bad ISO-8601 date {row[0]!r}", line=line) from None
         for c, cell in enumerate(row[1:]):
             cell = cell.strip()
-            if cell == "":
-                cell_issues.append((r, header[c + 1], "missing"))
-                continue
-            try:
-                v = float(cell)
-            except ValueError:
-                raise CsvParseError(
-                    f"bad numeric value {cell!r} in column {header[c + 1]}", line=line
-                ) from None
-            if not np.isfinite(v):
-                cell_issues.append((r, header[c + 1], "non_finite"))
-            values[r, c] = v
+            if cell:
+                try:
+                    values[r, c] = float(cell)
+                except ValueError:
+                    raise CsvParseError(
+                        f"bad numeric value {cell!r} in column {header[c + 1]}", line=line
+                    ) from None
 
     order = np.argsort(dates, kind="stable")
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[order] = np.arange(n)
-
-    issues = [ValidationIssue(int(inverse[r]), col, kind) for r, col, kind in cell_issues]
-    sorted_dates = dates[order]
-    for i in range(1, n):
-        if sorted_dates[i] == sorted_dates[i - 1]:
-            issues.append(ValidationIssue(i, "date", "duplicate_time"))
-    if issues:
-        issues.sort(key=lambda it: (it.row, it.column, it.kind))
-        raise FrameValidationError(ValidationReport(row_count=n, issues=tuple(issues)))
-
     columns = {name: values[order, c] for c, name in enumerate(header[1:])}
-    return TimeSeriesFrame(timestamps=sorted_dates, columns=columns, source=label)
+    frame = TimeSeriesFrame(timestamps=dates[order], columns=columns, source=label)
+    issues = validate_frame(frame).issues
+    if issues:
+        issues = tuple(sorted(issues, key=lambda it: (it.row, it.column, it.kind)))
+        raise FrameValidationError(ValidationReport(row_count=n, issues=issues))
+    return frame
 
 
 def load_ohlcv(source) -> TimeSeriesFrame:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .result import MeasureResult
+from .result import MeasureResult, paired_vectors
 
 PROBABILITY_TOL = 1e-12
 MAX_SET_SIZE = 3  # synergy capacity limit: the joint table grows multiplicatively
@@ -415,12 +415,7 @@ def mic(x, y) -> MeasureResult:
     axis) stands in for the exhaustive partition search, which keeps the
     estimate deterministic and fast.
     """
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.ndim != 1 or ya.ndim != 1:
-        raise ValueError("inputs must be one-dimensional")
-    if xa.shape[0] != ya.shape[0]:
-        raise ValueError(f"length mismatch: {xa.shape[0]} vs {ya.shape[0]}")
+    xa, ya = paired_vectors(x, y)
     n = xa.shape[0]
     tables = EntropyTables()
     return _mic(

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .result import MeasureResult, degenerate_result
+from .result import MeasureResult, as_points, degenerate_result
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class RegressionTree:
     n_features: int
 
     def predict(self, X) -> np.ndarray:
-        xs = _as_matrix(X)
+        xs = as_points(X)
         if xs.shape[1] != self.n_features:
             raise ValueError(
                 f"expected {self.n_features} feature columns, got {xs.shape[1]}"
@@ -65,15 +65,6 @@ class RegressionTree:
             return walk(node.left) + walk(node.right)
 
         return walk(self.root)
-
-
-def _as_matrix(X) -> np.ndarray:
-    xs = np.asarray(X, dtype=np.float64)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    if xs.ndim != 2:
-        raise ValueError("X must be a vector or a matrix of row observations")
-    return xs
 
 
 def _best_split(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
@@ -133,9 +124,9 @@ def fit_regression_tree(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> 
 
     Splits must strictly reduce the summed squared error, every leaf keeps at
     least min_samples_leaf rows, and max_depth 0 yields the mean predictor.
-    Non-finite targets, or targets whose squared sums overflow float64, are refused.
+    Non-finite input, or targets whose squared sums overflow float64, is refused.
     """
-    xs = _as_matrix(X)
+    xs = as_points(X)
     ys = np.asarray(y, dtype=np.float64)
     if ys.ndim != 1 or ys.shape[0] != xs.shape[0]:
         raise ValueError("y must be a vector matching X row count")
@@ -145,9 +136,11 @@ def fit_regression_tree(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> 
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     if min_samples_leaf < 1:
         raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("inputs are not finite")
     bound = float(np.abs(ys).sum())  # bound**2 caps every squared sum the split scan forms
     if not math.isfinite(bound * bound):
-        raise ValueError("targets are non-finite or overflow the split scan's squared sums")
+        raise ValueError("targets overflow the split scan's squared sums")
     root = _grow(xs, ys, max_depth, min_samples_leaf)
     return RegressionTree(
         root=root,
@@ -171,9 +164,10 @@ def pps(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> MeasureResult:
     The tree is fitted and scored in sample on the same rows, so the score
     is deterministic and reads how well the features can describe the
     target, not how well they forecast unseen rows.  A constant target makes
-    the baseline MAE zero and the score degenerate.
+    the baseline MAE zero and the score degenerate; the tree fit refuses
+    non-finite input.
     """
-    xs = _as_matrix(X)
+    xs = as_points(X)
     ys = np.asarray(y, dtype=np.float64)
     if ys.ndim != 1 or ys.shape[0] != xs.shape[0]:
         raise ValueError("y must be a vector matching X row count")

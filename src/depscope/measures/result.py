@@ -1,21 +1,44 @@
-"""Uniform result record for every dependence measure."""
+"""The table of dependence measures, their uniform result record, and float-input coercion."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-MEASURE_IDS = ("PC", "SC", "DC", "MIC", "MI", "RSI_SYNERGY", "PPS", "IG")
+import numpy as np
 
-VALUE_RANGES: dict[str, tuple[float, float]] = {
-    "PC": (-1.0, 1.0),
-    "SC": (-1.0, 1.0),
-    "DC": (0.0, 1.0),
-    "MIC": (0.0, 1.0),
-    "MI": (0.0, math.inf),
-    "RSI_SYNERGY": (-math.inf, math.inf),
-    "PPS": (0.0, 1.0),
-    "IG": (0.0, math.inf),
-}
+
+class Measure(NamedTuple):
+    """One row of the measure table."""
+
+    id: str
+    range: tuple[float, float]  # every non-degenerate value lies in [lo, hi]
+    names: tuple[str, ...] = ()  # CLI names besides the lower-case id
+    pairwise: bool = False  # scores one feature column only; feature sets are degenerate
+
+
+MEASURES = (
+    Measure("PC", (-1.0, 1.0), ("pearson",), pairwise=True),
+    Measure("SC", (-1.0, 1.0), ("spearman",), pairwise=True),
+    Measure("DC", (0.0, 1.0), ("dcor",)),
+    Measure("MIC", (0.0, 1.0), pairwise=True),
+    Measure("MI", (0.0, math.inf)),
+    Measure("RSI_SYNERGY", (-math.inf, math.inf), ("rsi",)),
+    Measure("PPS", (0.0, 1.0)),
+    Measure("IG", (0.0, math.inf)),
+)
+
+MEASURE_IDS = tuple(m.id for m in MEASURES)
+VALUE_RANGES: dict[str, tuple[float, float]] = {m.id: m.range for m in MEASURES}
+_BY_ID = dict(zip(MEASURE_IDS, MEASURES))
+
+
+def measure_row(measure_id: str) -> Measure:
+    """The table row of a measure id; an unknown id raises ValueError."""
+    try:
+        return _BY_ID[measure_id]
+    except KeyError:
+        raise ValueError(f"unknown measure id {measure_id!r}; valid ids are {MEASURE_IDS}") from None
 
 
 @dataclass(frozen=True)
@@ -34,14 +57,9 @@ class MeasureResult:
     degenerate: bool = False
 
     def __post_init__(self):
-        if self.measure_id not in MEASURE_IDS:
-            raise ValueError(f"unknown measure id {self.measure_id!r}")
-        if not self.degenerate:
-            lo, hi = self.value_range
-            if math.isnan(self.value) or not (lo <= self.value <= hi):
-                raise ValueError(
-                    f"{self.measure_id} value {self.value} outside [{lo}, {hi}]"
-                )
+        lo, hi = measure_row(self.measure_id).range
+        if not self.degenerate and (math.isnan(self.value) or not (lo <= self.value <= hi)):
+            raise ValueError(f"{self.measure_id} value {self.value} outside [{lo}, {hi}]")
 
     @property
     def value_range(self) -> tuple[float, float]:
@@ -59,3 +77,26 @@ def degenerate_result(measure_id: str, sample_size: int, reason: str, **params) 
         params=merged,
         degenerate=True,
     )
+
+
+def as_points(values) -> np.ndarray:
+    """Float input as an (n, F) float64 matrix of row points; a vector is n one-coordinate points."""
+    a = np.asarray(values, dtype=np.float64)
+    if a.ndim == 1:
+        a = a[:, None]
+    if a.ndim != 2:
+        raise ValueError(f"expected a vector or a matrix of row points, got shape {a.shape}")
+    return a
+
+
+def paired_vectors(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Two float inputs as float64 vectors of one shared length of at least 2."""
+    xa = np.asarray(x, dtype=np.float64)
+    ya = np.asarray(y, dtype=np.float64)
+    if xa.ndim != 1 or ya.ndim != 1:
+        raise ValueError("inputs must be one-dimensional")
+    if xa.shape[0] != ya.shape[0]:
+        raise ValueError(f"length mismatch: {xa.shape[0]} vs {ya.shape[0]}")
+    if xa.shape[0] < 2:
+        raise ValueError("need at least 2 observations")
+    return xa, ya

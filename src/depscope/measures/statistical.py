@@ -7,19 +7,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
-from .result import MeasureResult, degenerate_result
-
-
-def _paired(x, y) -> tuple[np.ndarray, np.ndarray]:
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.ndim != 1 or ya.ndim != 1:
-        raise ValueError("inputs must be one-dimensional")
-    if xa.shape[0] != ya.shape[0]:
-        raise ValueError(f"length mismatch: {xa.shape[0]} vs {ya.shape[0]}")
-    if xa.shape[0] < 2:
-        raise ValueError("need at least 2 observations")
-    return xa, ya
+from .result import MeasureResult, as_points, degenerate_result, paired_vectors
 
 
 def _pearson_value(x: np.ndarray, y: np.ndarray) -> float | None:
@@ -47,7 +35,7 @@ def _pearson_value(x: np.ndarray, y: np.ndarray) -> float | None:
 
 def pearson(x, y) -> MeasureResult:
     """Pearson correlation coefficient; constant input is flagged degenerate."""
-    xa, ya = _paired(x, y)
+    xa, ya = paired_vectors(x, y)
     value = _pearson_value(xa, ya)
     if value is None:
         return degenerate_result("PC", xa.shape[0], "zero variance")
@@ -56,22 +44,13 @@ def pearson(x, y) -> MeasureResult:
 
 def spearman(x, y) -> MeasureResult:
     """Spearman rank correlation: Pearson on average ranks, so ties share their rank."""
-    xa, ya = _paired(x, y)
+    xa, ya = paired_vectors(x, y)
     rx = rankdata(xa, method="average")
     ry = rankdata(ya, method="average")
     value = _pearson_value(rx, ry)
     if value is None:
         return degenerate_result("SC", xa.shape[0], "zero rank variance")
     return MeasureResult("SC", value, xa.shape[0], params={"ties": "average"})
-
-
-def _as_points(v) -> np.ndarray:
-    a = np.asarray(v, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.ndim != 2:
-        raise ValueError("inputs must be vectors or matrices of row points")
-    return a
 
 
 def _centered_distances(points: np.ndarray) -> tuple[np.ndarray, float]:
@@ -113,14 +92,16 @@ def distance_correlation(x, y) -> MeasureResult:
     Both pairwise Euclidean distance matrices are double-centered; dCov^2 is
     the mean elementwise product (a biased V-statistic, so independent data
     scores above zero at small n), and tiny negative rounding residue is
-    clipped before the square root.  A constant side is degenerate; distance
-    variances that underflow to zero on non-constant points, and distances
-    or variances that overflow, raise ValueError.
+    clipped before the square root.  A constant side is degenerate; non-finite
+    input, distance variances that underflow to zero on non-constant points,
+    and distances or variances that overflow raise ValueError.
     """
-    xp = _as_points(x)
-    yp = _as_points(y)
+    xp = as_points(x)
+    yp = as_points(y)
     if xp.shape[0] != yp.shape[0]:
         raise ValueError(f"length mismatch: {xp.shape[0]} vs {yp.shape[0]}")
     if xp.shape[0] < 2:
         raise ValueError("need at least 2 observations")
+    if not (np.isfinite(xp).all() and np.isfinite(yp).all()):
+        raise ValueError("inputs are not finite")
     return _distance_correlation(xp, _centered_distances(xp), yp, _centered_distances(yp))

@@ -27,7 +27,6 @@ import numpy as np
 
 from .frame import TimeSeriesFrame
 from .measures import (
-    MEASURE_IDS,
     MeasureResult,
     degenerate_result,
     equal_frequency_symbols,
@@ -45,6 +44,7 @@ from .measures.information import (
     _mic_marginals,
     _synergy,
 )
+from .measures.result import Measure, as_points, measure_row
 from .measures.statistical import _centered_distances, _distance_correlation
 from .shaping import anchor_grid, discretize, pair_targets
 
@@ -89,9 +89,8 @@ class SearchSpace:
             raise ValueError("horizon must be >= 1 when given")
         if self.step < 1:
             raise ValueError("step must be >= 1")
-        unknown = [m for m in self.measures if m not in MEASURE_IDS]
-        if unknown:
-            raise ValueError(f"unknown measure ids {unknown}; valid ids are {MEASURE_IDS}")
+        for m in self.measures:
+            measure_row(m)  # an unknown id raises
         if not (self.bin_width > 0.0):
             raise ValueError("bin_width must be positive")
         if not (2 <= self.feature_bins <= 16):
@@ -282,11 +281,8 @@ class _Side:
         return _derive(self._memo, "mic", lambda: _mic_marginals(self.columns[0].bins, self.n, tables))
 
 
-_PAIRWISE = ("PC", "SC", "MIC")
-
-
-def _score(measure: str, x: _Side, y: _Side) -> MeasureResult:
-    """Score one measure on a window's feature side x and target side y.
+def _score(m: Measure, x: _Side, y: _Side) -> MeasureResult:
+    """Score one measure's table row m on a window's feature side x and target side y.
 
     This is the one scorer behind evaluate_pairs and every scan.  Non-finite
     input and pairwise-only measures on multivariate input are
@@ -294,9 +290,10 @@ def _score(measure: str, x: _Side, y: _Side) -> MeasureResult:
     value outside its range, comes back flagged with its message as reason.
     """
     n = x.n
+    measure = m.id
     if not (x.finite and y.finite):
         return degenerate_result(measure, n, "non-finite input")
-    if measure in _PAIRWISE and len(x.columns) > 1:
+    if m.pairwise and len(x.columns) > 1:
         return degenerate_result(measure, n, "pairwise measure on multivariate input")
     if y.n != n:
         return degenerate_result(measure, n, f"length mismatch: {n} vs {y.n}")
@@ -342,18 +339,14 @@ def evaluate_pairs(
     degeneracies inside a measure, including synergy sets above its
     capacity limit, come back flagged as well.
     """
-    if measure not in MEASURE_IDS:
-        raise ValueError(f"unknown measure id {measure!r}; valid ids are {MEASURE_IDS}")
-    xs = np.asarray(xs, dtype=np.float64)
-    if xs.ndim == 1:
-        xs = xs[:, None]
+    m = measure_row(measure)
+    xs = as_points(xs)
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 1:
         raise ValueError(f"ys must be a vector of targets, got shape {ys.shape}")
-    _, n_features = xs.shape
     scan = _Scan(bin_width, feature_bins)
-    x = _Side([_Column(xs[:, j], scan) for j in range(n_features)])
-    return _score(measure, x, _Side([_Column(ys, scan)]))
+    x = _Side([_Column(column, scan) for column in xs.T])
+    return _score(m, x, _Side([_Column(ys, scan)]))
 
 
 def scan_window(
@@ -380,9 +373,7 @@ def scan_window(
     their own trials only.  Windows with fewer than min_samples pairs come
     back degenerate without being scored.
     """
-    unknown = [m for m in measures if m not in MEASURE_IDS]
-    if unknown:
-        raise ValueError(f"unknown measure ids {unknown}; valid ids are {MEASURE_IDS}")
+    measure_rows = [measure_row(m) for m in measures]
     anchors = anchor_grid(len(frame), window, step, horizon)[block]
     trials_per_measure = len(feature_sets) * len(targets)
     if window < min_samples:
@@ -403,7 +394,7 @@ def scan_window(
         results = []
         for fs in feature_sets:
             x = _Side([columns[name] for name in fs])
-            results.extend(_score(m, x, y) for y in ys for m in measures)
+            results.extend(_score(m, x, y) for y in ys for m in measure_rows)
         scores.append(results)
     return anchors, scores
 

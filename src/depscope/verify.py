@@ -25,6 +25,7 @@ from .search import evaluate_pairs  # noqa: F401
 from .shaping import pair_arrays  # noqa: F401
 
 EMBEDDINGS = ("none", "linear_lag", "nonlinear_lag", "regime_pattern")
+VERIFY_MEASURES = ("PC", "MI", "DC", "MIC")  # the measures verified unless told otherwise
 REGIME_BLOCK = 100  # regime embedding: coupling toggles every this many rows
 
 CRITERION_TEXT = (
@@ -173,7 +174,7 @@ def _noise_margin(embedded_values: list[float], control_values: list[float]) -> 
 def run_verification(
     embedded: TimeSeriesFrame,
     control: TimeSeriesFrame,
-    measures: tuple[str, ...] = ("PC", "MI", "DC", "MIC"),
+    measures: tuple[str, ...] = VERIFY_MEASURES,
     window: int = 100,
     step: int = 50,
     bin_width: float = 0.001,
@@ -233,7 +234,7 @@ def run_verification(
 
 def run_synthetic_verification(
     spec: SyntheticSpec,
-    measures: tuple[str, ...] = ("PC", "MI", "DC", "MIC"),
+    measures: tuple[str, ...] = VERIFY_MEASURES,
     window: int | None = None,
     step: int = 50,
     bin_width: float = 0.001,
@@ -260,12 +261,8 @@ def run_synthetic_verification(
     )
 
 
-def _number_or_none(value: float):
-    return None if math.isnan(value) else value
-
-
 def write_verification_report(report: VerificationReport, destination=None) -> str | None:
-    """Serialize a report as JSON; NaN medians become nulls."""
+    """Serialize a report as JSON; each measure is its fields, with NaN floats written as null."""
     payload = {
         "criterion": report.criterion,
         "window": report.window,
@@ -276,18 +273,7 @@ def write_verification_report(report: VerificationReport, destination=None) -> s
         "all_passed": report.all_passed,
         "any_inconclusive": report.any_inconclusive,
         "measures": [
-            {
-                "measure_id": m.measure_id,
-                "embedded_median": _number_or_none(m.embedded_median),
-                "control_median": _number_or_none(m.control_median),
-                "margin": _number_or_none(m.margin),
-                "embedded_trials": m.embedded_trials,
-                "control_trials": m.control_trials,
-                "embedded_degenerate": m.embedded_degenerate,
-                "control_degenerate": m.control_degenerate,
-                "passed": m.passed,
-                "inconclusive": m.inconclusive,
-            }
+            {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in vars(m).items()}
             for m in report.measures
         ],
     }

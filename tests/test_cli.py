@@ -5,6 +5,7 @@ import pytest
 
 from depscope.cli import EXIT_INVALID, EXIT_OK, build_parser, main
 from depscope.frame import load_ohlcv, read_frame
+from depscope.measures import MEASURE_IDS, VALUE_RANGES
 from depscope.search import SearchSpace, run_grid_search
 from depscope.verify import SyntheticSpec, generate_synthetic
 from depscope.frame import write_csv
@@ -163,6 +164,50 @@ def test_measure_unknown_name_is_config_error(features_csv, capsys):
     )
     assert rc == 2
     assert "unknown measure" in capsys.readouterr().err
+
+
+CLI_NAMES = {
+    "pc": "PC",
+    "pearson": "PC",
+    "sc": "SC",
+    "spearman": "SC",
+    "dc": "DC",
+    "dcor": "DC",
+    "mic": "MIC",
+    "mi": "MI",
+    "rsi": "RSI_SYNERGY",
+    "rsi_synergy": "RSI_SYNERGY",
+    "pps": "PPS",
+    "ig": "IG",
+}
+
+
+@pytest.mark.parametrize("case", (str.lower, str.upper))
+def test_measure_table_names_ranges_and_arity(features_csv, capsys, case):
+    """Every CLI name reaches its id; pairwise measures refuse a two-column feature set."""
+    assert MEASURE_IDS == ("PC", "SC", "DC", "MIC", "MI", "RSI_SYNERGY", "PPS", "IG")
+    inf = float("inf")
+    assert VALUE_RANGES == {
+        "PC": (-1.0, 1.0),
+        "SC": (-1.0, 1.0),
+        "DC": (0.0, 1.0),
+        "MIC": (0.0, 1.0),
+        "MI": (0.0, inf),
+        "RSI_SYNERGY": (-inf, inf),
+        "PPS": (0.0, 1.0),
+        "IG": (0.0, inf),
+    }
+    args = ["measure", "--input", str(features_csv), "--features", "f_ret_c_1,f_vol_pct"]
+    args += ["--target", "t_ret_c_1", "--format", "json", "--measures"]
+    assert main(args + [case(",".join(CLI_NAMES))]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["measure"] for r in rows] == list(CLI_NAMES.values())
+    for r in rows:
+        pairwise = r["measure"] in ("PC", "SC", "MIC")
+        assert r["degenerate"] is pairwise
+        assert (r["reason"] == "pairwise measure on multivariate input") is pairwise
+    assert main(args + [case("pearson,kendall")]) == EXIT_INVALID
+    assert "unknown measure 'kendall'" in capsys.readouterr().err.lower()
 
 
 def test_measure_all_degenerate_exits_three_but_writes(tmp_path, features_csv):

@@ -184,3 +184,15 @@ def test_frames_equal_distinguishes_nan_positions():
     c = TimeSeriesFrame(timestamps=ts, columns={"v": np.array([1.0, np.nan])})
     assert frames_equal(a, b)
     assert not frames_equal(a, c)
+
+
+def test_read_frame_reports_what_validate_frame_reports():
+    """Read back from CSV, a frame gets validate_frame's issues, in (row, column, kind) order."""
+    ts = np.array(["2020-01-01", "2020-01-02", "2020-01-02", "2020-01-03"], dtype="datetime64[D]")
+    columns = {"a": [1.0, np.nan, 2.0, np.inf], "b": [np.nan, 1.0, -np.inf, 0.0]}
+    f = TimeSeriesFrame(timestamps=ts, columns=columns)
+    with pytest.raises(FrameValidationError) as err:
+        read_frame(io.StringIO(write_csv(f)))
+    expected = sorted(validate_frame(f).issues, key=lambda i: (i.row, i.column, i.kind))
+    assert list(err.value.report.issues) == expected
+    assert {i.kind for i in expected} == {"duplicate_time", "missing", "non_finite"}

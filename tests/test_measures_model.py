@@ -179,3 +179,18 @@ def test_fit_refuses_targets_whose_squared_sums_overflow():
         fit_regression_tree(x, x * 1e200)
     with pytest.raises(ValueError, match="overflow"):
         pps(x, x * 1e200)
+
+
+def test_fit_and_pps_refuse_non_finite_input():
+    x = np.random.default_rng(0).standard_normal(200)
+    y = x * x
+    for bad in (np.nan, np.inf):
+        x_bad = x.copy()
+        x_bad[5] = bad
+        y_bad = y.copy()
+        y_bad[5] = bad
+        for X, target in ((x_bad, y), (x_bad[:, None], y), (x, y_bad)):
+            with pytest.raises(ValueError, match="not finite"):
+                fit_regression_tree(X, target)
+        with pytest.raises(ValueError, match="not finite"):
+            pps(x_bad, y)

@@ -180,3 +180,14 @@ def test_results_are_measure_records():
     r = pearson([1.0, 2.0], [2.0, 1.0])
     assert isinstance(r, MeasureResult)
     assert r.value_range == (-1.0, 1.0)
+
+
+def test_distance_correlation_refuses_non_finite_input():
+    x = np.random.default_rng(0).standard_normal(200)
+    y = x * x
+    for bad in (np.nan, np.inf):
+        x_bad = x.copy()
+        x_bad[5] = bad
+        for pair in ((x_bad, y), (y, x_bad), (np.column_stack([x, x_bad]), y)):
+            with pytest.raises(ValueError, match="not finite"):
+                distance_correlation(*pair)

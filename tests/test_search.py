@@ -245,6 +245,11 @@ def test_evaluate_pairs_unknown_measure_still_raises():
         evaluate_pairs("XYZ", np.zeros(10), np.zeros(10))
 
 
+def test_evaluate_pairs_refuses_features_that_are_not_row_points():
+    with pytest.raises(ValueError, match="row points"):
+        evaluate_pairs("PC", np.zeros((10, 2, 2)), np.zeros(10))
+
+
 def test_grid_search_record_grid():
     frame = small_frame(20)
     log = run_grid_search(frame, tiny_space(), seed=42)
