@@ -68,43 +68,43 @@ class RegressionTree:
 
 
 def _best_split(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
-    """Scan (feature, midpoint threshold) candidates for the lowest child SSE.
+    """The (feature, midpoint threshold, k) split with the lowest child SSE, or None.
 
-    Features are visited in index order and thresholds in ascending order
-    with strict improvement required, so ties resolve to the lowest feature
-    index and then the lowest threshold.
+    Every feature is sorted at once and the child SSEs of every split point
+    k in [min_leaf, n - min_leaf] form one (feature, k) array, tied
+    neighbours masked with inf.  Its row-major first minimum is the lowest
+    feature index and then the lowest threshold among equal SSEs, and it
+    must strictly improve on the parent's SSE.
     """
     n = ys.shape[0]
+    if n < 2 * min_leaf:
+        return None
     total = ys.sum()
     total_sq = (ys * ys).sum()
     parent_sse = total_sq - total * total / n
-    best = None
-    best_sse = parent_sse
-    for f in range(xs.shape[1]):
-        order = np.argsort(xs[:, f], kind="stable")
-        sv = xs[order, f]
-        sy = ys[order]
-        csum = np.cumsum(sy)
-        csq = np.cumsum(sy * sy)
-        for k in range(min_leaf, n - min_leaf + 1):
-            if sv[k - 1] == sv[k]:
-                continue
-            left_sse = csq[k - 1] - csum[k - 1] * csum[k - 1] / k
-            rsum = total - csum[k - 1]
-            right_sse = (total_sq - csq[k - 1]) - rsum * rsum / (n - k)
-            sse = max(left_sse, 0.0) + max(right_sse, 0.0)
-            if sse < best_sse:
-                best_sse = sse
-                best = (f, (sv[k - 1] + sv[k]) / 2.0, k)
-    return best
+    order = np.argsort(xs.T, axis=1, kind="stable")
+    sv = np.take_along_axis(xs.T, order, axis=1)
+    sy = ys[order]
+    lo, hi = min_leaf, n - min_leaf  # split point k: rows [0, k) go left, for k in [lo, hi]
+    k = np.arange(lo, hi + 1)
+    csum = np.cumsum(sy, axis=1)[:, lo - 1 : hi]
+    csq = np.cumsum(sy * sy, axis=1)[:, lo - 1 : hi]
+    left_sse = csq - csum * csum / k
+    rsum = total - csum
+    right_sse = (total_sq - csq) - rsum * rsum / (n - k)
+    sse = np.maximum(left_sse, 0.0) + np.maximum(right_sse, 0.0)
+    sse[sv[:, lo - 1 : hi] == sv[:, lo : hi + 1]] = np.inf
+    f, i = divmod(int(sse.argmin()), k.shape[0])
+    if not sse[f, i] < parent_sse:
+        return None
+    at = lo + i
+    return f, (sv[f, at - 1] + sv[f, at]) / 2.0, at
 
 
 def _grow(xs: np.ndarray, ys: np.ndarray, depth_left: int, min_leaf: int) -> TreeNode:
     node_value = float(ys.mean())
     n = ys.shape[0]
-    if depth_left == 0 or n < 2 * min_leaf:
-        return TreeNode(value=node_value, samples=n)
-    found = _best_split(xs, ys, min_leaf)
+    found = None if depth_left == 0 else _best_split(xs, ys, min_leaf)
     if found is None:
         return TreeNode(value=node_value, samples=n)
     f, threshold, _ = found
@@ -117,6 +117,11 @@ def _grow(xs: np.ndarray, ys: np.ndarray, depth_left: int, min_leaf: int) -> Tre
         left=_grow(xs[mask], ys[mask], depth_left - 1, min_leaf),
         right=_grow(xs[~mask], ys[~mask], depth_left - 1, min_leaf),
     )
+
+
+def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("inputs are not finite")
 
 
 def fit_regression_tree(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> RegressionTree:
@@ -136,8 +141,7 @@ def fit_regression_tree(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> 
         raise ValueError(f"max_depth must be >= 0, got {max_depth}")
     if min_samples_leaf < 1:
         raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise ValueError("inputs are not finite")
+    _check_finite(xs, ys)
     bound = float(np.abs(ys).sum())  # bound**2 caps every squared sum the split scan forms
     if not math.isfinite(bound * bound):
         raise ValueError("targets overflow the split scan's squared sums")
@@ -163,14 +167,15 @@ def pps(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> MeasureResult:
 
     The tree is fitted and scored in sample on the same rows, so the score
     is deterministic and reads how well the features can describe the
-    target, not how well they forecast unseen rows.  A constant target makes
-    the baseline MAE zero and the score degenerate; the tree fit refuses
-    non-finite input.
+    target, not how well they forecast unseen rows.  Non-finite input is
+    refused before anything else; a constant target then makes the baseline
+    MAE zero and the score degenerate.
     """
     xs = as_points(X)
     ys = np.asarray(y, dtype=np.float64)
     if ys.ndim != 1 or ys.shape[0] != xs.shape[0]:
         raise ValueError("y must be a vector matching X row count")
+    _check_finite(xs, ys)
     n = ys.shape[0]
     params = {"max_depth": max_depth, "min_samples_leaf": min_samples_leaf}
     baseline = naive_median_mae(ys)

@@ -80,11 +80,14 @@ def degenerate_result(measure_id: str, sample_size: int, reason: str, **params) 
 
 
 def as_points(values) -> np.ndarray:
-    """Float input as an (n, F) float64 matrix of row points; a vector is n one-coordinate points."""
+    """Float input as an (n, F) float64 matrix of row points with F >= 1.
+
+    A vector is n one-coordinate points.
+    """
     a = np.asarray(values, dtype=np.float64)
     if a.ndim == 1:
         a = a[:, None]
-    if a.ndim != 2:
+    if a.ndim != 2 or a.shape[1] == 0:
         raise ValueError(f"expected a vector or a matrix of row points, got shape {a.shape}")
     return a
 

@@ -4,10 +4,41 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.stats import rankdata
 
 from .result import MeasureResult, as_points, degenerate_result, paired_vectors
+
+
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of a vector, tied values sharing their mean rank.
+
+    Bit for bit scipy.stats.rankdata(a, method="average"): a NaN anywhere
+    makes every rank NaN, and equal infinities tie.
+    """
+    if np.isnan(a).any():
+        return np.full(a.shape, np.nan)
+    order = np.argsort(a, kind="stable")
+    ordered = a[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    dense = np.empty(a.shape, dtype=np.intp)
+    dense[order] = np.cumsum(starts)  # 1-based tie group of each value
+    count = np.r_[np.flatnonzero(starts), a.shape[0]]  # values before each group, then n
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
+def cdist(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the row points of xa and of xb.
+
+    Squared differences are summed column by column in column order and
+    then rooted, the arithmetic of scipy.spatial.distance.cdist, so
+    distances underflow and overflow exactly where scipy's do.
+    """
+    d = np.subtract.outer(xa[:, 0], xb[:, 0])
+    d *= d
+    for j in range(1, xa.shape[1]):
+        e = np.subtract.outer(xa[:, j], xb[:, j])
+        e *= e
+        d += e
+    return np.sqrt(d, out=d)
 
 
 def _pearson_value(x: np.ndarray, y: np.ndarray) -> float | None:
@@ -45,9 +76,7 @@ def pearson(x, y) -> MeasureResult:
 def spearman(x, y) -> MeasureResult:
     """Spearman rank correlation: Pearson on average ranks, so ties share their rank."""
     xa, ya = paired_vectors(x, y)
-    rx = rankdata(xa, method="average")
-    ry = rankdata(ya, method="average")
-    value = _pearson_value(rx, ry)
+    value = _pearson_value(_average_ranks(xa), _average_ranks(ya))
     if value is None:
         return degenerate_result("SC", xa.shape[0], "zero rank variance")
     return MeasureResult("SC", value, xa.shape[0], params={"ties": "average"})

@@ -6,10 +6,14 @@ bit for bit (equal-frequency edge placement and the smallest-first entropy
 summation) follow the same pinned arithmetic contract, independently coded.
 
 reference_grid_search is the grid search written one configuration at a
-time, against which the package's column-major scan is checked.
+time, against which the package's column-major scan is checked, and
+reference_best_split is the regression tree's split scan written one
+threshold at a time, against which the one-pass scan is checked bit for bit.
 """
 import math
 from bisect import bisect_right
+
+import numpy as np
 
 from depscope.search import TrialRecord, evaluate_pairs, label_trend
 from depscope.shaping import make_sliding_windows, pair_arrays
@@ -72,6 +76,39 @@ def brute_distance_correlation(xs, ys):
     if dvx <= 0.0 or dvy <= 0.0:
         return None
     return min(math.sqrt(max(dcov2, 0.0) / math.sqrt(dvx * dvy)), 1.0)
+
+
+def reference_best_split(xs, ys, min_leaf):
+    """Scan (feature, midpoint threshold) candidates for the lowest child SSE.
+
+    Features are visited in index order and thresholds in ascending order
+    with strict improvement required, so ties resolve to the lowest feature
+    index and then the lowest threshold.  The SSE arithmetic is the
+    package's, term for term, so the result must be equal, not close.
+    """
+    n = ys.shape[0]
+    total = ys.sum()
+    total_sq = (ys * ys).sum()
+    parent_sse = total_sq - total * total / n
+    best = None
+    best_sse = parent_sse
+    for f in range(xs.shape[1]):
+        order = np.argsort(xs[:, f], kind="stable")
+        sv = xs[order, f]
+        sy = ys[order]
+        csum = np.cumsum(sy)
+        csq = np.cumsum(sy * sy)
+        for k in range(min_leaf, n - min_leaf + 1):
+            if sv[k - 1] == sv[k]:
+                continue
+            left_sse = csq[k - 1] - csum[k - 1] * csum[k - 1] / k
+            rsum = total - csum[k - 1]
+            right_sse = (total_sq - csq[k - 1]) - rsum * rsum / (n - k)
+            sse = max(left_sse, 0.0) + max(right_sse, 0.0)
+            if sse < best_sse:
+                best_sse = sse
+                best = (f, (sv[k - 1] + sv[k]) / 2.0, k)
+    return best
 
 
 def sorted_entropy(counts, n):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import depscope
 from depscope.cli import EXIT_INVALID, EXIT_OK, build_parser, main
 from depscope.frame import load_ohlcv, read_frame
 from depscope.measures import MEASURE_IDS, VALUE_RANGES
@@ -440,3 +445,21 @@ def test_log_level_env_is_honored(monkeypatch, tmp_path, ohlcv_csv):
     assert main(["ingest", "--input", str(ohlcv_csv), "--output", str(out)]) == 0
     monkeypatch.setenv("DEPSCOPE_LOG", "not-a-level")
     assert main(["ingest", "--input", str(ohlcv_csv)]) == 0
+
+
+def test_import_loads_no_scipy():
+    """Every command is a fresh interpreter, so the package and its CLI import numpy alone."""
+    src = str(Path(depscope.__file__).resolve().parents[1])
+    code = (
+        "import sys, depscope, depscope.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

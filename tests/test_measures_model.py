@@ -1,12 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depscope.measures import (
     RegressionTree,
     fit_regression_tree,
+    model_based,
     naive_median_mae,
     pps,
 )
+
+from _oracles import reference_best_split
 
 
 def training_sse(tree, X, y):
@@ -194,3 +201,44 @@ def test_fit_and_pps_refuse_non_finite_input():
                 fit_regression_tree(X, target)
         with pytest.raises(ValueError, match="not finite"):
             pps(x_bad, y)
+        # A constant target must not hide the bad feature behind "constant target".
+        with pytest.raises(ValueError, match="not finite"):
+            pps(x_bad, np.ones(200))
+
+
+@st.composite
+def split_problems(draw):
+    """Up to 80 rows of 1-3 feature columns, each continuous, rounded, constant or a copy.
+
+    Rounded columns and targets tie neighbours and child SSEs, and a copied
+    column ties whole features, so both tie-break rules are exercised.
+    """
+    n = draw(st.integers(2, 80))
+    one_kind = st.sampled_from(("continuous", "rounded", "constant", "copy"))
+    kinds = draw(st.lists(one_kind, min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in kinds:
+        column = rng.standard_normal(n)
+        if kind == "rounded":
+            column = np.round(column)
+        elif kind == "constant":
+            column = np.full(n, column[0])
+        elif kind == "copy" and columns:
+            column = columns[-1].copy()
+        columns.append(column)
+    y = rng.standard_normal(n)
+    if draw(st.booleans()):
+        y = np.round(y)
+    return np.column_stack(columns), y, draw(st.integers(1, 10))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(problem=split_problems())
+def test_split_scan_is_the_reference_loop_bit_for_bit(problem):
+    xs, ys, min_leaf = problem
+    assert model_based._best_split(xs, ys, min_leaf) == reference_best_split(xs, ys, min_leaf)
+    for depth in range(5):
+        tree = fit_regression_tree(xs, ys, depth, min_leaf)
+        with mock.patch.object(model_based, "_best_split", reference_best_split):
+            assert tree == fit_regression_tree(xs, ys, depth, min_leaf)

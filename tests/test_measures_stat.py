@@ -1,11 +1,18 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import cdist as scipy_cdist
+from scipy.stats import rankdata
 
 from depscope.measures import (
     MeasureResult,
     distance_correlation,
     pearson,
     spearman,
+    statistical,
 )
 
 from _oracles import brute_distance_correlation, brute_pearson, brute_spearman
@@ -191,3 +198,39 @@ def test_distance_correlation_refuses_non_finite_input():
         for pair in ((x_bad, y), (y, x_bad), (np.column_stack([x, x_bad]), y)):
             with pytest.raises(ValueError, match="not finite"):
                 distance_correlation(*pair)
+
+
+rank_values = st.one_of(
+    st.integers(-3, 3).map(float),  # small integers make ties
+    st.sampled_from((math.inf, -math.inf, math.nan)),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(values=st.lists(rank_values, min_size=1, max_size=60))
+def test_average_ranks_are_scipys_bit_for_bit(values):
+    a = np.array(values)
+    ranks = statistical._average_ranks(a)
+    assert ranks.dtype == np.float64
+    assert np.array_equal(ranks, rankdata(a, method="average"), equal_nan=True)
+    if np.isnan(a).any():
+        assert np.isnan(ranks).all()
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    n=st.integers(1, 60),
+    n_columns=st.integers(1, 3),
+    scale=st.sampled_from((1e-170, 1.0, 1e154, 1e200)),
+    rounded=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_distances_are_scipys_bit_for_bit(n, n_columns, scale, rounded, seed):
+    """Same sums in the same order: underflow at 1e-170 and overflow at 1e154 and up included."""
+    points = np.random.default_rng(seed).standard_normal((n, n_columns))
+    if rounded:
+        points = np.round(points, 1)
+    points *= scale
+    with np.errstate(over="ignore"):
+        assert np.array_equal(statistical.cdist(points, points), scipy_cdist(points, points))

@@ -11,8 +11,10 @@ from depscope.frame import TimeSeriesFrame
 from depscope.measures import (
     MEASURE_IDS,
     JointHistogram,
+    distance_correlation,
     equal_frequency_symbols,
     mutual_information,
+    pps,
 )
 from depscope.search import (
     TRIAL_CSV_HEADER,
@@ -248,6 +250,14 @@ def test_evaluate_pairs_unknown_measure_still_raises():
 def test_evaluate_pairs_refuses_features_that_are_not_row_points():
     with pytest.raises(ValueError, match="row points"):
         evaluate_pairs("PC", np.zeros((10, 2, 2)), np.zeros(10))
+    # Points with no coordinates have no distances and no tree splits to score.
+    for measure in ("PC", "DC", "PPS"):
+        with pytest.raises(ValueError, match="row points"):
+            evaluate_pairs(measure, np.zeros((10, 0)), np.zeros(10))
+    with pytest.raises(ValueError, match="row points"):
+        distance_correlation(np.zeros((10, 0)), np.arange(10.0))
+    with pytest.raises(ValueError, match="row points"):
+        pps(np.zeros((20, 0)), np.arange(20.0))
 
 
 def test_grid_search_record_grid():
