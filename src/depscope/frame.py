@@ -110,11 +110,9 @@ def validate_frame(frame: TimeSeriesFrame) -> ValidationReport:
     """Enumerate semantic violations; an empty issue list means the frame is sound."""
     issues: list[ValidationIssue] = []
     ts = frame.timestamps
-    for i in range(1, len(ts)):
-        if ts[i] == ts[i - 1]:
-            issues.append(ValidationIssue(i, "date", "duplicate_time"))
-        elif ts[i] < ts[i - 1]:
-            issues.append(ValidationIssue(i, "date", "non_monotonic_time"))
+    for i in (np.flatnonzero(ts[1:] <= ts[:-1]) + 1).tolist():
+        kind = "duplicate_time" if ts[i] == ts[i - 1] else "non_monotonic_time"
+        issues.append(ValidationIssue(i, "date", kind))
     for name, arr in frame.columns.items():
         for i in np.flatnonzero(np.isnan(arr)):
             issues.append(ValidationIssue(int(i), name, "missing"))

@@ -6,14 +6,15 @@ np.unique turns a symbol vector, or a matrix's rows read as fixed-width bytes
 Entropies are in bits with one pinned arithmetic: Python-float terms c / n
 summed smallest-first as p * math.log2(p), so results are deterministic and MI
 is exactly symmetric.  Counts of n observations look their terms up in a
-per-n table (EntropyTables) and add them with np.cumsum, which sums in the
-same order and so gives the same bits.  IG and conditional entropy add their
-branches in repr order of the branch symbol ("10" before "2"), whatever the
-codes are.  Binning is the caller's: shaping.discretize or
+table cached per n (_terms, as MIC's grid is in _mic_grid) and add them with
+np.cumsum, which sums in the same order and so gives the same bits.  IG and
+conditional entropy add their branches in repr order of the branch symbol
+("10" before "2"), whatever the codes are.  Binning is the caller's: shaping.discretize or
 equal_frequency_symbols.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -81,45 +82,39 @@ def _codes(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return codes, first
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=256)
+def _terms(n: int) -> np.ndarray:
+    """T[c] = (c / n) * log2(c / n) for c = 0..n in Python floats, T[0] = 0.0; read-only."""
+    return _read_only(np.array([0.0] + [(c / n) * math.log2(c / n) for c in range(1, n + 1)]))
+
+
 class _MicGrid(NamedTuple):
     """MIC's admissible grid shapes for one sample size, in search order."""
 
     bound: float
-    shapes: list[tuple[int, int]]
+    shapes: tuple[tuple[int, int], ...]
     gx: np.ndarray
     gy: np.ndarray
     cells: int  # the largest gx * gy: each shape counts its joint table in a row this wide
     divisors: np.ndarray  # log2(min(gx, gy))
 
 
-class EntropyTables:
-    """Per-scan memo, by sample size n, of the pinned entropy terms and of MIC's grid shapes."""
-
-    def __init__(self):
-        self._terms: dict[int, np.ndarray] = {}
-        self._grids: dict[int, _MicGrid] = {}
-
-    def terms(self, n: int) -> np.ndarray:
-        """T[c] = (c / n) * log2(c / n) for c = 0..n in Python floats, with T[0] = 0.0."""
-        table = self._terms.get(n)
-        if table is None:
-            table = np.array([0.0] + [(c / n) * math.log2(c / n) for c in range(1, n + 1)])
-            self._terms[n] = table
-        return table
-
-    def grid(self, n: int) -> _MicGrid:
-        grid = self._grids.get(n)
-        if grid is None:
-            # The bound is floored so the minimal 2x2 grid stays admissible for the
-            # smallest allowed samples.
-            bound = max(n**MIC_ALPHA, 5.0)
-            shapes = _grid_shapes(bound)
-            gx = np.array([s[0] for s in shapes])
-            gy = np.array([s[1] for s in shapes])
-            divisors = np.array([math.log2(min(s)) for s in shapes])
-            grid = _MicGrid(bound, shapes, gx, gy, int((gx * gy).max()), divisors)
-            self._grids[n] = grid
-        return grid
+@functools.lru_cache(maxsize=256)
+def _mic_grid(n: int) -> _MicGrid:
+    """MIC's grid for n observations; every caller shares it, so its arrays are read-only."""
+    # The bound is floored so the minimal 2x2 grid stays admissible for the
+    # smallest allowed samples.
+    bound = max(n**MIC_ALPHA, 5.0)
+    shapes = tuple(_grid_shapes(bound))
+    gx = _read_only(np.array([s[0] for s in shapes]))
+    gy = _read_only(np.array([s[1] for s in shapes]))
+    divisors = _read_only(np.array([math.log2(min(s)) for s in shapes]))
+    return _MicGrid(bound, shapes, gx, gy, int((gx * gy).max()), divisors)
 
 
 def _table_entropy(counts: np.ndarray, terms: np.ndarray):
@@ -141,13 +136,13 @@ class _Coded(NamedTuple):
     entropy: float
 
 
-def _coded(symbols: np.ndarray, tables: EntropyTables) -> _Coded:
+def _coded(symbols: np.ndarray) -> _Coded:
     codes, first = _codes(symbols)
-    entropy = float(_table_entropy(np.bincount(codes), tables.terms(codes.shape[0])))
+    entropy = float(_table_entropy(np.bincount(codes), _terms(codes.shape[0])))
     return _Coded(symbols, codes, first, entropy)
 
 
-def _mi(x: _Coded, y: _Coded, tables: EntropyTables) -> float:
+def _mi(x: _Coded, y: _Coded) -> float:
     """I(X;Y) = H(X) + H(Y) - H(X,Y) in bits of two coded sides, clipped at 0.
 
     A joint table with more cells than observations is counted by sorting.
@@ -159,7 +154,7 @@ def _mi(x: _Coded, y: _Coded, tables: EntropyTables) -> float:
         joint = np.bincount(cells)
     else:
         joint = np.unique(cells, return_counts=True)[1]
-    return max(x.entropy + y.entropy - float(_table_entropy(joint, tables.terms(n))), 0.0)
+    return max(x.entropy + y.entropy - float(_table_entropy(joint, _terms(n))), 0.0)
 
 
 def _weighted_entropy(branches, n: int) -> float:
@@ -281,8 +276,7 @@ def information_gain(parent_symbols, child_assignment) -> MeasureResult:
     labelings.
     """
     parent, branch = _paired(parent_symbols, child_assignment)
-    tables = EntropyTables()
-    return _information_gain(_coded(parent, tables), _coded(branch, tables))
+    return _information_gain(_coded(parent), _coded(branch))
 
 
 def _information_gain(s: _Coded, t: _Coded) -> MeasureResult:
@@ -315,18 +309,17 @@ def redundancy_synergy_index(feature_symbol_lists, y_symbols) -> MeasureResult:
         raise ValueError("need at least one feature symbol sequence")
     _check_set_size(len(features))
     joint, y = _paired(np.column_stack(features), y_symbols)
-    tables = EntropyTables()
-    singles = [_coded(f, tables) for f in features]
-    return _synergy(_coded(joint, tables), singles, _coded(y, tables), tables)
+    singles = [_coded(f) for f in features]
+    return _synergy(_coded(joint), singles, _coded(y))
 
 
-def _synergy(joint: _Coded, singles: list[_Coded], y: _Coded, tables: EntropyTables) -> MeasureResult:
+def _synergy(joint: _Coded, singles: list[_Coded], y: _Coded) -> MeasureResult:
     i_single = 0.0
     for f in singles:
-        i_single += _mi(f, y, tables)
+        i_single += _mi(f, y)
     return MeasureResult(
         "RSI_SYNERGY",
-        _mi(joint, y, tables) - i_single,
+        _mi(joint, y) - i_single,
         y.codes.shape[0],
         params={"set_size": len(singles)},
     )
@@ -373,29 +366,29 @@ def _grid_shapes(bound: float) -> list[tuple[int, int]]:
     return shapes
 
 
-def _mic_marginals(bins, n: int, tables: EntropyTables) -> tuple[np.ndarray, np.ndarray]:
+def _mic_marginals(bins, n: int) -> tuple[np.ndarray, np.ndarray]:
     """One side of MIC: its equal-frequency codes for g = 2..gmax stacked by row, and their entropies.
 
     bins(g) gives the side's codes at g bins.
     """
     if n < 8:
         raise ValueError(f"mic needs at least 8 observations, got {n}")
-    gmax = int(tables.grid(n).gx[-1])  # the largest gx; gy tops out at the same value
+    gmax = int(_mic_grid(n).gx[-1])  # the largest gx; gy tops out at the same value
     codes = np.stack([bins(g) for g in range(2, gmax + 1)])
     offsets = gmax * np.arange(codes.shape[0])[:, None]
     counts = np.bincount((codes + offsets).ravel(), minlength=codes.shape[0] * gmax)
-    return codes, _table_entropy(counts.reshape(-1, gmax), tables.terms(n))
+    return codes, _table_entropy(counts.reshape(-1, gmax), _terms(n))
 
 
-def _mic(x_marginals, y_marginals, tables: EntropyTables) -> MeasureResult:
+def _mic(x_marginals, y_marginals) -> MeasureResult:
     """MIC from both sides' _mic_marginals: every grid shape's joint table counted in one batch."""
     (xc, hx), (yc, hy) = x_marginals, y_marginals
     n = xc.shape[1]
-    grid = tables.grid(n)
+    grid = _mic_grid(n)
     offsets = grid.cells * np.arange(len(grid.shapes))[:, None]
     cells = xc[grid.gx - 2] * grid.gy[:, None] + yc[grid.gy - 2] + offsets
     joint = np.bincount(cells.ravel(), minlength=len(grid.shapes) * grid.cells)
-    hxy = _table_entropy(joint.reshape(-1, grid.cells), tables.terms(n))
+    hxy = _table_entropy(joint.reshape(-1, grid.cells), _terms(n))
     m = np.maximum(hx[grid.gx - 2] + hy[grid.gy - 2] - hxy, 0.0) / grid.divisors
     best = int(np.argmax(m))  # the first of equal maxima: ties prefer the smaller gx, then gy
     params = {"alpha": MIC_ALPHA, "bound": grid.bound}
@@ -417,9 +410,7 @@ def mic(x, y) -> MeasureResult:
     """
     xa, ya = paired_vectors(x, y)
     n = xa.shape[0]
-    tables = EntropyTables()
     return _mic(
-        _mic_marginals(lambda g: equal_frequency_symbols(xa, g), n, tables),
-        _mic_marginals(lambda g: equal_frequency_symbols(ya, g), n, tables),
-        tables,
+        _mic_marginals(lambda g: equal_frequency_symbols(xa, g), n),
+        _mic_marginals(lambda g: equal_frequency_symbols(ya, g), n),
     )

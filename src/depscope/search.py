@@ -21,6 +21,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,8 @@ from .measures import (
     spearman,
 )
 from .measures.information import (
-    EntropyTables,
     _check_set_size,
+    _Coded,
     _coded,
     _information_gain,
     _mi,
@@ -56,6 +57,14 @@ log = logging.getLogger(__name__)
 TREND_LABELS = ("DOWN", "NEUTRAL", "UP")
 TREND_LOOKBACK = 20  # rows back from the anchor that the trend return spans
 TREND_THRESHOLD = 0.02  # a trend return above this is UP, below its negative DOWN
+
+
+def _check_binning(bin_width: float, feature_bins: int) -> None:
+    """Refuse binning settings on every path that scores: search, scans and evaluate_pairs."""
+    if not (bin_width > 0.0):
+        raise ValueError("bin_width must be positive")
+    if not (2 <= feature_bins <= 16):
+        raise ValueError("feature_bins must be between 2 and 16")
 
 
 @dataclass(frozen=True)
@@ -91,10 +100,7 @@ class SearchSpace:
             raise ValueError("step must be >= 1")
         for m in self.measures:
             measure_row(m)  # an unknown id raises
-        if not (self.bin_width > 0.0):
-            raise ValueError("bin_width must be positive")
-        if not (2 <= self.feature_bins <= 16):
-            raise ValueError("feature_bins must be between 2 and 16")
+        _check_binning(self.bin_width, self.feature_bins)
         if self.min_samples < 2:
             raise ValueError("min_samples must be >= 2")
 
@@ -193,45 +199,25 @@ def label_trend(close, anchor: int) -> str:
     return "NEUTRAL"
 
 
-def _derive(memo: dict, key, make):
-    """memo[key], made on first use; a ValueError is remembered and raised again on every use."""
-    if key not in memo:
-        try:
-            memo[key] = make()
-        except ValueError as exc:
-            memo[key] = exc
-    hit = memo[key]
-    if isinstance(hit, ValueError):
-        raise ValueError(*hit.args)
-    return hit
-
-
-class _Scan:
-    """The binning settings of one scan and its per-scan memo of entropy tables and MIC grids."""
-
-    def __init__(self, bin_width: float, feature_bins: int):
-        self.bin_width = bin_width
-        self.feature_bins = feature_bins
-        self.tables = EntropyTables()
-
-
 class _Column:
     """One column's values in one window and the codes derived from it alone, each made once."""
 
-    def __init__(self, values: np.ndarray, scan: _Scan):
+    def __init__(self, values: np.ndarray, feature_bins: int):
         self.values = values
         self.finite = bool(np.isfinite(values).all())
-        self.scan = scan
-        self._memo: dict = {}
+        self.feature_bins = feature_bins
+        self._bins: dict[int, np.ndarray] = {}
 
     def bins(self, g: int) -> np.ndarray:
         """Equal-frequency codes at g bins."""
-        return _derive(self._memo, g, lambda: equal_frequency_symbols(self.values, g))
+        if g not in self._bins:
+            self._bins[g] = equal_frequency_symbols(self.values, g)
+        return self._bins[g]
 
-    def coded(self):
+    @cached_property
+    def coded(self) -> _Coded:
         """The feature codes MI, IG and RSI_SYNERGY count: equal-frequency at feature_bins."""
-        scan = self.scan
-        return _derive(self._memo, "coded", lambda: _coded(self.bins(scan.feature_bins), scan.tables))
+        return _coded(self.bins(self.feature_bins))
 
 
 class _Side:
@@ -239,46 +225,43 @@ class _Side:
 
     A side keeps its centred distance matrix for as long as the scan keeps the
     side: a target for one anchor, a feature set for one (anchor, feature set).
+    A derivation that raises is not kept: each trial that reads it raises again.
     """
 
-    def __init__(self, columns: list[_Column]):
+    def __init__(self, columns: list[_Column], bin_width: float):
         self.columns = columns
         self.n = columns[0].values.shape[0]
         self.finite = all(c.finite for c in columns)
-        self.scan = columns[0].scan
-        self._memo: dict = {}
+        self.bin_width = bin_width
 
     @property
     def values(self) -> np.ndarray:
         return self.columns[0].values
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
         """The window as an (n, F) matrix of row points."""
-        return _derive(self._memo, "points", lambda: np.column_stack([c.values for c in self.columns]))
+        return np.column_stack([c.values for c in self.columns])
 
-    def centered_distances(self):
-        return _derive(self._memo, "distances", lambda: _centered_distances(self.points))
+    @cached_property
+    def centered_distances(self) -> tuple[np.ndarray, float]:
+        return _centered_distances(self.points)
 
-    def coded(self):
+    @cached_property
+    def coded(self) -> _Coded:
         """Feature codes; a set's rows are its members' codes side by side."""
         if len(self.columns) == 1:
-            return self.columns[0].coded()
-        scan = self.scan
-        return _derive(self._memo, "coded", lambda: _coded(
-            np.column_stack([c.bins(scan.feature_bins) for c in self.columns]), scan.tables
-        ))
+            return self.columns[0].coded
+        return _coded(np.column_stack([c.bins(c.feature_bins) for c in self.columns]))
 
-    def fixed_width(self):
+    @cached_property
+    def fixed_width(self) -> _Coded:
         """Target codes: fixed-width bins of bin_width."""
-        scan = self.scan
-        return _derive(self._memo, "fixed", lambda: _coded(
-            discretize(self.values, scan.bin_width), scan.tables
-        ))
+        return _coded(discretize(self.values, self.bin_width))
 
-    def mic_marginals(self):
-        tables = self.scan.tables
-        return _derive(self._memo, "mic", lambda: _mic_marginals(self.columns[0].bins, self.n, tables))
+    @cached_property
+    def mic_marginals(self) -> tuple[np.ndarray, np.ndarray]:
+        return _mic_marginals(self.columns[0].bins, self.n)
 
 
 def _score(m: Measure, x: _Side, y: _Side) -> MeasureResult:
@@ -297,7 +280,6 @@ def _score(m: Measure, x: _Side, y: _Side) -> MeasureResult:
         return degenerate_result(measure, n, "pairwise measure on multivariate input")
     if y.n != n:
         return degenerate_result(measure, n, f"length mismatch: {n} vs {y.n}")
-    tables = x.scan.tables
     try:
         if measure == "PC":
             return pearson(x.values, y.values)
@@ -305,20 +287,20 @@ def _score(m: Measure, x: _Side, y: _Side) -> MeasureResult:
             return spearman(x.values, y.values)
         if measure == "DC":
             return _distance_correlation(
-                x.points, x.centered_distances(), y.points, y.centered_distances()
+                x.points, x.centered_distances, y.points, y.centered_distances
             )
         if measure == "MIC":
-            return _mic(x.mic_marginals(), y.mic_marginals(), tables)
+            return _mic(x.mic_marginals, y.mic_marginals)
         if measure == "PPS":
             return pps(x.points, y.values)
-        y_codes = y.fixed_width()
+        y_codes = y.fixed_width
         if measure == "RSI_SYNERGY":
             _check_set_size(len(x.columns))
-            singles = [c.coded() for c in x.columns]
-            return _synergy(x.coded(), singles, y_codes, tables)
+            singles = [c.coded for c in x.columns]
+            return _synergy(x.coded, singles, y_codes)
         if measure == "MI":
-            return MeasureResult("MI", _mi(x.coded(), y_codes, tables), n)
-        return _information_gain(y_codes, x.coded())  # IG: features assign the split branches
+            return MeasureResult("MI", _mi(x.coded, y_codes), n)
+        return _information_gain(y_codes, x.coded)  # IG: features assign the split branches
     except ValueError as exc:
         return degenerate_result(measure, n, str(exc))
 
@@ -340,13 +322,13 @@ def evaluate_pairs(
     capacity limit, come back flagged as well.
     """
     m = measure_row(measure)
+    _check_binning(bin_width, feature_bins)
     xs = as_points(xs)
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 1:
         raise ValueError(f"ys must be a vector of targets, got shape {ys.shape}")
-    scan = _Scan(bin_width, feature_bins)
-    x = _Side([_Column(column, scan) for column in xs.T])
-    return _score(m, x, _Side([_Column(ys, scan)]))
+    x = _Side([_Column(column, feature_bins) for column in xs.T], bin_width)
+    return _score(m, x, _Side([_Column(ys, feature_bins)], bin_width))
 
 
 def scan_window(
@@ -373,6 +355,7 @@ def scan_window(
     their own trials only.  Windows with fewer than min_samples pairs come
     back degenerate without being scored.
     """
+    _check_binning(bin_width, feature_bins)
     measure_rows = [measure_row(m) for m in measures]
     anchors = anchor_grid(len(frame), window, step, horizon)[block]
     trials_per_measure = len(feature_sets) * len(targets)
@@ -381,19 +364,17 @@ def scan_window(
         return anchors, [flagged * trials_per_measure for _ in anchors]
     feature_columns = {name: frame.column(name) for fs in feature_sets for name in fs}
     target_columns = [frame.column(t) for t in targets]
-    scan = _Scan(bin_width, feature_bins)
     scores = []
     for a in anchors.tolist():
         columns = {
-            name: _Column(col[a - window + 1 : a + 1], scan) for name, col in feature_columns.items()
+            name: _Column(col[a - window + 1 : a + 1], feature_bins)
+            for name, col in feature_columns.items()
         }
-        ys = [
-            _Side([_Column(pair_targets(col[a + 1 : a + 1 + horizon], window), scan)])
-            for col in target_columns
-        ]
+        paired = [pair_targets(col[a + 1 : a + 1 + horizon], window) for col in target_columns]
+        ys = [_Side([_Column(y, feature_bins)], bin_width) for y in paired]
         results = []
         for fs in feature_sets:
-            x = _Side([columns[name] for name in fs])
+            x = _Side([columns[name] for name in fs], bin_width)
             results.extend(_score(m, x, y) for y in ys for m in measure_rows)
         scores.append(results)
     return anchors, scores
@@ -517,12 +498,31 @@ def read_trial_log_csv(source) -> TrialLog:
         text = Path(source).read_text(encoding="utf-8")
     else:
         text = source.read()
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != TRIAL_CSV_HEADER:
+    reader = csv.reader(io.StringIO(text))
+    if tuple(next(reader, ())) != TRIAL_CSV_HEADER:
         raise ValueError(f"expected header {','.join(TRIAL_CSV_HEADER)}")
-    parsers = [_PARSERS.get(name, str) for name in TRIAL_CSV_HEADER]
-    records = [TrialRecord(*[p(cell) for p, cell in zip(parsers, row)]) for row in rows[1:]]
+    records = [_read_trial(row, reader.line_num) for row in reader]
     return TrialLog(records=tuple(records), space=None, seed=-1)
+
+
+def _read_trial(row: list[str], line: int) -> TrialRecord:
+    """One trial-log row as a record; a row that write_trial_log_csv cannot write raises."""
+    where = f"line {line}:"
+    if len(row) != len(TRIAL_CSV_HEADER):
+        raise ValueError(f"{where} expected {len(TRIAL_CSV_HEADER)} cells, got {len(row)}")
+    cells = dict(zip(TRIAL_CSV_HEADER, row))
+    flag, objective = cells["degenerate"], cells["objective"]
+    if flag not in ("true", "false"):
+        raise ValueError(f"{where} degenerate must be true or false, got {flag!r}")
+    try:
+        record = TrialRecord(*[_PARSERS.get(name, str)(cell) for name, cell in cells.items()])
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}") from None
+    if record.degenerate and not math.isnan(record.objective):
+        raise ValueError(f"{where} a degenerate trial has objective nan, got {objective}")
+    if not (record.degenerate or math.isfinite(record.objective)):
+        raise ValueError(f"{where} a scored trial has a finite objective, got {objective}")
+    return record
 
 
 def write_trial_log_json(log_: TrialLog, destination=None) -> str | None:

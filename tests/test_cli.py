@@ -416,6 +416,55 @@ def test_report_empty_after_filter_exits_three(tmp_path, features_csv, capsys):
     assert "no non-degenerate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad_row, message",
+    (
+        ("1,8,f_rsi,t_ret_c_1,MI,2020-01-09,UP,0.6", "line 3: expected 9 cells, got 8"),
+        ("1,8,f_rsi,t_ret_c_1,MI,2020-01-09,UP,0.6,false,0", "line 3: expected 9 cells, got 10"),
+        (
+            "1,8,f_rsi,t_ret_c_1,MI,2020-01-09,UP,0.6,maybe",
+            "line 3: degenerate must be true or false, got 'maybe'",
+        ),
+    ),
+)
+def test_report_refuses_malformed_trial_rows(tmp_path, capsys, bad_row, message):
+    header = "trial_id,window_size,features,target,measure,anchor_date,trend,objective,degenerate"
+    good = "0,8,f_rsi,t_ret_c_1,MI,2020-01-08,UP,0.6,false"
+    path = tmp_path / "trials.csv"
+    path.write_text("\n".join([header, good, bad_row, good]) + "\n")
+    assert main(["report", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "binning, message",
+    (
+        (["--bin-bp", "0"], "bin_width must be positive"),
+        (["--feature-bins", "0"], "feature_bins must be between 2 and 16"),
+        (["--feature-bins", "1"], "feature_bins must be between 2 and 16"),
+        (["--feature-bins", "17"], "feature_bins must be between 2 and 16"),
+    ),
+)
+def test_invalid_binning_is_a_config_error_on_every_command(
+    tmp_path, features_csv, capsys, binning, message
+):
+    measure = [
+        "measure", "--input", str(features_csv), "--features", "f_rsi",
+        "--target", "t_ret_c_1", "--measures", "pc,mi",
+    ]
+    commands = (
+        measure,
+        measure + ["--window", "50", "--step", "50"],
+        ["verify", "--length", "400", "--lag", "20", "--measures", "pc"],
+        ["search", "--input", str(features_csv), "--output", str(tmp_path / "run"), "--windows", "50"],
+    )
+    for command in commands:
+        capsys.readouterr()
+        assert main(command + binning) == 2, command
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_argparse_errors_map_to_exit_two(capsys):
     assert main(["measure", "--input", "x.csv"]) == 2
     assert main(["unknown-command"]) == 2

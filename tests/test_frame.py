@@ -2,12 +2,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depscope.frame import (
     OHLCV_HEADER,
     CsvParseError,
     FrameValidationError,
     TimeSeriesFrame,
+    ValidationIssue,
     frames_equal,
     load_ohlcv,
     read_frame,
@@ -153,6 +156,21 @@ def test_validate_frame_flags_nan_and_order():
     kinds = sorted(i.kind for i in report.issues)
     assert kinds == ["missing", "non_monotonic_time"]
     assert not report.ok
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(days=st.lists(st.integers(0, 6), max_size=40))
+def test_validate_frame_date_issues_are_the_plain_loop(days):
+    """Few distinct days, so duplicates and reversals mix; issues match a pairwise loop in order."""
+    ts = np.datetime64("2020-01-01") + np.array(days, dtype=np.int64)
+    f = TimeSeriesFrame(timestamps=ts, columns={"a": np.zeros(len(days))})
+    expected = []
+    for i in range(1, len(days)):
+        if days[i] == days[i - 1]:
+            expected.append(ValidationIssue(i, "date", "duplicate_time"))
+        elif days[i] < days[i - 1]:
+            expected.append(ValidationIssue(i, "date", "non_monotonic_time"))
+    assert list(validate_frame(f).issues) == expected
 
 
 def test_write_csv_to_path(tmp_path):

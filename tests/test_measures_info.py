@@ -17,10 +17,10 @@ from depscope.measures import (
     redundancy_synergy_index,
 )
 from depscope.measures.information import (
-    EntropyTables,
     _entropy_from_counts,
     _grid_shapes,
     _table_entropy,
+    _terms,
 )
 
 from _oracles import (
@@ -258,7 +258,7 @@ def count_vectors(draw):
 @given(drawn=count_vectors())
 def test_table_entropy_is_the_pinned_sum_bit_for_bit(drawn):
     n, counts = drawn
-    terms = EntropyTables().terms(n)
+    terms = _terms(n)
     expected = _entropy_from_counts(counts, n)
     assert float(_table_entropy(np.array(counts), terms)) == expected
     # Row-wise, as MIC counts every grid shape at once, with zero padding.

@@ -16,6 +16,7 @@ from depscope.measures import (
     mutual_information,
     pps,
 )
+from depscope.measures.information import _mic_grid, _terms
 from depscope.search import (
     TRIAL_CSV_HEADER,
     SearchSpace,
@@ -29,11 +30,12 @@ from depscope.search import (
     rank_hyperparameters,
     read_trial_log_csv,
     run_grid_search,
+    scan_window,
     write_parallel_coordinates,
     write_trial_log_csv,
     write_trial_log_json,
 )
-from depscope.shaping import discretize
+from depscope.shaping import discretize, pair_targets
 
 from _oracles import pinned_information_gain, reference_grid_search
 
@@ -242,6 +244,91 @@ def test_evaluate_pairs_turns_value_errors_into_degenerate_records():
     assert "at least 8" in r.params["reason"]
 
 
+@pytest.mark.parametrize(
+    "binning, message",
+    (
+        ({"bin_width": 0.0}, "bin_width must be positive"),
+        ({"bin_width": -0.001}, "bin_width must be positive"),
+        ({"bin_width": math.nan}, "bin_width must be positive"),
+        ({"feature_bins": -3}, "feature_bins must be between 2 and 16"),
+        ({"feature_bins": 1}, "feature_bins must be between 2 and 16"),
+        ({"feature_bins": 17}, "feature_bins must be between 2 and 16"),
+    ),
+)
+def test_every_scoring_path_refuses_invalid_binning(binning, message):
+    """evaluate_pairs and scan_window raise as SearchSpace does, for every measure."""
+    x = np.random.default_rng(12).standard_normal(60)
+    for measure in MEASURE_IDS:
+        with pytest.raises(ValueError, match=message):
+            evaluate_pairs(measure, x, x, **binning)
+    with pytest.raises(ValueError, match=message):
+        tiny_space(**binning)
+    settings = {"bin_width": 0.001, "feature_bins": 8, **binning}
+    for min_samples in (1, 100):  # also when no window is long enough to score
+        with pytest.raises(ValueError, match=message):
+            scan_window(
+                small_frame(30), 8, (("a",),), ("y",), ("PC",),
+                step=3, horizon=4, min_samples=min_samples, **settings,
+            )
+
+
+def test_per_n_tables_are_shared_and_read_only():
+    for n in (8, 100, 400):
+        assert _terms(n) is _terms(n)
+        assert _mic_grid(n) is _mic_grid(n)
+        grid = _mic_grid(n)
+        for table in (_terms(n), grid.gx, grid.gy, grid.divisors):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 1.0
+
+
+def _assert_scan_is_evaluate_pairs(frame, window, feature_sets, targets, measures, horizon):
+    """Every scan_window result is evaluate_pairs' on its own window: value and reason."""
+    anchors, scores = scan_window(
+        frame, window, feature_sets, targets, measures,
+        step=9, horizon=horizon, bin_width=0.001, feature_bins=8,
+    )
+    assert len(anchors) > 1
+    for a, results in zip(anchors.tolist(), scores):
+        expected = []
+        for fs in feature_sets:
+            xs = np.column_stack([frame.column(c)[a - window + 1 : a + 1] for c in fs])
+            for t in targets:
+                ys = pair_targets(frame.column(t)[a + 1 : a + 1 + horizon], window)
+                expected += [evaluate_pairs(m, xs, ys) for m in measures]
+        assert [(repr(r.value), r.params.get("reason")) for r in results] == [
+            (repr(r.value), r.params.get("reason")) for r in expected
+        ]
+    return [r for results in scores for r in results]
+
+
+def test_scan_window_derivations_that_raise_flag_every_trial_that_reads_them():
+    """A side's derivation that raises is flagged with its reason in each trial; the rest score."""
+    frame = _reference_frame()
+    columns = {name: frame.column(name) for name in frame.column_names}
+    columns["big"] = columns["a"] * 1e154  # distances square past float64
+    columns["huge"] = np.linspace(1.0, 1e17, len(frame))  # fixed-width bins past int64
+    frame = TimeSeriesFrame(timestamps=frame.timestamps, columns=columns)
+
+    # Window 6 is below MIC's 8 observations: every MIC trial reads the same error.
+    results = _assert_scan_is_evaluate_pairs(
+        frame, 6, (("a",), ("c",)), ("y", "z"), ("MIC", "PC", "MI"), horizon=6
+    )
+    mic = [r for r in results if r.measure_id == "MIC"]
+    assert {r.params["reason"] for r in mic} == {"mic needs at least 8 observations, got 6"}
+    for measure in ("PC", "MI"):
+        assert any(not r.degenerate for r in results if r.measure_id == measure)
+
+    results = _assert_scan_is_evaluate_pairs(
+        frame, 40, (("big",), ("a",), ("big", "c")), ("y", "huge"), ("DC", "MI", "IG"), horizon=7
+    )
+    reasons = {r.params.get("reason") for r in results}
+    assert reasons >= {"distances overflow"}
+    assert any("int64" in str(reason) for reason in reasons)
+    assert any(not r.degenerate for r in results if r.measure_id == "DC")
+    assert any(not r.degenerate for r in results if r.measure_id == "MI")
+
+
 def test_evaluate_pairs_unknown_measure_still_raises():
     with pytest.raises(ValueError):
         evaluate_pairs("XYZ", np.zeros(10), np.zeros(10))
@@ -373,6 +460,30 @@ def read_trial_log_csv_from_text(text):
     import io
 
     return read_trial_log_csv(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    (
+        ("1,8,a,y,PC,2021-01-09,NEUTRAL,0.5", "expected 9 cells, got 8"),
+        ("1,8,a,y,PC,2021-01-09,NEUTRAL,0.5,false,x", "expected 9 cells, got 10"),
+        ("1,8,a,y,PC,2021-01-09,NEUTRAL,0.5,maybe", "degenerate must be true or false, got 'maybe'"),
+        ("1,8,a,y,PC,2021-01-09,NEUTRAL,0.5,", "degenerate must be true or false, got ''"),
+        ("1,8,a,y,PC,2021-01-09,NEUTRAL,nan,false", "a scored trial has a finite objective, got nan"),
+        ("1,8,a,y,PC,2021-01-09,NEUTRAL,inf,false", "a scored trial has a finite objective, got inf"),
+        ("1,8,a,y,PC,2021-01-09,NEUTRAL,0.5,true", "a degenerate trial has objective nan, got 0.5"),
+        ("1,8,a,y,PC,2021-01-09,NEUTRAL,-inf,true", "a degenerate trial has objective nan, got -inf"),
+        ("1,8,a,y,PC,2021-01-09,NEUTRAL,high,false", "could not convert"),
+        ("one,8,a,y,PC,2021-01-09,NEUTRAL,0.5,false", "invalid literal"),
+    ),
+)
+def test_trial_log_csv_refuses_rows_the_writer_cannot_write(row, message):
+    good = "0,8,a,y,PC,2021-01-09,NEUTRAL,0.25,false\n"
+    text = ",".join(TRIAL_CSV_HEADER) + "\n" + good + row + "\n" + good
+    with pytest.raises(ValueError, match=f"^line 3: {message}"):
+        read_trial_log_csv_from_text(text)
+    back = read_trial_log_csv_from_text(",".join(TRIAL_CSV_HEADER) + "\n" + good)
+    assert back.records == (TrialRecord(0, 8, ("a",), "y", "PC", "2021-01-09", "NEUTRAL", 0.25, False),)
 
 
 def test_trial_log_csv_file_round_trip(tmp_path):
