@@ -93,6 +93,20 @@ def _parse_windows(text: str) -> tuple[int, ...]:
     return tuple(int(t.strip()) for t in text.split(",") if t.strip())
 
 
+def _binning(args) -> dict:
+    """bin_width and feature_bins of --bin-bp and --feature-bins; bad values are named by flag."""
+    bin_width = args.bin_bp * 1e-4
+    if not (bin_width > 0.0):
+        raise ValueError(
+            f"--bin-bp must be a positive target bin width in basis points, got {args.bin_bp:g}"
+        )
+    if not (2 <= args.feature_bins <= 16):
+        raise ValueError(
+            f"--feature-bins must be a bin count between 2 and 16, got {args.feature_bins}"
+        )
+    return {"bin_width": bin_width, "feature_bins": args.feature_bins}
+
+
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
@@ -127,15 +141,10 @@ def cmd_features(args) -> int:
 def _measure_whole_series(args, frame, features, measures) -> list[dict]:
     xs = np.column_stack([frame.column(c) for c in features])
     ys = frame.column(args.target)
+    binning = _binning(args)
     rows = []
     for measure in measures:
-        result = evaluate_pairs(
-            measure,
-            xs,
-            ys,
-            bin_width=args.bin_bp * 1e-4,
-            feature_bins=args.feature_bins,
-        )
+        result = evaluate_pairs(measure, xs, ys, **binning)
         rows.append(
             {
                 "measure": measure,
@@ -152,8 +161,7 @@ def _measure_windowed(args, frame, features, measures) -> list[dict]:
     horizon = args.horizon if args.horizon is not None else args.window
     _, scores = scan_window(
         frame, args.window, (features,), (args.target,), measures,
-        step=args.step, horizon=horizon, bin_width=args.bin_bp * 1e-4,
-        feature_bins=args.feature_bins,
+        step=args.step, horizon=horizon, **_binning(args),
     )
     rows = []
     for i, measure in enumerate(measures):
@@ -207,9 +215,8 @@ def cmd_search(args) -> int:
         measures=_parse_measures(args.measures) if args.measures else base.measures,
         horizon=args.horizon,
         step=args.step,
-        bin_width=args.bin_bp * 1e-4,
-        feature_bins=args.feature_bins,
         min_samples=args.min_samples,
+        **_binning(args),
     )
     log_ = run_grid_search(frame, space, seed=args.seed, jobs=args.jobs)
     out_dir = Path(args.output)
@@ -245,8 +252,7 @@ def cmd_verify(args) -> int:
             measures=measures,
             window=args.window if args.window is not None else 100,
             step=args.step,
-            bin_width=args.bin_bp * 1e-4,
-            feature_bins=args.feature_bins,
+            **_binning(args),
         )
     else:
         spec = SyntheticSpec(
@@ -261,8 +267,7 @@ def cmd_verify(args) -> int:
             measures=measures,
             window=args.window,
             step=args.step,
-            bin_width=args.bin_bp * 1e-4,
-            feature_bins=args.feature_bins,
+            **_binning(args),
         )
     _emit(write_verification_report(report), args.output)
     for m in report.measures:

@@ -14,6 +14,7 @@ equal_frequency_symbols.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -325,13 +326,53 @@ def _synergy(joint: _Coded, singles: list[_Coded], y: _Coded) -> MeasureResult:
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _quantile_steps(n: int, counts: tuple[int, ...]):
+    """Where equal_frequency_symbols puts the edges of n sorted values, for each count in counts.
+
+    Edge k of g bins sits at pos = (k / g) * (n - 1), between order statistics
+    lo = int(pos) and hi = min(lo + 1, n - 1) at fraction pos - lo; the steps
+    are taken in Python floats, edges of all counts laid end to end.  Returns
+    lo, hi, the fractions and each count's (start, stop) span of the edges.
+    """
+    lo, frac, spans = [], [], []
+    for g in counts:
+        spans.append((len(lo), len(lo) + g - 1))
+        for k in range(1, g):
+            pos = (k / g) * (n - 1)
+            lo.append(int(pos))
+            frac.append(pos - int(pos))
+    lo = _read_only(np.array(lo, dtype=np.intp))
+    hi = _read_only(np.minimum(lo + 1, n - 1))
+    return lo, hi, _read_only(np.array(frac)), tuple(spans)
+
+
+def _equal_frequency_codes(
+    values: np.ndarray, ordered: np.ndarray, counts: tuple[int, ...]
+) -> list[np.ndarray]:
+    """equal_frequency_symbols of finite values at each bin count (>= 2) in counts, as a list.
+
+    ordered is the values sorted ascending, so one sort serves every count.
+    Each edge is s[lo] + frac * (s[hi] - s[lo]), the arithmetic of the plain
+    float loop.  Only values that span more than float64 can make a
+    difference inf, and 0 * inf NaN; that is as silent as in Python floats.
+    """
+    lo, hi, frac, spans = _quantile_steps(values.shape[0], counts)
+    low = ordered[lo]
+    overflows = math.isinf(float(ordered[-1]) - float(ordered[0]))
+    with np.errstate(over="ignore", invalid="ignore") if overflows else contextlib.nullcontext():
+        edges = low + frac * (ordered[hi] - low)
+    return [np.searchsorted(edges[a:b], values, side="right") for a, b in spans]
+
+
 def equal_frequency_symbols(values, bins: int) -> np.ndarray:
     """Bin reals into roughly equal-count bins; symbols are 0..bins-1.
 
     Edges are linear interpolations between order statistics at the k/bins
-    quantiles, computed in plain Python floats so the partition depends only
-    on the sorted values.  Ties sitting exactly on an edge go to the upper
-    bin.
+    quantiles, with positions taken in plain Python floats, so the partition
+    depends only on the sorted values; the scan makes the same codes for
+    every bin count it needs from one sort per column window.  Ties sitting
+    exactly on an edge go to the upper bin.
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
@@ -342,16 +383,7 @@ def equal_frequency_symbols(values, bins: int) -> np.ndarray:
         raise ValueError("values must be finite")
     if bins == 1:
         return np.zeros(v.shape[0], dtype=np.int64)
-    s = np.sort(v)
-    n = v.shape[0]
-    edges = []
-    for k in range(1, bins):
-        pos = (k / bins) * (n - 1)
-        lo = int(pos)
-        frac = pos - lo
-        hi = min(lo + 1, n - 1)
-        edges.append(float(s[lo]) + frac * (float(s[hi]) - float(s[lo])))
-    return np.searchsorted(np.asarray(edges), v, side="right").astype(np.int64)
+    return _equal_frequency_codes(v, np.sort(v), (bins,))[0]
 
 
 def _grid_shapes(bound: float) -> list[tuple[int, int]]:
@@ -369,12 +401,12 @@ def _grid_shapes(bound: float) -> list[tuple[int, int]]:
 def _mic_marginals(bins, n: int) -> tuple[np.ndarray, np.ndarray]:
     """One side of MIC: its equal-frequency codes for g = 2..gmax stacked by row, and their entropies.
 
-    bins(g) gives the side's codes at g bins.
+    bins(counts) gives the side's codes at each bin count in counts, as a list.
     """
     if n < 8:
         raise ValueError(f"mic needs at least 8 observations, got {n}")
     gmax = int(_mic_grid(n).gx[-1])  # the largest gx; gy tops out at the same value
-    codes = np.stack([bins(g) for g in range(2, gmax + 1)])
+    codes = np.stack(bins(tuple(range(2, gmax + 1))))
     offsets = gmax * np.arange(codes.shape[0])[:, None]
     counts = np.bincount((codes + offsets).ravel(), minlength=codes.shape[0] * gmax)
     return codes, _table_entropy(counts.reshape(-1, gmax), _terms(n))
@@ -410,7 +442,15 @@ def mic(x, y) -> MeasureResult:
     """
     xa, ya = paired_vectors(x, y)
     n = xa.shape[0]
-    return _mic(
-        _mic_marginals(lambda g: equal_frequency_symbols(xa, g), n),
-        _mic_marginals(lambda g: equal_frequency_symbols(ya, g), n),
-    )
+    return _mic(_mic_marginals(_binner(xa), n), _mic_marginals(_binner(ya), n))
+
+
+def _binner(values: np.ndarray):
+    """_mic_marginals' bins of one side; non-finite values raise as in equal_frequency_symbols."""
+
+    def bins(counts):
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
+        return _equal_frequency_codes(values, np.sort(values), counts)
+
+    return bins

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,28 +68,39 @@ class RegressionTree:
         return walk(self.root)
 
 
-def _best_split(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
-    """The (feature, midpoint threshold, k) split with the lowest child SSE, or None.
+class _Presort(NamedTuple):
+    """A node's rows in stable ascending order of each feature, one array row per feature."""
 
-    Every feature is sorted at once and the child SSEs of every split point
-    k in [min_leaf, n - min_leaf] form one (feature, k) array, tied
-    neighbours masked with inf.  Its row-major first minimum is the lowest
-    feature index and then the lowest threshold among equal SSEs, and it
-    must strictly improve on the parent's SSE.
+    order: np.ndarray  # row indices
+    values: np.ndarray  # their feature values
+    targets: np.ndarray  # their targets
+
+    def keep(self, mask: np.ndarray, count: int) -> "_Presort":
+        """The presort of a subset: a stable filter is the subset's own stable order."""
+        keep = mask[self.order]
+        features = self.order.shape[0]
+        return _Presort(*(a[keep].reshape(features, count) for a in self))
+
+
+def _best_split(node: _Presort, total, total_sq, min_leaf: int):
+    """The (feature, threshold, k) split of a node with the lowest child SSE, or None.
+
+    total and total_sq are the node's target sums.  The child SSEs of every
+    split point k in [min_leaf, n - min_leaf] form one (feature, k) array,
+    tied neighbours masked with inf.  Its row-major first minimum is the
+    lowest feature index and then the lowest threshold among equal SSEs, and
+    it must strictly improve on the parent's SSE.  The threshold is the
+    midpoint of the values either side of k, or the lower value when the
+    midpoint rounds up to the upper one or overflows, as in scikit-learn's
+    splitter, so the first k rows, and only they, are at or below it.
     """
-    n = ys.shape[0]
-    if n < 2 * min_leaf:
-        return None
-    total = ys.sum()
-    total_sq = (ys * ys).sum()
+    sv, sy = node.values, node.targets
+    n = sy.shape[1]
     parent_sse = total_sq - total * total / n
-    order = np.argsort(xs.T, axis=1, kind="stable")
-    sv = np.take_along_axis(xs.T, order, axis=1)
-    sy = ys[order]
     lo, hi = min_leaf, n - min_leaf  # split point k: rows [0, k) go left, for k in [lo, hi]
     k = np.arange(lo, hi + 1)
-    csum = np.cumsum(sy, axis=1)[:, lo - 1 : hi]
-    csq = np.cumsum(sy * sy, axis=1)[:, lo - 1 : hi]
+    csum = np.add.accumulate(sy, axis=1)[:, lo - 1 : hi]
+    csq = np.add.accumulate(sy * sy, axis=1)[:, lo - 1 : hi]
     left_sse = csq - csum * csum / k
     rsum = total - csum
     right_sse = (total_sq - csq) - rsum * rsum / (n - k)
@@ -98,25 +110,35 @@ def _best_split(xs: np.ndarray, ys: np.ndarray, min_leaf: int):
     if not sse[f, i] < parent_sse:
         return None
     at = lo + i
-    return f, (sv[f, at - 1] + sv[f, at]) / 2.0, at
+    lower, upper = float(sv[f, at - 1]), float(sv[f, at])
+    threshold = (lower + upper) / 2.0
+    if not (math.isfinite(threshold) and threshold < upper):
+        threshold = lower
+    return f, threshold, at
 
 
-def _grow(xs: np.ndarray, ys: np.ndarray, depth_left: int, min_leaf: int) -> TreeNode:
-    node_value = float(ys.mean())
-    n = ys.shape[0]
-    found = None if depth_left == 0 else _best_split(xs, ys, min_leaf)
+def _grow(ys, rows, node: _Presort | None, depth_left: int, min_leaf: int, out) -> TreeNode:
+    """The subtree of a node's rows (ascending); its leaves write their value to out[rows].
+
+    node is the rows' presort, None when the node cannot split.
+    """
+    node_ys = ys[rows]
+    n = rows.shape[0]
+    total = node_ys.sum()
+    value = float(total / n)  # node_ys.mean(), bit for bit
+    found = None if node is None else _best_split(node, total, (node_ys * node_ys).sum(), min_leaf)
     if found is None:
-        return TreeNode(value=node_value, samples=n)
-    f, threshold, _ = found
-    mask = xs[:, f] <= threshold
-    return TreeNode(
-        value=node_value,
-        samples=n,
-        feature=f,
-        threshold=float(threshold),
-        left=_grow(xs[mask], ys[mask], depth_left - 1, min_leaf),
-        right=_grow(xs[~mask], ys[~mask], depth_left - 1, min_leaf),
-    )
+        out[rows] = value
+        return TreeNode(value=value, samples=n)
+    f, threshold, k = found
+    left = np.zeros(ys.shape[0], dtype=bool)
+    left[node.order[f, :k]] = True
+    children = []
+    for side, count in ((left, k), (~left, n - k)):
+        splits = depth_left > 1 and count >= 2 * min_leaf
+        child = node.keep(side, count) if splits else None
+        children.append(_grow(ys, rows[side[rows]], child, depth_left - 1, min_leaf, out))
+    return TreeNode(value, n, f, threshold, *children)
 
 
 def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
@@ -124,15 +146,12 @@ def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
         raise ValueError("inputs are not finite")
 
 
-def fit_regression_tree(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> RegressionTree:
-    """Greedy variance-reduction CART fit; deterministic for identical input.
+def _fit(xs: np.ndarray, ys: np.ndarray, max_depth: int, min_samples_leaf: int, order=None):
+    """The root of the fitted tree and its in-sample predictions, read off the leaves.
 
-    Splits must strictly reduce the summed squared error, every leaf keeps at
-    least min_samples_leaf rows, and max_depth 0 yields the mean predictor.
-    Non-finite input, or targets whose squared sums overflow float64, is refused.
+    order is each feature column's stable argsort, stacked by feature; it is
+    made here when not given.
     """
-    xs = as_points(X)
-    ys = np.asarray(y, dtype=np.float64)
     if ys.ndim != 1 or ys.shape[0] != xs.shape[0]:
         raise ValueError("y must be a vector matching X row count")
     if ys.shape[0] == 0:
@@ -145,7 +164,27 @@ def fit_regression_tree(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> 
     bound = float(np.abs(ys).sum())  # bound**2 caps every squared sum the split scan forms
     if not math.isfinite(bound * bound):
         raise ValueError("targets overflow the split scan's squared sums")
-    root = _grow(xs, ys, max_depth, min_samples_leaf)
+    n = ys.shape[0]
+    root = None
+    if max_depth > 0 and n >= 2 * min_samples_leaf:
+        xt = np.ascontiguousarray(xs.T)
+        if order is None:
+            order = np.argsort(xt, axis=1, kind="stable")
+        root = _Presort(order, np.take_along_axis(xt, order, axis=1), ys[order])
+    out = np.empty(n)
+    return _grow(ys, np.arange(n), root, max_depth, min_samples_leaf, out), out
+
+
+def fit_regression_tree(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> RegressionTree:
+    """Greedy variance-reduction CART fit; deterministic for identical input.
+
+    Splits must strictly reduce the summed squared error, every leaf keeps at
+    least min_samples_leaf rows, and max_depth 0 yields the mean predictor.
+    Each feature is sorted once, at the root, as in SLIQ's presorting.
+    Non-finite input, or targets whose squared sums overflow float64, is refused.
+    """
+    xs = as_points(X)
+    root, _ = _fit(xs, np.asarray(y, dtype=np.float64), max_depth, min_samples_leaf)
     return RegressionTree(
         root=root,
         max_depth=max_depth,
@@ -176,14 +215,19 @@ def pps(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> MeasureResult:
     if ys.ndim != 1 or ys.shape[0] != xs.shape[0]:
         raise ValueError("y must be a vector matching X row count")
     _check_finite(xs, ys)
+    return _pps(xs, ys, None, max_depth, min_samples_leaf)
+
+
+def _pps(xs: np.ndarray, ys: np.ndarray, order, max_depth: int = 4, min_samples_leaf: int = 5):
+    """pps of finite paired rows; order is as _fit takes it."""
     n = ys.shape[0]
     params = {"max_depth": max_depth, "min_samples_leaf": min_samples_leaf}
     baseline = naive_median_mae(ys)
     if baseline == 0.0:
         return degenerate_result("PPS", n, "constant target", **params)
 
-    tree = fit_regression_tree(xs, ys, max_depth, min_samples_leaf)
-    mae_model = float(np.mean(np.abs(ys - tree.predict(xs))))
+    _, predictions = _fit(xs, ys, max_depth, min_samples_leaf, order)
+    mae_model = float(np.mean(np.abs(ys - predictions)))
     raw = 1.0 - mae_model / baseline
     params["raw"] = raw
     params["mae_model"] = mae_model

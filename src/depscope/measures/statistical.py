@@ -8,20 +8,23 @@ import numpy as np
 from .result import MeasureResult, as_points, degenerate_result, paired_vectors
 
 
-def _average_ranks(a: np.ndarray) -> np.ndarray:
+def _average_ranks(a: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
     """1-based ranks of a vector, tied values sharing their mean rank.
 
     Bit for bit scipy.stats.rankdata(a, method="average"): a NaN anywhere
-    makes every rank NaN, and equal infinities tie.
+    makes every rank NaN, and equal infinities tie.  order, when given, is
+    a's ascending argsort (any order among ties will do).
     """
     if np.isnan(a).any():
         return np.full(a.shape, np.nan)
-    order = np.argsort(a, kind="stable")
+    if order is None:
+        order = np.argsort(a, kind="stable")
     ordered = a[order]
-    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    starts = np.ones(a.shape, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
     dense = np.empty(a.shape, dtype=np.intp)
     dense[order] = np.cumsum(starts)  # 1-based tie group of each value
-    count = np.r_[np.flatnonzero(starts), a.shape[0]]  # values before each group, then n
+    count = np.append(np.flatnonzero(starts), a.shape[0])  # values before each group, then n
     return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
@@ -76,15 +79,21 @@ def pearson(x, y) -> MeasureResult:
 def spearman(x, y) -> MeasureResult:
     """Spearman rank correlation: Pearson on average ranks, so ties share their rank."""
     xa, ya = paired_vectors(x, y)
-    value = _pearson_value(_average_ranks(xa), _average_ranks(ya))
+    return _spearman(_average_ranks(xa), _average_ranks(ya))
+
+
+def _spearman(x_ranks: np.ndarray, y_ranks: np.ndarray) -> MeasureResult:
+    """SC of two paired sides' _average_ranks."""
+    value = _pearson_value(x_ranks, y_ranks)
     if value is None:
-        return degenerate_result("SC", xa.shape[0], "zero rank variance")
-    return MeasureResult("SC", value, xa.shape[0], params={"ties": "average"})
+        return degenerate_result("SC", x_ranks.shape[0], "zero rank variance")
+    return MeasureResult("SC", value, x_ranks.shape[0], params={"ties": "average"})
 
 
 def _centered_distances(points: np.ndarray) -> tuple[np.ndarray, float]:
     """Double-centered Euclidean distance matrix of row points, and its distance variance.
 
+    The matrix is centred in place, in the order of d - row - col + d.mean().
     Distances too large for float64 would centre inf - inf into NaN, so a
     non-finite distance variance raises ValueError instead.
     """
@@ -92,11 +101,14 @@ def _centered_distances(points: np.ndarray) -> tuple[np.ndarray, float]:
         d = cdist(points, points)
         row = d.mean(axis=1, keepdims=True)
         col = d.mean(axis=0, keepdims=True)
-        a = d - row - col + d.mean()
-        dvar = float((a * a).mean())
+        grand = d.mean()
+        d -= row
+        d -= col
+        d += grand
+        dvar = float(np.square(d).mean())
     if not math.isfinite(dvar):
         raise ValueError("distances overflow")
-    return a, dvar
+    return d, dvar
 
 
 def _distance_correlation(xp: np.ndarray, x_centered, yp: np.ndarray, y_centered) -> MeasureResult:

@@ -27,29 +27,30 @@ from pathlib import Path
 import numpy as np
 
 from .frame import TimeSeriesFrame
-from .measures import (
-    MeasureResult,
-    degenerate_result,
-    equal_frequency_symbols,
-    pearson,
-    pps,
-    spearman,
-)
+from .measures import MeasureResult, degenerate_result, pearson, spearman
 from .measures.information import (
     _check_set_size,
     _Coded,
     _coded,
+    _equal_frequency_codes,
     _information_gain,
     _mi,
     _mic,
     _mic_marginals,
     _synergy,
 )
+from .measures.model_based import _pps
 from .measures.result import Measure, as_points, measure_row
-from .measures.statistical import _centered_distances, _distance_correlation
+from .measures.statistical import (
+    _average_ranks,
+    _centered_distances,
+    _distance_correlation,
+    _spearman,
+)
 from .shaping import anchor_grid, discretize, pair_targets
 
-# Unused here; perfbench/layers.py looks this name up in this module to trace a run.
+# Unused here; perfbench/layers.py looks these names up in this module to trace a run.
+from .measures import equal_frequency_symbols  # noqa: F401
 from .shaping import pair_arrays  # noqa: F401
 
 log = logging.getLogger(__name__)
@@ -65,6 +66,14 @@ def _check_binning(bin_width: float, feature_bins: int) -> None:
         raise ValueError("bin_width must be positive")
     if not (2 <= feature_bins <= 16):
         raise ValueError("feature_bins must be between 2 and 16")
+
+
+# Characters the trial log or config_key joins names with, which no name may contain.
+_FEATURE_JOINS = {
+    "|": "the trial log joins a feature set's names with",
+    "+": "config_key joins a feature set's names with",
+}
+_TARGET_JOINS = {"|": "config_key separates its fields with"}
 
 
 @dataclass(frozen=True)
@@ -94,6 +103,12 @@ class SearchSpace:
             raise ValueError("window sizes must be >= 8")
         if any(not fs for fs in self.feature_sets):
             raise ValueError("feature sets must be non-empty")
+        names = [("feature", n, _FEATURE_JOINS) for fs in self.feature_sets for n in fs]
+        names += [("target", t, _TARGET_JOINS) for t in self.targets]
+        for kind, name, joins in names:
+            for char, use in joins.items():
+                if char in name:
+                    raise ValueError(f"{kind} name {name!r} contains {char!r}, which {use}")
         if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must be >= 1 when given")
         if self.step < 1:
@@ -200,24 +215,46 @@ def label_trend(close, anchor: int) -> str:
 
 
 class _Column:
-    """One column's values in one window and the codes derived from it alone, each made once."""
+    """One column's values in one window and what is derived from it alone, each made once.
+
+    One stable argsort serves the ranks, the PPS tree's presort and, once
+    made, the sorted values that the equal-frequency codes of every bin
+    count read.
+    """
 
     def __init__(self, values: np.ndarray, feature_bins: int):
         self.values = values
         self.finite = bool(np.isfinite(values).all())
         self.feature_bins = feature_bins
-        self._bins: dict[int, np.ndarray] = {}
 
-    def bins(self, g: int) -> np.ndarray:
-        """Equal-frequency codes at g bins."""
-        if g not in self._bins:
-            self._bins[g] = equal_frequency_symbols(self.values, g)
-        return self._bins[g]
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The stable ascending argsort of the values."""
+        return np.argsort(self.values, kind="stable")
+
+    @cached_property
+    def ordered(self) -> np.ndarray:
+        """The values ascending: read through the order once it is made, else a plain sort."""
+        if "order" in self.__dict__:
+            return self.values[self.order]
+        return np.sort(self.values)
+
+    def bins(self, counts: tuple[int, ...]) -> list[np.ndarray]:
+        """Equal-frequency codes at each bin count in counts, as a list."""
+        return _equal_frequency_codes(self.values, self.ordered, counts)
+
+    @cached_property
+    def feature_codes(self) -> np.ndarray:
+        """The feature codes MI, IG and RSI_SYNERGY count: equal-frequency at feature_bins."""
+        return self.bins((self.feature_bins,))[0]
 
     @cached_property
     def coded(self) -> _Coded:
-        """The feature codes MI, IG and RSI_SYNERGY count: equal-frequency at feature_bins."""
-        return _coded(self.bins(self.feature_bins))
+        return _coded(self.feature_codes)
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        return _average_ranks(self.values, self.order)
 
 
 class _Side:
@@ -244,6 +281,11 @@ class _Side:
         return np.column_stack([c.values for c in self.columns])
 
     @cached_property
+    def orders(self) -> np.ndarray:
+        """The columns' sort orders stacked by row, the PPS tree's presort."""
+        return np.stack([c.order for c in self.columns])
+
+    @cached_property
     def centered_distances(self) -> tuple[np.ndarray, float]:
         return _centered_distances(self.points)
 
@@ -252,7 +294,7 @@ class _Side:
         """Feature codes; a set's rows are its members' codes side by side."""
         if len(self.columns) == 1:
             return self.columns[0].coded
-        return _coded(np.column_stack([c.bins(c.feature_bins) for c in self.columns]))
+        return _coded(np.column_stack([c.feature_codes for c in self.columns]))
 
     @cached_property
     def fixed_width(self) -> _Coded:
@@ -284,7 +326,7 @@ def _score(m: Measure, x: _Side, y: _Side) -> MeasureResult:
         if measure == "PC":
             return pearson(x.values, y.values)
         if measure == "SC":
-            return spearman(x.values, y.values)
+            return _spearman(x.columns[0].ranks, y.columns[0].ranks)
         if measure == "DC":
             return _distance_correlation(
                 x.points, x.centered_distances, y.points, y.centered_distances
@@ -292,7 +334,7 @@ def _score(m: Measure, x: _Side, y: _Side) -> MeasureResult:
         if measure == "MIC":
             return _mic(x.mic_marginals, y.mic_marginals)
         if measure == "PPS":
-            return pps(x.points, y.values)
+            return _pps(x.points, y.values, x.orders)
         y_codes = y.fixed_width
         if measure == "RSI_SYNERGY":
             _check_set_size(len(x.columns))

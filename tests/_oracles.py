@@ -6,15 +6,19 @@ bit for bit (equal-frequency edge placement and the smallest-first entropy
 summation) follow the same pinned arithmetic contract, independently coded.
 
 reference_grid_search is the grid search written one configuration at a
-time, against which the package's column-major scan is checked, and
-reference_best_split is the regression tree's split scan written one
-threshold at a time, against which the one-pass scan is checked bit for bit.
+time, against which the package's column-major scan is checked.
+reference_fit grows the regression tree one node at a time, each node
+sorting its own rows and scanning one threshold at a time
+(reference_best_split), against which the presorted grower is checked bit
+for bit.  reference_equal_frequency bins one bin count at a time, against
+which the binning of every count from one sort is checked bit for bit.
 """
 import math
 from bisect import bisect_right
 
 import numpy as np
 
+from depscope.measures import TreeNode
 from depscope.search import TrialRecord, evaluate_pairs, label_trend
 from depscope.shaping import make_sliding_windows, pair_arrays
 
@@ -84,7 +88,9 @@ def reference_best_split(xs, ys, min_leaf):
     Features are visited in index order and thresholds in ascending order
     with strict improvement required, so ties resolve to the lowest feature
     index and then the lowest threshold.  The SSE arithmetic is the
-    package's, term for term, so the result must be equal, not close.
+    package's, term for term, so the result must be equal, not close.  A
+    midpoint that rounds up to the upper value or overflows falls back to
+    the lower value, as scikit-learn's splitter does.
     """
     n = ys.shape[0]
     total = ys.sum()
@@ -107,8 +113,38 @@ def reference_best_split(xs, ys, min_leaf):
             sse = max(left_sse, 0.0) + max(right_sse, 0.0)
             if sse < best_sse:
                 best_sse = sse
-                best = (f, (sv[k - 1] + sv[k]) / 2.0, k)
+                lower, upper = float(sv[k - 1]), float(sv[k])
+                threshold = (lower + upper) / 2.0
+                if threshold == upper or math.isinf(threshold):
+                    threshold = lower
+                best = (f, threshold, k)
     return best
+
+
+def reference_fit(xs, ys, max_depth, min_leaf):
+    """The regression tree's root, grown node by node, and its in-sample predictions.
+
+    Every node finds its split with reference_best_split on its own rows and
+    sends the rows at or below the threshold left; each leaf writes its mean
+    into the predictions of its rows.
+    """
+    predictions = np.empty(ys.shape[0])
+
+    def grow(rows, depth_left):
+        node_ys = ys[rows]
+        value = float(node_ys.mean())
+        found = reference_best_split(xs[rows], node_ys, min_leaf) if depth_left else None
+        if found is None:
+            predictions[rows] = value
+            return TreeNode(value=value, samples=len(rows))
+        f, threshold, _ = found
+        mask = xs[rows, f] <= threshold
+        return TreeNode(
+            value=value, samples=len(rows), feature=f, threshold=threshold,
+            left=grow(rows[mask], depth_left - 1), right=grow(rows[~mask], depth_left - 1),
+        )
+
+    return grow(np.arange(ys.shape[0]), max_depth), predictions
 
 
 def sorted_entropy(counts, n):
@@ -198,6 +234,26 @@ def brute_equal_frequency(values, bins):
         hi = min(lo + 1, n - 1)
         edges.append(s[lo] + (pos - lo) * (s[hi] - s[lo]))
     return [bisect_right(edges, v) for v in vals]
+
+
+def reference_equal_frequency(values, bins):
+    """Equal-frequency codes at one bin count, made the way equal_frequency_symbols made them.
+
+    One sort, each edge in Python floats, then numpy's searchsorted: unlike
+    brute_equal_frequency's bisect, it places values among edges that
+    overflowed to inf or NaN (silently, in Python floats) as the package did.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    s = np.sort(v)
+    n = v.shape[0]
+    edges = []
+    for k in range(1, bins):
+        pos = (k / bins) * (n - 1)
+        lo = int(pos)
+        frac = pos - lo
+        hi = min(lo + 1, n - 1)
+        edges.append(float(s[lo]) + frac * (float(s[hi]) - float(s[lo])))
+    return np.searchsorted(np.asarray(edges), v, side="right").astype(np.int64)
 
 
 def brute_mic_scores(xs, ys, alpha=0.6):

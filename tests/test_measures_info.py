@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depscope.measures import (
@@ -18,6 +18,7 @@ from depscope.measures import (
 )
 from depscope.measures.information import (
     _entropy_from_counts,
+    _equal_frequency_codes,
     _grid_shapes,
     _table_entropy,
     _terms,
@@ -32,6 +33,7 @@ from _oracles import (
     brute_mic,
     brute_mic_scores,
     brute_synergy,
+    reference_equal_frequency,
 )
 
 
@@ -204,6 +206,40 @@ def test_equal_frequency_matches_oracle_bit_for_bit():
         np.testing.assert_array_equal(
             equal_frequency_symbols(values, bins), brute_equal_frequency(values, bins)
         )
+
+
+@st.composite
+def binning_columns(draw):
+    """1-60 values: continuous, rounded (ties, and -0.0 from np.round), constant, or near
+    the float64 limit, where differences of order statistics overflow to inf."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(("continuous", "rounded", "constant", "huge")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(n)
+    if kind == "rounded":
+        values = np.round(values * draw(st.sampled_from((0.5, 2.0))))
+    elif kind == "constant":
+        values = np.full(n, values[0])
+    elif kind == "huge":
+        values = np.clip(values, -1.7, 1.7) * 1e308
+    return values
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(values=binning_columns())
+@example(values=np.array([2.5]))
+@example(values=np.round([-0.3, 0.2, 0.0, -0.1, 1.4, 0.4]))
+def test_codes_of_every_bin_count_from_one_sort_are_the_per_count_loop(values):
+    counts = tuple(range(2, 17))
+    expected = np.stack([reference_equal_frequency(values, g) for g in counts])
+    codes = np.stack(_equal_frequency_codes(values, np.sort(values), counts))
+    assert codes.dtype == np.int64
+    assert np.array_equal(codes, expected)
+    # An order that puts -0.0 and 0.0 differently still gives the same codes.
+    stable = values[np.argsort(values, kind="stable")]
+    assert np.array_equal(np.stack(_equal_frequency_codes(values, stable, counts)), expected)
+    for g in counts:
+        assert np.array_equal(equal_frequency_symbols(values, g), expected[g - 2])
 
 
 def test_equal_frequency_single_bin_and_errors():

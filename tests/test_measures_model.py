@@ -1,4 +1,4 @@
-from unittest import mock
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from depscope.measures import (
     pps,
 )
 
-from _oracles import reference_best_split
+from _oracles import reference_fit
 
 
 def training_sse(tree, X, y):
@@ -236,9 +236,36 @@ def split_problems(draw):
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(problem=split_problems())
 def test_split_scan_is_the_reference_loop_bit_for_bit(problem):
+    """The presorted grower makes the node-by-node reference's trees and in-sample predictions."""
     xs, ys, min_leaf = problem
-    assert model_based._best_split(xs, ys, min_leaf) == reference_best_split(xs, ys, min_leaf)
     for depth in range(5):
+        root, predictions = reference_fit(xs, ys, depth, min_leaf)
         tree = fit_regression_tree(xs, ys, depth, min_leaf)
-        with mock.patch.object(model_based, "_best_split", reference_best_split):
-            assert tree == fit_regression_tree(xs, ys, depth, min_leaf)
+        assert tree.root == root
+        assert tree.predict(xs).tobytes() == predictions.tobytes()
+        assert model_based._fit(xs, ys, depth, min_leaf)[1].tobytes() == predictions.tobytes()
+        result = pps(xs, ys, depth, min_leaf)
+        if not result.degenerate:
+            assert result.params["mae_model"] == float(np.mean(np.abs(ys - predictions)))
+
+
+@pytest.mark.parametrize(
+    "lower, upper",
+    (
+        (np.nextafter(1.0, np.inf), np.nextafter(np.nextafter(1.0, np.inf), np.inf)),
+        (1.70e308, 1.75e308),
+    ),
+)
+def test_a_midpoint_that_rounds_up_or_overflows_splits_at_the_lower_value(lower, upper):
+    """(lower + upper) / 2 is upper itself, or inf: the threshold falls back to lower."""
+    x = np.repeat([lower, upper], 5)
+    y = np.repeat([0.0, 1.0], 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tree = fit_regression_tree(x, y)
+        result = pps(x, y)
+    assert tree.root.threshold == lower
+    assert tree.leaf_count() == 2
+    assert tree.root.left.samples == tree.root.right.samples == 5
+    np.testing.assert_array_equal(tree.predict(x), y)
+    assert result.value == 1.0

@@ -173,6 +173,24 @@ def test_distance_correlation_constant_side_is_degenerate():
         distance_correlation(np.arange(10) * 1e-170, np.arange(10.0))
 
 
+@pytest.mark.parametrize("scale", (1e-170, 1.0, 1e154))
+def test_centring_in_place_is_the_expression_bit_for_bit(scale):
+    """d -= row; d -= col; d += grand is d - row - col + d.mean(), with underflow and overflow."""
+    points = np.random.default_rng(4).standard_normal((50, 2)) * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = statistical.cdist(points, points)
+        expected = d - d.mean(axis=1, keepdims=True) - d.mean(axis=0, keepdims=True) + d.mean()
+        dvar = float((expected * expected).mean())
+    if scale == 1e154:
+        assert math.isnan(dvar)
+        with pytest.raises(ValueError, match="^distances overflow$"):
+            statistical._centered_distances(points)
+        return
+    centred, got = statistical._centered_distances(points)
+    assert centred.tobytes() == expected.tobytes()
+    assert np.float64(got).tobytes() == np.float64(dvar).tobytes()
+
+
 def test_distance_correlation_independence_stays_low():
     """Biased V-statistic: small positive values expected, median well below 0.15."""
     rng = np.random.default_rng(8)
@@ -214,6 +232,9 @@ def test_average_ranks_are_scipys_bit_for_bit(values):
     ranks = statistical._average_ranks(a)
     assert ranks.dtype == np.float64
     assert np.array_equal(ranks, rankdata(a, method="average"), equal_nan=True)
+    # A given sort order is the one the ranks read.
+    order = np.argsort(a, kind="stable")
+    assert statistical._average_ranks(a, order).tobytes() == ranks.tobytes()
     if np.isnan(a).any():
         assert np.isnan(ranks).all()
 

@@ -2,12 +2,14 @@ import io
 import json
 import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from depscope.frame import TimeSeriesFrame
+from depscope.cli import main
+from depscope.frame import TimeSeriesFrame, write_csv
 from depscope.measures import (
     MEASURE_IDS,
     JointHistogram,
@@ -88,6 +90,33 @@ def test_search_space_validation():
         tiny_space(min_samples=1)
     with pytest.raises(ValueError):
         tiny_space(horizon=0)
+
+
+@pytest.mark.parametrize(
+    "axis, name, message",
+    (
+        ("feature_sets", "a|b", "feature name 'a|b' contains '|', which the trial log joins"),
+        ("feature_sets", "a+b", "feature name 'a+b' contains '+', which config_key joins"),
+        ("targets", "a|b", "target name 'a|b' contains '|', which config_key separates"),
+    ),
+)
+def test_names_the_trial_log_cannot_round_trip_are_refused(axis, name, message):
+    value = ((name,),) if axis == "feature_sets" else (name,)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        tiny_space(**{axis: value})
+
+
+def test_a_column_named_with_a_bar_is_refused_before_any_trial(tmp_path, capsys):
+    frame = small_frame(40, seed=3)
+    frame = TimeSeriesFrame(frame.timestamps, {**frame.columns, "a|b": frame.column("a")})
+    source = tmp_path / "frame.csv"
+    write_csv(frame, source)
+    out = tmp_path / "run"
+    argv = ["search", "--input", str(source), "--output", str(out), "--windows", "8"]
+    for flags in (["--features", "a|b", "--targets", "y"], ["--features", "a", "--targets", "a|b"]):
+        assert main(argv + flags) == 2
+        assert "contains '|'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_default_space_shape():
