@@ -23,6 +23,7 @@ from .search import (
     GROUP_AXES,
     SearchSpace,
     TREND_LABELS,
+    check_binning,
     correlate_measure_with_scores,
     default_search_space,
     evaluate_pairs,
@@ -96,14 +97,11 @@ def _parse_windows(text: str) -> tuple[int, ...]:
 def _binning(args) -> dict:
     """bin_width and feature_bins of --bin-bp and --feature-bins; bad values are named by flag."""
     bin_width = args.bin_bp * 1e-4
-    if not (bin_width > 0.0):
-        raise ValueError(
-            f"--bin-bp must be a positive target bin width in basis points, got {args.bin_bp:g}"
-        )
-    if not (2 <= args.feature_bins <= 16):
-        raise ValueError(
-            f"--feature-bins must be a bin count between 2 and 16, got {args.feature_bins}"
-        )
+    check_binning(
+        bin_width, args.feature_bins,
+        width=f"--bin-bp (target bin width in basis points, got {args.bin_bp:g})",
+        bins=f"--feature-bins (feature bin count, got {args.feature_bins})",
+    )
     return {"bin_width": bin_width, "feature_bins": args.feature_bins}
 
 

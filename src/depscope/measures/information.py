@@ -14,7 +14,6 @@ equal_frequency_symbols.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -359,8 +358,7 @@ def _equal_frequency_codes(
     """
     lo, hi, frac, spans = _quantile_steps(values.shape[0], counts)
     low = ordered[lo]
-    overflows = math.isinf(float(ordered[-1]) - float(ordered[0]))
-    with np.errstate(over="ignore", invalid="ignore") if overflows else contextlib.nullcontext():
+    with np.errstate(over="ignore", invalid="ignore"):
         edges = low + frac * (ordered[hi] - low)
     return [np.searchsorted(edges[a:b], values, side="right") for a, b in spans]
 

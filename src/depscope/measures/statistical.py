@@ -84,6 +84,8 @@ def spearman(x, y) -> MeasureResult:
 
 def _spearman(x_ranks: np.ndarray, y_ranks: np.ndarray) -> MeasureResult:
     """SC of two paired sides' _average_ranks."""
+    if x_ranks.shape[0] < 2:
+        raise ValueError("need at least 2 observations")
     value = _pearson_value(x_ranks, y_ranks)
     if value is None:
         return degenerate_result("SC", x_ranks.shape[0], "zero rank variance")

@@ -60,12 +60,18 @@ TREND_LOOKBACK = 20  # rows back from the anchor that the trend return spans
 TREND_THRESHOLD = 0.02  # a trend return above this is UP, below its negative DOWN
 
 
-def _check_binning(bin_width: float, feature_bins: int) -> None:
-    """Refuse binning settings on every path that scores: search, scans and evaluate_pairs."""
+def check_binning(
+    bin_width: float, feature_bins: int, *, width: str = "bin_width", bins: str = "feature_bins"
+) -> None:
+    """Refuse binning settings on every path that scores: search, scans, evaluate_pairs and the CLI.
+
+    width and bins are what the message calls the two settings: a Python
+    field by default, a flag with its unit and value on the command line.
+    """
     if not (bin_width > 0.0):
-        raise ValueError("bin_width must be positive")
+        raise ValueError(f"{width} must be positive")
     if not (2 <= feature_bins <= 16):
-        raise ValueError("feature_bins must be between 2 and 16")
+        raise ValueError(f"{bins} must be between 2 and 16")
 
 
 # Characters the trial log or config_key joins names with, which no name may contain.
@@ -115,7 +121,7 @@ class SearchSpace:
             raise ValueError("step must be >= 1")
         for m in self.measures:
             measure_row(m)  # an unknown id raises
-        _check_binning(self.bin_width, self.feature_bins)
+        check_binning(self.bin_width, self.feature_bins)
         if self.min_samples < 2:
             raise ValueError("min_samples must be >= 2")
 
@@ -214,18 +220,24 @@ def label_trend(close, anchor: int) -> str:
     return "NEUTRAL"
 
 
+_READ_ORDER = frozenset({"SC", "PPS"})  # the measures that read a column's argsort
+
+
 class _Column:
     """One column's values in one window and what is derived from it alone, each made once.
 
-    One stable argsort serves the ranks, the PPS tree's presort and, once
-    made, the sorted values that the equal-frequency codes of every bin
-    count read.
+    ranked says whether a measure of the scan reads the column's stable
+    argsort (SC's ranks, the PPS tree's presort).  The sorted values that
+    the equal-frequency codes of every bin count read then come through
+    that argsort, else from a plain sort, which is cheaper: either way the
+    column is sorted once.
     """
 
-    def __init__(self, values: np.ndarray, feature_bins: int):
+    def __init__(self, values: np.ndarray, feature_bins: int, ranked: bool):
         self.values = values
         self.finite = bool(np.isfinite(values).all())
         self.feature_bins = feature_bins
+        self.ranked = ranked
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -234,10 +246,8 @@ class _Column:
 
     @cached_property
     def ordered(self) -> np.ndarray:
-        """The values ascending: read through the order once it is made, else a plain sort."""
-        if "order" in self.__dict__:
-            return self.values[self.order]
-        return np.sort(self.values)
+        """The values ascending."""
+        return self.values[self.order] if self.ranked else np.sort(self.values)
 
     def bins(self, counts: tuple[int, ...]) -> list[np.ndarray]:
         """Equal-frequency codes at each bin count in counts, as a list."""
@@ -364,13 +374,14 @@ def evaluate_pairs(
     capacity limit, come back flagged as well.
     """
     m = measure_row(measure)
-    _check_binning(bin_width, feature_bins)
+    check_binning(bin_width, feature_bins)
     xs = as_points(xs)
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 1:
         raise ValueError(f"ys must be a vector of targets, got shape {ys.shape}")
-    x = _Side([_Column(column, feature_bins) for column in xs.T], bin_width)
-    return _score(m, x, _Side([_Column(ys, feature_bins)], bin_width))
+    ranked = m.id in _READ_ORDER
+    x = _Side([_Column(column, feature_bins, ranked) for column in xs.T], bin_width)
+    return _score(m, x, _Side([_Column(ys, feature_bins, ranked)], bin_width))
 
 
 def scan_window(
@@ -397,23 +408,24 @@ def scan_window(
     their own trials only.  Windows with fewer than min_samples pairs come
     back degenerate without being scored.
     """
-    _check_binning(bin_width, feature_bins)
+    check_binning(bin_width, feature_bins)
     measure_rows = [measure_row(m) for m in measures]
     anchors = anchor_grid(len(frame), window, step, horizon)[block]
     trials_per_measure = len(feature_sets) * len(targets)
     if window < min_samples:
         flagged = [degenerate_result(m, window, f"fewer than {min_samples} pairs") for m in measures]
         return anchors, [flagged * trials_per_measure for _ in anchors]
+    ranked = any(m.id in _READ_ORDER for m in measure_rows)
     feature_columns = {name: frame.column(name) for fs in feature_sets for name in fs}
     target_columns = [frame.column(t) for t in targets]
     scores = []
     for a in anchors.tolist():
         columns = {
-            name: _Column(col[a - window + 1 : a + 1], feature_bins)
+            name: _Column(col[a - window + 1 : a + 1], feature_bins, ranked)
             for name, col in feature_columns.items()
         }
         paired = [pair_targets(col[a + 1 : a + 1 + horizon], window) for col in target_columns]
-        ys = [_Side([_Column(y, feature_bins)], bin_width) for y in paired]
+        ys = [_Side([_Column(y, feature_bins, ranked)], bin_width) for y in paired]
         results = []
         for fs in feature_sets:
             x = _Side([columns[name] for name in fs], bin_width)

@@ -440,14 +440,14 @@ def test_report_refuses_malformed_trial_rows(tmp_path, capsys, bad_row, message)
 @pytest.mark.parametrize(
     "binning, message",
     (
-        (["--bin-bp", "0"], "--bin-bp must be a positive target bin width in basis points, got 0"),
+        (["--bin-bp", "0"], "--bin-bp (target bin width in basis points, got 0) must be positive"),
         (
             ["--bin-bp", "-2.5"],
-            "--bin-bp must be a positive target bin width in basis points, got -2.5",
+            "--bin-bp (target bin width in basis points, got -2.5) must be positive",
         ),
-        (["--feature-bins", "0"], "--feature-bins must be a bin count between 2 and 16, got 0"),
-        (["--feature-bins", "1"], "--feature-bins must be a bin count between 2 and 16, got 1"),
-        (["--feature-bins", "17"], "--feature-bins must be a bin count between 2 and 16, got 17"),
+        (["--feature-bins", "0"], "--feature-bins (feature bin count, got 0) must be between 2 and 16"),
+        (["--feature-bins", "1"], "--feature-bins (feature bin count, got 1) must be between 2 and 16"),
+        (["--feature-bins", "17"], "--feature-bins (feature bin count, got 17) must be between 2 and 16"),
     ),
 )
 def test_invalid_binning_is_a_config_error_on_every_command(

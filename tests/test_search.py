@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -196,6 +197,25 @@ def test_evaluate_pairs_flags_non_finite_input():
                 r = evaluate_pairs(measure, *pair)
                 assert r.degenerate and np.isnan(r.value)
                 assert r.params["reason"] == "non-finite input"
+
+
+def test_correlations_of_fewer_than_two_rows_say_so():
+    """SC scores cached ranks, yet refuses n = 0 and n = 1 with PC's reason and no warning."""
+    frame = small_frame(30)
+    for n in (0, 1):
+        x = np.arange(float(n))
+        for measure in ("PC", "SC"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                r = evaluate_pairs(measure, x, x)
+            assert r.degenerate and r.params["reason"] == "need at least 2 observations"
+    _, scores = scan_window(
+        frame, 1, (("a",),), ("y",), ("PC", "SC"),
+        step=5, horizon=1, bin_width=0.001, feature_bins=8,
+    )
+    assert scores
+    for r in (r for results in scores for r in results):
+        assert r.degenerate and r.params["reason"] == "need at least 2 observations"
 
 
 def test_evaluate_pairs_flags_overflow_instead_of_scoring_it():
