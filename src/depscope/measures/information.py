@@ -1,22 +1,28 @@
 """Information-theoretic dependence measures on discrete symbols.
 
-MI, IG, RSI_SYNERGY and MIC count through one kernel on integer codes: one
-np.unique turns a symbol vector, or a matrix's rows read as fixed-width bytes
-(a feature set), into codes that np.bincount counts.
+MI, IG, RSI_SYNERGY and MIC score through one kernel on integer codes that
+scores a block of rows at once: each row is one sample (in a scan, one
+anchor), and a side is an (A, n) matrix of codes 0..width-1 (_Codes), kept
+no wider than n by renumbering each row densely.  np.bincount counts a
+table of at most n cells per row; a wider joint table is counted from the
+runs of its sorted rows, zero-padded to n cells.
 Entropies are in bits with one pinned arithmetic: Python-float terms c / n
-summed smallest-first as p * math.log2(p), so results are deterministic and MI
-is exactly symmetric.  Counts of n observations look their terms up in a
+summed smallest-first as p * math.log2(p), so results are deterministic and
+MI is exactly symmetric.  Counts of n observations look their terms up in a
 table cached per n (_terms, as MIC's grid is in _mic_grid) and add them with
-np.cumsum, which sums in the same order and so gives the same bits.  IG and
-conditional entropy add their branches in repr order of the branch symbol
-("10" before "2"), whatever the codes are.  Binning is the caller's: shaping.discretize or
-equal_frequency_symbols.
+np.cumsum, which sums in the same order and so gives the same bits; zero
+counts sort first and add 0.0, so zero-padded rows give the same bits too.
+IG and conditional entropy add their branches in repr order of the branch
+symbol ("10" before "2"), whatever the codes are: IG's branch codes are
+numbered in that order.  The public functions score a one-row block.
+Binning is the caller's: shaping.discretize or equal_frequency_symbols.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +32,7 @@ from .result import MeasureResult, paired_vectors
 PROBABILITY_TOL = 1e-12
 MAX_SET_SIZE = 3  # synergy capacity limit: the joint table grows multiplicatively
 MIC_ALPHA = 0.6  # MIC grids need gx * gy below n ** MIC_ALPHA
+TOO_WIDE = "values span more than float64"  # equal-frequency edges would overflow
 
 
 def _canon(symbol):
@@ -127,34 +134,140 @@ def _table_entropy(counts: np.ndarray, terms: np.ndarray):
     return 0.0 - np.cumsum(terms[np.sort(counts, axis=-1)], axis=-1)[..., -1]
 
 
-class _Coded(NamedTuple):
-    """A symbol vector or matrix of symbol rows as dense codes 0..k-1, with its entropy."""
-
-    symbols: np.ndarray
-    codes: np.ndarray
-    first: np.ndarray  # the first row of each code
-    entropy: float
+def _run_ends(ordered: np.ndarray) -> np.ndarray:
+    """Flat positions of the last entry of each run of equal entries in each row of a row-sorted matrix."""
+    last = np.ones(ordered.shape, dtype=bool)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=last[:, :-1])
+    return np.flatnonzero(last)
 
 
-def _coded(symbols: np.ndarray) -> _Coded:
-    codes, first = _codes(symbols)
-    entropy = float(_table_entropy(np.bincount(codes), _terms(codes.shape[0])))
-    return _Coded(symbols, codes, first, entropy)
+def _row_counts(codes: np.ndarray, width: int) -> np.ndarray:
+    """Each row's counts of its codes 0..width-1, zero-padded into one matrix.
 
-
-def _mi(x: _Coded, y: _Coded) -> float:
-    """I(X;Y) = H(X) + H(Y) - H(X,Y) in bits of two coded sides, clipped at 0.
-
-    A joint table with more cells than observations is counted by sorting.
+    Rows of at most n cells are counted by one bincount; a wider table by
+    the runs of its sorted rows, each run's length at its last position.
     """
-    n = x.codes.shape[0]
-    ky = len(y.first)
-    cells = x.codes * ky + y.codes
-    if len(x.first) * ky <= n:
-        joint = np.bincount(cells)
-    else:
-        joint = np.unique(cells, return_counts=True)[1]
-    return max(x.entropy + y.entropy - float(_table_entropy(joint, _terms(n))), 0.0)
+    a, n = codes.shape
+    if width <= n:
+        cells = codes + width * np.arange(a)[:, None]
+        return np.bincount(cells.ravel(), minlength=a * width).reshape(a, width)
+    ends = _run_ends(np.sort(codes, axis=1))
+    counts = np.zeros(a * n, dtype=np.intp)
+    counts[ends] = np.diff(ends, prepend=-1)  # every row's last entry ends a run
+    return counts.reshape(a, n)
+
+
+def _dense(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each row of (A, n) codes renumbered 0..k-1 in their order, and the largest k."""
+    order = np.argsort(codes, axis=1, kind="stable")
+    ordered = np.take_along_axis(codes, order, axis=1)
+    steps = np.zeros(ordered.shape, dtype=np.intp)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=steps[:, 1:])
+    ranks = np.cumsum(steps, axis=1)
+    dense = np.empty_like(ranks)
+    np.put_along_axis(dense, order, ranks, axis=1)
+    return dense, int(ranks[:, -1].max(initial=-1)) + 1
+
+
+class _Codes:
+    """An (A, n) block of codes 0..width-1 per row, and each row's entropy.
+
+    Codes wider than n are renumbered densely per row, in their order, so
+    no side of a joint table is wider than n.
+    """
+
+    def __init__(self, codes: np.ndarray, width: int):
+        if width > codes.shape[1]:
+            codes, width = _dense(codes)
+        self.codes = codes
+        self.width = width
+
+    @cached_property
+    def entropy(self) -> np.ndarray:
+        return _table_entropy(_row_counts(self.codes, self.width), _terms(self.codes.shape[1]))
+
+
+def _ranks_of(names: list[str]) -> np.ndarray:
+    """The rank of each name in sorted order; equal names keep their index order."""
+    ranks = np.empty(len(names), dtype=np.intp)
+    ranks[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    return ranks
+
+
+@functools.lru_cache(maxsize=16)
+def _repr_ranks(bins: int) -> np.ndarray:
+    """The rank of each code 0..bins-1 in repr order ("10" before "2"); read-only."""
+    return _read_only(_ranks_of([repr(c) for c in range(bins)]))
+
+
+def _joint(members: list[_Codes]) -> _Codes:
+    """The codes of the members' symbol tuples, numbered in the members' lexicographic order.
+
+    A tuple of ints compares by repr as its members do one by one, since
+    ", " and ")" sort below every digit: IG adds a set's branches in the
+    order of these codes.
+    """
+    if len(members) == 1:
+        return members[0]
+    codes, width = members[0].codes, members[0].width
+    for m in members[1:]:
+        if width * m.width > 2**31:  # renumber densely before the radix can overflow
+            joined = _Codes(codes, width)
+            codes, width = joined.codes, joined.width
+        codes = codes * m.width + m.codes
+        width *= m.width
+    return _Codes(codes, width)
+
+
+def _mutual_information(x: _Codes, y: _Codes) -> np.ndarray:
+    """I(X;Y) = H(X) + H(Y) - H(X,Y) in bits per row, clipped at 0."""
+    n = x.codes.shape[1]
+    joint = _row_counts(x.codes * y.width + y.codes, x.width * y.width)
+    return np.maximum(x.entropy + y.entropy - _table_entropy(joint, _terms(n)), 0.0)
+
+
+def _segment_sums(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The sum of each run of consecutive terms (of the given lengths), added in order from 0.0."""
+    first = np.cumsum(lengths) - lengths
+    totals = np.zeros(lengths.shape[0])
+    live = np.arange(lengths.shape[0])
+    for j in range(int(lengths.max(initial=0))):
+        live = live[lengths[live] > j]
+        totals[live] += terms[first[live] + j]
+    return totals
+
+
+def _information_gain(s: _Codes, t: _Codes) -> np.ndarray:
+    """H(S) - sum_t p(t) H(S|t) in bits per row, clipped at 0.
+
+    t's codes are the branches, whose terms are added in code order; each
+    branch's entropy adds its own counts' terms, from _terms of its own
+    size nt, smallest-first.  The terms tables are looked up once per
+    distinct size in the block.
+    """
+    a, n = s.codes.shape
+    joint = np.sort(t.codes * s.width + s.codes, axis=1)
+    ends = _run_ends(joint)
+    counts = np.diff(ends, prepend=-1)
+    branches = (ends // n) * t.width + joint.ravel()[ends] // s.width  # flat (row, branch)
+    branches, counts = np.divmod(np.sort(branches * (n + 1) + counts), n + 1)
+    first = np.flatnonzero(np.diff(branches, prepend=-1))
+    lengths = np.diff(first, append=branches.shape[0])
+    sizes = np.add.reduceat(counts, first)
+    distinct, which = np.unique(sizes, return_inverse=True)
+    tables = [_terms(size) for size in distinct.tolist()]
+    offsets = np.cumsum([0] + [table.shape[0] for table in tables[:-1]])
+    terms = np.concatenate(tables)[np.repeat(offsets[which], lengths) + counts]
+    weighted = np.zeros(a * t.width)
+    weighted[branches[first]] = (sizes / n) * (0.0 - _segment_sums(terms, lengths))
+    return np.maximum(s.entropy - np.cumsum(weighted.reshape(a, t.width), axis=1)[:, -1], 0.0)
+
+
+def _symbol_codes(symbols: np.ndarray) -> _Codes:
+    """A symbol vector, or a matrix's rows, as a one-row block numbered in repr order of the symbols."""
+    codes, first = _codes(symbols)
+    ranks = _ranks_of([repr(v) for v in _plain(symbols, first)])
+    return _Codes(ranks[codes][None, :], first.shape[0])
 
 
 def _weighted_entropy(branches, n: int) -> float:
@@ -276,25 +389,18 @@ def information_gain(parent_symbols, child_assignment) -> MeasureResult:
     labelings.
     """
     parent, branch = _paired(parent_symbols, child_assignment)
-    return _information_gain(_coded(parent), _coded(branch))
-
-
-def _information_gain(s: _Coded, t: _Coded) -> MeasureResult:
-    ks = len(s.first)
-    cells, counts = np.unique(t.codes * ks + s.codes, return_counts=True)
-    by_branch: list[list[int]] = [[] for _ in range(len(t.first))]
-    for b, c in zip((cells // ks).tolist(), counts.tolist()):
-        by_branch[b].append(c)
-    names = [repr(v) for v in _plain(t.symbols, t.first)]
-    order = sorted(range(len(t.first)), key=names.__getitem__)
-    n = s.codes.shape[0]
-    weighted = _weighted_entropy([by_branch[b] for b in order], n)
-    return MeasureResult("IG", max(s.entropy - weighted, 0.0), n)
+    value = _information_gain(_symbol_codes(parent), _symbol_codes(branch))[0]
+    return MeasureResult("IG", float(value), parent.shape[0])
 
 
 def _check_set_size(size: int) -> None:
     if size > MAX_SET_SIZE:
         raise ValueError(f"feature set of size {size} exceeds the capacity limit {MAX_SET_SIZE}")
+
+
+def _synergy(joint: np.ndarray, singles: list[np.ndarray]) -> np.ndarray:
+    """The joint MI minus the single MIs, added in member order, per row."""
+    return joint - sum(singles, 0.0)
 
 
 def redundancy_synergy_index(feature_symbol_lists, y_symbols) -> MeasureResult:
@@ -308,21 +414,12 @@ def redundancy_synergy_index(feature_symbol_lists, y_symbols) -> MeasureResult:
     if not features:
         raise ValueError("need at least one feature symbol sequence")
     _check_set_size(len(features))
-    joint, y = _paired(np.column_stack(features), y_symbols)
-    singles = [_coded(f) for f in features]
-    return _synergy(_coded(joint), singles, _coded(y))
-
-
-def _synergy(joint: _Coded, singles: list[_Coded], y: _Coded) -> MeasureResult:
-    i_single = 0.0
-    for f in singles:
-        i_single += _mi(f, y)
-    return MeasureResult(
-        "RSI_SYNERGY",
-        _mi(joint, y) - i_single,
-        y.codes.shape[0],
-        params={"set_size": len(singles)},
-    )
+    _, y = _paired(np.column_stack(features), y_symbols)
+    singles = [_symbol_codes(f) for f in features]
+    target = _symbol_codes(y)
+    mis = [_mutual_information(f, target) for f in singles]
+    value = _synergy(_mutual_information(_joint(singles), target), mis)[0]
+    return MeasureResult("RSI_SYNERGY", float(value), y.shape[0], params={"set_size": len(features)})
 
 
 @functools.lru_cache(maxsize=256)
@@ -348,19 +445,25 @@ def _quantile_steps(n: int, counts: tuple[int, ...]):
 
 def _equal_frequency_codes(
     values: np.ndarray, ordered: np.ndarray, counts: tuple[int, ...]
-) -> list[np.ndarray]:
-    """equal_frequency_symbols of finite values at each bin count (>= 2) in counts, as a list.
+) -> tuple[np.ndarray, np.ndarray]:
+    """equal_frequency_symbols of each row of (A, n) values at each bin count (>= 2) in counts.
 
-    ordered is the values sorted ascending, so one sort serves every count.
+    ordered is each row sorted ascending, so one sort serves every count.
     Each edge is s[lo] + frac * (s[hi] - s[lo]), the arithmetic of the plain
-    float loop.  Only values that span more than float64 can make a
-    difference inf, and 0 * inf NaN; that is as silent as in Python floats.
+    float loop, and a value's code is the number of edges at or below it.
+    Returns the codes as (A, len(counts), n) and which rows span more than
+    float64: there a difference of order statistics overflows, the edges
+    come out of order, and the row's codes mean nothing.  The codes are of
+    the smallest unsigned type that holds max(counts) - 1.
     """
-    lo, hi, frac, spans = _quantile_steps(values.shape[0], counts)
-    low = ordered[lo]
+    lo, hi, frac, spans = _quantile_steps(values.shape[1], counts)
+    low = ordered[:, lo]
     with np.errstate(over="ignore", invalid="ignore"):
-        edges = low + frac * (ordered[hi] - low)
-    return [np.searchsorted(edges[a:b], values, side="right") for a, b in spans]
+        wide = ~np.isfinite(ordered[:, -1] - ordered[:, 0])
+        edges = low + frac * (ordered[:, hi] - low)
+    below = edges[:, :, None] <= values[:, None, :]
+    dtype = np.min_scalar_type(max(counts) - 1)
+    return np.stack([below[:, a:b].sum(axis=1, dtype=dtype) for a, b in spans], axis=1), wide
 
 
 def equal_frequency_symbols(values, bins: int) -> np.ndarray:
@@ -370,7 +473,8 @@ def equal_frequency_symbols(values, bins: int) -> np.ndarray:
     quantiles, with positions taken in plain Python floats, so the partition
     depends only on the sorted values; the scan makes the same codes for
     every bin count it needs from one sort per column window.  Ties sitting
-    exactly on an edge go to the upper bin.
+    exactly on an edge go to the upper bin.  Values that span more than
+    float64 (max - min overflows) are refused.
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
@@ -381,7 +485,16 @@ def equal_frequency_symbols(values, bins: int) -> np.ndarray:
         raise ValueError("values must be finite")
     if bins == 1:
         return np.zeros(v.shape[0], dtype=np.int64)
-    return _equal_frequency_codes(v, np.sort(v), (bins,))[0]
+    codes, wide = _equal_frequency_codes(v[None, :], np.sort(v)[None, :], (bins,))
+    if wide[0]:
+        raise ValueError(TOO_WIDE)
+    return codes[0, 0].astype(np.int64)
+
+
+def _feature_codes(values: np.ndarray, ordered: np.ndarray, bins: int) -> tuple[_Codes, np.ndarray]:
+    """The equal-frequency codes of (A, n) values at bins, numbered in repr order, and the too-wide rows."""
+    codes, wide = _equal_frequency_codes(values, ordered, (bins,))
+    return _Codes(_repr_ranks(bins)[codes[:, 0]], bins), wide
 
 
 def _grid_shapes(bound: float) -> list[tuple[int, int]]:
@@ -396,36 +509,49 @@ def _grid_shapes(bound: float) -> list[tuple[int, int]]:
     return shapes
 
 
-def _mic_marginals(bins, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """One side of MIC: its equal-frequency codes for g = 2..gmax stacked by row, and their entropies.
+class _MicSide(NamedTuple):
+    """One side of MIC over a block: codes at g = 2..gmax, their entropies, and the too-wide rows."""
 
-    bins(counts) gives the side's codes at each bin count in counts, as a list.
-    """
+    codes: np.ndarray  # (A, gmax - 1, n)
+    entropy: np.ndarray  # (A, gmax - 1)
+    wide: np.ndarray  # (A,)
+
+
+def _mic_side(values: np.ndarray, ordered: np.ndarray) -> _MicSide:
+    """_MicSide of (A, n) values and their rows sorted ascending."""
+    a, n = values.shape
     if n < 8:
         raise ValueError(f"mic needs at least 8 observations, got {n}")
     gmax = int(_mic_grid(n).gx[-1])  # the largest gx; gy tops out at the same value
-    codes = np.stack(bins(tuple(range(2, gmax + 1))))
-    offsets = gmax * np.arange(codes.shape[0])[:, None]
-    counts = np.bincount((codes + offsets).ravel(), minlength=codes.shape[0] * gmax)
-    return codes, _table_entropy(counts.reshape(-1, gmax), _terms(n))
+    codes, wide = _equal_frequency_codes(values, ordered, tuple(range(2, gmax + 1)))
+    offsets = gmax * np.arange(a * (gmax - 1)).reshape(a, gmax - 1, 1)
+    counts = np.bincount((codes + offsets).ravel(), minlength=a * (gmax - 1) * gmax)
+    return _MicSide(codes, _table_entropy(counts.reshape(a, gmax - 1, gmax), _terms(n)), wide)
 
 
-def _mic(x_marginals, y_marginals) -> MeasureResult:
-    """MIC from both sides' _mic_marginals: every grid shape's joint table counted in one batch."""
-    (xc, hx), (yc, hy) = x_marginals, y_marginals
-    n = xc.shape[1]
+def _mic(x: _MicSide, y: _MicSide) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's best normalized MI and the index of its grid shape; every joint table in one bincount."""
+    a, _, n = x.codes.shape
     grid = _mic_grid(n)
-    offsets = grid.cells * np.arange(len(grid.shapes))[:, None]
-    cells = xc[grid.gx - 2] * grid.gy[:, None] + yc[grid.gy - 2] + offsets
-    joint = np.bincount(cells.ravel(), minlength=len(grid.shapes) * grid.cells)
-    hxy = _table_entropy(joint.reshape(-1, grid.cells), _terms(n))
-    m = np.maximum(hx[grid.gx - 2] + hy[grid.gy - 2] - hxy, 0.0) / grid.divisors
-    best = int(np.argmax(m))  # the first of equal maxima: ties prefer the smaller gx, then gy
+    shapes = len(grid.shapes)
+    cells = grid.gy[:, None] * x.codes[:, grid.gx - 2]
+    cells += y.codes[:, grid.gy - 2]
+    cells += grid.cells * np.arange(a * shapes).reshape(a, shapes, 1)
+    joint = np.bincount(cells.ravel(), minlength=a * shapes * grid.cells)
+    hxy = _table_entropy(joint.reshape(a, shapes, grid.cells), _terms(n))
+    m = np.maximum(x.entropy[:, grid.gx - 2] + y.entropy[:, grid.gy - 2] - hxy, 0.0) / grid.divisors
+    best = np.argmax(m, axis=1)  # the first of equal maxima: ties prefer the smaller gx, then gy
+    return m[np.arange(a), best], best
+
+
+def _mic_result(value: float, best: int, n: int) -> MeasureResult:
+    """The MIC record of one row of _mic."""
+    grid = _mic_grid(n)
     params = {"alpha": MIC_ALPHA, "bound": grid.bound}
-    if not m[best] > 0.0:
+    if not value > 0.0:
         return MeasureResult("MIC", 0.0, n, params=params)
     params["grid"] = grid.shapes[best]
-    return MeasureResult("MIC", min(float(m[best]), 1.0), n, params=params)
+    return MeasureResult("MIC", min(value, 1.0), n, params=params)
 
 
 def mic(x, y) -> MeasureResult:
@@ -439,16 +565,11 @@ def mic(x, y) -> MeasureResult:
     estimate deterministic and fast.
     """
     xa, ya = paired_vectors(x, y)
-    n = xa.shape[0]
-    return _mic(_mic_marginals(_binner(xa), n), _mic_marginals(_binner(ya), n))
-
-
-def _binner(values: np.ndarray):
-    """_mic_marginals' bins of one side; non-finite values raise as in equal_frequency_symbols."""
-
-    def bins(counts):
-        if not np.all(np.isfinite(values)):
+    sides = [_mic_side(v[None, :], np.sort(v)[None, :]) for v in (xa, ya)]
+    for v, side in zip((xa, ya), sides):
+        if not np.all(np.isfinite(v)):
             raise ValueError("values must be finite")
-        return _equal_frequency_codes(values, np.sort(values), counts)
-
-    return bins
+        if side.wide[0]:
+            raise ValueError(TOO_WIDE)
+    value, best = _mic(*sides)
+    return _mic_result(float(value[0]), int(best[0]), xa.shape[0])

@@ -7,6 +7,8 @@ import numpy as np
 
 from .result import MeasureResult, as_points, degenerate_result, paired_vectors
 
+CDIST_ROWS = 64  # rows of the distance matrix cdist adds a column's squares to at a time
+
 
 def _average_ranks(a: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
     """1-based ranks of a vector, tied values sharing their mean rank.
@@ -33,14 +35,18 @@ def cdist(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
 
     Squared differences are summed column by column in column order and
     then rooted, the arithmetic of scipy.spatial.distance.cdist, so
-    distances underflow and overflow exactly where scipy's do.
+    distances underflow and overflow exactly where scipy's do.  Columns
+    after the first are added CDIST_ROWS rows at a time, so their squared
+    differences are a block-sized temporary, not a second matrix.
     """
     d = np.subtract.outer(xa[:, 0], xb[:, 0])
     d *= d
     for j in range(1, xa.shape[1]):
-        e = np.subtract.outer(xa[:, j], xb[:, j])
-        e *= e
-        d += e
+        for start in range(0, xa.shape[0], CDIST_ROWS):
+            rows = slice(start, start + CDIST_ROWS)
+            e = np.subtract.outer(xa[rows, j], xb[:, j])
+            e *= e
+            d[rows] += e
     return np.sqrt(d, out=d)
 
 

@@ -5,10 +5,13 @@ every anchor on the step grid; one anchor evaluation is one trial.  Trials
 that cannot be scored (too few pairs, incompatible arity, constant input)
 are logged as degenerate records instead of being dropped.
 
-One column-major scan scores them (scan_window): window, then anchor, then
-column.  At each anchor every column's window, and what the measures derive
-from it (codes, entropies, centred distances), is made once and read by
-every trial that uses it.
+One column-major scan scores them (scan_window): window, then a block of
+anchors, then column and measure.  Each block cuts every column's windows
+into one (anchors, W) matrix.  MI, IG, RSI_SYNERGY and MIC score every
+anchor of the block at once through the integer-code kernel; PC, SC, DC and
+PPS score one anchor at a time from the matrices' rows.  What the measures
+derive from a window (codes, entropies, ranks, centred distances) is made
+once and read by every trial that uses it.
 """
 from __future__ import annotations
 
@@ -29,14 +32,18 @@ import numpy as np
 from .frame import TimeSeriesFrame
 from .measures import MeasureResult, degenerate_result, pearson, spearman
 from .measures.information import (
+    TOO_WIDE,
     _check_set_size,
-    _Coded,
-    _coded,
-    _equal_frequency_codes,
+    _Codes,
+    _dense,
+    _feature_codes,
     _information_gain,
-    _mi,
+    _joint,
     _mic,
-    _mic_marginals,
+    _mic_result,
+    _mic_side,
+    _MicSide,
+    _mutual_information,
     _synergy,
 )
 from .measures.model_based import _pps
@@ -47,11 +54,11 @@ from .measures.statistical import (
     _distance_correlation,
     _spearman,
 )
-from .shaping import anchor_grid, discretize, pair_targets
+from .shaping import TOO_MANY_BINS, _fixed_width_codes, anchor_grid, pair_targets
 
 # Unused here; perfbench/layers.py looks these names up in this module to trace a run.
 from .measures import equal_frequency_symbols  # noqa: F401
-from .shaping import pair_arrays  # noqa: F401
+from .shaping import discretize, pair_arrays  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -221,140 +228,222 @@ def label_trend(close, anchor: int) -> str:
 
 
 _READ_ORDER = frozenset({"SC", "PPS"})  # the measures that read a column's argsort
+_BLOCK_MEASURES = frozenset({"MI", "IG", "RSI_SYNERGY", "MIC"})  # scored a block of anchors at once
+# Window entries per column in one anchor block: a block holds max(1, _BLOCK_CELLS // W)
+# anchors, so no temporary grows with the number of anchors of a scan.
+_BLOCK_CELLS = 2048
+_NON_FINITE = "non-finite input"
+_PAIRWISE = "pairwise measure on multivariate input"
 
 
 class _Column:
-    """One column's values in one window and what is derived from it alone, each made once.
+    """One column's windows in one anchor block, an (A, W) matrix with one anchor per row,
+    and its sort, each made once.
 
     ranked says whether a measure of the scan reads the column's stable
     argsort (SC's ranks, the PPS tree's presort).  The sorted values that
     the equal-frequency codes of every bin count read then come through
-    that argsort, else from a plain sort, which is cheaper: either way the
-    column is sorted once.
+    that argsort, else from a plain sort, which is cheaper: either way each
+    window is sorted once.
     """
 
-    def __init__(self, values: np.ndarray, feature_bins: int, ranked: bool):
+    def __init__(self, values: np.ndarray, ranked: bool):
         self.values = values
-        self.finite = bool(np.isfinite(values).all())
-        self.feature_bins = feature_bins
+        self.finite = np.isfinite(values).all(axis=1)
         self.ranked = ranked
 
     @cached_property
     def order(self) -> np.ndarray:
-        """The stable ascending argsort of the values."""
-        return np.argsort(self.values, kind="stable")
+        """The stable ascending argsort of each row."""
+        return np.argsort(self.values, axis=1, kind="stable")
 
     @cached_property
     def ordered(self) -> np.ndarray:
-        """The values ascending."""
-        return self.values[self.order] if self.ranked else np.sort(self.values)
-
-    def bins(self, counts: tuple[int, ...]) -> list[np.ndarray]:
-        """Equal-frequency codes at each bin count in counts, as a list."""
-        return _equal_frequency_codes(self.values, self.ordered, counts)
-
-    @cached_property
-    def feature_codes(self) -> np.ndarray:
-        """The feature codes MI, IG and RSI_SYNERGY count: equal-frequency at feature_bins."""
-        return self.bins((self.feature_bins,))[0]
-
-    @cached_property
-    def coded(self) -> _Coded:
-        return _coded(self.feature_codes)
-
-    @cached_property
-    def ranks(self) -> np.ndarray:
-        return _average_ranks(self.values, self.order)
+        """Each row ascending."""
+        if self.ranked:
+            return np.take_along_axis(self.values, self.order, axis=1)
+        return np.sort(self.values, axis=1)
 
 
 class _Side:
-    """A feature set or a target in one window, and what the measures derive from it, each made once.
+    """A feature set or a target at one anchor of a block, and what PC, SC, DC and PPS derive
+    from it, each made once.
 
     A side keeps its centred distance matrix for as long as the scan keeps the
     side: a target for one anchor, a feature set for one (anchor, feature set).
     A derivation that raises is not kept: each trial that reads it raises again.
     """
 
-    def __init__(self, columns: list[_Column], bin_width: float):
+    def __init__(self, columns: tuple[_Column, ...], row: int):
         self.columns = columns
-        self.n = columns[0].values.shape[0]
-        self.finite = all(c.finite for c in columns)
-        self.bin_width = bin_width
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.columns[0].values
+        self.row = row
+        self.values = columns[0].values[row]
+        self.n = self.values.shape[0]
+        self.finite = all(bool(c.finite[row]) for c in columns)
 
     @cached_property
     def points(self) -> np.ndarray:
         """The window as an (n, F) matrix of row points."""
-        return np.column_stack([c.values for c in self.columns])
+        return np.column_stack([c.values[self.row] for c in self.columns])
 
     @cached_property
     def orders(self) -> np.ndarray:
         """The columns' sort orders stacked by row, the PPS tree's presort."""
-        return np.stack([c.order for c in self.columns])
+        return np.stack([c.order[self.row] for c in self.columns])
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        return _average_ranks(self.values, self.columns[0].order[self.row])
 
     @cached_property
     def centered_distances(self) -> tuple[np.ndarray, float]:
         return _centered_distances(self.points)
 
-    @cached_property
-    def coded(self) -> _Coded:
-        """Feature codes; a set's rows are its members' codes side by side."""
-        if len(self.columns) == 1:
-            return self.columns[0].coded
-        return _coded(np.column_stack([c.feature_codes for c in self.columns]))
-
-    @cached_property
-    def fixed_width(self) -> _Coded:
-        """Target codes: fixed-width bins of bin_width."""
-        return _coded(discretize(self.values, self.bin_width))
-
-    @cached_property
-    def mic_marginals(self) -> tuple[np.ndarray, np.ndarray]:
-        return _mic_marginals(self.columns[0].bins, self.n)
-
 
 def _score(m: Measure, x: _Side, y: _Side) -> MeasureResult:
-    """Score one measure's table row m on a window's feature side x and target side y.
+    """Score PC, SC, DC or PPS (table row m) at one anchor on feature side x and target side y.
 
-    This is the one scorer behind evaluate_pairs and every scan.  Non-finite
-    input and pairwise-only measures on multivariate input are
-    degenerate-flagged up front; a ValueError inside a measure, including a
-    value outside its range, comes back flagged with its message as reason.
+    Non-finite input, pairwise-only measures on multivariate input and
+    sides of unequal length are degenerate-flagged up front, in that order,
+    for every measure; a ValueError inside a measure, including a value
+    outside its range, comes back flagged with its message as reason.
     """
     n = x.n
     measure = m.id
     if not (x.finite and y.finite):
-        return degenerate_result(measure, n, "non-finite input")
+        return degenerate_result(measure, n, _NON_FINITE)
     if m.pairwise and len(x.columns) > 1:
-        return degenerate_result(measure, n, "pairwise measure on multivariate input")
+        return degenerate_result(measure, n, _PAIRWISE)
     if y.n != n:
         return degenerate_result(measure, n, f"length mismatch: {n} vs {y.n}")
     try:
         if measure == "PC":
             return pearson(x.values, y.values)
         if measure == "SC":
-            return _spearman(x.columns[0].ranks, y.columns[0].ranks)
+            return _spearman(x.ranks, y.ranks)
         if measure == "DC":
             return _distance_correlation(
                 x.points, x.centered_distances, y.points, y.centered_distances
             )
-        if measure == "MIC":
-            return _mic(x.mic_marginals, y.mic_marginals)
-        if measure == "PPS":
-            return _pps(x.points, y.values, x.orders)
-        y_codes = y.fixed_width
-        if measure == "RSI_SYNERGY":
-            _check_set_size(len(x.columns))
-            singles = [c.coded for c in x.columns]
-            return _synergy(x.coded, singles, y_codes)
-        if measure == "MI":
-            return MeasureResult("MI", _mi(x.coded, y_codes), n)
-        return _information_gain(y_codes, x.coded)  # IG: features assign the split branches
+        return _pps(x.points, y.values, x.orders)
     except ValueError as exc:
         return degenerate_result(measure, n, str(exc))
+
+
+class _Information:
+    """MI, IG, RSI_SYNERGY and MIC over one anchor block, each trial scored at every anchor at once.
+
+    Keeps what the block's trials share, and drops it with the block: each
+    column's codes, each feature set's codes, and each (feature set,
+    target)'s MI, which RSI_SYNERGY of every set holding the feature reads
+    again.  A derivation that raises is not kept.
+    """
+
+    def __init__(self, feature_bins: int, bin_width: float):
+        self.feature_bins = feature_bins
+        self.bin_width = bin_width
+        self._kept: dict = {}
+
+    def _keep(self, key: tuple, make):
+        if key not in self._kept:
+            self._kept[key] = make()
+        return self._kept[key]
+
+    def _features(self, c: _Column) -> tuple[_Codes, np.ndarray]:
+        """The codes MI, IG and RSI_SYNERGY count for a feature, and the rows too wide to bin."""
+        return self._keep(
+            ("features", c), lambda: _feature_codes(c.values, c.ordered, self.feature_bins)
+        )
+
+    def _targets(self, c: _Column) -> tuple[_Codes, np.ndarray]:
+        """The codes they count for a target, fixed-width bins of bin_width, and the rows refused."""
+
+        def make():
+            codes, refused = _fixed_width_codes(c.values, self.bin_width)
+            return _Codes(*_dense(codes)), refused
+
+        return self._keep(("targets", c), make)
+
+    def _mic(self, c: _Column) -> _MicSide:
+        return self._keep(("mic", c), lambda: _mic_side(c.values, c.ordered))
+
+    def _codes(self, x: tuple[_Column, ...]) -> _Codes:
+        return self._keep(("set", x), lambda: _joint([self._features(c)[0] for c in x]))
+
+    def _mutual_information(self, x: tuple[_Column, ...], y: _Column) -> np.ndarray:
+        return self._keep(
+            ("mi", x, y), lambda: _mutual_information(self._codes(x), self._targets(y)[0])
+        )
+
+    def scores(self, sets: list[tuple[_Column, ...]], ys: list[_Column], measure_rows) -> dict:
+        """The results of every information trial at every anchor, by (set, target, measure) index."""
+        return {
+            (f, t, k): self.score(m, x, y)
+            for f, x in enumerate(sets)
+            for t, y in enumerate(ys)
+            for k, m in enumerate(measure_rows)
+            if m.id in _BLOCK_MEASURES
+        }
+
+    def score(self, m: Measure, x: tuple[_Column, ...], y: _Column) -> list[MeasureResult]:
+        """Score measure row m on feature set x and target y at every anchor of the block.
+
+        Each anchor is flagged with the first reason that holds for it, in
+        the order the per-anchor measures check theirs: non-finite input,
+        a pairwise measure on a set, then the measure's own refusals.
+        """
+        a, n = y.values.shape
+        every = np.ones(a, dtype=bool)
+        finite = np.logical_and.reduce([c.finite for c in x + (y,)])
+        checks = [(~finite, _NON_FINITE)]
+        params = {}
+        values = best = None
+        try:
+            if m.pairwise and len(x) > 1:
+                checks.append((every, _PAIRWISE))
+            elif m.id == "MIC":
+                sx, sy = self._mic(x[0]), self._mic(y)
+                checks += [(sx.wide, TOO_WIDE), (sy.wide, TOO_WIDE)]
+                values, best = _mic(sx, sy)
+            elif n == 0:
+                checks.append((every, "empty symbol sequences"))
+            else:
+                target, refused = self._targets(y)
+                checks.append((refused, TOO_MANY_BINS))
+                if m.id == "RSI_SYNERGY":
+                    _check_set_size(len(x))
+                    params = {"set_size": len(x)}
+                checks += [(self._features(c)[1], TOO_WIDE) for c in x]
+                if m.id == "MI":
+                    values = self._mutual_information(x, y)
+                elif m.id == "IG":  # the features assign the split branches
+                    values = _information_gain(target, self._codes(x))
+                else:
+                    singles = [self._mutual_information((c,), y) for c in x]
+                    values = _synergy(self._mutual_information(x, y), singles)
+        except ValueError as exc:
+            checks.append((every, str(exc)))
+        reasons = [None] * a
+        for mask, reason in checks:
+            for i in np.flatnonzero(mask).tolist():
+                if reasons[i] is None:
+                    reasons[i] = reason
+
+        def record(i: int) -> MeasureResult:
+            if best is not None:
+                return _mic_result(float(values[i]), int(best[i]), n)
+            return MeasureResult(m.id, float(values[i]), n, params=dict(params))
+
+        results = []
+        for i, reason in enumerate(reasons):
+            if reason is None:
+                try:
+                    results.append(record(i))
+                    continue
+                except ValueError as exc:
+                    reason = str(exc)
+            results.append(degenerate_result(m.id, n, reason))
+        return results
 
 
 def evaluate_pairs(
@@ -371,7 +460,8 @@ def evaluate_pairs(
     shape raises ValueError.  Non-finite input and pairwise-only measures on
     multivariate input are degenerate-flagged up front; numeric
     degeneracies inside a measure, including synergy sets above its
-    capacity limit, come back flagged as well.
+    capacity limit, come back flagged as well.  The pair is scored as a
+    one-anchor block of the scan.
     """
     m = measure_row(measure)
     check_binning(bin_width, feature_bins)
@@ -380,8 +470,11 @@ def evaluate_pairs(
     if ys.ndim != 1:
         raise ValueError(f"ys must be a vector of targets, got shape {ys.shape}")
     ranked = m.id in _READ_ORDER
-    x = _Side([_Column(column, feature_bins, ranked) for column in xs.T], bin_width)
-    return _score(m, x, _Side([_Column(ys, feature_bins, ranked)], bin_width))
+    x = tuple(_Column(column[None, :], ranked) for column in xs.T)
+    y = _Column(ys[None, :], ranked)
+    if m.id in _BLOCK_MEASURES and xs.shape[0] == ys.shape[0]:
+        return _Information(feature_bins, bin_width).score(m, x, y)[0]
+    return _score(m, _Side(x, 0), _Side((y,), 0))
 
 
 def scan_window(
@@ -403,10 +496,13 @@ def scan_window(
     Returns the anchors, oldest first (only those in block), and for each
     anchor its results in (feature set, target, measure) order.  This is the
     one anchor loop behind the grid search, verification and windowed
-    measurement.  At each anchor, each column is cut and binned once for all
-    trials; targets keep their derived data for the anchor, feature sets for
-    their own trials only.  Windows with fewer than min_samples pairs come
-    back degenerate without being scored.
+    measurement.  It walks the anchors in blocks: each block cuts every
+    column's windows into one matrix, MI, IG, RSI_SYNERGY and MIC score
+    every anchor of the block at once, and PC, SC, DC and PPS score one
+    anchor at a time from rows of the same matrices.  Targets keep their
+    per-anchor data for the anchor, feature sets for their own trials only.
+    Windows with fewer than min_samples pairs come back degenerate without
+    being scored.
     """
     check_binning(bin_width, feature_bins)
     measure_rows = [measure_row(m) for m in measures]
@@ -418,19 +514,28 @@ def scan_window(
     ranked = any(m.id in _READ_ORDER for m in measure_rows)
     feature_columns = {name: frame.column(name) for fs in feature_sets for name in fs}
     target_columns = [frame.column(t) for t in targets]
+    lags = np.arange(1 - window, 1)  # a window's rows relative to its anchor
+    leads = 1 + pair_targets(np.arange(horizon), window)  # the target row paired with each of them
+    size = max(1, _BLOCK_CELLS // window)
     scores = []
-    for a in anchors.tolist():
-        columns = {
-            name: _Column(col[a - window + 1 : a + 1], feature_bins, ranked)
-            for name, col in feature_columns.items()
-        }
-        paired = [pair_targets(col[a + 1 : a + 1 + horizon], window) for col in target_columns]
-        ys = [_Side([_Column(y, feature_bins, ranked)], bin_width) for y in paired]
-        results = []
-        for fs in feature_sets:
-            x = _Side([columns[name] for name in fs], bin_width)
-            results.extend(_score(m, x, y) for y in ys for m in measure_rows)
-        scores.append(results)
+    for start in range(0, len(anchors), size):
+        part = anchors[start : start + size, None]
+        columns = {name: _Column(col[part + lags], ranked) for name, col in feature_columns.items()}
+        ys = [_Column(col[part + leads], ranked) for col in target_columns]
+        sets = [tuple(columns[name] for name in fs) for fs in feature_sets]
+        blocked = _Information(feature_bins, bin_width).scores(sets, ys, measure_rows)
+        for row in range(part.shape[0]):
+            y_sides = [_Side((y,), row) for y in ys]
+            results = []
+            for f, x in enumerate(sets):
+                x_side = _Side(x, row)
+                for t, y in enumerate(y_sides):
+                    for k, m in enumerate(measure_rows):
+                        if m.id in _BLOCK_MEASURES:
+                            results.append(blocked[f, t, k][row])
+                        else:
+                            results.append(_score(m, x_side, y))
+            scores.append(results)
     return anchors, scores
 
 

@@ -136,6 +136,23 @@ def pair_samples(sample: WindowSample) -> list[tuple]:
     return [(tuple(map(float, x)), float(y)) for x, y in zip(xs, ys)]
 
 
+TOO_MANY_BINS = "values span more bins than int64 symbols can index"
+
+
+def _fixed_width_codes(values: np.ndarray, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """discretize's symbols of each row of (A, n) values, and the rows it refuses.
+
+    A row is refused when a value is more than 2**63 bins from zero, or is
+    not finite; its symbols come back 0 instead of wrapping around int64.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Rounded division is monotone, so max |v| / w is the largest |v / w|.
+        refused = ~(np.abs(values).max(axis=1, initial=0.0) / bin_width < 2.0**63)
+        bins = np.floor(values / bin_width)
+    bins[refused] = 0.0
+    return bins.astype(np.int64), refused
+
+
 def discretize(values, bin_width: float) -> np.ndarray:
     """Map reals onto half-open fixed-width bins anchored at zero: symbol k covers [k*w, (k+1)*w).
 
@@ -149,10 +166,9 @@ def discretize(values, bin_width: float) -> np.ndarray:
         raise ValueError("values must be one-dimensional")
     if not np.all(np.isfinite(v)):
         raise ValueError("values must be finite")
-    # Rounded division is monotone, so max |v| / w is the largest |v / w|; testing it
-    # first, in Python floats, keeps v / w from overflowing.
-    if float(np.abs(v).max(initial=0.0)) / float(bin_width) >= 2.0**63:
-        raise ValueError("values span more bins than int64 symbols can index")
-    symbols = np.floor(v / bin_width).astype(np.int64)
+    symbols, refused = _fixed_width_codes(v[None, :], bin_width)
+    if refused[0]:
+        raise ValueError(TOO_MANY_BINS)
+    symbols = symbols[0]
     symbols.flags.writeable = False
     return symbols

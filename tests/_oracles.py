@@ -239,9 +239,9 @@ def brute_equal_frequency(values, bins):
 def reference_equal_frequency(values, bins):
     """Equal-frequency codes at one bin count, made the way equal_frequency_symbols made them.
 
-    One sort, each edge in Python floats, then numpy's searchsorted: unlike
-    brute_equal_frequency's bisect, it places values among edges that
-    overflowed to inf or NaN (silently, in Python floats) as the package did.
+    One sort, each edge in Python floats, then numpy's searchsorted.  Values
+    whose span overflows float64 would make edges of inf or NaN, out of
+    order; the package refuses those, so they are not compared here.
     """
     v = np.asarray(values, dtype=np.float64)
     s = np.sort(v)

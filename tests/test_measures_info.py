@@ -23,6 +23,7 @@ from depscope.measures.information import (
     _table_entropy,
     _terms,
 )
+from depscope.search import evaluate_pairs
 
 from _oracles import (
     brute_conditional_entropy,
@@ -231,15 +232,44 @@ def binning_columns(draw):
 @example(values=np.round([-0.3, 0.2, 0.0, -0.1, 1.4, 0.4]))
 def test_codes_of_every_bin_count_from_one_sort_are_the_per_count_loop(values):
     counts = tuple(range(2, 17))
+    with np.errstate(over="ignore"):
+        overflows = not np.isfinite(values.max() - values.min())
+    # A block of two rows: the values, and the same values reversed.
+    rows = np.stack([values, values[::-1]])
+    codes, wide = _equal_frequency_codes(rows, np.sort(rows, axis=1), counts)
+    assert wide.tolist() == [overflows, overflows]
+    if overflows:
+        # Differences of order statistics overflow and the edges come out of
+        # order, so such values are refused instead of binned.
+        for g in counts:
+            with pytest.raises(ValueError, match="^values span more than float64$"):
+                equal_frequency_symbols(values, g)
+        return
     expected = np.stack([reference_equal_frequency(values, g) for g in counts])
-    codes = np.stack(_equal_frequency_codes(values, np.sort(values), counts))
-    assert codes.dtype == np.int64
-    assert np.array_equal(codes, expected)
+    assert codes.dtype == np.uint8
+    assert np.array_equal(codes[0], expected)
+    assert np.array_equal(codes[1], expected[:, ::-1])
     # An order that puts -0.0 and 0.0 differently still gives the same codes.
     stable = values[np.argsort(values, kind="stable")]
-    assert np.array_equal(np.stack(_equal_frequency_codes(values, stable, counts)), expected)
+    assert np.array_equal(_equal_frequency_codes(values[None], stable[None], counts)[0][0], expected)
     for g in counts:
-        assert np.array_equal(equal_frequency_symbols(values, g), expected[g - 2])
+        symbols = equal_frequency_symbols(values, g)
+        assert symbols.dtype == np.int64
+        assert np.array_equal(symbols, expected[g - 2])
+
+
+def test_values_that_span_more_than_float64_are_refused_not_binned():
+    """Their edges would overflow out of order and leave bins empty, so they are refused."""
+    x = np.array([-1e308, 1.7e308, -1e308, -1e308, -1.7e308, 1.7e308, 1e308, -1e308, 1.7e308])
+    with pytest.raises(ValueError, match="^values span more than float64$"):
+        equal_frequency_symbols(x, 5)
+    xs = np.tile(x, 12)[:100]
+    ys = np.linspace(-0.01, 0.01, 100)
+    for measure in ("MI", "IG", "RSI_SYNERGY", "MIC"):
+        r = evaluate_pairs(measure, xs, ys)
+        assert r.degenerate and r.params["reason"] == "values span more than float64"
+    with pytest.raises(ValueError, match="^values span more than float64$"):
+        mic(ys, xs)
 
 
 def test_equal_frequency_single_bin_and_errors():

@@ -3,12 +3,16 @@ import json
 import logging
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from depscope import search
 from depscope.cli import main
 from depscope.frame import TimeSeriesFrame, write_csv
 from depscope.measures import (
@@ -40,7 +44,12 @@ from depscope.search import (
 )
 from depscope.shaping import discretize, pair_targets
 
-from _oracles import pinned_information_gain, reference_grid_search
+from _oracles import (
+    brute_mic_scores,
+    pinned_information_gain,
+    reference_equal_frequency,
+    reference_grid_search,
+)
 
 
 def small_frame(n=20, seed=0):
@@ -218,6 +227,13 @@ def test_correlations_of_fewer_than_two_rows_say_so():
         assert r.degenerate and r.params["reason"] == "need at least 2 observations"
 
 
+def test_information_measures_of_an_empty_window_say_so():
+    """MI, IG and RSI_SYNERGY refuse n = 0 with a reason instead of raising."""
+    for measure in ("MI", "IG", "RSI_SYNERGY"):
+        r = evaluate_pairs(measure, np.zeros(0), np.zeros(0))
+        assert r.degenerate and r.params["reason"] == "empty symbol sequences"
+
+
 def test_evaluate_pairs_flags_overflow_instead_of_scoring_it():
     x = np.random.default_rng(6).standard_normal(200)
     for measure in ("PC", "SC"):
@@ -376,6 +392,171 @@ def test_scan_window_derivations_that_raise_flag_every_trial_that_reads_them():
     assert any("int64" in str(reason) for reason in reasons)
     assert any(not r.degenerate for r in results if r.measure_id == "DC")
     assert any(not r.degenerate for r in results if r.measure_id == "MI")
+
+
+INFORMATION_MEASURES = ("MI", "IG", "RSI_SYNERGY", "MIC")
+COLUMN_KINDS = ("continuous", "ties", "signed zeros", "constant")
+PLANTED_REASONS = {
+    "nan": "non-finite input",
+    "int64": "values span more bins than int64 symbols can index",
+    "float64": "values span more than float64",
+}
+
+
+def _drawn_column(kind, n, rng, scale=1.0):
+    values = scale * rng.standard_normal(n)
+    if kind == "ties":
+        return np.round(values * 2.0 / scale) * scale / 2.0
+    if kind == "signed zeros":  # mostly -0.0 and 0.0
+        return np.round(values * 0.3 / scale) * scale
+    if kind == "constant":
+        return np.full(n, values[0])
+    return values
+
+
+@st.composite
+def block_scans(draw):
+    """A scan of 1-5 disjoint windows of 8-400 rows and the anchors per block to score it in.
+
+    One anchor each may carry a NaN target, a target past int64 bins, and
+    feature windows whose span overflows float64.
+    """
+    window = draw(st.sampled_from((8, 9, 16, 31, 64, 100, 200, 400)))
+    horizon = draw(st.sampled_from((window, max(1, window // 3), window + 7)))
+    count = draw(st.integers(1, 5))
+    # Blocks of one anchor, of two (ragged when the count is odd), or of every anchor.
+    per_block = draw(st.sampled_from((1, 2, count)))
+    split = draw(st.integers(0, count))
+    feature_bins = draw(st.integers(2, 16))
+    sets = draw(
+        st.lists(
+            st.sampled_from(
+                (("a",), ("b",), ("c",), ("a", "b"), ("c", "a"), ("b", "c"), ("a", "b", "c"))
+            ),
+            min_size=1, max_size=3, unique=True,
+        )
+    )
+    kinds = [draw(st.sampled_from(COLUMN_KINDS)) for _ in range(4)]
+    free = list(draw(st.permutations(range(count))))
+    plants = {reason: free.pop() for reason in PLANTED_REASONS if free and draw(st.booleans())}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    step = max(window, horizon)  # windows and horizons of two anchors never share a row
+    n = window + horizon + (count - 1) * step
+    columns = {name: _drawn_column(kind, n, rng) for name, kind in zip("abc", kinds)}
+    columns["y"] = _drawn_column(kinds[3], n, rng, scale=0.01)
+    for reason, i in plants.items():
+        start = i * step  # the anchor's first window row; its first target row is start + window
+        if reason == "nan":
+            columns["y"][start + window] = np.nan
+        elif reason == "int64":
+            columns["y"][start + window] = 1e17  # 1e20 bins of 0.001
+        else:
+            for name in "abc":
+                columns[name][start : start + 2] = (1.7e308, -1.7e308)
+    frame = TimeSeriesFrame(np.datetime64("2021-01-01") + np.arange(n), columns)
+    scan = dict(
+        window=window, horizon=horizon, step=step, feature_bins=feature_bins, sets=tuple(sets)
+    )
+    return frame, scan, per_block, split, plants
+
+
+def _expected_information(frame, scan, anchor, features, measure):
+    """A scored trial's value (and MIC's grid) from the exact-table references."""
+    window, horizon, bins = scan["window"], scan["horizon"], scan["feature_bins"]
+    xs = [frame.column(c)[anchor - window + 1 : anchor + 1] for c in features]
+    ys = pair_targets(frame.column("y")[anchor + 1 : anchor + 1 + horizon], window)
+    if measure == "MIC":
+        scores = brute_mic_scores(list(xs[0]), list(ys))
+        best = max(m for _, m in scores)
+        if not best > 0.0:
+            return 0.0, None
+        return min(best, 1.0), next(shape for shape, m in scores if m == best)
+    cols = [reference_equal_frequency(x, bins).tolist() for x in xs]
+    x = cols[0] if len(cols) == 1 else list(zip(*cols))
+    y = discretize(ys, 0.001).tolist()
+
+    def mi(symbols):
+        return mutual_information(JointHistogram.from_symbols(symbols, y)).value
+
+    if measure == "MI":
+        return mi(x), None
+    if measure == "IG":
+        return pinned_information_gain(y, x), None
+    i_single = 0.0
+    for col in cols:
+        i_single += mi(col)
+    return mi(list(zip(*cols))) - i_single, None
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(drawn=block_scans())
+def test_block_boundaries_change_no_information_result(drawn):
+    """MI, IG, RSI_SYNERGY and MIC equal the exact-table references at every anchor, whatever
+    the anchors per block and however the anchors are sliced, and each planted refusal
+    flags its own anchor and no other."""
+    frame, scan, per_block, split, plants = drawn
+    window = scan["window"]
+
+    def run(block=slice(None)):
+        return scan_window(
+            frame, window, scan["sets"], ("y",), INFORMATION_MEASURES, step=scan["step"],
+            horizon=scan["horizon"], bin_width=0.001, feature_bins=scan["feature_bins"],
+            block=block,
+        )
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_BLOCK_CELLS", per_block * window)
+        anchors, scores = run()
+        _, head = run(slice(0, split))
+        _, tail = run(slice(split, None))
+    assert [[repr(r) for r in rs] for rs in head + tail] == [[repr(r) for r in rs] for rs in scores]
+
+    flagged = {reason: set() for reason in PLANTED_REASONS.values()}
+    for i, (anchor, results) in enumerate(zip(anchors.tolist(), scores)):
+        trials = [(fs, m) for fs in scan["sets"] for m in INFORMATION_MEASURES]
+        for (features, measure), r in zip(trials, results):
+            if r.degenerate:
+                flagged.setdefault(r.params["reason"], set()).add(i)
+            if plants.get("nan") == i:
+                expected = "non-finite input"
+            elif measure == "MIC" and len(features) > 1:
+                expected = "pairwise measure on multivariate input"
+            elif plants.get("int64") == i and measure != "MIC":
+                expected = PLANTED_REASONS["int64"]
+            elif plants.get("float64") == i:
+                expected = PLANTED_REASONS["float64"]
+            else:
+                value, grid = _expected_information(frame, scan, anchor, features, measure)
+                assert not r.degenerate, (features, measure, r.params)
+                assert r.value == value, (features, measure)
+                assert r.params.get("grid") == grid
+                continue
+            assert r.degenerate and r.params["reason"] == expected
+    for kind, reason in PLANTED_REASONS.items():
+        assert flagged[reason] == ({plants[kind]} if kind in plants else set())
+
+
+def test_scan_memory_does_not_grow_with_the_anchors_it_scans():
+    """Anchors are scored a bounded block at a time: at step 1 on a few thousand rows the
+    scan's transient memory stays a few MiB (one block of every anchor takes tens)."""
+    rng = np.random.default_rng(21)
+    n = 2500
+    columns = {name: rng.standard_normal(n) for name in "abc"}
+    columns["y"] = 0.01 * rng.standard_normal(n)
+    frame = TimeSeriesFrame(np.datetime64("2001-01-01") + np.arange(n), columns)
+    tracemalloc.start()
+    try:
+        anchors, scores = scan_window(
+            frame, 100, (("a", "b", "c"), ("a",)), ("y",), INFORMATION_MEASURES,
+            step=1, horizon=100, bin_width=0.001, feature_bins=8,
+        )
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(anchors) == 2301
+    assert not any(r.degenerate for r in scores[0] if r.measure_id != "MIC")
+    assert peak - retained < 3 * 2**20
 
 
 def test_evaluate_pairs_unknown_measure_still_raises():
