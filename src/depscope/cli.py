@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .frame import load_ohlcv, read_frame, validate_frame, write_csv
+from .frame import _emit, load_ohlcv, read_frame, validate_frame, write_csv
 from .indicators import build_feature_matrix, standard_indicator_specs
 from .measures.result import MEASURES
 from .search import (
@@ -105,13 +105,6 @@ def _binning(args) -> dict:
     return {"bin_width": bin_width, "feature_bins": args.feature_bins}
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
-
-
 def cmd_ingest(args) -> int:
     frame = load_ohlcv(args.input)
     report = validate_frame(frame)
@@ -195,7 +188,7 @@ def cmd_measure(args) -> int:
                 f"{'true' if r['degenerate'] else 'false'}"
             )
         text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    _emit(text, sys.stdout if args.output is None else args.output)
     if all(r["degenerate"] for r in rows):
         return EXIT_DEGENERATE
     return EXIT_OK
@@ -267,7 +260,7 @@ def cmd_verify(args) -> int:
             step=args.step,
             **_binning(args),
         )
-    _emit(write_verification_report(report), args.output)
+    write_verification_report(report, sys.stdout if args.output is None else args.output)
     for m in report.measures:
         if m.inconclusive:
             print(f"INCONCLUSIVE {m.measure_id}: no scorable anchors")
@@ -312,7 +305,7 @@ def cmd_report(args) -> int:
         for g in ranking.rows:
             lines.append(f"{g.value},{repr(g.median_objective)},{g.trials}")
         text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    _emit(text, sys.stdout if args.output is None else args.output)
     if ranking.notice:
         print(ranking.notice, file=sys.stderr)
         return EXIT_DEGENERATE

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -211,13 +212,18 @@ def write_csv(frame: TimeSeriesFrame, destination=None) -> str | None:
     cols = [frame.columns[name] for name in frame.column_names]
     for i in range(len(frame)):
         writer.writerow([str(frame.timestamps[i])] + [repr(float(col[i])) for col in cols])
-    text = buf.getvalue()
+    return _emit(buf.getvalue(), destination)
+
+
+def _emit(text: str, destination) -> str | None:
+    """Return the text when destination is None, else write it to a path (as UTF-8) or to a
+    text file object and return None."""
     if destination is None:
         return text
-    if isinstance(destination, (str, Path)):
+    if isinstance(destination, (str, os.PathLike)):
         Path(destination).write_text(text, encoding="utf-8")
-        return None
-    destination.write(text)
+    else:
+        destination.write(text)
     return None
 
 

@@ -9,22 +9,36 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .frame import TimeSeriesFrame
 
-INDICATOR_KINDS = (
-    "ret",
-    "vol_pct",
-    "ret_hma",
-    "macd",
-    "macd_signal",
-    "obv",
-    "atr",
-    "rsi",
-)
+
+class _Kind(NamedTuple):
+    """One indicator kind: its column name after the role prefix, how it is computed, and
+    whether it can be a target (its values pulled forward by its period)."""
+
+    name: str  # {period} stands for the spec's period
+    compute: Callable[[TimeSeriesFrame, int], np.ndarray]  # (frame, period) -> column
+    target: bool = False
+
+
+_KINDS = {
+    "ret": _Kind("ret_c_{period}", lambda f, p: returns(f.column("close"), p), target=True),
+    "vol_pct": _Kind("vol_pct", lambda f, p: returns(f.column("volume"), p), target=True),
+    "ret_hma": _Kind(
+        "ret_c_hma_{period}", lambda f, p: hma(returns(f.column("close"), 1), p), target=True
+    ),
+    "macd": _Kind("c_macd", lambda f, p: macd(f.column("close"))[0]),
+    "macd_signal": _Kind("c_macd_signal", lambda f, p: macd(f.column("close"))[1]),
+    "obv": _Kind("obv", lambda f, p: obv(f.column("close"), f.column("volume"))),
+    "atr": _Kind("atr", lambda f, p: atr(f.column("high"), f.column("low"), f.column("close"), p)),
+    "rsi": _Kind("rsi", lambda f, p: rsi_indicator(f.column("close"), p)),
+}
+INDICATOR_KINDS = tuple(_KINDS)
 
 
 def wma(series, n: int) -> np.ndarray:
@@ -198,23 +212,13 @@ class IndicatorSpec:
             raise ValueError(f"role must be 'feature' or 'target', got {self.role!r}")
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
-        if self.role == "target" and self.kind not in ("ret", "ret_hma", "vol_pct"):
+        if self.role == "target" and not _KINDS[self.kind].target:
             raise ValueError(f"kind {self.kind!r} does not support the target role")
 
     @property
     def column_name(self) -> str:
         prefix = "f" if self.role == "feature" else "t"
-        if self.kind == "ret":
-            return f"{prefix}_ret_c_{self.period}"
-        if self.kind == "ret_hma":
-            return f"{prefix}_ret_c_hma_{self.period}"
-        if self.kind == "vol_pct":
-            return f"{prefix}_vol_pct"
-        if self.kind == "macd":
-            return f"{prefix}_c_macd"
-        if self.kind == "macd_signal":
-            return f"{prefix}_c_macd_signal"
-        return f"{prefix}_{self.kind}"
+        return f"{prefix}_{_KINDS[self.kind].name.format(period=self.period)}"
 
 
 def standard_indicator_specs() -> list[IndicatorSpec]:
@@ -244,26 +248,8 @@ def _forward_shift(values: np.ndarray, by: int) -> np.ndarray:
 
 
 def _compute_column(frame: TimeSeriesFrame, spec: IndicatorSpec) -> np.ndarray:
-    if spec.kind == "ret":
-        base = returns(frame.column("close"), spec.period)
-        return _forward_shift(base, spec.period) if spec.role == "target" else base
-    if spec.kind == "vol_pct":
-        base = returns(frame.column("volume"), spec.period)
-        return _forward_shift(base, spec.period) if spec.role == "target" else base
-    if spec.kind == "ret_hma":
-        base = hma(returns(frame.column("close"), 1), spec.period)
-        return _forward_shift(base, spec.period) if spec.role == "target" else base
-    if spec.kind == "macd":
-        return macd(frame.column("close"))[0]
-    if spec.kind == "macd_signal":
-        return macd(frame.column("close"))[1]
-    if spec.kind == "obv":
-        return obv(frame.column("close"), frame.column("volume"))
-    if spec.kind == "atr":
-        return atr(frame.column("high"), frame.column("low"), frame.column("close"), spec.period)
-    if spec.kind == "rsi":
-        return rsi_indicator(frame.column("close"), spec.period)
-    raise ValueError(f"unknown indicator kind {spec.kind!r}")
+    base = _KINDS[spec.kind].compute(frame, spec.period)
+    return _forward_shift(base, spec.period) if spec.role == "target" else base
 
 
 def build_feature_matrix(frame: TimeSeriesFrame, specs) -> TimeSeriesFrame:

@@ -3,9 +3,10 @@
 MI, IG, RSI_SYNERGY and MIC score through one kernel on integer codes that
 scores a block of rows at once: each row is one sample (in a scan, one
 anchor), and a side is an (A, n) matrix of codes 0..width-1 (_Codes), kept
-no wider than n by renumbering each row densely.  np.bincount counts a
-table of at most n cells per row; a wider joint table is counted from the
-runs of its sorted rows, zero-padded to n cells.
+no wider than n by renumbering each row densely.  Every table, MIC's at
+each grid size and shape included, is counted by _row_counts: np.bincount
+counts a table of at most n cells per row; a wider joint table is counted
+from the runs of its sorted rows, zero-padded to n cells.
 Entropies are in bits with one pinned arithmetic: Python-float terms c / n
 summed smallest-first as p * math.log2(p), so results are deterministic and
 MI is exactly symmetric.  Counts of n observations look their terms up in a
@@ -524,21 +525,18 @@ def _mic_side(values: np.ndarray, ordered: np.ndarray) -> _MicSide:
         raise ValueError(f"mic needs at least 8 observations, got {n}")
     gmax = int(_mic_grid(n).gx[-1])  # the largest gx; gy tops out at the same value
     codes, wide = _equal_frequency_codes(values, ordered, tuple(range(2, gmax + 1)))
-    offsets = gmax * np.arange(a * (gmax - 1)).reshape(a, gmax - 1, 1)
-    counts = np.bincount((codes + offsets).ravel(), minlength=a * (gmax - 1) * gmax)
-    return _MicSide(codes, _table_entropy(counts.reshape(a, gmax - 1, gmax), _terms(n)), wide)
+    counts = _row_counts(codes.reshape(-1, n), gmax).reshape(a, gmax - 1, -1)
+    return _MicSide(codes, _table_entropy(counts, _terms(n)), wide)
 
 
 def _mic(x: _MicSide, y: _MicSide) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's best normalized MI and the index of its grid shape; every joint table in one bincount."""
+    """Each row's best normalized MI and the index of its grid shape; every joint table counted at once."""
     a, _, n = x.codes.shape
     grid = _mic_grid(n)
-    shapes = len(grid.shapes)
     cells = grid.gy[:, None] * x.codes[:, grid.gx - 2]
     cells += y.codes[:, grid.gy - 2]
-    cells += grid.cells * np.arange(a * shapes).reshape(a, shapes, 1)
-    joint = np.bincount(cells.ravel(), minlength=a * shapes * grid.cells)
-    hxy = _table_entropy(joint.reshape(a, shapes, grid.cells), _terms(n))
+    joint = _row_counts(cells.reshape(-1, n), grid.cells).reshape(a, len(grid.shapes), -1)
+    hxy = _table_entropy(joint, _terms(n))
     m = np.maximum(x.entropy[:, grid.gx - 2] + y.entropy[:, grid.gy - 2] - hxy, 0.0) / grid.divisors
     best = np.argmax(m, axis=1)  # the first of equal maxima: ties prefer the smaller gx, then gy
     return m[np.arange(a), best], best

@@ -63,10 +63,10 @@ def _pearson_value(x: np.ndarray, y: np.ndarray) -> float | None:
         return None
     dx = x - x.mean()
     dy = y - y.mean()
-    with np.errstate(over="ignore"):  # an overflowed sum is refused below
+    with np.errstate(over="ignore"):  # an overflowed sum or product is refused below
         sxx = dx @ dx
         syy = dy @ dy
-    product = sxx * syy
+        product = sxx * syy
     if not (0.0 < product < math.inf):
         raise ValueError("sums of squares are not finite and positive")
     r = (dx @ dy) / math.sqrt(product)
@@ -103,8 +103,11 @@ def _centered_distances(points: np.ndarray) -> tuple[np.ndarray, float]:
 
     The matrix is centred in place, in the order of d - row - col + d.mean().
     Distances too large for float64 would centre inf - inf into NaN, so a
-    non-finite distance variance raises ValueError instead.
+    non-finite distance variance raises ValueError instead, as do fewer
+    than 2 points.
     """
+    if points.shape[0] < 2:
+        raise ValueError("need at least 2 observations")
     with np.errstate(over="ignore", invalid="ignore"):
         d = cdist(points, points)
         row = d.mean(axis=1, keepdims=True)

@@ -7,11 +7,15 @@ are logged as degenerate records instead of being dropped.
 
 One column-major scan scores them (scan_window): window, then a block of
 anchors, then column and measure.  Each block cuts every column's windows
-into one (anchors, W) matrix.  MI, IG, RSI_SYNERGY and MIC score every
-anchor of the block at once through the integer-code kernel; PC, SC, DC and
-PPS score one anchor at a time from the matrices' rows.  What the measures
-derive from a window (codes, entropies, ranks, centred distances) is made
-once and read by every trial that uses it.
+into one (anchors, W) matrix and sorts each row once, by a stable argsort.
+One block scorer (_Block) scores every trial of a block, and
+evaluate_pairs is a one-anchor block: it flags each anchor with the first
+reason that holds, in one order for every measure, scores MI, IG,
+RSI_SYNERGY and MIC at every anchor of the block at once through the
+integer-code kernel, and leaves PC, SC, DC and PPS to one anchor at a time
+from the matrices' rows.  What the measures derive from a window (codes,
+entropies, ranks, centred distances) is made once and read by every trial
+that uses it.
 """
 from __future__ import annotations
 
@@ -22,14 +26,15 @@ import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
-from .frame import TimeSeriesFrame
+from .frame import TimeSeriesFrame, _emit
 from .measures import MeasureResult, degenerate_result, pearson, spearman
 from .measures.information import (
     TOO_WIDE,
@@ -227,30 +232,24 @@ def label_trend(close, anchor: int) -> str:
     return "NEUTRAL"
 
 
-_READ_ORDER = frozenset({"SC", "PPS"})  # the measures that read a column's argsort
 _BLOCK_MEASURES = frozenset({"MI", "IG", "RSI_SYNERGY", "MIC"})  # scored a block of anchors at once
 # Window entries per column in one anchor block: a block holds max(1, _BLOCK_CELLS // W)
 # anchors, so no temporary grows with the number of anchors of a scan.
 _BLOCK_CELLS = 2048
-_NON_FINITE = "non-finite input"
-_PAIRWISE = "pairwise measure on multivariate input"
 
 
 class _Column:
     """One column's windows in one anchor block, an (A, W) matrix with one anchor per row,
     and its sort, each made once.
 
-    ranked says whether a measure of the scan reads the column's stable
-    argsort (SC's ranks, the PPS tree's presort).  The sorted values that
-    the equal-frequency codes of every bin count read then come through
-    that argsort, else from a plain sort, which is cheaper: either way each
-    window is sorted once.
+    Every window is sorted once, by a stable argsort: SC's ranks and the PPS
+    tree's presort read the order, and the equal-frequency codes of every
+    bin count read the sorted values gathered through it.
     """
 
-    def __init__(self, values: np.ndarray, ranked: bool):
+    def __init__(self, values: np.ndarray):
         self.values = values
         self.finite = np.isfinite(values).all(axis=1)
-        self.ranked = ranked
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -260,9 +259,7 @@ class _Column:
     @cached_property
     def ordered(self) -> np.ndarray:
         """Each row ascending."""
-        if self.ranked:
-            return np.take_along_axis(self.values, self.order, axis=1)
-        return np.sort(self.values, axis=1)
+        return np.take_along_axis(self.values, self.order, axis=1)
 
 
 class _Side:
@@ -279,7 +276,6 @@ class _Side:
         self.row = row
         self.values = columns[0].values[row]
         self.n = self.values.shape[0]
-        self.finite = all(bool(c.finite[row]) for c in columns)
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -303,46 +299,45 @@ class _Side:
 def _score(m: Measure, x: _Side, y: _Side) -> MeasureResult:
     """Score PC, SC, DC or PPS (table row m) at one anchor on feature side x and target side y.
 
-    Non-finite input, pairwise-only measures on multivariate input and
-    sides of unequal length are degenerate-flagged up front, in that order,
-    for every measure; a ValueError inside a measure, including a value
-    outside its range, comes back flagged with its message as reason.
+    A ValueError inside a measure, including a value outside its range,
+    comes back flagged with its message as reason.
     """
-    n = x.n
-    measure = m.id
-    if not (x.finite and y.finite):
-        return degenerate_result(measure, n, _NON_FINITE)
-    if m.pairwise and len(x.columns) > 1:
-        return degenerate_result(measure, n, _PAIRWISE)
-    if y.n != n:
-        return degenerate_result(measure, n, f"length mismatch: {n} vs {y.n}")
     try:
-        if measure == "PC":
+        if m.id == "PC":
             return pearson(x.values, y.values)
-        if measure == "SC":
+        if m.id == "SC":
             return _spearman(x.ranks, y.ranks)
-        if measure == "DC":
+        if m.id == "DC":
             return _distance_correlation(
                 x.points, x.centered_distances, y.points, y.centered_distances
             )
         return _pps(x.points, y.values, x.orders)
     except ValueError as exc:
-        return degenerate_result(measure, n, str(exc))
+        return degenerate_result(m.id, x.n, str(exc))
 
 
-class _Information:
-    """MI, IG, RSI_SYNERGY and MIC over one anchor block, each trial scored at every anchor at once.
+@dataclass
+class _Block:
+    """Every (feature set, target, measure) trial of one anchor block.
 
-    Keeps what the block's trials share, and drops it with the block: each
-    column's codes, each feature set's codes, and each (feature set,
-    target)'s MI, which RSI_SYNERGY of every set holding the feature reads
-    again.  A derivation that raises is not kept.
+    Each trial flags every anchor with the first reason that holds for it,
+    in one order for every measure: non-finite input, a pairwise measure on
+    a set, sides of unequal length, then the measure's own refusals.  MI,
+    IG, RSI_SYNERGY and MIC score every anchor of the block at once; PC, SC,
+    DC and PPS score one anchor at a time (_score), row by row, so that a
+    side's centred distances live for one anchor only.  What the block's
+    trials share is kept until the block is dropped: each column's codes,
+    each feature set's codes, and each (feature set, target)'s MI, which
+    RSI_SYNERGY of every set holding the feature reads again.  A derivation
+    that raises is not kept.
     """
 
-    def __init__(self, feature_bins: int, bin_width: float):
-        self.feature_bins = feature_bins
-        self.bin_width = bin_width
-        self._kept: dict = {}
+    anchors: int  # rows of every column's matrix
+    sets: list[tuple[_Column, ...]]  # each feature set's columns
+    ys: list[_Column]  # the targets
+    feature_bins: int
+    bin_width: float
+    _kept: dict = field(default_factory=dict, init=False)
 
     def _keep(self, key: tuple, make):
         if key not in self._kept:
@@ -375,75 +370,79 @@ class _Information:
             ("mi", x, y), lambda: _mutual_information(self._codes(x), self._targets(y)[0])
         )
 
-    def scores(self, sets: list[tuple[_Column, ...]], ys: list[_Column], measure_rows) -> dict:
-        """The results of every information trial at every anchor, by (set, target, measure) index."""
-        return {
-            (f, t, k): self.score(m, x, y)
-            for f, x in enumerate(sets)
-            for t, y in enumerate(ys)
-            for k, m in enumerate(measure_rows)
-            if m.id in _BLOCK_MEASURES
-        }
+    def _information(self, m: Measure, x: tuple[_Column, ...], y: _Column, checks: list):
+        """Score MI, IG, RSI_SYNERGY or MIC at every anchor; add its refusals to checks.
 
-    def score(self, m: Measure, x: tuple[_Column, ...], y: _Column) -> list[MeasureResult]:
-        """Score measure row m on feature set x and target y at every anchor of the block.
-
-        Each anchor is flagged with the first reason that holds for it, in
-        the order the per-anchor measures check theirs: non-finite input,
-        a pairwise measure on a set, then the measure's own refusals.
+        Returns the record of an anchor by index.
         """
-        a, n = y.values.shape
+        n = y.values.shape[1]
+        if m.id == "MIC":
+            sx, sy = self._mic(x[0]), self._mic(y)
+            checks += [(sx.wide, TOO_WIDE), (sy.wide, TOO_WIDE)]
+            values, best = _mic(sx, sy)
+            return lambda i: _mic_result(float(values[i]), int(best[i]), n)
+        if n == 0:
+            raise ValueError("empty symbol sequences")
+        target, refused = self._targets(y)
+        checks.append((refused, TOO_MANY_BINS))
+        params = {}
+        if m.id == "RSI_SYNERGY":
+            _check_set_size(len(x))
+            params = {"set_size": len(x)}
+        checks += [(self._features(c)[1], TOO_WIDE) for c in x]
+        if m.id == "MI":
+            values = self._mutual_information(x, y)
+        elif m.id == "IG":  # the features assign the split branches
+            values = _information_gain(target, self._codes(x))
+        else:
+            singles = [self._mutual_information((c,), y) for c in x]
+            values = _synergy(self._mutual_information(x, y), singles)
+        return lambda i: MeasureResult(m.id, float(values[i]), n, params=dict(params))
+
+    def _trial(self, m: Measure, x: tuple[_Column, ...], y: _Column) -> list[MeasureResult | None]:
+        """Measure row m on feature set x and target y at every anchor; None where _score scores it."""
+        a, n = x[0].values.shape
         every = np.ones(a, dtype=bool)
         finite = np.logical_and.reduce([c.finite for c in x + (y,)])
-        checks = [(~finite, _NON_FINITE)]
-        params = {}
-        values = best = None
-        try:
-            if m.pairwise and len(x) > 1:
-                checks.append((every, _PAIRWISE))
-            elif m.id == "MIC":
-                sx, sy = self._mic(x[0]), self._mic(y)
-                checks += [(sx.wide, TOO_WIDE), (sy.wide, TOO_WIDE)]
-                values, best = _mic(sx, sy)
-            elif n == 0:
-                checks.append((every, "empty symbol sequences"))
-            else:
-                target, refused = self._targets(y)
-                checks.append((refused, TOO_MANY_BINS))
-                if m.id == "RSI_SYNERGY":
-                    _check_set_size(len(x))
-                    params = {"set_size": len(x)}
-                checks += [(self._features(c)[1], TOO_WIDE) for c in x]
-                if m.id == "MI":
-                    values = self._mutual_information(x, y)
-                elif m.id == "IG":  # the features assign the split branches
-                    values = _information_gain(target, self._codes(x))
-                else:
-                    singles = [self._mutual_information((c,), y) for c in x]
-                    values = _synergy(self._mutual_information(x, y), singles)
-        except ValueError as exc:
-            checks.append((every, str(exc)))
-        reasons = [None] * a
+        checks = [(~finite, "non-finite input")]
+        record = None
+        if m.pairwise and len(x) > 1:
+            checks.append((every, "pairwise measure on multivariate input"))
+        elif y.values.shape[1] != n:
+            checks.append((every, f"length mismatch: {n} vs {y.values.shape[1]}"))
+        elif m.id in _BLOCK_MEASURES:
+            try:
+                record = self._information(m, x, y, checks)
+            except ValueError as exc:
+                checks.append((every, str(exc)))
+        results: list[MeasureResult | None] = [None] * a
         for mask, reason in checks:
             for i in np.flatnonzero(mask).tolist():
-                if reasons[i] is None:
-                    reasons[i] = reason
-
-        def record(i: int) -> MeasureResult:
-            if best is not None:
-                return _mic_result(float(values[i]), int(best[i]), n)
-            return MeasureResult(m.id, float(values[i]), n, params=dict(params))
-
-        results = []
-        for i, reason in enumerate(reasons):
-            if reason is None:
-                try:
-                    results.append(record(i))
-                    continue
-                except ValueError as exc:
-                    reason = str(exc)
-            results.append(degenerate_result(m.id, n, reason))
+                if results[i] is None:
+                    results[i] = degenerate_result(m.id, n, reason)
+        if record is not None:
+            for i, result in enumerate(results):
+                if result is None:
+                    try:
+                        results[i] = record(i)
+                    except ValueError as exc:
+                        results[i] = degenerate_result(m.id, n, str(exc))
         return results
+
+    def scores(self, measure_rows: list[Measure]) -> list[list[MeasureResult]]:
+        """Each anchor's results in (feature set, target, measure) order."""
+        trials = [[self._trial(m, x, y) for y in self.ys for m in measure_rows] for x in self.sets]
+        scores = []
+        for row in range(self.anchors):
+            y_sides = [_Side((y,), row) for y in self.ys]
+            results = []
+            for x, by_set in zip(self.sets, trials):
+                x_side = _Side(x, row)
+                for (y, m), trial in zip(product(y_sides, measure_rows), by_set):
+                    result = trial[row]
+                    results.append(_score(m, x_side, y) if result is None else result)
+            scores.append(results)
+        return scores
 
 
 def evaluate_pairs(
@@ -469,12 +468,8 @@ def evaluate_pairs(
     ys = np.asarray(ys, dtype=np.float64)
     if ys.ndim != 1:
         raise ValueError(f"ys must be a vector of targets, got shape {ys.shape}")
-    ranked = m.id in _READ_ORDER
-    x = tuple(_Column(column[None, :], ranked) for column in xs.T)
-    y = _Column(ys[None, :], ranked)
-    if m.id in _BLOCK_MEASURES and xs.shape[0] == ys.shape[0]:
-        return _Information(feature_bins, bin_width).score(m, x, y)[0]
-    return _score(m, _Side(x, 0), _Side((y,), 0))
+    x = tuple(_Column(column[None, :]) for column in xs.T)
+    return _Block(1, [x], [_Column(ys[None, :])], feature_bins, bin_width).scores([m])[0][0]
 
 
 def scan_window(
@@ -511,7 +506,6 @@ def scan_window(
     if window < min_samples:
         flagged = [degenerate_result(m, window, f"fewer than {min_samples} pairs") for m in measures]
         return anchors, [flagged * trials_per_measure for _ in anchors]
-    ranked = any(m.id in _READ_ORDER for m in measure_rows)
     feature_columns = {name: frame.column(name) for fs in feature_sets for name in fs}
     target_columns = [frame.column(t) for t in targets]
     lags = np.arange(1 - window, 1)  # a window's rows relative to its anchor
@@ -520,22 +514,10 @@ def scan_window(
     scores = []
     for start in range(0, len(anchors), size):
         part = anchors[start : start + size, None]
-        columns = {name: _Column(col[part + lags], ranked) for name, col in feature_columns.items()}
-        ys = [_Column(col[part + leads], ranked) for col in target_columns]
+        columns = {name: _Column(col[part + lags]) for name, col in feature_columns.items()}
+        ys = [_Column(col[part + leads]) for col in target_columns]
         sets = [tuple(columns[name] for name in fs) for fs in feature_sets]
-        blocked = _Information(feature_bins, bin_width).scores(sets, ys, measure_rows)
-        for row in range(part.shape[0]):
-            y_sides = [_Side((y,), row) for y in ys]
-            results = []
-            for f, x in enumerate(sets):
-                x_side = _Side(x, row)
-                for t, y in enumerate(y_sides):
-                    for k, m in enumerate(measure_rows):
-                        if m.id in _BLOCK_MEASURES:
-                            results.append(blocked[f, t, k][row])
-                        else:
-                            results.append(_score(m, x_side, y))
-            scores.append(results)
+        scores += _Block(len(part), sets, ys, feature_bins, bin_width).scores(measure_rows)
     return anchors, scores
 
 
@@ -628,14 +610,6 @@ def run_grid_search(
 def config_key(window_size: int, features, target: str, measure: str) -> str:
     """Canonical configuration key used to join trial logs with external scores."""
     return f"{window_size}|{'+'.join(features)}|{target}|{measure}"
-
-
-def _emit(text: str, destination) -> str | None:
-    """Return the text when destination is None, else write it there as UTF-8 and return None."""
-    if destination is None:
-        return text
-    Path(destination).write_text(text, encoding="utf-8")
-    return None
 
 
 def _csv_text(columns: tuple[str, ...], records) -> str:

@@ -16,9 +16,9 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .frame import TimeSeriesFrame
+from .frame import TimeSeriesFrame, _emit
 from .indicators import returns
-from .search import _emit, scan_window
+from .search import scan_window
 
 # Unused here; perfbench/layers.py looks both names up in this module to trace a run.
 from .search import evaluate_pairs  # noqa: F401

@@ -21,6 +21,7 @@ from depscope.measures import (
     distance_correlation,
     equal_frequency_symbols,
     mutual_information,
+    pearson,
     pps,
 )
 from depscope.measures.information import _mic_grid, _terms
@@ -209,17 +210,18 @@ def test_evaluate_pairs_flags_non_finite_input():
 
 
 def test_correlations_of_fewer_than_two_rows_say_so():
-    """SC scores cached ranks, yet refuses n = 0 and n = 1 with PC's reason and no warning."""
+    """SC and DC score cached ranks and distances, yet refuse n = 0 and n = 1 with PC's reason
+    and no warning."""
     frame = small_frame(30)
     for n in (0, 1):
         x = np.arange(float(n))
-        for measure in ("PC", "SC"):
+        for measure in ("PC", "SC", "DC"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 r = evaluate_pairs(measure, x, x)
             assert r.degenerate and r.params["reason"] == "need at least 2 observations"
     _, scores = scan_window(
-        frame, 1, (("a",),), ("y",), ("PC", "SC"),
+        frame, 1, (("a",),), ("y",), ("PC", "SC", "DC"),
         step=5, horizon=1, bin_width=0.001, feature_bins=8,
     )
     assert scores
@@ -239,6 +241,14 @@ def test_evaluate_pairs_flags_overflow_instead_of_scoring_it():
     for measure in ("PC", "SC"):
         assert evaluate_pairs(measure, x, x).value == 1.0
     r = evaluate_pairs("PC", x * 1e200, x * 1e200)
+    assert r.degenerate and "not finite" in r.params["reason"]
+    # Each sum of squares is near 1e202, so their product overflows; no warning is raised.
+    big = np.linspace(-1, 1, 200) * 1e100, np.cos(np.arange(200)) * 1e100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            pearson(*big)
+        r = evaluate_pairs("PC", *big)
     assert r.degenerate and "not finite" in r.params["reason"]
     # Fixed-width target bins of 0.001 on values near 1e17 exceed int64.
     v = np.linspace(1.0, 1e17, 200)
