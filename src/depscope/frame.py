@@ -2,20 +2,26 @@
 
 A frame is an immutable bundle of a date axis plus equally long float
 columns.  Loaders reject bad input instead of repairing it; the only
-normalization applied is sorting rows into ascending date order.
+normalization applied is sorting rows into ascending date order.  CSV
+tables are parsed one column at a time; _FirstFault finds the fault a
+row-by-row loop would stop at.
 """
 from __future__ import annotations
 
 import csv
 import io
 import os
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
 from datetime import date
+from itertools import compress, count, islice
 from pathlib import Path
 
 import numpy as np
 
 OHLCV_HEADER = ("date", "open", "high", "low", "close", "volume")
+_MISSING = {"": "nan"}  # an empty numeric cell is parsed as NaN: "missing"
+_EPOCH = date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
 
 
 class CsvParseError(ValueError):
@@ -137,21 +143,78 @@ def _as_text(source) -> tuple[str, str]:
     return data, str(label)
 
 
+def _read_table(text: str) -> tuple[list[str] | None, list[list[str]]]:
+    """The first row of CSV text (None when there is none) and the non-blank rows below it."""
+    reader = csv.reader(io.StringIO(text))
+    return next(reader, None), list(filter(None, reader))
+
+
+def _line_of(text: str, row: int) -> int:
+    """The physical line on which the row-th non-blank row below the first row ends."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    next(islice(filter(None, reader), row, None))
+    return reader.line_num
+
+
+class _FirstFault:
+    """The first fault of a table that is checked one column at a time.
+
+    Make the checks in the order a row-by-row loop makes them on one row.
+    Each check looks only at the rows above the fault found so far, so the
+    fault kept is the first faulty row's first fault, the one that loop
+    stops at.
+    """
+
+    def __init__(self, rows: int):
+        self.rows = rows  # the rows above the fault; all of them while there is none
+        self.error = None  # what error(...) of the check that found the fault returned
+
+    def flag(self, failed: Iterable, error: Callable[[int], object]) -> None:
+        """A check that fails at the rows where failed is true; error(row) describes a failure."""
+        row = next(compress(count(), islice(failed, self.rows)), None)
+        if row is not None:
+            self.rows, self.error = row, error(row)
+
+    def map(
+        self, convert: Callable, cells: Sequence, error: Callable[[int, Exception], object]
+    ) -> list:
+        """convert each cell above the fault; one that raises ValueError or TypeError is a fault.
+
+        Returns the converted cells above the fault.
+        """
+        cells = cells[: self.rows]
+        try:
+            return list(map(convert, cells))
+        except (TypeError, ValueError):
+            pass
+        values = []
+        for row, cell in enumerate(cells):
+            try:
+                values.append(convert(cell))
+            except (TypeError, ValueError) as exc:
+                self.rows, self.error = row, error(row, exc)
+                break
+        return values
+
+
 def read_frame(source, required_header: tuple[str, ...] | None = None) -> TimeSeriesFrame:
     """Parse a date-indexed CSV into a validated frame.
 
     The first column must be named "date" and hold ISO-8601 dates; every
-    other column is parsed as float64.  Rows are sorted into ascending date
-    order (the one permitted normalization).  A frame that fails
-    validate_frame, because of empty (or NaN) cells, infinite cells or
-    duplicate dates, raises FrameValidationError with validate_frame's issues
-    sorted by row, column and kind.
+    other column is parsed as float64.  Blank rows are skipped.  Rows are
+    sorted into ascending date order (the one permitted normalization).  A
+    frame that fails validate_frame, because of empty (or NaN) cells,
+    infinite cells or duplicate dates, raises FrameValidationError with
+    validate_frame's issues sorted by row, column and kind.  A parse error
+    names the physical line its row ends on.  Each column is parsed in one
+    pass; the error raised is the first faulty row's first faulty cell.
     """
     text, label = _as_text(source)
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
+    header, rows = _read_table(text)
+    if header is None:
         raise CsvParseError("empty input", line=1)
-    header = tuple(rows[0])
+    header = tuple(header)
     if required_header is not None and header != required_header:
         raise CsvParseError(
             f"header must be exactly {','.join(required_header)!r}, got {','.join(header)!r}",
@@ -162,36 +225,42 @@ def read_frame(source, required_header: tuple[str, ...] | None = None) -> TimeSe
     if len(set(header)) != len(header):
         raise CsvParseError("duplicate column names in header", line=1)
 
-    n = len(rows) - 1
-    dates = np.empty(n, dtype="datetime64[D]")
-    values = np.full((n, len(header) - 1), np.nan)  # an empty cell stays NaN: "missing"
-    for r, row in enumerate(rows[1:]):
-        line = r + 2
-        if len(row) != len(header):
-            raise CsvParseError(
-                f"expected {len(header)} fields, got {len(row)}", line=line
-            )
-        try:
-            dates[r] = date.fromisoformat(row[0].strip())
-        except ValueError:
-            raise CsvParseError(f"bad ISO-8601 date {row[0]!r}", line=line) from None
-        for c, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if cell:
-                try:
-                    values[r, c] = float(cell)
-                except ValueError:
-                    raise CsvParseError(
-                        f"bad numeric value {cell!r} in column {header[c + 1]}", line=line
-                    ) from None
+    width = len(header)
+    fault = _FirstFault(len(rows))
+    fault.flag(
+        map(width.__ne__, map(len, rows)),
+        lambda row: f"expected {width} fields, got {len(rows[row])}",
+    )
+    cells = list(zip(*rows[: fault.rows])) or [()] * width
+    raw_dates = cells[0]
+    dates = fault.map(
+        date.fromisoformat,
+        list(map(str.strip, raw_dates)),
+        lambda row, _: f"bad ISO-8601 date {raw_dates[row]!r}",
+    )
+    columns = {}
+    for name, column in zip(header[1:], cells[1:]):
+        column = list(map(str.strip, column))
+        columns[name] = fault.map(
+            float,
+            list(map(_MISSING.get, column, column)) if "" in column else column,
+            lambda row, _, column=column, name=name: (
+                f"bad numeric value {column[row]!r} in column {name}"
+            ),
+        )
+    if fault.error is not None:
+        raise CsvParseError(fault.error, line=_line_of(text, fault.rows))
 
+    dates = (np.array(list(map(date.toordinal, dates)), dtype=np.int64) - _EPOCH).astype(
+        "datetime64[D]"
+    )
     order = np.argsort(dates, kind="stable")
-    columns = {name: values[order, c] for c, name in enumerate(header[1:])}
+    columns = {name: np.array(values, dtype=np.float64)[order] for name, values in columns.items()}
     frame = TimeSeriesFrame(timestamps=dates[order], columns=columns, source=label)
     issues = validate_frame(frame).issues
     if issues:
         issues = tuple(sorted(issues, key=lambda it: (it.row, it.column, it.kind)))
-        raise FrameValidationError(ValidationReport(row_count=n, issues=issues))
+        raise FrameValidationError(ValidationReport(row_count=len(rows), issues=issues))
     return frame
 
 

@@ -16,6 +16,13 @@ integer-code kernel, and leaves PC, SC, DC and PPS to one anchor at a time
 from the matrices' rows.  What the measures derive from a window (codes,
 entropies, ranks, centred distances) is made once and read by every trial
 that uses it.
+
+The trial log is written and read one field at a time, over every trial:
+the writers format each column with one C-level call per cell, quote or
+escape each distinct text once and join the rows with fixed separators,
+giving csv.writer's and json.dumps(payload, indent=2)'s bytes; the reader
+parses each column in one pass and raises what a row-by-row reader would
+raise at the first faulty row.
 """
 from __future__ import annotations
 
@@ -29,12 +36,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import product
-from pathlib import Path
+from itertools import chain, product
+from operator import attrgetter
 
 import numpy as np
 
-from .frame import TimeSeriesFrame, _emit
+from .frame import TimeSeriesFrame, _as_text, _emit, _FirstFault, _line_of, _read_table
 from .measures import MeasureResult, degenerate_result, pearson, spearman
 from .measures.information import (
     TOO_WIDE,
@@ -181,24 +188,19 @@ class TrialRecord:
 TRIAL_CSV_HEADER = tuple(f.name for f in fields(TrialRecord))
 GROUP_AXES = ("window_size", "features", "target", "measure")
 
-# CSV text of the fields that are not written with str(), and the parsers back.
-_FORMATTERS = {
-    "features": "|".join,
-    "objective": lambda v: repr(float(v)),
-    "degenerate": lambda v: "true" if v else "false",
-}
-_PARSERS = {
-    "trial_id": int,
-    "window_size": int,
-    "features": lambda text: tuple(text.split("|")),
-    "objective": float,
-    "degenerate": lambda text: text == "true",
-}
+_FLAG_TEXT = {True: "true", False: "false"}
 
 
-def _cell(record: TrialRecord, name: str) -> str:
-    """One field of a trial as it appears in the CSV artifacts and in rankings."""
-    return _FORMATTERS.get(name, str)(getattr(record, name))
+def _cells(records, name: str) -> list[str]:
+    """One field of every trial as it appears in the CSV artifacts and in rankings."""
+    values = map(attrgetter(name), records)
+    if name == "features":
+        return list(map("|".join, values))
+    if name == "objective":
+        return list(map(repr, map(float, values)))
+    if name == "degenerate":
+        return list(map(_FLAG_TEXT.__getitem__, map(bool, values)))
+    return list(map(str, values))
 
 
 @dataclass(frozen=True)
@@ -522,14 +524,17 @@ def scan_window(
 
 
 def _scan_block(frame: TimeSeriesFrame, space: SearchSpace, window: int, block: slice) -> list:
-    """(objective, degenerate) of every trial of one window's anchor block, per anchor."""
+    """(objective, degenerate) of every trial of one window's anchor block, per anchor.
+
+    The objective is a float even where the measure scored a numpy float (PC, SC).
+    """
     _, scores = scan_window(
         frame, window, space.feature_sets, space.targets, space.measures,
         step=space.step, horizon=space.horizon if space.horizon is not None else window,
         bin_width=space.bin_width, feature_bins=space.feature_bins,
         min_samples=space.min_samples, block=block,
     )
-    return [[(r.value, r.degenerate) for r in results] for results in scores]
+    return [[(float(r.value), r.degenerate) for r in results] for results in scores]
 
 
 _worker_scan: tuple | None = None  # a pool worker's (frame, space), sent once by _start_worker
@@ -612,12 +617,26 @@ def config_key(window_size: int, features, target: str, measure: str) -> str:
     return f"{window_size}|{'+'.join(features)}|{target}|{measure}"
 
 
-def _csv_text(columns: tuple[str, ...], records) -> str:
+def _csv_cell(cell: str) -> str:
+    """A cell as csv.writer writes it in a row of several cells."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_cell(r, name) for name in columns] for r in records)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow((cell, ""))
+    return buf.getvalue()[: -len(",\n")]
+
+
+def _csv_column(cells: list[str]) -> list[str]:
+    """The cells as csv.writer writes them, quoting each distinct cell that needs it once."""
+    text = "".join(cells)
+    if not any(char in text for char in ',"\r\n'):  # no other character makes csv.writer quote
+        return cells
+    written = {cell: _csv_cell(cell) for cell in set(cells)}
+    return list(map(written.__getitem__, cells))
+
+
+def _csv_text(names: tuple[str, ...], records) -> str:
+    """The named fields of the trials as CSV, one column at a time."""
+    columns = [_csv_column(_cells(records, name)) for name in names]
+    return "\n".join([",".join(names), *map(",".join, zip(*columns))]) + "\n"
 
 
 def write_trial_log_csv(log_: TrialLog, destination=None) -> str | None:
@@ -626,54 +645,117 @@ def write_trial_log_csv(log_: TrialLog, destination=None) -> str | None:
 
 
 def read_trial_log_csv(source) -> TrialLog:
-    """Read back a trial CSV written by write_trial_log_csv."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    reader = csv.reader(io.StringIO(text))
-    if tuple(next(reader, ())) != TRIAL_CSV_HEADER:
+    """Read back a trial CSV written by write_trial_log_csv, from a path, bytes or a stream.
+
+    Blank rows are skipped.  A row that write_trial_log_csv cannot write
+    raises ValueError naming the physical line it ends on.  Each column is
+    parsed in one pass; the error raised is the first faulty row's first
+    fault, in the order the cells are checked: cell count, degenerate flag,
+    trial_id, window_size, objective, then the objective against its flag.
+    """
+    text, _ = _as_text(source)
+    header, rows = _read_table(text)
+    if tuple(header or ()) != TRIAL_CSV_HEADER:
         raise ValueError(f"expected header {','.join(TRIAL_CSV_HEADER)}")
-    records = [_read_trial(row, reader.line_num) for row in reader]
+    width = len(TRIAL_CSV_HEADER)
+    fault = _FirstFault(len(rows))
+    fault.flag(
+        map(width.__ne__, map(len, rows)),
+        lambda row: f"expected {width} cells, got {len(rows[row])}",
+    )
+    cells = dict(zip(TRIAL_CSV_HEADER, list(zip(*rows[: fault.rows])) or [()] * width))
+    flags = cells["degenerate"]
+    fault.flag(
+        (flag not in ("true", "false") for flag in flags),
+        lambda row: f"degenerate must be true or false, got {flags[row]!r}",
+    )
+    ids = fault.map(int, cells["trial_id"], _message)
+    windows = fault.map(int, cells["window_size"], _message)
+    texts = cells["objective"]
+    objectives = fault.map(float, texts, _message)
+    degenerate = list(map("true".__eq__, flags))
+    fault.flag(
+        (flag and not math.isnan(value) for flag, value in zip(degenerate, objectives)),
+        lambda row: f"a degenerate trial has objective nan, got {texts[row]}",
+    )
+    fault.flag(
+        (not (flag or math.isfinite(value)) for flag, value in zip(degenerate, objectives)),
+        lambda row: f"a scored trial has a finite objective, got {texts[row]}",
+    )
+    if fault.error is not None:
+        raise ValueError(f"line {_line_of(text, fault.rows)}: {fault.error}")
+    sets = {cell: tuple(cell.split("|")) for cell in set(cells["features"])}
+    records = map(
+        TrialRecord, ids, windows, map(sets.__getitem__, cells["features"]),
+        cells["target"], cells["measure"], cells["anchor_date"], cells["trend"],
+        objectives, degenerate,
+    )
     return TrialLog(records=tuple(records), space=None, seed=-1)
 
 
-def _read_trial(row: list[str], line: int) -> TrialRecord:
-    """One trial-log row as a record; a row that write_trial_log_csv cannot write raises."""
-    where = f"line {line}:"
-    if len(row) != len(TRIAL_CSV_HEADER):
-        raise ValueError(f"{where} expected {len(TRIAL_CSV_HEADER)} cells, got {len(row)}")
-    cells = dict(zip(TRIAL_CSV_HEADER, row))
-    flag, objective = cells["degenerate"], cells["objective"]
-    if flag not in ("true", "false"):
-        raise ValueError(f"{where} degenerate must be true or false, got {flag!r}")
-    try:
-        record = TrialRecord(*[_PARSERS.get(name, str)(cell) for name, cell in cells.items()])
-    except ValueError as exc:
-        raise ValueError(f"{where} {exc}") from None
-    if record.degenerate and not math.isnan(record.objective):
-        raise ValueError(f"{where} a degenerate trial has objective nan, got {objective}")
-    if not (record.degenerate or math.isfinite(record.objective)):
-        raise ValueError(f"{where} a scored trial has a finite objective, got {objective}")
-    return record
+def _message(row: int, exc: Exception) -> str:
+    return str(exc)
+
+
+# The JSON text of the scalars json.dumps writes otherwise than repr.
+_JSON_SCALARS = {
+    "None": "null", "True": "true", "False": "false",
+    "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
+}
+_JSON_TRIAL = (  # one trial of trials.json, its fields' JSON text left as %s
+    "    {\n"
+    + ",\n".join(f"      {json.dumps(name)}: %s" for name in TRIAL_CSV_HEADER)
+    + "\n    }"
+)
+
+
+def _json_field(value) -> str:
+    """json.dumps(value, indent=2) nested as a trial's field in trials.json, six spaces in."""
+    return json.dumps(value, indent=2).replace("\n", "\n      ")
+
+
+def _json_column(values: list, fault: _FirstFault) -> list[str]:
+    """Each value as the field of a trial in trials.json; a value json cannot encode is a fault.
+
+    Numbers, booleans and None are written with repr, strings and tuples of
+    strings once per distinct value; a value of any other type on its own.
+    """
+    kinds = set(map(type, values))
+    if kinds <= {int, float, bool, type(None)}:
+        text = list(map(repr, values))
+        return list(map(_JSON_SCALARS.get, text, text))
+    if kinds <= {str} or (
+        kinds <= {tuple} and set(map(type, chain.from_iterable(values))) <= {str}
+    ):
+        written = {value: _json_field(value) for value in set(values)}
+        return list(map(written.__getitem__, values))
+    return fault.map(_json_field, values, lambda row, exc: exc)
 
 
 def write_trial_log_json(log_: TrialLog, destination=None) -> str | None:
     """JSON form: the search-space echo, the seed, wall-clock metadata, all trials.
 
     Each trial is its record's fields, with a NaN objective written as null.
+    The text is json.dumps(payload, indent=2) + "\n" byte for byte, the same
+    TypeError included, but each field is encoded for every trial at once.
     """
-    payload = {
+    head = {
         "space": asdict(log_.space) if log_.space is not None else None,
         "seed": log_.seed,
         "created_utc": log_.created_utc,
         "elapsed_s": log_.elapsed_s,
-        "trials": [
-            {**vars(r), "objective": None if math.isnan(r.objective) else r.objective}
-            for r in log_.records
-        ],
     }
-    return _emit(json.dumps(payload, indent=2) + "\n", destination)
+    columns = {name: list(map(attrgetter(name), log_.records)) for name in TRIAL_CSV_HEADER}
+    columns["objective"] = [None if math.isnan(v) else v for v in columns["objective"]]
+    text = json.dumps({**head, "trials": []}, indent=2) + "\n"
+    if log_.records:
+        fault = _FirstFault(len(log_.records))
+        encoded = [_json_column(values, fault) for values in columns.values()]
+        if fault.error is not None:
+            raise fault.error
+        trials = ",\n".join(map(_JSON_TRIAL.__mod__, zip(*encoded)))
+        text = "".join((text[: -len("[]\n}\n")], "[\n", trials, "\n  ]\n}\n"))
+    return _emit(text, destination)
 
 
 def write_parallel_coordinates(log_: TrialLog, destination=None) -> str | None:
@@ -713,11 +795,12 @@ def rank_hyperparameters(log_: TrialLog, group_by: str, trend: str | None = None
         raise ValueError(f"group_by must be one of {GROUP_AXES}, got {group_by!r}")
     if trend is not None and trend not in TREND_LABELS:
         raise ValueError(f"trend must be one of {TREND_LABELS}, got {trend!r}")
+    kept = [
+        r for r in log_.records if not (r.degenerate or (trend is not None and r.trend != trend))
+    ]
     groups: dict[str, list[float]] = {}
-    for r in log_.records:
-        if r.degenerate or (trend is not None and r.trend != trend):
-            continue
-        groups.setdefault(_cell(r, group_by), []).append(r.objective)
+    for value, r in zip(_cells(kept, group_by), kept):
+        groups.setdefault(value, []).append(r.objective)
     rows = [
         RankedGroup(value=v, median_objective=float(np.median(objs)), trials=len(objs))
         for v, objs in groups.items()

@@ -12,14 +12,37 @@ sorting its own rows and scanning one threshold at a time
 (reference_best_split), against which the presorted grower is checked bit
 for bit.  reference_equal_frequency bins one bin count at a time, against
 which the binning of every count from one sort is checked bit for bit.
+The reference_* trial-log writers and reader and reference_read_frame
+write and parse one row and one cell at a time, against which the
+column-at-a-time text layer is checked byte for byte and message for
+message.
 """
+import csv
+import io
+import json
 import math
 from bisect import bisect_right
+from dataclasses import asdict
+from datetime import date
 
 import numpy as np
 
+from depscope.frame import (
+    CsvParseError,
+    FrameValidationError,
+    TimeSeriesFrame,
+    ValidationReport,
+    validate_frame,
+)
 from depscope.measures import TreeNode
-from depscope.search import TrialRecord, evaluate_pairs, label_trend
+from depscope.search import (
+    GROUP_AXES,
+    TRIAL_CSV_HEADER,
+    TrialLog,
+    TrialRecord,
+    evaluate_pairs,
+    label_trend,
+)
 from depscope.shaping import make_sliding_windows, pair_arrays
 
 
@@ -426,3 +449,135 @@ def reference_grid_search(frame, space):
                             )
                         )
     return records
+
+
+# CSV text of the trial fields that are not written with str(), and the parsers back.
+_FORMATTERS = {
+    "features": "|".join,
+    "objective": lambda v: repr(float(v)),
+    "degenerate": lambda v: "true" if v else "false",
+}
+_PARSERS = {
+    "trial_id": int,
+    "window_size": int,
+    "features": lambda text: tuple(text.split("|")),
+    "objective": float,
+    "degenerate": lambda text: text == "true",
+}
+
+
+def reference_cell(record, name):
+    """One field of a trial as it appears in the CSV artifacts and in rankings."""
+    return _FORMATTERS.get(name, str)(getattr(record, name))
+
+
+def reference_csv_text(columns, records):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([reference_cell(r, name) for name in columns] for r in records)
+    return buf.getvalue()
+
+
+def reference_trial_log_csv(log_):
+    """trials.csv, one row at a time through csv.writer."""
+    return reference_csv_text(TRIAL_CSV_HEADER, log_.records)
+
+
+def reference_parallel_coordinates(log_):
+    scored = [r for r in log_.records if not r.degenerate]
+    return reference_csv_text(GROUP_AXES + ("objective",), scored)
+
+
+def reference_trial_log_json(log_):
+    """trials.json through json's own indenting encoder."""
+    payload = {
+        "space": asdict(log_.space) if log_.space is not None else None,
+        "seed": log_.seed,
+        "created_utc": log_.created_utc,
+        "elapsed_s": log_.elapsed_s,
+        "trials": [
+            {**vars(r), "objective": None if math.isnan(r.objective) else r.objective}
+            for r in log_.records
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def reference_read_trial_log_csv(text):
+    """The trial log in CSV text, one row at a time; the first faulty row raises."""
+    reader = csv.reader(io.StringIO(text))
+    if tuple(next(reader, ())) != TRIAL_CSV_HEADER:
+        raise ValueError(f"expected header {','.join(TRIAL_CSV_HEADER)}")
+    records = [_reference_trial(row, reader.line_num) for row in reader]
+    return TrialLog(records=tuple(records), space=None, seed=-1)
+
+
+def _reference_trial(row, line):
+    where = f"line {line}:"
+    if len(row) != len(TRIAL_CSV_HEADER):
+        raise ValueError(f"{where} expected {len(TRIAL_CSV_HEADER)} cells, got {len(row)}")
+    cells = dict(zip(TRIAL_CSV_HEADER, row))
+    flag, objective = cells["degenerate"], cells["objective"]
+    if flag not in ("true", "false"):
+        raise ValueError(f"{where} degenerate must be true or false, got {flag!r}")
+    try:
+        record = TrialRecord(*[_PARSERS.get(name, str)(cell) for name, cell in cells.items()])
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}") from None
+    if record.degenerate and not math.isnan(record.objective):
+        raise ValueError(f"{where} a degenerate trial has objective nan, got {objective}")
+    if not (record.degenerate or math.isfinite(record.objective)):
+        raise ValueError(f"{where} a scored trial has a finite objective, got {objective}")
+    return record
+
+
+def reference_read_frame(text, required_header=None):
+    """A frame from CSV text, one row and one cell at a time.
+
+    Lines are counted in rows, so they are physical lines only in a file
+    without blank rows or line breaks inside cells.
+    """
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
+        raise CsvParseError("empty input", line=1)
+    header = tuple(rows[0])
+    if required_header is not None and header != required_header:
+        raise CsvParseError(
+            f"header must be exactly {','.join(required_header)!r}, got {','.join(header)!r}",
+            line=1,
+        )
+    if not header or header[0] != "date" or len(header) < 2:
+        raise CsvParseError("header must start with 'date' and name at least one column", line=1)
+    if len(set(header)) != len(header):
+        raise CsvParseError("duplicate column names in header", line=1)
+
+    n = len(rows) - 1
+    dates = np.empty(n, dtype="datetime64[D]")
+    values = np.full((n, len(header) - 1), np.nan)  # an empty cell stays NaN: "missing"
+    for r, row in enumerate(rows[1:]):
+        line = r + 2
+        if len(row) != len(header):
+            raise CsvParseError(f"expected {len(header)} fields, got {len(row)}", line=line)
+        try:
+            dates[r] = date.fromisoformat(row[0].strip())
+        except ValueError:
+            raise CsvParseError(f"bad ISO-8601 date {row[0]!r}", line=line) from None
+        for c, cell in enumerate(row[1:]):
+            cell = cell.strip()
+            if cell:
+                try:
+                    values[r, c] = float(cell)
+                except ValueError:
+                    raise CsvParseError(
+                        f"bad numeric value {cell!r} in column {header[c + 1]}", line=line
+                    ) from None
+
+    order = np.argsort(dates, kind="stable")
+    columns = {name: values[order, c] for c, name in enumerate(header[1:])}
+    frame = TimeSeriesFrame(timestamps=dates[order], columns=columns)
+    issues = validate_frame(frame).issues
+    if issues:
+        issues = tuple(sorted(issues, key=lambda it: (it.row, it.column, it.kind)))
+        raise FrameValidationError(ValidationReport(row_count=n, issues=issues))
+    return frame

@@ -516,3 +516,17 @@ def test_import_loads_no_scipy():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_the_package_runs_as_a_module():
+    """python -m depscope is the depscope command, installed or not."""
+    src = str(Path(depscope.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "depscope", "--help"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ")

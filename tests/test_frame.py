@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from depscope.frame import (
     validate_frame,
     write_csv,
 )
+
+from _oracles import reference_read_frame
 
 GOOD_CSV = """date,open,high,low,close,volume
 2020-01-02,10.0,11.0,9.5,10.5,1000
@@ -113,6 +116,92 @@ def test_parse_errors_carry_line_numbers():
     bad_date = "date,a\n2020-13-40,1.0\n"
     with pytest.raises(CsvParseError, match="line 2"):
         read_frame(io.StringIO(bad_date))
+
+
+def test_parse_errors_name_the_physical_line():
+    """A quoted line break in the header moves every row down a line."""
+    text = 'date,"clo\nse"\n2020-01-01,1\n2020-01-02,x\n'
+    message = "^line 4: bad numeric value 'x' in column clo\nse$"
+    with pytest.raises(CsvParseError, match=message) as err:
+        read_frame(io.StringIO(text))
+    assert err.value.line == 4
+
+
+def test_blank_rows_are_skipped():
+    """As csv.DictReader and pandas do: a file that ends in a blank line reads."""
+    text = "date,a\n2020-01-02,1.0\n\n2020-01-03,2.0\n\n"
+    f = read_frame(io.StringIO(text))
+    assert list(f.column("a")) == [1.0, 2.0]
+    with pytest.raises(CsvParseError, match="^line 4: bad numeric value 'x' in column a$"):
+        read_frame(io.StringIO("date,a\n2020-01-02,1.0\n\n2020-01-03,x\n"))
+
+
+# A fault put into a row's cells, "date,v1,...,vk": each case of
+# test_parse_errors_carry_line_numbers, then cells validate_frame refuses.
+ROW_FAULTS = {
+    "missing field": lambda cells, first: cells[:-1] if len(cells) > 1 else cells,
+    "bad number": lambda cells, first: cells[:-1] + ["abc"],
+    "bad date": lambda cells, first: ["2020-13-40"] + cells[1:],
+    "padded bad number": lambda cells, first: cells[:1] + [" 1e5x "] + cells[2:],
+    "empty cell": lambda cells, first: cells[:-1] + [" "],
+    "infinite cell": lambda cells, first: cells[:1] + ["-inf"] + cells[2:],
+    "duplicate date": lambda cells, first: first[:1] + cells[1:],
+}
+
+
+def frame_outcome(read, text):
+    """The dates and column bits of the frame read, or the type and message of the error."""
+    try:
+        f = read(text)
+    except (CsvParseError, FrameValidationError) as exc:
+        where = exc.report if isinstance(exc, FrameValidationError) else exc.line
+        return type(exc), str(exc), where
+    return (
+        f.timestamps.tolist(),
+        {name: values.view(np.int64).tolist() for name, values in f.columns.items()},
+    )
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(
+    days=st.lists(st.integers(0, 60), min_size=1, max_size=8, unique=True),
+    width=st.integers(1, 3),
+    data=st.data(),
+    faults=st.lists(
+        st.tuples(
+            st.sampled_from(("first", "middle", "last")), st.sampled_from(sorted(ROW_FAULTS))
+        ),
+        max_size=2,
+    ),
+)
+def test_read_frame_is_the_row_wise_reference(days, width, data, faults):
+    """A written frame with up to two faulty rows: an equal frame or the same error and line."""
+    ts = np.datetime64("2020-01-01") + np.array(days)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    columns = {
+        name: data.draw(st.lists(finite, min_size=len(days), max_size=len(days)))
+        for name in "abc"[:width]
+    }
+    lines = write_csv(TimeSeriesFrame(timestamps=ts, columns=columns)).splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    first = rows[0]
+    for where, fault in faults:  # two faults on one row make a row with two faulty cells
+        at = {"first": 0, "middle": len(rows) // 2, "last": -1}[where]
+        rows[at] = ROW_FAULTS[fault](rows[at], first)
+    text = "\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n"
+    expected = frame_outcome(reference_read_frame, text)
+    assert frame_outcome(lambda t: read_frame(io.StringIO(t)), text) == expected
+
+
+def test_read_frame_is_the_reference_on_two_faults_in_one_row():
+    """Every ordered pair of ROW_FAULTS in the middle row of three."""
+    rows = [line.split(",") for line in GOOD_CSV.splitlines()]
+    for first, second in itertools.product(ROW_FAULTS, repeat=2):
+        bad = ROW_FAULTS[second](ROW_FAULTS[first](rows[2], rows[1]), rows[1])
+        text = "\n".join(",".join(row) for row in rows[:2] + [bad] + rows[3:]) + "\n"
+        expected = frame_outcome(reference_read_frame, text)
+        got = frame_outcome(lambda t: read_frame(io.StringIO(t)), text)
+        assert got == expected, (first, second)
 
 
 def test_duplicate_header_names_rejected():

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import logging
@@ -6,6 +7,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -50,6 +52,10 @@ from _oracles import (
     pinned_information_gain,
     reference_equal_frequency,
     reference_grid_search,
+    reference_parallel_coordinates,
+    reference_read_trial_log_csv,
+    reference_trial_log_csv,
+    reference_trial_log_json,
 )
 
 
@@ -702,28 +708,31 @@ def read_trial_log_csv_from_text(text):
     return read_trial_log_csv(io.StringIO(text))
 
 
-@pytest.mark.parametrize(
-    "row, message",
-    (
-        ("1,8,a,y,PC,2021-01-09,NEUTRAL,0.5", "expected 9 cells, got 8"),
-        ("1,8,a,y,PC,2021-01-09,NEUTRAL,0.5,false,x", "expected 9 cells, got 10"),
-        ("1,8,a,y,PC,2021-01-09,NEUTRAL,0.5,maybe", "degenerate must be true or false, got 'maybe'"),
-        ("1,8,a,y,PC,2021-01-09,NEUTRAL,0.5,", "degenerate must be true or false, got ''"),
-        ("1,8,a,y,PC,2021-01-09,NEUTRAL,nan,false", "a scored trial has a finite objective, got nan"),
-        ("1,8,a,y,PC,2021-01-09,NEUTRAL,inf,false", "a scored trial has a finite objective, got inf"),
-        ("1,8,a,y,PC,2021-01-09,NEUTRAL,0.5,true", "a degenerate trial has objective nan, got 0.5"),
-        ("1,8,a,y,PC,2021-01-09,NEUTRAL,-inf,true", "a degenerate trial has objective nan, got -inf"),
-        ("1,8,a,y,PC,2021-01-09,NEUTRAL,high,false", "could not convert"),
-        ("one,8,a,y,PC,2021-01-09,NEUTRAL,0.5,false", "invalid literal"),
-    ),
+TRIAL_LOG_HEADER = ",".join(TRIAL_CSV_HEADER) + "\n"
+GOOD_TRIAL_ROW = "0,8,a,y,PC,2021-01-09,NEUTRAL,0.25,false\n"
+GOOD_TRIAL = TrialRecord(0, 8, ("a",), "y", "PC", "2021-01-09", "NEUTRAL", 0.25, False)
+BAD_TRIAL_BASE = "1,8,a,y,PC,2021-01-09,NEUTRAL,0.5,false"  # the good row each one changes
+BAD_TRIAL_ROWS = (  # rows write_trial_log_csv cannot write, and the reader's message
+    ("1,8,a,y,PC,2021-01-09,NEUTRAL,0.5", "expected 9 cells, got 8"),
+    ("1,8,a,y,PC,2021-01-09,NEUTRAL,0.5,false,x", "expected 9 cells, got 10"),
+    ("1,8,a,y,PC,2021-01-09,NEUTRAL,0.5,maybe", "degenerate must be true or false, got 'maybe'"),
+    ("1,8,a,y,PC,2021-01-09,NEUTRAL,0.5,", "degenerate must be true or false, got ''"),
+    ("1,8,a,y,PC,2021-01-09,NEUTRAL,nan,false", "a scored trial has a finite objective, got nan"),
+    ("1,8,a,y,PC,2021-01-09,NEUTRAL,inf,false", "a scored trial has a finite objective, got inf"),
+    ("1,8,a,y,PC,2021-01-09,NEUTRAL,0.5,true", "a degenerate trial has objective nan, got 0.5"),
+    ("1,8,a,y,PC,2021-01-09,NEUTRAL,-inf,true", "a degenerate trial has objective nan, got -inf"),
+    ("1,8,a,y,PC,2021-01-09,NEUTRAL,high,false", "could not convert"),
+    ("one,8,a,y,PC,2021-01-09,NEUTRAL,0.5,false", "invalid literal"),
 )
+
+
+@pytest.mark.parametrize("row, message", BAD_TRIAL_ROWS)
 def test_trial_log_csv_refuses_rows_the_writer_cannot_write(row, message):
-    good = "0,8,a,y,PC,2021-01-09,NEUTRAL,0.25,false\n"
-    text = ",".join(TRIAL_CSV_HEADER) + "\n" + good + row + "\n" + good
+    text = TRIAL_LOG_HEADER + GOOD_TRIAL_ROW + row + "\n" + GOOD_TRIAL_ROW
     with pytest.raises(ValueError, match=f"^line 3: {message}"):
         read_trial_log_csv_from_text(text)
-    back = read_trial_log_csv_from_text(",".join(TRIAL_CSV_HEADER) + "\n" + good)
-    assert back.records == (TrialRecord(0, 8, ("a",), "y", "PC", "2021-01-09", "NEUTRAL", 0.25, False),)
+    back = read_trial_log_csv_from_text(TRIAL_LOG_HEADER + GOOD_TRIAL_ROW)
+    assert back.records == (GOOD_TRIAL,)
 
 
 def test_trial_log_csv_file_round_trip(tmp_path):
@@ -732,6 +741,183 @@ def test_trial_log_csv_file_round_trip(tmp_path):
     path = tmp_path / "trials.csv"
     write_trial_log_csv(log, path)
     assert read_trial_log_csv(path).records == log.records
+
+
+def test_trial_log_csv_skips_blank_rows():
+    """As csv.DictReader does: a file that ends in a blank line reads, and lines stay physical."""
+    text = TRIAL_LOG_HEADER + "\n" + GOOD_TRIAL_ROW + "\n" + GOOD_TRIAL_ROW + "\n\n"
+    assert read_trial_log_csv_from_text(text).records == (GOOD_TRIAL, GOOD_TRIAL)
+    bad = GOOD_TRIAL_ROW.replace("false", "x")
+    with pytest.raises(ValueError, match="^line 4: degenerate must be true or false, got 'x'$"):
+        read_trial_log_csv_from_text(TRIAL_LOG_HEADER + GOOD_TRIAL_ROW + "\n" + bad)
+
+
+def test_trial_log_csv_reads_paths_bytes_and_streams(tmp_path):
+    text = TRIAL_LOG_HEADER + GOOD_TRIAL_ROW
+    path = tmp_path / "trials.csv"
+    path.write_text(text, encoding="utf-8")
+    sources = (
+        path, str(path), text.encode(), io.BytesIO(text.encode()), io.StringIO(text)
+    )
+    for source in sources:
+        assert read_trial_log_csv(source).records == (GOOD_TRIAL,)
+
+
+NAME_CHARS = "ab_\u00e9\u6f22\u2028\x00,\"\n\r|"  # non-ASCII, JSON escapes, CSV quoting
+
+
+def trial_fields(records):
+    """The fields of each record, NaN objectives compared by repr."""
+    return [
+        tuple(repr(v) if k == "objective" else v for k, v in vars(r).items()) for r in records
+    ]
+
+
+def outcome(read, *args):
+    """What a writer or reader returns, or the type and message of what it raises."""
+    try:
+        result = read(*args)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return trial_fields(result.records) if isinstance(result, TrialLog) else result
+
+
+@st.composite
+def trial_logs(draw, names=st.text(st.sampled_from(NAME_CHARS), max_size=4), valid=False):
+    """Trial logs of up to 6 trials; valid ones are what run_grid_search writes.
+
+    Objectives include NaN, signed zeros and infinities, the smallest
+    subnormal and 1e308; a valid log pairs NaN with degenerate and a finite
+    value with a scored trial.
+    """
+    special = st.sampled_from(
+        (math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1e308, -1e308, 0.1, 1 / 3)
+    )
+    any_objective = st.one_of(special, st.floats())
+    records = []
+    for trial_id in range(draw(st.integers(0, 6))):
+        if valid:
+            degenerate = draw(st.booleans())
+            finite = st.one_of(special, st.floats()).filter(math.isfinite)
+            objective = math.nan if degenerate else draw(finite)
+        else:
+            degenerate, objective = draw(st.booleans()), draw(any_objective)
+        records.append(
+            TrialRecord(
+                draw(st.sampled_from((trial_id, -trial_id, 10**30))),
+                draw(st.integers(-5, 400)),
+                tuple(draw(st.lists(names, min_size=1, max_size=3))),
+                draw(names),
+                draw(st.sampled_from(MEASURE_IDS) | names),
+                draw(names),
+                draw(st.sampled_from(("UP", "DOWN", "NEUTRAL")) | names),
+                objective,
+                degenerate,
+            )
+        )
+    space = draw(
+        st.sampled_from(
+            (
+                None,
+                default_search_space(),
+                SearchSpace((8,), (("\u00e9,\"\n",),), ("t\u2028",), ("MI",), horizon=3),
+            )
+        )
+    )
+    return TrialLog(
+        records=tuple(records),
+        space=space,
+        seed=draw(st.integers(-1, 2**40)),
+        created_utc=draw(names),
+        elapsed_s=draw(any_objective),
+    )
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(log=trial_logs())
+def test_trial_writers_write_the_row_wise_references_bytes(log):
+    assert write_trial_log_csv(log) == reference_trial_log_csv(log)
+    assert write_parallel_coordinates(log) == reference_parallel_coordinates(log)
+    assert write_trial_log_json(log) == reference_trial_log_json(log)
+
+
+class Unencodable:
+    pass
+
+
+@pytest.mark.parametrize(
+    "changes",
+    (
+        {1: {"objective": np.float64(0.5)}, 2: {"objective": np.float64("nan")}},
+        {0: {"objective": 2, "degenerate": 1}, 1: {"window_size": True}},
+        {0: {"degenerate": np.True_}},
+        {1: {"objective": np.float32(0.5)}},
+        {1: {"objective": "0.5"}},
+        {1: {"features": ("a", 1)}},
+        {1: {"features": ["a", "b"]}, 2: {"features": ()}},
+        {2: {"target": Unencodable()}, 1: {"trend": b"x"}},
+        {1: {"anchor_date": Unencodable(), "trend": b"x"}},
+        {0: {"measure": type("Id", (str,), {})("MI")}},
+    ),
+)
+def test_trial_writers_match_the_references_on_other_types(changes):
+    """Values of other types than run_grid_search writes: the same text or the same error."""
+    log = replace(GOLDEN_LOG, records=tuple(
+        replace(r, **changes.get(i, {})) for i, r in enumerate(GOLDEN_LOG.records)
+    ))
+    pairs = (
+        (write_trial_log_csv, reference_trial_log_csv),
+        (write_parallel_coordinates, reference_parallel_coordinates),
+        (write_trial_log_json, reference_trial_log_json),
+    )
+    for write, reference in pairs:
+        assert outcome(write, log) == outcome(reference, log)
+
+
+def put_fault(cells, bad):
+    """The cells with the fault of a BAD_TRIAL_ROWS row: the cells where it differs from
+    BAD_TRIAL_BASE, and its cell count."""
+    base = BAD_TRIAL_BASE.split(",")
+    changed = {i: cell for i, (cell, was) in enumerate(zip(bad, base)) if cell != was}
+    cells = [changed.get(i, cell) for i, cell in enumerate(cells)]
+    return (cells + ["x"] * len(bad))[: len(bad)]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(
+    # csv.writer leaves "\r" unquoted, so a name holding one does not round-trip, and
+    # "|" splits a feature name.
+    log=trial_logs(names=st.text(st.sampled_from(NAME_CHARS.replace("\r", "").replace("|", ""))),
+                   valid=True),
+    faults=st.lists(
+        st.tuples(st.sampled_from(("first", "middle", "last")), st.sampled_from(BAD_TRIAL_ROWS)),
+        max_size=2,
+    ),
+)
+def test_trial_log_reader_is_the_row_wise_reference(log, faults):
+    """Reference-written trials with up to two faulty rows: equal records or the same error."""
+    text = reference_trial_log_csv(log)
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    for where, (bad, _) in faults:  # two faults on one row make a row with two faulty cells
+        if rows:
+            at = {"first": 0, "middle": len(rows) // 2, "last": -1}[where]
+            rows[at] = put_fault(rows[at], bad.split(","))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    text = TRIAL_LOG_HEADER + buf.getvalue()
+    expected = outcome(reference_read_trial_log_csv, text)
+    assert outcome(read_trial_log_csv_from_text, text) == expected
+    if not faults:
+        assert expected == trial_fields(log.records)
+
+
+def test_trial_log_reader_is_the_reference_on_two_faults_in_one_row():
+    """Every ordered pair of BAD_TRIAL_ROWS faults in one row, between good rows."""
+    for (first, _), (second, _) in product(BAD_TRIAL_ROWS, repeat=2):
+        cells = put_fault(put_fault(BAD_TRIAL_BASE.split(","), first.split(",")), second.split(","))
+        text = TRIAL_LOG_HEADER + GOOD_TRIAL_ROW + ",".join(cells) + "\n" + GOOD_TRIAL_ROW
+        expected = outcome(reference_read_trial_log_csv, text)
+        assert outcome(read_trial_log_csv_from_text, text) == expected, (first, second)
 
 
 def test_trial_log_json_layout():
