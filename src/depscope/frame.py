@@ -144,9 +144,16 @@ def _as_text(source) -> tuple[str, str]:
 
 
 def _read_table(text: str) -> tuple[list[str] | None, list[list[str]]]:
-    """The first row of CSV text (None when there is none) and the non-blank rows below it."""
+    """The first row of CSV text (None when there is none) and the non-blank rows below it.
+
+    Text the csv module cannot split into rows, such as a bare carriage
+    return inside an unquoted cell, raises CsvParseError naming its line.
+    """
     reader = csv.reader(io.StringIO(text))
-    return next(reader, None), list(filter(None, reader))
+    try:
+        return next(reader, None), list(filter(None, reader))
+    except csv.Error as exc:
+        raise CsvParseError(str(exc), line=reader.line_num) from None
 
 
 def _line_of(text: str, row: int) -> int:

@@ -1,7 +1,15 @@
-"""Model-based predictive power: a small CART regression tree scored against a median baseline."""
+"""Model-based predictive power: a small CART regression tree scored against a median baseline.
+
+The trees of a stack of anchors grow together, breadth first, as in SLIQ
+(Mehta, Agrawal & Rissanen 1996): each feature column is sorted once, at
+the root; each level scans every split of every feature of every node
+that can still split, in every anchor, in one zero-padded pass; and a
+child's presort is a stable filter of its parent's padded rows.  Each
+node's arithmetic is that of a node grown on its own, so the trees are
+the same bit for bit.  fit_regression_tree and pps grow a stack of one.
+"""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -68,77 +76,248 @@ class RegressionTree:
         return walk(self.root)
 
 
-class _Presort(NamedTuple):
-    """A node's rows in stable ascending order of each feature, one array row per feature."""
-
-    order: np.ndarray  # row indices
-    values: np.ndarray  # their feature values
-    targets: np.ndarray  # their targets
-
-    def keep(self, mask: np.ndarray, count: int) -> "_Presort":
-        """The presort of a subset: a stable filter is the subset's own stable order."""
-        keep = mask[self.order]
-        features = self.order.shape[0]
-        return _Presort(*(a[keep].reshape(features, count) for a in self))
+OVERFLOW = "targets overflow the split scan's squared sums"
+_PAIRWISE_BLOCK = 128  # numpy sums a longer contiguous run as two halves
 
 
-def _best_split(node: _Presort, total, total_sq, min_leaf: int):
-    """The (feature, threshold, k) split of a node with the lowest child SSE, or None.
+def _pairwise_runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(offset, length) of the runs of at most 128 entries that numpy sums a vector of each
+    length in counts in, as two (counts, 2**D) arrays.
 
-    total and total_sq are the node's target sums.  The child SSEs of every
-    split point k in [min_leaf, n - min_leaf] form one (feature, k) array,
-    tied neighbours masked with inf.  Its row-major first minimum is the
-    lowest feature index and then the lowest threshold among equal SSEs, and
-    it must strictly improve on the parent's SSE.  The threshold is the
-    midpoint of the values either side of k, or the lower value when the
-    midpoint rounds up to the upper one or overflows, as in scikit-learn's
-    splitter, so the first k rows, and only they, are at or below it.
+    numpy sums a run longer than 128 as the sum of its two halves, split at
+    half its length rounded down to a multiple of 8.  Here every run is
+    split D times, a short one into itself and an empty run, so that
+    adding adjacent runs' sums D times adds them in numpy's order.
     """
-    sv, sy = node.values, node.targets
-    n = sy.shape[1]
-    parent_sse = total_sq - total * total / n
-    lo, hi = min_leaf, n - min_leaf  # split point k: rows [0, k) go left, for k in [lo, hi]
-    k = np.arange(lo, hi + 1)
-    csum = np.add.accumulate(sy, axis=1)[:, lo - 1 : hi]
-    csq = np.add.accumulate(sy * sy, axis=1)[:, lo - 1 : hi]
-    left_sse = csq - csum * csum / k
-    rsum = total - csum
-    right_sse = (total_sq - csq) - rsum * rsum / (n - k)
-    sse = np.maximum(left_sse, 0.0) + np.maximum(right_sse, 0.0)
-    sse[sv[:, lo - 1 : hi] == sv[:, lo : hi + 1]] = np.inf
-    f, i = divmod(int(sse.argmin()), k.shape[0])
-    if not sse[f, i] < parent_sse:
-        return None
-    at = lo + i
-    lower, upper = float(sv[f, at - 1]), float(sv[f, at])
-    threshold = (lower + upper) / 2.0
-    if not (math.isfinite(threshold) and threshold < upper):
-        threshold = lower
-    return f, threshold, at
+    start = np.zeros((counts.size, 1), dtype=np.intp)
+    length = counts[:, None]
+    while (length > _PAIRWISE_BLOCK).any():
+        half = length // 2
+        half -= half % 8
+        half = np.where(length > _PAIRWISE_BLOCK, half, length)
+        start = np.stack([start, start + half], axis=2).reshape(counts.size, -1)
+        length = np.stack([half, length - half], axis=2).reshape(counts.size, -1)
+    return start, length
 
 
-def _grow(ys, rows, node: _Presort | None, depth_left: int, min_leaf: int, out) -> TreeNode:
-    """The subtree of a node's rows (ascending); its leaves write their value to out[rows].
+def _sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sum of each segment values[starts[i] : starts[i] + counts[i]], bit for bit
+    np.add.reduce's of that slice.
 
-    node is the rows' presort, None when the node cannot split.
+    numpy sums a contiguous run pairwise, from 0.0 (_pairwise_runs): a run
+    of at most 128 entries adds its whole blocks of 8 into eight lanes in
+    order, sums the lanes as ((0+1)+(2+3))+((4+5)+(6+7)), then adds its
+    remaining entries one at a time.  Here every run of every segment is
+    summed at once, so the cost is a few calls whatever the number of
+    segments.  Zeros stand in for the entries a run lacks: x + 0.0 is x up
+    to the sign of a zero, which the final 0.0 + settles as numpy's does.
     """
-    node_ys = ys[rows]
-    n = rows.shape[0]
-    total = node_ys.sum()
-    value = float(total / n)  # node_ys.mean(), bit for bit
-    found = None if node is None else _best_split(node, total, (node_ys * node_ys).sum(), min_leaf)
-    if found is None:
-        out[rows] = value
-        return TreeNode(value=value, samples=n)
-    f, threshold, k = found
-    left = np.zeros(ys.shape[0], dtype=bool)
-    left[node.order[f, :k]] = True
-    children = []
-    for side, count in ((left, k), (~left, n - k)):
-        splits = depth_left > 1 and count >= 2 * min_leaf
-        child = node.keep(side, count) if splits else None
-        children.append(_grow(ys, rows[side[rows]], child, depth_left - 1, min_leaf, out))
-    return TreeNode(value, n, f, threshold, *children)
+    offsets, length = _pairwise_runs(counts)
+    sums = np.zeros(offsets.shape)
+    run = np.flatnonzero(length)  # the non-empty runs, by (segment, run) index
+    first = offsets.reshape(-1)[run] + starts[run // offsets.shape[1]]
+    length = length.reshape(-1)[run]
+    blocks = -(-int(length.max(initial=0)) // 8)  # of 8 entries, enough for the longest run
+    at = np.arange(8 * blocks + 8)[:, None]
+    cells = at + first
+    cells[at >= length] = values.size  # past a run: a zero
+    entries = np.append(values, 0.0).take(cells).reshape(blocks + 1, 8, run.size)
+    whole = length // 8  # the run's whole blocks of 8, then its rest
+    rest = entries[whole, :, np.arange(run.size)]
+    entries[whole, :, np.arange(run.size)] = 0.0
+    lanes = np.add.reduce(entries, axis=0)  # block after block, as numpy's lanes add
+    lanes = lanes[0::2] + lanes[1::2]
+    lanes = lanes[0::2] + lanes[1::2]
+    rest = np.column_stack([lanes[0] + lanes[1], rest])
+    sums.reshape(-1)[run] = np.add.accumulate(rest, axis=1)[:, -1]
+    while sums.shape[1] > 1:
+        sums = sums[:, 0::2] + sums[:, 1::2]
+    return 0.0 + sums[:, 0]
+
+
+_GROUP_CELLS = 2048  # padded cells that cost about as much as one more call of each scan pass
+
+
+def _groups(counts: np.ndarray, f: int) -> list[np.ndarray]:
+    """Nodes to scan together, as positions in counts, each group padded to its largest count.
+
+    Nodes go largest first, in classes of counts within a power of 2.  A
+    class starts a group of its own when padding it and every node after it
+    to the current width would cost more than _GROUP_CELLS cells per
+    feature and pass.
+    """
+    if (counts.max() * counts.size - counts.sum()) * f <= _GROUP_CELLS:
+        return [np.arange(counts.size)]
+    order = np.argsort(-counts, kind="stable")
+    c = counts[order]
+    cuts, width = [0], c[0]
+    for j in (np.flatnonzero(np.diff(np.frexp(c)[1])) + 1).tolist():
+        if (width - c[j]) * (c.size - j) * f > _GROUP_CELLS:
+            cuts.append(j)
+            width = c[j]
+    return [order[i:j] for i, j in zip(cuts, cuts[1:] + [c.size])]
+
+
+def _scan(sv, sy, counts, total, total_sq, min_leaf: int) -> np.ndarray:
+    """Each node's best split: its child SSE, feature and k, and the values either side of k.
+
+    sv and sy are a group of nodes' feature values and targets in each
+    feature's order, (nodes, F, m), padded past each node's count.  The
+    child SSEs of every (feature, split point k) of every node form one
+    array, out-of-range k and tied neighbours masked with inf; each node's
+    row-major first minimum is the lowest feature index and then the lowest
+    threshold among equal SSEs.
+    """
+    m = sv.shape[2]
+    lo, hi = min_leaf, m - min_leaf  # split point k: rows [0, k) go left, for k in [lo, hi]
+    k = np.arange(lo, hi + 1, dtype=np.float64)  # counts are exact floats: ints below 2**53
+    rights = counts[:, None, None].astype(np.float64) - k  # rows right of each k
+    with np.errstate(all="ignore"):  # past a node's rows; masked below
+        csum = np.add.accumulate(sy, axis=2)[..., lo - 1 : hi]
+        csq = np.add.accumulate(np.square(sy, out=sy), axis=2, out=sy)[..., lo - 1 : hi]
+        sse = np.square(csum)  # sse = max(csq - csum**2 / k, 0) + max(right SSE, 0), in place
+        sse /= k
+        np.subtract(csq, sse, out=sse)
+        rsum = np.subtract(total[:, None, None], csum, out=csum)
+        np.square(rsum, out=rsum)
+        rsum /= rights
+        right_sse = np.subtract(total_sq[:, None, None], csq, out=csq)
+        right_sse -= rsum
+        np.maximum(sse, 0.0, out=sse)
+        sse += np.maximum(right_sse, 0.0, out=right_sse)
+    np.putmask(sse, (rights < min_leaf) | (sv[..., lo - 1 : hi] == sv[..., lo : hi + 1]), np.inf)
+    sse = sse.reshape(counts.size, -1)
+    best = sse.argmin(axis=1)
+    node = np.arange(counts.size)
+    feature, at = np.divmod(best, k.size)
+    at += lo
+    lower, upper = sv[node, feature, at - 1], sv[node, feature, at]
+    return np.stack([sse[node, best], feature, at, lower, upper])
+
+
+class _Nodes(NamedTuple):
+    """Every node of a stack of trees by id: the roots (root i is anchor i's), then each level."""
+
+    value: np.ndarray  # the node's training mean
+    samples: np.ndarray
+    feature: np.ndarray  # the split feature, -1 at a leaf
+    threshold: np.ndarray
+    left: np.ndarray  # the left child's id; the right child's is the next
+
+
+def _fit_stack(xt: np.ndarray, ys: np.ndarray, order: np.ndarray, max_depth: int, min_leaf: int):
+    """Every anchor's tree, grown level by level, and the leaf of each (anchor, row).
+
+    xt is (A, F, n), each anchor's feature columns; ys is (A, n), finite
+    targets whose squared sums fit float64; order is xt's stable argsort
+    along its last axis.  A node of at least 2 * min_leaf rows above
+    max_depth takes the split with the lowest child SSE over every split
+    point k in [min_leaf, rows - min_leaf] of every feature, tied
+    neighbours excluded (_scan), when it strictly improves on the node's
+    own SSE.  The threshold is the midpoint of the values either side of
+    k, or the lower value when the midpoint rounds up to the upper one or
+    overflows, as in scikit-learn's splitter, so the first k rows, and only
+    they, are at or below it.  A node's value is its targets' mean, summed
+    in ascending row order (_sums).
+    """
+    a, f, n = xt.shape
+    # The stack's rows are numbered anchor by anchor: row r of anchor i is i * n + r.
+    y = ys.reshape(-1)
+    xs = np.ascontiguousarray(xt.transpose(1, 0, 2)).reshape(-1)  # feature g of row j at g*a*n + j
+    columns = (np.arange(f) * (a * n))[:, None]
+    # One line per feature of every node's rows in that feature's order, node after node,
+    # and a last line of them in ascending order: node i's rows are columns
+    # starts[i] : starts[i] + counts[i] of every line.
+    rows = np.concatenate([order, np.broadcast_to(np.arange(n), (a, 1, n))], axis=1)
+    rows = (rows + (np.arange(a) * n)[:, None, None]).transpose(1, 0, 2).reshape(f + 1, -1)
+    starts, counts = np.arange(a) * n, np.full(a, n)
+    leaf = np.repeat(np.arange(a), n)  # each row's node
+    levels = []
+    first = 0  # this level's first node id
+    for depth in range(max_depth + 1):
+        size, width = counts.size, rows.shape[1]
+        values = y.take(rows[-1])
+        totals = _sums(
+            np.concatenate([values, values * values]),
+            np.concatenate([starts, starts + width]), np.concatenate([counts, counts]),
+        )
+        total, total_sq = totals[:size], totals[size:]
+        level = _Nodes(
+            total / counts, counts, np.full(size, -1), np.full(size, np.nan), np.full(size, -1)
+        )
+        levels.append(level)
+        live = np.flatnonzero(counts >= 2 * min_leaf)
+        if depth == max_depth or not live.size:
+            break
+        found = np.empty((5, live.size))
+        line_x, line_y = xs.take(rows[:f] + columns), y.take(rows[:f])  # each line's values
+        lines = (np.arange(f) * width)[:, None]
+        for group in _groups(counts[live], f):
+            nodes = live[group]
+            cells = starts[nodes][:, None, None] + lines + np.arange(counts[nodes].max())
+            found[:, group] = _scan(  # past a node's count: padding
+                line_x.take(cells, mode="clip"), line_y.take(cells, mode="clip"),
+                counts[nodes], total[nodes], total_sq[nodes], min_leaf,
+            )
+        child_sse, feature, at, lower, upper = found
+        p = np.flatnonzero(child_sse < total_sq[live] - total[live] * total[live] / counts[live])
+        if not p.size:
+            break
+        s = live[p]
+        feature, at = feature[p].astype(np.intp), at[p].astype(np.intp)
+        lower, upper = lower[p], upper[p]
+        with np.errstate(over="ignore"):
+            threshold = (lower + upper) / 2.0
+        threshold = np.where(np.isfinite(threshold) & (threshold < upper), threshold, lower)
+        level.feature[s] = feature
+        level.threshold[s] = threshold
+        level.left[s] = first + size + 2 * np.arange(s.size)
+
+        # Each child's rows are a stable filter of its parent's, on every line: the
+        # children of split nodes follow one another, left then right, and the rows
+        # of the level's leaves go to one spare cell past the end.  A row at column c
+        # of its node's line goes to column to_left + (left rows of the node up to c)
+        # - 1, or to to_right + (right rows of the node before c).
+        goes_left = np.zeros(a * n, dtype=bool)
+        taken = np.cumsum(at) - at
+        left_cells = np.repeat(feature * width + starts[s] - taken, at)
+        goes_left[rows.reshape(-1)[left_cells + np.arange(left_cells.size)]] = True
+        if depth + 1 == max_depth:
+            rows = rows[-1:]  # the children are leaves: they need their rows only
+        side = goes_left.take(rows)
+        lefts = np.cumsum(side, axis=1)  # left rows of the line up to each column
+        before = lefts.take(starts - 1, axis=1)  # ... before each node
+        before[:, 0] = 0
+        begin, parents = starts, counts
+        counts = np.column_stack([at, counts[s] - at]).ravel()
+        starts = np.cumsum(counts) - counts
+        spare = (rows.shape[0] + 3) * width  # past every cell of the next lines
+        to_left, to_right = np.full(size, spare), np.full(size, spare)
+        to_left[s], to_right[s] = starts[0::2], starts[1::2]
+        left = np.repeat(to_left - before - 1, parents, axis=1)
+        left += lefts
+        right = np.repeat(to_right - begin + before, parents, axis=1)
+        right += np.arange(width)
+        right -= lefts
+        cell = np.where(side, left, right)
+        lines, width = rows.shape[0], counts.sum()
+        cell += (np.arange(lines) * width)[:, None]
+        moved = np.empty(lines * width + 1, dtype=np.intp)
+        np.put(moved, cell, rows, mode="clip")
+        rows = moved[:-1].reshape(lines, width)
+        first += size
+        leaf[rows[-1]] = np.repeat(np.arange(first, first + counts.size), counts)
+    return _Nodes(*map(np.concatenate, zip(*levels))), leaf.reshape(a, n)
+
+
+def _tree(nodes: _Nodes, i: int = 0) -> TreeNode:
+    """Node i of a stack's trees, with its subtree."""
+    value, samples, feature = float(nodes.value[i]), int(nodes.samples[i]), int(nodes.feature[i])
+    if feature < 0:
+        return TreeNode(value=value, samples=samples)
+    left = int(nodes.left[i])
+    threshold = float(nodes.threshold[i])
+    return TreeNode(value, samples, feature, threshold, _tree(nodes, left), _tree(nodes, left + 1))
 
 
 def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
@@ -146,12 +325,15 @@ def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
         raise ValueError("inputs are not finite")
 
 
-def _fit(xs: np.ndarray, ys: np.ndarray, max_depth: int, min_samples_leaf: int, order=None):
-    """The root of the fitted tree and its in-sample predictions, read off the leaves.
+def _squares_fit(ys: np.ndarray) -> np.ndarray:
+    """Whether each row's squared sums fit float64: (sum |y|)**2 caps each one the scan forms."""
+    with np.errstate(over="ignore"):
+        bound = np.abs(ys).sum(axis=1)
+        return np.isfinite(bound * bound)
 
-    order is each feature column's stable argsort, stacked by feature; it is
-    made here when not given.
-    """
+
+def _fit(xs: np.ndarray, ys: np.ndarray, max_depth: int, min_samples_leaf: int):
+    """The root of the fitted tree and its in-sample predictions, read off the leaves."""
     if ys.ndim != 1 or ys.shape[0] != xs.shape[0]:
         raise ValueError("y must be a vector matching X row count")
     if ys.shape[0] == 0:
@@ -161,18 +343,12 @@ def _fit(xs: np.ndarray, ys: np.ndarray, max_depth: int, min_samples_leaf: int, 
     if min_samples_leaf < 1:
         raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
     _check_finite(xs, ys)
-    bound = float(np.abs(ys).sum())  # bound**2 caps every squared sum the split scan forms
-    if not math.isfinite(bound * bound):
-        raise ValueError("targets overflow the split scan's squared sums")
-    n = ys.shape[0]
-    root = None
-    if max_depth > 0 and n >= 2 * min_samples_leaf:
-        xt = np.ascontiguousarray(xs.T)
-        if order is None:
-            order = np.argsort(xt, axis=1, kind="stable")
-        root = _Presort(order, np.take_along_axis(xt, order, axis=1), ys[order])
-    out = np.empty(n)
-    return _grow(ys, np.arange(n), root, max_depth, min_samples_leaf, out), out
+    if not _squares_fit(ys[None])[0]:
+        raise ValueError(OVERFLOW)
+    xt = xs.T[None]
+    order = np.argsort(xt, axis=2, kind="stable")
+    nodes, leaf = _fit_stack(xt, ys[None], order, max_depth, min_samples_leaf)
+    return _tree(nodes), nodes.value[leaf[0]]
 
 
 def fit_regression_tree(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> RegressionTree:
@@ -193,12 +369,18 @@ def fit_regression_tree(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> 
     )
 
 
+def _median_mae(ys: np.ndarray) -> np.ndarray:
+    """naive_median_mae of each row of an (A, n) matrix; past float64 it is inf, unwarned."""
+    with np.errstate(over="ignore"):
+        return np.mean(np.abs(ys - np.median(ys, axis=1, keepdims=True)), axis=1)
+
+
 def naive_median_mae(y) -> float:
     """Mean absolute error of always predicting the median (midpoint for even counts)."""
     ys = np.asarray(y, dtype=np.float64)
     if ys.ndim != 1 or ys.shape[0] == 0:
         raise ValueError("y must be a non-empty vector")
-    return float(np.mean(np.abs(ys - np.median(ys))))
+    return float(_median_mae(ys[None])[0])
 
 
 def pps(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> MeasureResult:
@@ -215,21 +397,43 @@ def pps(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> MeasureResult:
     if ys.ndim != 1 or ys.shape[0] != xs.shape[0]:
         raise ValueError("y must be a vector matching X row count")
     _check_finite(xs, ys)
-    return _pps(xs, ys, None, max_depth, min_samples_leaf)
+    xt = xs.T[None]
+    order = np.argsort(xt, axis=2, kind="stable")
+    return _pps(xt, ys[None], order, np.arange(1), max_depth, min_samples_leaf)(0)
 
 
-def _pps(xs: np.ndarray, ys: np.ndarray, order, max_depth: int = 4, min_samples_leaf: int = 5):
-    """pps of finite paired rows; order is as _fit takes it."""
-    n = ys.shape[0]
+def _pps(xt, ys, order, rows, max_depth: int = 4, min_samples_leaf: int = 5):
+    """PPS at the anchors rows of a stack, as record(i): anchor i's result or its ValueError.
+
+    xt, ys and order are as _fit_stack takes them, and ys is finite at rows.
+    A constant target is degenerate, then targets whose squared sums
+    overflow are refused; the trees of the other anchors grow together.
+    Nothing warns.
+    """
+    n = ys.shape[1]
+    if n == 0:
+        raise ValueError("y must be a non-empty vector")
     params = {"max_depth": max_depth, "min_samples_leaf": min_samples_leaf}
-    baseline = naive_median_mae(ys)
-    if baseline == 0.0:
-        return degenerate_result("PPS", n, "constant target", **params)
+    targets = ys[rows]
+    baseline = _median_mae(targets)
+    constant = (baseline == 0.0) | (targets.min(axis=1) == targets.max(axis=1))
+    grown = rows[~constant & _squares_fit(targets)]
+    nodes, leaf = _fit_stack(xt[grown], ys[grown], order[grown], max_depth, min_samples_leaf)
+    mae_model = np.mean(np.abs(ys[grown] - nodes.value[leaf]), axis=1)
+    at = dict(zip(rows.tolist(), range(rows.size)))
+    mae_at = dict(zip(grown.tolist(), mae_model.tolist()))
 
-    _, predictions = _fit(xs, ys, max_depth, min_samples_leaf, order)
-    mae_model = float(np.mean(np.abs(ys - predictions)))
-    raw = 1.0 - mae_model / baseline
-    params["raw"] = raw
-    params["mae_model"] = mae_model
-    params["mae_baseline"] = baseline
-    return MeasureResult("PPS", min(max(raw, 0.0), 1.0), n, params=params)
+    def record(i: int) -> MeasureResult:
+        j = at[i]
+        if constant[j]:
+            return degenerate_result("PPS", n, "constant target", **params)
+        if i not in mae_at:
+            raise ValueError(OVERFLOW)
+        mae, base = mae_at[i], float(baseline[j])
+        raw = 1.0 - mae / base
+        return MeasureResult(
+            "PPS", min(max(raw, 0.0), 1.0), n,
+            params={**params, "raw": raw, "mae_model": mae, "mae_baseline": base},
+        )
+
+    return record

@@ -11,23 +11,28 @@ CDIST_ROWS = 64  # rows of the distance matrix cdist adds a column's squares to 
 
 
 def _average_ranks(a: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
-    """1-based ranks of a vector, tied values sharing their mean rank.
+    """1-based ranks along the last axis, tied values sharing their mean rank.
 
-    Bit for bit scipy.stats.rankdata(a, method="average"): a NaN anywhere
-    makes every rank NaN, and equal infinities tie.  order, when given, is
-    a's ascending argsort (any order among ties will do).
+    Each row is bit for bit scipy.stats.rankdata(row, method="average"): a
+    NaN anywhere in a row makes its every rank NaN, and equal infinities
+    tie.  order, when given, is a's ascending argsort along the last axis
+    (any order among ties will do).
     """
-    if np.isnan(a).any():
-        return np.full(a.shape, np.nan)
     if order is None:
-        order = np.argsort(a, kind="stable")
-    ordered = a[order]
+        order = np.argsort(a, axis=-1, kind="stable")
+    n = a.shape[-1]
+    ordered = np.take_along_axis(a, order, axis=-1)
     starts = np.ones(a.shape, dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    dense = np.empty(a.shape, dtype=np.intp)
-    dense[order] = np.cumsum(starts)  # 1-based tie group of each value
-    count = np.append(np.flatnonzero(starts), a.shape[0])  # values before each group, then n
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
+    np.not_equal(ordered[..., 1:], ordered[..., :-1], out=starts[..., 1:])
+    position = np.arange(n)
+    before = np.maximum.accumulate(np.where(starts, position, 0), axis=-1)  # values before a group
+    after = np.full(a.shape, n)
+    after[..., :-1] = np.where(starts[..., 1:], position[1:], n)
+    through = np.minimum.accumulate(after[..., ::-1], axis=-1)[..., ::-1]  # ... and through it
+    ranks = np.empty(a.shape)
+    np.put_along_axis(ranks, order, 0.5 * (through + before + 1), axis=-1)
+    ranks[np.isnan(a).any(axis=-1)] = np.nan
+    return ranks
 
 
 def cdist(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -50,52 +55,56 @@ def cdist(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
-def _pearson_value(x: np.ndarray, y: np.ndarray) -> float | None:
-    """Correlation as sxy/sqrt(sxx*syy); None when a side is constant.
+NOT_FINITE_POSITIVE = "sums of squares are not finite and positive"
+# Each correlation's reason for a constant row, and its params.
+_CORRELATIONS = {"PC": ("zero variance", {}), "SC": ("zero rank variance", {"ties": "average"})}
 
-    Constancy is read off min and max: a rounded mean leaves a constant
-    column a sxx near 1e-33, not 0.  The variance denominators cancel, and
-    the single sqrt keeps perfectly linear inputs at exactly +/-1.0.  When
-    sxx*syy is not a positive finite float (non-finite input, overflow,
-    underflow) r would be NaN or meaningless, so that raises ValueError.
+
+def _correlations(measure_id: str, x: np.ndarray, y: np.ndarray):
+    """PC, or SC of ranks, of each row pair of two (A, n) matrices, as record(i): row i's result,
+    or the ValueError refusing it.
+
+    Each row's correlation is sxy/sqrt(sxx*syy) about its own mean, the
+    arithmetic of that row alone: row means and stacked dot products are
+    exact.  Constancy is read off min and max: a rounded mean leaves a
+    constant row a sxx near 1e-33, not 0.  The variance denominators cancel,
+    and the single sqrt keeps perfectly linear rows at exactly +/-1.0.  A
+    row whose sxx*syy is not a positive finite float (non-finite input,
+    overflow, underflow) would score NaN or a meaningless r, so it is
+    refused.  Nothing warns.
     """
-    if x.min() == x.max() or y.min() == y.max():
-        return None
-    dx = x - x.mean()
-    dy = y - y.mean()
-    with np.errstate(over="ignore"):  # an overflowed sum or product is refused below
-        sxx = dx @ dx
-        syy = dy @ dy
-        product = sxx * syy
-    if not (0.0 < product < math.inf):
-        raise ValueError("sums of squares are not finite and positive")
-    r = (dx @ dy) / math.sqrt(product)
-    return min(1.0, max(-1.0, r))
+    n = x.shape[1]
+    if n < 2:
+        raise ValueError("need at least 2 observations")
+    reason, params = _CORRELATIONS[measure_id]
+    constant = (x.min(axis=1) == x.max(axis=1)) | (y.min(axis=1) == y.max(axis=1))
+    with np.errstate(all="ignore"):  # what over- or underflows is refused below
+        dx = x - x.mean(axis=1, keepdims=True)
+        dy = y - y.mean(axis=1, keepdims=True)
+        product = np.vecdot(dx, dx) * np.vecdot(dy, dy)
+        r = np.clip(np.vecdot(dx, dy) / np.sqrt(product), -1.0, 1.0)
+    refused = ~((0.0 < product) & (product < math.inf))
+
+    def record(i: int) -> MeasureResult:
+        if constant[i]:
+            return degenerate_result(measure_id, n, reason)
+        if refused[i]:
+            raise ValueError(NOT_FINITE_POSITIVE)
+        return MeasureResult(measure_id, float(r[i]), n, params=dict(params))
+
+    return record
 
 
 def pearson(x, y) -> MeasureResult:
     """Pearson correlation coefficient; constant input is flagged degenerate."""
     xa, ya = paired_vectors(x, y)
-    value = _pearson_value(xa, ya)
-    if value is None:
-        return degenerate_result("PC", xa.shape[0], "zero variance")
-    return MeasureResult("PC", value, xa.shape[0])
+    return _correlations("PC", xa[None], ya[None])(0)
 
 
 def spearman(x, y) -> MeasureResult:
     """Spearman rank correlation: Pearson on average ranks, so ties share their rank."""
     xa, ya = paired_vectors(x, y)
-    return _spearman(_average_ranks(xa), _average_ranks(ya))
-
-
-def _spearman(x_ranks: np.ndarray, y_ranks: np.ndarray) -> MeasureResult:
-    """SC of two paired sides' _average_ranks."""
-    if x_ranks.shape[0] < 2:
-        raise ValueError("need at least 2 observations")
-    value = _pearson_value(x_ranks, y_ranks)
-    if value is None:
-        return degenerate_result("SC", x_ranks.shape[0], "zero rank variance")
-    return MeasureResult("SC", value, x_ranks.shape[0], params={"ties": "average"})
+    return _correlations("SC", _average_ranks(xa[None]), _average_ranks(ya[None]))(0)
 
 
 def _centered_distances(points: np.ndarray) -> tuple[np.ndarray, float]:

@@ -10,12 +10,14 @@ anchors, then column and measure.  Each block cuts every column's windows
 into one (anchors, W) matrix and sorts each row once, by a stable argsort.
 One block scorer (_Block) scores every trial of a block, and
 evaluate_pairs is a one-anchor block: it flags each anchor with the first
-reason that holds, in one order for every measure, scores MI, IG,
-RSI_SYNERGY and MIC at every anchor of the block at once through the
-integer-code kernel, and leaves PC, SC, DC and PPS to one anchor at a time
-from the matrices' rows.  What the measures derive from a window (codes,
-entropies, ranks, centred distances) is made once and read by every trial
-that uses it.
+reason that holds, in one order for every measure, and scores every
+measure but DC at every anchor of the block at once: PC and SC on the
+rows of the matrices, PPS by growing the trees of every anchor (and of
+every feature set of one size and every target) level by level together,
+MI, IG, RSI_SYNERGY and MIC through the integer-code kernel.  DC, whose
+centred distances are n x n, scores one anchor at a time.  What the
+measures derive from a window (codes, entropies, ranks, centred
+distances) is made once and read by every trial that uses it.
 
 The trial log is written and read one field at a time, over every trial:
 the writers format each column with one C-level call per cell, quote or
@@ -42,7 +44,7 @@ from operator import attrgetter
 import numpy as np
 
 from .frame import TimeSeriesFrame, _as_text, _emit, _FirstFault, _line_of, _read_table
-from .measures import MeasureResult, degenerate_result, pearson, spearman
+from .measures import MeasureResult, degenerate_result, spearman
 from .measures.information import (
     TOO_WIDE,
     _check_set_size,
@@ -63,8 +65,8 @@ from .measures.result import Measure, as_points, measure_row
 from .measures.statistical import (
     _average_ranks,
     _centered_distances,
+    _correlations,
     _distance_correlation,
-    _spearman,
 )
 from .shaping import TOO_MANY_BINS, _fixed_width_codes, anchor_grid, pair_targets
 
@@ -93,12 +95,15 @@ def check_binning(
         raise ValueError(f"{bins} must be between 2 and 16")
 
 
-# Characters the trial log or config_key joins names with, which no name may contain.
+# Characters no name may contain, with what each would break: the trial log and config_key
+# join names with | and +, and csv.writer leaves a cell holding \r unquoted.
+_UNQUOTED = {"\r": "csv.writer leaves unquoted, so the trial log could not be read back"}
 _FEATURE_JOINS = {
     "|": "the trial log joins a feature set's names with",
     "+": "config_key joins a feature set's names with",
+    **_UNQUOTED,
 }
-_TARGET_JOINS = {"|": "config_key separates its fields with"}
+_TARGET_JOINS = {"|": "config_key separates its fields with", **_UNQUOTED}
 
 
 @dataclass(frozen=True)
@@ -234,10 +239,13 @@ def label_trend(close, anchor: int) -> str:
     return "NEUTRAL"
 
 
-_BLOCK_MEASURES = frozenset({"MI", "IG", "RSI_SYNERGY", "MIC"})  # scored a block of anchors at once
+_INFORMATION_MEASURES = frozenset({"MI", "IG", "RSI_SYNERGY", "MIC"})
 # Window entries per column in one anchor block: a block holds max(1, _BLOCK_CELLS // W)
 # anchors, so no temporary grows with the number of anchors of a scan.
 _BLOCK_CELLS = 2048
+# Window entries in one stack of PPS trees: the trials of a block whose feature sets have as
+# many columns grow together, four blocks' worth at a time.
+_STACK_CELLS = 4 * _BLOCK_CELLS
 
 
 class _Column:
@@ -265,19 +273,19 @@ class _Column:
 
 
 class _Side:
-    """A feature set or a target at one anchor of a block, and what PC, SC, DC and PPS derive
-    from it, each made once.
+    """A feature set or a target at one anchor of a block, and its centred distances, made once.
 
-    A side keeps its centred distance matrix for as long as the scan keeps the
-    side: a target for one anchor, a feature set for one (anchor, feature set).
-    A derivation that raises is not kept: each trial that reads it raises again.
+    DC is the one measure scored an anchor at a time: its centred distance
+    matrix is n x n, so a side keeps it for as long as the scan keeps the
+    side, a target for one anchor, a feature set for one (anchor, feature
+    set).  A derivation that raises is not kept: each trial that reads it
+    raises again.
     """
 
     def __init__(self, columns: tuple[_Column, ...], row: int):
         self.columns = columns
         self.row = row
-        self.values = columns[0].values[row]
-        self.n = self.values.shape[0]
+        self.n = columns[0].values.shape[1]
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -285,37 +293,17 @@ class _Side:
         return np.column_stack([c.values[self.row] for c in self.columns])
 
     @cached_property
-    def orders(self) -> np.ndarray:
-        """The columns' sort orders stacked by row, the PPS tree's presort."""
-        return np.stack([c.order[self.row] for c in self.columns])
-
-    @cached_property
-    def ranks(self) -> np.ndarray:
-        return _average_ranks(self.values, self.columns[0].order[self.row])
-
-    @cached_property
     def centered_distances(self) -> tuple[np.ndarray, float]:
         return _centered_distances(self.points)
 
-
-def _score(m: Measure, x: _Side, y: _Side) -> MeasureResult:
-    """Score PC, SC, DC or PPS (table row m) at one anchor on feature side x and target side y.
-
-    A ValueError inside a measure, including a value outside its range,
-    comes back flagged with its message as reason.
-    """
-    try:
-        if m.id == "PC":
-            return pearson(x.values, y.values)
-        if m.id == "SC":
-            return _spearman(x.ranks, y.ranks)
-        if m.id == "DC":
+    def distance_correlation(self, y: "_Side") -> MeasureResult:
+        """DC of this feature side and target side y; a ValueError comes back flagged."""
+        try:
             return _distance_correlation(
-                x.points, x.centered_distances, y.points, y.centered_distances
+                self.points, self.centered_distances, y.points, y.centered_distances
             )
-        return _pps(x.points, y.values, x.orders)
-    except ValueError as exc:
-        return degenerate_result(m.id, x.n, str(exc))
+        except ValueError as exc:
+            return degenerate_result("DC", self.n, str(exc))
 
 
 @dataclass
@@ -324,14 +312,17 @@ class _Block:
 
     Each trial flags every anchor with the first reason that holds for it,
     in one order for every measure: non-finite input, a pairwise measure on
-    a set, sides of unequal length, then the measure's own refusals.  MI,
-    IG, RSI_SYNERGY and MIC score every anchor of the block at once; PC, SC,
-    DC and PPS score one anchor at a time (_score), row by row, so that a
-    side's centred distances live for one anchor only.  What the block's
-    trials share is kept until the block is dropped: each column's codes,
-    each feature set's codes, and each (feature set, target)'s MI, which
-    RSI_SYNERGY of every set holding the feature reads again.  A derivation
-    that raises is not kept.
+    a set, sides of unequal length, then the measure's own refusals.  Every
+    measure but DC scores every anchor of the block at once: PC and SC on
+    the rows of the block's matrices, PPS by growing the trees of every
+    anchor together (with those of every other trial whose feature set has
+    as many columns), MI, IG, RSI_SYNERGY and MIC through the integer-code
+    kernel.  DC scores one anchor at a time (_Side), so that a side's
+    centred distances live for one anchor only.  What the block's trials
+    share is kept until the block is dropped: each column's codes and
+    ranks, each feature set's codes, and each (feature set, target)'s MI,
+    which RSI_SYNERGY of every set holding the feature reads again.  A
+    derivation that raises is not kept.
     """
 
     anchors: int  # rows of every column's matrix
@@ -360,6 +351,13 @@ class _Block:
             return _Codes(*_dense(codes)), refused
 
         return self._keep(("targets", c), make)
+
+    @staticmethod
+    def _finite(columns: tuple[_Column, ...]) -> np.ndarray:
+        return np.logical_and.reduce([c.finite for c in columns])
+
+    def _ranks(self, c: _Column) -> np.ndarray:
+        return self._keep(("ranks", c), lambda: _average_ranks(c.values, c.order))
 
     def _mic(self, c: _Column) -> _MicSide:
         return self._keep(("mic", c), lambda: _mic_side(c.values, c.ordered))
@@ -401,20 +399,61 @@ class _Block:
             values = _synergy(self._mutual_information(x, y), singles)
         return lambda i: MeasureResult(m.id, float(values[i]), n, params=dict(params))
 
+    def _record(self, m: Measure, x: tuple[_Column, ...], y: _Column, checks: list):
+        """Score measure row m at every anchor no check flags; None for DC.
+
+        Returns the record of such an anchor by index: its result, or the
+        ValueError refusing it.
+        """
+        if m.id in _INFORMATION_MEASURES:
+            return self._information(m, x, y, checks)
+        if m.id == "PC":
+            return _correlations("PC", x[0].values, y.values)
+        if m.id == "SC":
+            return _correlations("SC", self._ranks(x[0]), self._ranks(y))
+        if m.id == "PPS":
+            return self._pps(x, y)
+        return None
+
+    def _pps(self, x: tuple[_Column, ...], y: _Column):
+        """PPS's record on feature set x and target y.
+
+        The trees of the (feature set, target) pairs whose sets have x's size
+        grow in stacks of at most _STACK_CELLS window cells, once per block;
+        an anchor with non-finite input grows none.
+        """
+
+        def make():
+            pairs = [(s, t) for s in self.sets if len(s) == len(x) for t in self.ys]
+            size = max(1, _STACK_CELLS // max(1, self.ys[0].values.size))
+            records = {}
+            for start in range(0, len(pairs), size):
+                stack = pairs[start : start + size]
+                record = _pps(
+                    np.concatenate([np.stack([c.values for c in s], axis=1) for s, _ in stack]),
+                    np.concatenate([t.values for _, t in stack]),
+                    np.concatenate([np.stack([c.order for c in s], axis=1) for s, _ in stack]),
+                    np.flatnonzero(np.concatenate([self._finite(s + (t,)) for s, t in stack])),
+                )
+                records.update((pair, (record, j * self.anchors)) for j, pair in enumerate(stack))
+            return records
+
+        record, first = self._keep(("pps", len(x)), make)[x, y]
+        return lambda i: record(first + i)
+
     def _trial(self, m: Measure, x: tuple[_Column, ...], y: _Column) -> list[MeasureResult | None]:
-        """Measure row m on feature set x and target y at every anchor; None where _score scores it."""
+        """Measure row m on feature set x and target y at every anchor; None where DC scores."""
         a, n = x[0].values.shape
         every = np.ones(a, dtype=bool)
-        finite = np.logical_and.reduce([c.finite for c in x + (y,)])
-        checks = [(~finite, "non-finite input")]
+        checks = [(~self._finite(x + (y,)), "non-finite input")]
         record = None
         if m.pairwise and len(x) > 1:
             checks.append((every, "pairwise measure on multivariate input"))
         elif y.values.shape[1] != n:
             checks.append((every, f"length mismatch: {n} vs {y.values.shape[1]}"))
-        elif m.id in _BLOCK_MEASURES:
+        else:
             try:
-                record = self._information(m, x, y, checks)
+                record = self._record(m, x, y, checks)
             except ValueError as exc:
                 checks.append((every, str(exc)))
         results: list[MeasureResult | None] = [None] * a
@@ -440,9 +479,9 @@ class _Block:
             results = []
             for x, by_set in zip(self.sets, trials):
                 x_side = _Side(x, row)
-                for (y, m), trial in zip(product(y_sides, measure_rows), by_set):
+                for (y, _), trial in zip(product(y_sides, measure_rows), by_set):
                     result = trial[row]
-                    results.append(_score(m, x_side, y) if result is None else result)
+                    results.append(x_side.distance_correlation(y) if result is None else result)
             scores.append(results)
         return scores
 
@@ -494,10 +533,10 @@ def scan_window(
     anchor its results in (feature set, target, measure) order.  This is the
     one anchor loop behind the grid search, verification and windowed
     measurement.  It walks the anchors in blocks: each block cuts every
-    column's windows into one matrix, MI, IG, RSI_SYNERGY and MIC score
-    every anchor of the block at once, and PC, SC, DC and PPS score one
-    anchor at a time from rows of the same matrices.  Targets keep their
-    per-anchor data for the anchor, feature sets for their own trials only.
+    column's windows into one matrix, every measure but DC scores every
+    anchor of the block at once, and DC scores one anchor at a time from
+    rows of the same matrices.  For DC, targets keep their centred
+    distances for the anchor, feature sets for their own trials only.
     Windows with fewer than min_samples pairs come back degenerate without
     being scored.
     """

@@ -9,9 +9,11 @@ reference_grid_search is the grid search written one configuration at a
 time, against which the package's column-major scan is checked.
 reference_fit grows the regression tree one node at a time, each node
 sorting its own rows and scanning one threshold at a time
-(reference_best_split), against which the presorted grower is checked bit
-for bit.  reference_equal_frequency bins one bin count at a time, against
-which the binning of every count from one sort is checked bit for bit.
+(reference_best_split), against which the level-wise grower of a stack of
+trees is checked bit for bit; reference_correlation is PC's arithmetic on
+one pair of vectors, against which stacked rows are checked.
+reference_equal_frequency bins one bin count at a time, against which the
+binning of every count from one sort is checked bit for bit.
 The reference_* trial-log writers and reader and reference_read_frame
 write and parse one row and one cell at a time, against which the
 column-at-a-time text layer is checked byte for byte and message for
@@ -103,6 +105,25 @@ def brute_distance_correlation(xs, ys):
     if dvx <= 0.0 or dvy <= 0.0:
         return None
     return min(math.sqrt(max(dcov2, 0.0) / math.sqrt(dvx * dvy)), 1.0)
+
+
+def reference_correlation(x, y):
+    """Pearson's r of two vectors as sxy/sqrt(sxx*syy) about their means, one pair at a time.
+
+    The arithmetic each stacked row of the package must equal bit for bit:
+    1-D means and dot products, one sqrt, clipped to [-1, 1].  Returns
+    "constant" when either side's min equals its max, and "refused" when
+    sxx*syy is not a positive finite float.
+    """
+    if x.min() == x.max() or y.min() == y.max():
+        return "constant"
+    with np.errstate(all="ignore"):
+        dx = x - x.mean()
+        dy = y - y.mean()
+        product = (dx @ dx) * (dy @ dy)
+    if not 0.0 < product < math.inf:
+        return "refused"
+    return min(1.0, max(-1.0, float((dx @ dy) / math.sqrt(product))))
 
 
 def reference_best_split(xs, ys, min_leaf):

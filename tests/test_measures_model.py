@@ -206,17 +206,13 @@ def test_fit_and_pps_refuse_non_finite_input():
             pps(x_bad, np.ones(200))
 
 
-@st.composite
-def split_problems(draw):
-    """Up to 80 rows of 1-3 feature columns, each continuous, rounded, constant or a copy.
+COLUMN_KINDS = st.lists(
+    st.sampled_from(("continuous", "rounded", "constant", "copy")), min_size=1, max_size=3
+)
 
-    Rounded columns and targets tie neighbours and child SSEs, and a copied
-    column ties whole features, so both tie-break rules are exercised.
-    """
-    n = draw(st.integers(2, 80))
-    one_kind = st.sampled_from(("continuous", "rounded", "constant", "copy"))
-    kinds = draw(st.lists(one_kind, min_size=1, max_size=3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+def _problem(kinds, n, rounded, rng):
+    """Feature columns of the given kinds and a target, n rows each."""
     columns = []
     for kind in kinds:
         column = rng.standard_normal(n)
@@ -228,9 +224,29 @@ def split_problems(draw):
             column = columns[-1].copy()
         columns.append(column)
     y = rng.standard_normal(n)
-    if draw(st.booleans()):
-        y = np.round(y)
-    return np.column_stack(columns), y, draw(st.integers(1, 10))
+    return np.column_stack(columns), np.round(y) if rounded else y
+
+
+@st.composite
+def split_problems(draw):
+    """Up to 80 rows of 1-3 feature columns, each continuous, rounded, constant or a copy.
+
+    Rounded columns and targets tie neighbours and child SSEs, and a copied
+    column ties whole features, so both tie-break rules are exercised.
+    """
+    n, kinds = draw(st.integers(2, 80)), draw(COLUMN_KINDS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return *_problem(kinds, n, draw(st.booleans()), rng), draw(st.integers(1, 10))
+
+
+@st.composite
+def tree_stacks(draw):
+    """1-25 anchors of split_problems' kinds, all of n rows and the same column kinds."""
+    n, kinds, rounded = draw(st.integers(2, 80)), draw(COLUMN_KINDS), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    problems = [_problem(kinds, n, rounded, rng) for _ in range(draw(st.integers(1, 25)))]
+    xs, ys = map(np.stack, zip(*problems))
+    return xs, ys, draw(st.integers(1, 10))
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -269,3 +285,41 @@ def test_a_midpoint_that_rounds_up_or_overflows_splits_at_the_lower_value(lower,
     assert tree.root.left.samples == tree.root.right.samples == 5
     np.testing.assert_array_equal(tree.predict(x), y)
     assert result.value == 1.0
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(stack=tree_stacks())
+def test_stacked_trees_are_the_reference_trees_bit_for_bit(stack):
+    """Trees grown together, level by level, are each anchor's node-by-node reference tree:
+    the same nodes, and in-sample predictions equal byte for byte."""
+    xs, ys, min_leaf = stack
+    xt = xs.transpose(0, 2, 1)
+    order = np.argsort(xt, axis=2, kind="stable")
+    for depth in range(5):
+        nodes, leaf = model_based._fit_stack(xt, ys, order, depth, min_leaf)
+        for i in range(ys.shape[0]):
+            root, predictions = reference_fit(xs[i], ys[i], depth, min_leaf)
+            assert nodes.value[leaf[i]].tobytes() == predictions.tobytes()
+            assert model_based._tree(nodes, i) == root
+            assert fit_regression_tree(xs[i], ys[i], depth, min_leaf).root == root
+
+
+segment_values = st.sampled_from((1.0, 1e-300, 1e150, 3.0))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    lengths=st.lists(st.integers(0, 1100), min_size=1, max_size=6),
+    scale=segment_values,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_segment_sums_are_numpys_sums_bit_for_bit(lengths, scale, seed):
+    """Each segment sums as np.add.reduce sums that slice: numpy's pairwise order, runs over
+    128 split in halves, lanes of 8, signed zeros and magnitudes far apart included."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(sum(lengths)) * scale * 10.0 ** rng.integers(-8, 9, sum(lengths))
+    values[rng.random(values.size) < 0.2] = -0.0
+    starts = np.cumsum(lengths) - lengths
+    sums = model_based._sums(values, starts, np.array(lengths))
+    for i, (start, length) in enumerate(zip(starts, lengths)):
+        assert sums[i : i + 1].tobytes() == np.add.reduce(values[start : start + length]).tobytes()

@@ -15,7 +15,12 @@ from depscope.measures import (
     statistical,
 )
 
-from _oracles import brute_distance_correlation, brute_pearson, brute_spearman
+from _oracles import (
+    brute_distance_correlation,
+    brute_pearson,
+    brute_spearman,
+    reference_correlation,
+)
 
 
 def test_pearson_hand_value():
@@ -237,6 +242,11 @@ def test_average_ranks_are_scipys_bit_for_bit(values):
     assert statistical._average_ranks(a, order).tobytes() == ranks.tobytes()
     if np.isnan(a).any():
         assert np.isnan(ranks).all()
+    # Stacked rows are ranked each on its own.
+    rows = np.stack([a, a[::-1], np.sort(a)])
+    assert statistical._average_ranks(rows).tobytes() == np.stack(
+        [ranks, ranks[::-1], statistical._average_ranks(np.sort(a))]
+    ).tobytes()
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -255,3 +265,59 @@ def test_distances_are_scipys_bit_for_bit(n, n_columns, scale, rounded, seed):
     points *= scale
     with np.errstate(over="ignore"):
         assert np.array_equal(statistical.cdist(points, points), scipy_cdist(points, points))
+
+
+ROW_KINDS = ("continuous", "ties", "constant", "huge", "tiny")
+
+
+def _row(kind, n, rng):
+    values = rng.standard_normal(n)
+    if kind == "ties":
+        return np.round(values)
+    if kind == "constant":
+        return np.full(n, values[0])
+    if kind == "huge":  # sxx near 1e602: the product of two overflows
+        return values * 1e300
+    if kind == "tiny":  # sxx near 1e-340: the product underflows to zero
+        return values * 1e-170
+    return values
+
+
+@st.composite
+def row_pairs(draw):
+    """Two (A, n) matrices, A in 1-12, each row continuous, tied, constant, huge or tiny."""
+    a, n = draw(st.integers(1, 12)), draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y = (
+        np.stack([_row(draw(st.sampled_from(ROW_KINDS)), n, rng) for _ in range(a)])
+        for _ in range(2)
+    )
+    return x, y
+
+
+def _outcome(score, *args):
+    try:
+        return repr(score(*args))
+    except ValueError as exc:
+        return f"ValueError({exc})"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(pair=row_pairs())
+def test_stacked_correlations_score_each_row_as_one_pair(pair):
+    """PC and SC of a block's rows equal pearson and spearman of each row pair by repr, and the
+    value is the one-pair arithmetic's, bit for bit."""
+    x, y = pair
+    ranked = statistical._average_ranks(x), statistical._average_ranks(y)
+    for measure, score, sides in (("PC", pearson, (x, y)), ("SC", spearman, ranked)):
+        record = statistical._correlations(measure, *sides)
+        for i in range(x.shape[0]):
+            got = _outcome(record, i)
+            assert got == _outcome(score, x[i], y[i])
+            expected = reference_correlation(sides[0][i], sides[1][i])
+            if expected == "constant":
+                assert "zero" in got
+            elif expected == "refused":
+                assert got == "ValueError(sums of squares are not finite and positive)"
+            else:
+                assert record(i).value == expected

@@ -115,6 +115,8 @@ def test_search_space_validation():
         ("feature_sets", "a|b", "feature name 'a|b' contains '|', which the trial log joins"),
         ("feature_sets", "a+b", "feature name 'a+b' contains '+', which config_key joins"),
         ("targets", "a|b", "target name 'a|b' contains '|', which config_key separates"),
+        ("feature_sets", "a\rb", "feature name 'a\\rb' contains '\\r', which csv.writer leaves"),
+        ("targets", "a\rb", "target name 'a\\rb' contains '\\r', which csv.writer leaves"),
     ),
 )
 def test_names_the_trial_log_cannot_round_trip_are_refused(axis, name, message):
@@ -242,6 +244,12 @@ def test_information_measures_of_an_empty_window_say_so():
         assert r.degenerate and r.params["reason"] == "empty symbol sequences"
 
 
+def test_pps_of_an_empty_window_says_so():
+    """PPS refuses n = 0 with the reason its baseline gives instead of raising."""
+    r = evaluate_pairs("PPS", np.zeros(0), np.zeros(0))
+    assert r.degenerate and r.params["reason"] == "y must be a non-empty vector"
+
+
 def test_evaluate_pairs_flags_overflow_instead_of_scoring_it():
     x = np.random.default_rng(6).standard_normal(200)
     for measure in ("PC", "SC"):
@@ -285,6 +293,42 @@ def test_evaluate_pairs_flags_pps_targets_whose_squared_sums_overflow():
     assert evaluate_pairs("PPS", x, x).value > 0.9
     r = evaluate_pairs("PPS", x, x * 1e200)
     assert r.degenerate and "overflow" in r.params["reason"]
+
+
+def test_targets_near_float64s_limit_are_refused_without_a_warning():
+    """Finite targets whose sums overflow read degenerate with their reason, and warn nothing,
+    through evaluate_pairs and for one such anchor in a scan block of clean anchors."""
+    x = np.random.default_rng(0).standard_normal(200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = evaluate_pairs("PPS", x, x * 3e306)
+        assert r.degenerate
+        assert r.params["reason"] == "targets overflow the split scan's squared sums"
+        for constant in (3e306, 1e308):  # the median of two 1e308s overflows to inf
+            r = evaluate_pairs("PPS", x, np.full(200, constant))
+            assert r.degenerate and r.params["reason"] == "constant target"
+        r = evaluate_pairs("PC", x, x * 5e307)
+        assert r.degenerate and r.params["reason"] == "sums of squares are not finite and positive"
+        assert evaluate_pairs("SC", x, x * 5e307).value == 1.0
+
+        rng = np.random.default_rng(1)
+        y = rng.standard_normal(400) * 0.01
+        y[250:300] = rng.standard_normal(50) * 3e306  # the targets of the anchor at row 249
+        frame = TimeSeriesFrame(
+            np.datetime64("2021-01-01") + np.arange(400), {"a": rng.standard_normal(400), "y": y}
+        )
+        anchors, scores = scan_window(
+            frame, 50, (("a",),), ("y",), ("PPS", "PC", "SC"),
+            step=50, horizon=50, bin_width=0.001, feature_bins=8,
+        )
+    flagged = {
+        a: [r.params["reason"] for r in rs if r.degenerate] for a, rs in zip(anchors, scores)
+    }
+    assert flagged.pop(249) == [
+        "targets overflow the split scan's squared sums",
+        "sums of squares are not finite and positive",
+    ]
+    assert len(flagged) == len(anchors) - 1 and not any(flagged.values())
 
 
 def _window_symbols(xs, ys, feature_bins, bin_width):
@@ -553,6 +597,101 @@ def test_block_boundaries_change_no_information_result(drawn):
         assert flagged[reason] == ({plants[kind]} if kind in plants else set())
 
 
+ANCHOR_MEASURES = ("PC", "SC", "DC", "PPS")
+# Targets planted at one anchor each, and the reasons they give PC, SC, DC and PPS there.
+PLANTED_TARGETS = {
+    "nan": ("non-finite input",) * 4,
+    "constant": (
+        "zero variance", "zero rank variance", "zero distance variance", "constant target"
+    ),
+    "squares": (  # about 1e200: finite sums whose squares overflow
+        "sums of squares are not finite and positive", None, "distances overflow",
+        "targets overflow the split scan's squared sums",
+    ),
+    "huge": (  # about 3e306: sums that overflow too
+        "sums of squares are not finite and positive", None, "distances overflow",
+        "targets overflow the split scan's squared sums",
+    ),
+}
+
+
+@st.composite
+def anchor_scans(draw):
+    """A scan of 1-6 disjoint windows of 8-400 rows, the anchors per block to score it in, and
+    at most one anchor per PLANTED_TARGETS kind whose target window carries it."""
+    window = draw(st.sampled_from((8, 9, 16, 31, 64, 100, 200, 400)))
+    horizon = draw(st.sampled_from((window, max(1, window // 3), window + 7)))
+    count = draw(st.integers(1, 6))
+    per_block = draw(st.sampled_from((1, 2, count)))
+    split = draw(st.integers(0, count))
+    sets = draw(
+        st.lists(st.sampled_from((("a",), ("b",), ("a", "b"), ("b", "c", "a"))), min_size=1,
+                 max_size=3, unique=True)
+    )
+    free = list(draw(st.permutations(range(count))))
+    plants = {kind: free.pop() for kind in PLANTED_TARGETS if free and draw(st.booleans())}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    step = max(window, horizon)  # windows and horizons of two anchors never share a row
+    n = window + horizon + (count - 1) * step
+    columns = {name: rng.standard_normal(n) for name in "abc"}
+    columns["y"] = 0.01 * rng.standard_normal(n)
+    for kind, i in plants.items():
+        targets = slice(i * step + window, i * step + window + horizon)
+        if kind == "nan":
+            columns["y"][targets.start] = np.nan
+        elif kind == "constant":
+            columns["y"][targets] = 0.25
+        else:
+            scale = 1e200 if kind == "squares" else 3e306
+            columns["y"][targets] = rng.standard_normal(horizon) * scale
+    frame = TimeSeriesFrame(np.datetime64("2021-01-01") + np.arange(n), columns)
+    scan = dict(window=window, horizon=horizon, step=step, sets=tuple(sets))
+    return frame, scan, per_block, split, plants
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(drawn=anchor_scans())
+def test_block_boundaries_change_no_anchor_measure_result(drawn):
+    """PC, SC, DC and PPS of every anchor equal a one-anchor evaluate_pairs by repr, whatever
+    the anchors per block and however the anchors are sliced, and each planted target flags
+    its own anchor and no other."""
+    frame, scan, per_block, split, plants = drawn
+    window, horizon = scan["window"], scan["horizon"]
+
+    def run(block=slice(None)):
+        return scan_window(
+            frame, window, scan["sets"], ("y",), ANCHOR_MEASURES, step=scan["step"],
+            horizon=horizon, bin_width=0.001, feature_bins=8, block=block,
+        )
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_BLOCK_CELLS", per_block * window)
+        anchors, scores = run()
+        _, head = run(slice(0, split))
+        _, tail = run(slice(split, None))
+    assert [[repr(r) for r in rs] for rs in head + tail] == [[repr(r) for r in rs] for rs in scores]
+
+    planted = {i: kind for kind, i in plants.items()}
+    for i, (anchor, results) in enumerate(zip(anchors.tolist(), scores)):
+        ys = pair_targets(frame.column("y")[anchor + 1 : anchor + 1 + horizon], window)
+        trials = [(fs, m) for fs in scan["sets"] for m in ANCHOR_MEASURES]
+        for (features, measure), r in zip(trials, results):
+            xs = np.column_stack(
+                [frame.column(c)[anchor - window + 1 : anchor + 1] for c in features]
+            )
+            assert repr(r) == repr(evaluate_pairs(measure, xs, ys)), (i, features, measure)
+            reason = r.params.get("reason")
+            if planted.get(i) == "nan":
+                assert reason == "non-finite input"
+            elif len(features) > 1 and measure in ("PC", "SC"):
+                assert reason == "pairwise measure on multivariate input"
+            elif i in planted:
+                assert reason == PLANTED_TARGETS[planted[i]][ANCHOR_MEASURES.index(measure)]
+            else:
+                assert not r.degenerate, (i, features, measure, reason)
+
+
 def test_scan_memory_does_not_grow_with_the_anchors_it_scans():
     """Anchors are scored a bounded block at a time: at step 1 on a few thousand rows the
     scan's transient memory stays a few MiB (one block of every anchor takes tens)."""
@@ -564,14 +703,17 @@ def test_scan_memory_does_not_grow_with_the_anchors_it_scans():
     tracemalloc.start()
     try:
         anchors, scores = scan_window(
-            frame, 100, (("a", "b", "c"), ("a",)), ("y",), INFORMATION_MEASURES,
+            frame, 100, (("a", "b", "c"), ("a",)), ("y",),
+            INFORMATION_MEASURES + ("PC", "SC", "PPS"),
             step=1, horizon=100, bin_width=0.001, feature_bins=8,
         )
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(anchors) == 2301
-    assert not any(r.degenerate for r in scores[0] if r.measure_id != "MIC")
+    assert {r.params.get("reason") for r in scores[0]} == {
+        None, "pairwise measure on multivariate input"
+    }
     assert peak - retained < 3 * 2**20
 
 
@@ -750,6 +892,13 @@ def test_trial_log_csv_skips_blank_rows():
     bad = GOOD_TRIAL_ROW.replace("false", "x")
     with pytest.raises(ValueError, match="^line 4: degenerate must be true or false, got 'x'$"):
         read_trial_log_csv_from_text(TRIAL_LOG_HEADER + GOOD_TRIAL_ROW + "\n" + bad)
+
+
+def test_trial_log_csv_text_the_csv_module_cannot_split_is_a_value_error():
+    """A bare carriage return in an unquoted cell, as csv.writer leaves one, names its line."""
+    text = TRIAL_LOG_HEADER + GOOD_TRIAL_ROW + GOOD_TRIAL_ROW.replace(",a,", ",a\rb,")
+    with pytest.raises(ValueError, match="^line 3: new-line character seen in unquoted field"):
+        read_trial_log_csv(io.StringIO(text))
 
 
 def test_trial_log_csv_reads_paths_bytes_and_streams(tmp_path):
