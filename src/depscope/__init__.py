@@ -39,13 +39,11 @@ from .measures import (
     DiscreteDistribution,
     JointHistogram,
     MeasureResult,
-    RegressionTree,
     conditional_entropy,
     degenerate_result,
     distance_correlation,
     entropy,
     equal_frequency_symbols,
-    fit_regression_tree,
     information_gain,
     mic,
     mutual_information,

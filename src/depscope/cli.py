@@ -275,10 +275,27 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _read_scores(path: str) -> dict[str, float]:
+    """The config-key scores of a JSON file: an object whose values are all numbers."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not a JSON number")
+
+    try:
+        scores = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=refuse)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(scores, dict) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in scores.values()
+    ):
+        raise ValueError(f"{path}: scores must be a JSON object of numbers")
+    return scores
+
+
 def cmd_report(args) -> int:
     log_ = read_trial_log_csv(args.input)
     if args.scores is not None:
-        scores = json.loads(Path(args.scores).read_text(encoding="utf-8"))
+        scores = _read_scores(args.scores)
         result = correlate_measure_with_scores(log_, scores)
         value = "nan" if result.degenerate else f"{result.value:.6g}"
         print(

@@ -10,13 +10,7 @@ from .information import (
     mutual_information,
     redundancy_synergy_index,
 )
-from .model_based import (
-    RegressionTree,
-    TreeNode,
-    fit_regression_tree,
-    naive_median_mae,
-    pps,
-)
+from .model_based import naive_median_mae, pps
 from .result import MEASURE_IDS, VALUE_RANGES, MeasureResult, degenerate_result
 from .statistical import distance_correlation, pearson, spearman
 
@@ -37,9 +31,6 @@ __all__ = [
     "redundancy_synergy_index",
     "equal_frequency_symbols",
     "mic",
-    "RegressionTree",
-    "TreeNode",
-    "fit_regression_tree",
     "naive_median_mae",
     "pps",
 ]

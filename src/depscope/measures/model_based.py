@@ -6,74 +6,15 @@ the root; each level scans every split of every feature of every node
 that can still split, in every anchor, in one zero-padded pass; and a
 child's presort is a stable filter of its parent's padded rows.  Each
 node's arithmetic is that of a node grown on its own, so the trees are
-the same bit for bit.  fit_regression_tree and pps grow a stack of one.
+the same bit for bit.  No tree is kept: a row's fitted value is written
+at each level it reaches, so the last one written is its leaf's mean.
+pps grows a stack of one.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .result import MeasureResult, as_points, degenerate_result
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """Internal nodes carry a (feature, threshold) split; leaves carry the training mean."""
-
-    value: float
-    samples: int
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass(frozen=True)
-class RegressionTree:
-    root: TreeNode
-    max_depth: int
-    min_samples_leaf: int
-    n_features: int
-
-    def predict(self, X) -> np.ndarray:
-        xs = as_points(X)
-        if xs.shape[1] != self.n_features:
-            raise ValueError(
-                f"expected {self.n_features} feature columns, got {xs.shape[1]}"
-            )
-        out = np.empty(xs.shape[0])
-        self._fill(self.root, xs, np.arange(xs.shape[0]), out)
-        return out
-
-    def _fill(self, node: TreeNode, xs: np.ndarray, idx: np.ndarray, out: np.ndarray):
-        if node.is_leaf or idx.size == 0:
-            out[idx] = node.value
-            return
-        mask = xs[idx, node.feature] <= node.threshold
-        self._fill(node.left, xs, idx[mask], out)
-        self._fill(node.right, xs, idx[~mask], out)
-
-    def depth(self) -> int:
-        def walk(node: TreeNode) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root)
-
-    def leaf_count(self) -> int:
-        def walk(node: TreeNode) -> int:
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-
-        return walk(self.root)
 
 
 OVERFLOW = "targets overflow the split scan's squared sums"
@@ -159,14 +100,14 @@ def _groups(counts: np.ndarray, f: int) -> list[np.ndarray]:
 
 
 def _scan(sv, sy, counts, total, total_sq, min_leaf: int) -> np.ndarray:
-    """Each node's best split: its child SSE, feature and k, and the values either side of k.
+    """Each node's best split: its child SSE, feature and split point k.
 
     sv and sy are a group of nodes' feature values and targets in each
     feature's order, (nodes, F, m), padded past each node's count.  The
     child SSEs of every (feature, split point k) of every node form one
     array, out-of-range k and tied neighbours masked with inf; each node's
     row-major first minimum is the lowest feature index and then the lowest
-    threshold among equal SSEs.
+    k among equal SSEs.
     """
     m = sv.shape[2]
     lo, hi = min_leaf, m - min_leaf  # split point k: rows [0, k) go left, for k in [lo, hi]
@@ -190,23 +131,11 @@ def _scan(sv, sy, counts, total, total_sq, min_leaf: int) -> np.ndarray:
     best = sse.argmin(axis=1)
     node = np.arange(counts.size)
     feature, at = np.divmod(best, k.size)
-    at += lo
-    lower, upper = sv[node, feature, at - 1], sv[node, feature, at]
-    return np.stack([sse[node, best], feature, at, lower, upper])
-
-
-class _Nodes(NamedTuple):
-    """Every node of a stack of trees by id: the roots (root i is anchor i's), then each level."""
-
-    value: np.ndarray  # the node's training mean
-    samples: np.ndarray
-    feature: np.ndarray  # the split feature, -1 at a leaf
-    threshold: np.ndarray
-    left: np.ndarray  # the left child's id; the right child's is the next
+    return np.stack([sse[node, best], feature, at + lo])
 
 
 def _fit_stack(xt: np.ndarray, ys: np.ndarray, order: np.ndarray, max_depth: int, min_leaf: int):
-    """Every anchor's tree, grown level by level, and the leaf of each (anchor, row).
+    """Every anchor's tree, grown level by level, as the (A, n) in-sample fitted values.
 
     xt is (A, F, n), each anchor's feature columns; ys is (A, n), finite
     targets whose squared sums fit float64; order is xt's stable argsort
@@ -214,11 +143,9 @@ def _fit_stack(xt: np.ndarray, ys: np.ndarray, order: np.ndarray, max_depth: int
     max_depth takes the split with the lowest child SSE over every split
     point k in [min_leaf, rows - min_leaf] of every feature, tied
     neighbours excluded (_scan), when it strictly improves on the node's
-    own SSE.  The threshold is the midpoint of the values either side of
-    k, or the lower value when the midpoint rounds up to the upper one or
-    overflows, as in scikit-learn's splitter, so the first k rows, and only
-    they, are at or below it.  A node's value is its targets' mean, summed
-    in ascending row order (_sums).
+    own SSE: its first k rows in the feature's order go left.  A row's
+    fitted value is its leaf's targets' mean, summed in ascending row
+    order (_sums).
     """
     a, f, n = xt.shape
     # The stack's rows are numbered anchor by anchor: row r of anchor i is i * n + r.
@@ -231,9 +158,7 @@ def _fit_stack(xt: np.ndarray, ys: np.ndarray, order: np.ndarray, max_depth: int
     rows = np.concatenate([order, np.broadcast_to(np.arange(n), (a, 1, n))], axis=1)
     rows = (rows + (np.arange(a) * n)[:, None, None]).transpose(1, 0, 2).reshape(f + 1, -1)
     starts, counts = np.arange(a) * n, np.full(a, n)
-    leaf = np.repeat(np.arange(a), n)  # each row's node
-    levels = []
-    first = 0  # this level's first node id
+    fitted = np.empty(a * n)
     for depth in range(max_depth + 1):
         size, width = counts.size, rows.shape[1]
         values = y.take(rows[-1])
@@ -242,14 +167,12 @@ def _fit_stack(xt: np.ndarray, ys: np.ndarray, order: np.ndarray, max_depth: int
             np.concatenate([starts, starts + width]), np.concatenate([counts, counts]),
         )
         total, total_sq = totals[:size], totals[size:]
-        level = _Nodes(
-            total / counts, counts, np.full(size, -1), np.full(size, np.nan), np.full(size, -1)
-        )
-        levels.append(level)
+        # Each node's mean goes to its rows; a node that splits writes its children's next.
+        fitted[rows[-1]] = np.repeat(total / counts, counts)
         live = np.flatnonzero(counts >= 2 * min_leaf)
         if depth == max_depth or not live.size:
             break
-        found = np.empty((5, live.size))
+        found = np.empty((3, live.size))
         line_x, line_y = xs.take(rows[:f] + columns), y.take(rows[:f])  # each line's values
         lines = (np.arange(f) * width)[:, None]
         for group in _groups(counts[live], f):
@@ -259,19 +182,12 @@ def _fit_stack(xt: np.ndarray, ys: np.ndarray, order: np.ndarray, max_depth: int
                 line_x.take(cells, mode="clip"), line_y.take(cells, mode="clip"),
                 counts[nodes], total[nodes], total_sq[nodes], min_leaf,
             )
-        child_sse, feature, at, lower, upper = found
+        child_sse, feature, at = found
         p = np.flatnonzero(child_sse < total_sq[live] - total[live] * total[live] / counts[live])
         if not p.size:
             break
         s = live[p]
         feature, at = feature[p].astype(np.intp), at[p].astype(np.intp)
-        lower, upper = lower[p], upper[p]
-        with np.errstate(over="ignore"):
-            threshold = (lower + upper) / 2.0
-        threshold = np.where(np.isfinite(threshold) & (threshold < upper), threshold, lower)
-        level.feature[s] = feature
-        level.threshold[s] = threshold
-        level.left[s] = first + size + 2 * np.arange(s.size)
 
         # Each child's rows are a stable filter of its parent's, on every line: the
         # children of split nodes follow one another, left then right, and the rows
@@ -305,19 +221,7 @@ def _fit_stack(xt: np.ndarray, ys: np.ndarray, order: np.ndarray, max_depth: int
         moved = np.empty(lines * width + 1, dtype=np.intp)
         np.put(moved, cell, rows, mode="clip")
         rows = moved[:-1].reshape(lines, width)
-        first += size
-        leaf[rows[-1]] = np.repeat(np.arange(first, first + counts.size), counts)
-    return _Nodes(*map(np.concatenate, zip(*levels))), leaf.reshape(a, n)
-
-
-def _tree(nodes: _Nodes, i: int = 0) -> TreeNode:
-    """Node i of a stack's trees, with its subtree."""
-    value, samples, feature = float(nodes.value[i]), int(nodes.samples[i]), int(nodes.feature[i])
-    if feature < 0:
-        return TreeNode(value=value, samples=samples)
-    left = int(nodes.left[i])
-    threshold = float(nodes.threshold[i])
-    return TreeNode(value, samples, feature, threshold, _tree(nodes, left), _tree(nodes, left + 1))
+    return fitted.reshape(a, n)
 
 
 def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
@@ -330,43 +234,6 @@ def _squares_fit(ys: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         bound = np.abs(ys).sum(axis=1)
         return np.isfinite(bound * bound)
-
-
-def _fit(xs: np.ndarray, ys: np.ndarray, max_depth: int, min_samples_leaf: int):
-    """The root of the fitted tree and its in-sample predictions, read off the leaves."""
-    if ys.ndim != 1 or ys.shape[0] != xs.shape[0]:
-        raise ValueError("y must be a vector matching X row count")
-    if ys.shape[0] == 0:
-        raise ValueError("need at least one observation")
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
-    if min_samples_leaf < 1:
-        raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
-    _check_finite(xs, ys)
-    if not _squares_fit(ys[None])[0]:
-        raise ValueError(OVERFLOW)
-    xt = xs.T[None]
-    order = np.argsort(xt, axis=2, kind="stable")
-    nodes, leaf = _fit_stack(xt, ys[None], order, max_depth, min_samples_leaf)
-    return _tree(nodes), nodes.value[leaf[0]]
-
-
-def fit_regression_tree(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> RegressionTree:
-    """Greedy variance-reduction CART fit; deterministic for identical input.
-
-    Splits must strictly reduce the summed squared error, every leaf keeps at
-    least min_samples_leaf rows, and max_depth 0 yields the mean predictor.
-    Each feature is sorted once, at the root, as in SLIQ's presorting.
-    Non-finite input, or targets whose squared sums overflow float64, is refused.
-    """
-    xs = as_points(X)
-    root, _ = _fit(xs, np.asarray(y, dtype=np.float64), max_depth, min_samples_leaf)
-    return RegressionTree(
-        root=root,
-        max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
-        n_features=xs.shape[1],
-    )
 
 
 def _median_mae(ys: np.ndarray) -> np.ndarray:
@@ -390,8 +257,13 @@ def pps(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> MeasureResult:
     is deterministic and reads how well the features can describe the
     target, not how well they forecast unseen rows.  Non-finite input is
     refused before anything else; a constant target then makes the baseline
-    MAE zero and the score degenerate.
+    MAE zero and the score degenerate.  max_depth 0 fits the mean; every
+    leaf keeps at least min_samples_leaf rows.
     """
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be >= 0, got {max_depth}")
+    if min_samples_leaf < 1:
+        raise ValueError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
     xs = as_points(X)
     ys = np.asarray(y, dtype=np.float64)
     if ys.ndim != 1 or ys.shape[0] != xs.shape[0]:
@@ -418,8 +290,8 @@ def _pps(xt, ys, order, rows, max_depth: int = 4, min_samples_leaf: int = 5):
     baseline = _median_mae(targets)
     constant = (baseline == 0.0) | (targets.min(axis=1) == targets.max(axis=1))
     grown = rows[~constant & _squares_fit(targets)]
-    nodes, leaf = _fit_stack(xt[grown], ys[grown], order[grown], max_depth, min_samples_leaf)
-    mae_model = np.mean(np.abs(ys[grown] - nodes.value[leaf]), axis=1)
+    fitted = _fit_stack(xt[grown], ys[grown], order[grown], max_depth, min_samples_leaf)
+    mae_model = np.mean(np.abs(ys[grown] - fitted), axis=1)
     at = dict(zip(rows.tolist(), range(rows.size)))
     mae_at = dict(zip(grown.tolist(), mae_model.tolist()))
 

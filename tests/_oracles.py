@@ -36,7 +36,6 @@ from depscope.frame import (
     ValidationReport,
     validate_frame,
 )
-from depscope.measures import TreeNode
 from depscope.search import (
     GROUP_AXES,
     TRIAL_CSV_HEADER,
@@ -166,29 +165,29 @@ def reference_best_split(xs, ys, min_leaf):
 
 
 def reference_fit(xs, ys, max_depth, min_leaf):
-    """The regression tree's root, grown node by node, and its in-sample predictions.
+    """The regression tree's leaf sizes, left to right, and its in-sample predictions,
+    grown node by node.
 
     Every node finds its split with reference_best_split on its own rows and
     sends the rows at or below the threshold left; each leaf writes its mean
     into the predictions of its rows.
     """
     predictions = np.empty(ys.shape[0])
+    leaves = []
 
     def grow(rows, depth_left):
-        node_ys = ys[rows]
-        value = float(node_ys.mean())
-        found = reference_best_split(xs[rows], node_ys, min_leaf) if depth_left else None
+        found = reference_best_split(xs[rows], ys[rows], min_leaf) if depth_left else None
         if found is None:
-            predictions[rows] = value
-            return TreeNode(value=value, samples=len(rows))
+            predictions[rows] = float(ys[rows].mean())
+            leaves.append(len(rows))
+            return
         f, threshold, _ = found
         mask = xs[rows, f] <= threshold
-        return TreeNode(
-            value=value, samples=len(rows), feature=f, threshold=threshold,
-            left=grow(rows[mask], depth_left - 1), right=grow(rows[~mask], depth_left - 1),
-        )
+        grow(rows[mask], depth_left - 1)
+        grow(rows[~mask], depth_left - 1)
 
-    return grow(np.arange(ys.shape[0]), max_depth), predictions
+    grow(np.arange(ys.shape[0]), max_depth)
+    return leaves, predictions
 
 
 def sorted_entropy(counts, n):

@@ -389,6 +389,30 @@ def test_report_rankings_and_scores(tmp_path, features_csv, capsys):
     assert "window_size,median_objective,trials" in printed
 
 
+def test_report_refuses_scores_that_are_not_an_object_of_numbers(tmp_path, features_csv, capsys):
+    out_dir = tmp_path / "run"
+    main(
+        [
+            "search", "--input", str(features_csv), "--output", str(out_dir),
+            "--windows", "8,16,24", "--features", "f_ret_c_1", "--targets", "t_ret_c_1",
+            "--measures", "mi", "--step", "40", "--min-samples", "8",
+        ]
+    )
+    capsys.readouterr()
+    scores_path = tmp_path / "scores.json"
+    key = "8|f_ret_c_1|t_ret_c_1|MI"
+    for text in (
+        "[1, 2, 3]", "0.5", "null", json.dumps({key: None}), json.dumps({key: "0.5"}),
+        json.dumps({key: True}), json.dumps({key: float("nan")}), "{not json",
+    ):
+        scores_path.write_text(text)
+        rc = main(
+            ["report", "--input", str(out_dir / "trials.csv"), "--scores", str(scores_path)]
+        )
+        assert rc == 2, text
+        assert str(scores_path) in capsys.readouterr().err
+
+
 def test_report_empty_after_filter_exits_three(tmp_path, features_csv, capsys):
     out_dir = tmp_path / "run"
     main(

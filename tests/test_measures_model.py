@@ -5,73 +5,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depscope.measures import (
-    RegressionTree,
-    fit_regression_tree,
-    model_based,
-    naive_median_mae,
-    pps,
-)
+from depscope.measures import model_based, naive_median_mae, pps
+from depscope.measures.result import as_points
 
 from _oracles import reference_fit
 
 
-def training_sse(tree, X, y):
-    residual = np.asarray(y, dtype=np.float64) - tree.predict(X)
-    return float(residual @ residual)
+def fitted(X, y, max_depth, min_samples_leaf):
+    """One tree's in-sample fitted values, grown as a stack of one."""
+    xt = as_points(X).T[None]
+    order = np.argsort(xt, axis=2, kind="stable")
+    ys = np.asarray(y, dtype=np.float64)[None]
+    return model_based._fit_stack(xt, ys, order, max_depth, min_samples_leaf)[0]
 
 
 def test_depth_zero_is_the_mean_predictor():
     y = np.array([1.0, 2.0, 6.0])
-    tree = fit_regression_tree(np.arange(3.0), y, max_depth=0)
-    assert tree.depth() == 0
-    assert tree.leaf_count() == 1
-    np.testing.assert_array_equal(tree.predict(np.arange(3.0)), np.full(3, 3.0))
+    np.testing.assert_array_equal(fitted(np.arange(3.0), y, 0, 5), np.full(3, 3.0))
 
 
 def test_single_split_recovers_a_step_function():
     x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     y = np.array([0.0, 0.0, 0.0, 5.0, 5.0, 5.0])
-    tree = fit_regression_tree(x, y, max_depth=1, min_samples_leaf=1)
-    assert tree.depth() == 1
-    assert tree.leaf_count() == 2
-    assert tree.root.threshold == pytest.approx(3.5)
-    np.testing.assert_array_equal(tree.predict(x), y)
+    np.testing.assert_array_equal(fitted(x, y, 1, 1), y)
+    leaves, _ = reference_fit(x[:, None], y, 1, 1)
+    assert leaves == [3, 3]
 
 
 def test_pure_target_never_splits():
-    tree = fit_regression_tree(np.arange(10.0), np.zeros(10), max_depth=4, min_samples_leaf=1)
-    assert tree.leaf_count() == 1
+    y = np.zeros(10)
+    np.testing.assert_array_equal(fitted(np.arange(10.0), y, 4, 1), y)
+    assert reference_fit(np.arange(10.0)[:, None], y, 4, 1)[0] == [10]
 
 
 def test_min_samples_leaf_is_respected():
+    """Every leaf of the reference tree keeps min_leaf rows, and the grower fits its values;
+    rows of equal fitted value, one leaf or more, are at least min_leaf too."""
     rng = np.random.default_rng(0)
     X = rng.standard_normal((40, 2))
     y = rng.standard_normal(40)
     for min_leaf in (1, 3, 7):
-        tree = fit_regression_tree(X, y, max_depth=6, min_samples_leaf=min_leaf)
-
-        def smallest(node):
-            if node.is_leaf:
-                return node.samples
-            return min(smallest(node.left), smallest(node.right))
-
-        assert smallest(tree.root) >= min_leaf
-
-
-def test_left_branch_takes_values_at_or_below_threshold():
-    x = np.array([0.0, 0.0, 1.0, 1.0])
-    y = np.array([2.0, 2.0, 8.0, 8.0])
-    tree = fit_regression_tree(x, y, max_depth=1, min_samples_leaf=1)
-    assert tree.predict(np.array([tree.root.threshold]))[0] == 2.0
+        leaves, predictions = reference_fit(X, y, 6, min_leaf)
+        assert len(leaves) > 1
+        assert min(leaves) >= min_leaf
+        values = fitted(X, y, 6, min_leaf)
+        assert values.tobytes() == predictions.tobytes()
+        assert np.unique(values, return_counts=True)[1].min() >= min_leaf
 
 
 def test_tie_break_prefers_the_lowest_feature_index():
-    x0 = np.array([0.0, 0.0, 1.0, 1.0])
-    X = np.column_stack([x0, x0])  # identical columns, identical split gains
-    y = np.array([1.0, 1.0, 3.0, 3.0])
-    tree = fit_regression_tree(X, y, max_depth=1, min_samples_leaf=1)
-    assert tree.root.feature == 0
+    """Each column's one split point leaves a child SSE of exactly 2.0: feature 0's wins."""
+    y = np.array([0.0, 1.0, 2.0, 3.0])
+    first, last = np.array([0.0, 1.0, 1.0, 1.0]), np.array([0.0, 0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(fitted(np.column_stack([first, last]), y, 1, 1), [0, 2, 2, 2])
+    np.testing.assert_array_equal(fitted(np.column_stack([last, first]), y, 1, 1), [1, 1, 1, 3])
 
 
 def test_training_sse_never_increases_with_depth():
@@ -80,10 +67,7 @@ def test_training_sse_never_increases_with_depth():
     for _ in range(20):
         X = rng.standard_normal((60, 3))
         y = X[:, 0] - 2.0 * (X[:, 1] > 0) + rng.standard_normal(60) * 0.5
-        sses = [
-            training_sse(fit_regression_tree(X, y, max_depth=d, min_samples_leaf=2), X, y)
-            for d in range(6)
-        ]
+        sses = [float(np.sum((y - fitted(X, y, d, 2)) ** 2)) for d in range(6)]
         for shallow, deep in zip(sses, sses[1:]):
             assert deep <= shallow + 1e-9
 
@@ -92,25 +76,23 @@ def test_deep_tree_with_unit_leaves_memorizes_distinct_rows():
     rng = np.random.default_rng(2)
     x = rng.permutation(16).astype(float)
     y = rng.standard_normal(16)
-    tree = fit_regression_tree(x, y, max_depth=16, min_samples_leaf=1)
-    np.testing.assert_allclose(tree.predict(x), y, atol=1e-12)
+    np.testing.assert_allclose(fitted(x, y, 16, 1), y, atol=1e-12)
 
 
-def test_predict_checks_feature_count():
-    tree = fit_regression_tree(np.zeros((4, 2)), np.arange(4.0), max_depth=1)
-    with pytest.raises(ValueError):
-        tree.predict(np.zeros((4, 3)))
-
-
-def test_fit_input_checks():
-    with pytest.raises(ValueError):
-        fit_regression_tree(np.zeros((3, 1)), np.zeros(4))
-    with pytest.raises(ValueError):
-        fit_regression_tree(np.zeros((0, 1)), np.zeros(0))
-    with pytest.raises(ValueError):
-        fit_regression_tree(np.zeros(3), np.zeros(3), max_depth=-1)
-    with pytest.raises(ValueError):
-        fit_regression_tree(np.zeros(3), np.zeros(3), min_samples_leaf=0)
+@pytest.mark.parametrize(
+    "X, y, kwargs, message",
+    (
+        (np.zeros((3, 1)), np.zeros(4), {}, "row count"),
+        (np.zeros((0, 1)), np.zeros(0), {}, "non-empty"),
+        (np.zeros(3), np.arange(3.0), {"max_depth": -1}, "max_depth"),
+        (np.zeros(3), np.arange(3.0), {"min_samples_leaf": 0}, "min_samples_leaf"),
+        (np.zeros(3), np.arange(3.0), {"min_samples_leaf": -3}, "min_samples_leaf"),
+    ),
+    ids=("rows", "empty", "depth", "leaf-0", "leaf-minus-3"),
+)
+def test_pps_input_checks(X, y, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        pps(X, y, **kwargs)
 
 
 def test_naive_median_mae_hand_values():
@@ -171,24 +153,14 @@ def test_pps_is_deterministic():
     assert a.params == b.params
 
 
-def test_tree_record_fields():
-    tree = fit_regression_tree(np.arange(6.0), np.arange(6.0), max_depth=2, min_samples_leaf=1)
-    assert isinstance(tree, RegressionTree)
-    assert tree.n_features == 1
-    assert tree.max_depth == 2
-    assert tree.root.samples == 6
-
-
-def test_fit_refuses_targets_whose_squared_sums_overflow():
+def test_pps_refuses_targets_whose_squared_sums_overflow():
     x = np.random.default_rng(6).standard_normal(200)
-    fit_regression_tree(x, x * 1e150)  # (sum |y|)^2 stays finite
-    with pytest.raises(ValueError, match="overflow"):
-        fit_regression_tree(x, x * 1e200)
+    assert not pps(x, x * 1e150).degenerate  # (sum |y|)^2 stays finite
     with pytest.raises(ValueError, match="overflow"):
         pps(x, x * 1e200)
 
 
-def test_fit_and_pps_refuse_non_finite_input():
+def test_pps_refuses_non_finite_input():
     x = np.random.default_rng(0).standard_normal(200)
     y = x * x
     for bad in (np.nan, np.inf):
@@ -198,9 +170,7 @@ def test_fit_and_pps_refuse_non_finite_input():
         y_bad[5] = bad
         for X, target in ((x_bad, y), (x_bad[:, None], y), (x, y_bad)):
             with pytest.raises(ValueError, match="not finite"):
-                fit_regression_tree(X, target)
-        with pytest.raises(ValueError, match="not finite"):
-            pps(x_bad, y)
+                pps(X, target)
         # A constant target must not hide the bad feature behind "constant target".
         with pytest.raises(ValueError, match="not finite"):
             pps(x_bad, np.ones(200))
@@ -252,14 +222,11 @@ def tree_stacks(draw):
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(problem=split_problems())
 def test_split_scan_is_the_reference_loop_bit_for_bit(problem):
-    """The presorted grower makes the node-by-node reference's trees and in-sample predictions."""
+    """The presorted grower fits the node-by-node reference tree's in-sample predictions."""
     xs, ys, min_leaf = problem
     for depth in range(5):
-        root, predictions = reference_fit(xs, ys, depth, min_leaf)
-        tree = fit_regression_tree(xs, ys, depth, min_leaf)
-        assert tree.root == root
-        assert tree.predict(xs).tobytes() == predictions.tobytes()
-        assert model_based._fit(xs, ys, depth, min_leaf)[1].tobytes() == predictions.tobytes()
+        _, predictions = reference_fit(xs, ys, depth, min_leaf)
+        assert fitted(xs, ys, depth, min_leaf).tobytes() == predictions.tobytes()
         result = pps(xs, ys, depth, min_leaf)
         if not result.degenerate:
             assert result.params["mae_model"] == float(np.mean(np.abs(ys - predictions)))
@@ -272,36 +239,29 @@ def test_split_scan_is_the_reference_loop_bit_for_bit(problem):
         (1.70e308, 1.75e308),
     ),
 )
-def test_a_midpoint_that_rounds_up_or_overflows_splits_at_the_lower_value(lower, upper):
-    """(lower + upper) / 2 is upper itself, or inf: the threshold falls back to lower."""
+def test_pps_splits_neighbours_whose_midpoint_rounds_up_or_overflows(lower, upper):
+    """(lower + upper) / 2 is upper itself, or inf: the rows still split 5/5, unwarned."""
     x = np.repeat([lower, upper], 5)
     y = np.repeat([0.0, 1.0], 5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tree = fit_regression_tree(x, y)
         result = pps(x, y)
-    assert tree.root.threshold == lower
-    assert tree.leaf_count() == 2
-    assert tree.root.left.samples == tree.root.right.samples == 5
-    np.testing.assert_array_equal(tree.predict(x), y)
     assert result.value == 1.0
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(stack=tree_stacks())
 def test_stacked_trees_are_the_reference_trees_bit_for_bit(stack):
-    """Trees grown together, level by level, are each anchor's node-by-node reference tree:
-    the same nodes, and in-sample predictions equal byte for byte."""
+    """Trees grown together, level by level, fit each anchor's node-by-node reference tree's
+    in-sample predictions byte for byte."""
     xs, ys, min_leaf = stack
     xt = xs.transpose(0, 2, 1)
     order = np.argsort(xt, axis=2, kind="stable")
     for depth in range(5):
-        nodes, leaf = model_based._fit_stack(xt, ys, order, depth, min_leaf)
+        values = model_based._fit_stack(xt, ys, order, depth, min_leaf)
         for i in range(ys.shape[0]):
-            root, predictions = reference_fit(xs[i], ys[i], depth, min_leaf)
-            assert nodes.value[leaf[i]].tobytes() == predictions.tobytes()
-            assert model_based._tree(nodes, i) == root
-            assert fit_regression_tree(xs[i], ys[i], depth, min_leaf).root == root
+            _, predictions = reference_fit(xs[i], ys[i], depth, min_leaf)
+            assert values[i].tobytes() == predictions.tobytes()
 
 
 segment_values = st.sampled_from((1.0, 1e-300, 1e150, 3.0))
