@@ -195,6 +195,8 @@ def cmd_measure(args) -> int:
 
 
 def cmd_search(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     frame = read_frame(args.input)
     base = default_search_space()
     space = SearchSpace(

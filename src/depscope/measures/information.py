@@ -13,10 +13,8 @@ MI is exactly symmetric.  Counts of n observations look their terms up in a
 table cached per n (_terms, as MIC's grid is in _mic_grid) and add them with
 np.cumsum, which sums in the same order and so gives the same bits; zero
 counts sort first and add 0.0, so zero-padded rows give the same bits too.
-IG and conditional entropy add their branches in repr order of the branch
-symbol ("10" before "2"), whatever the codes are: IG's branch codes are
-numbered in that order.  The public functions score a one-row block.
-Binning is the caller's: shaping.discretize or equal_frequency_symbols.
+IG and conditional entropy add their branches in code order.  The public
+functions score a one-row block.
 """
 from __future__ import annotations
 
@@ -188,26 +186,8 @@ class _Codes:
         return _table_entropy(_row_counts(self.codes, self.width), _terms(self.codes.shape[1]))
 
 
-def _ranks_of(names: list[str]) -> np.ndarray:
-    """The rank of each name in sorted order; equal names keep their index order."""
-    ranks = np.empty(len(names), dtype=np.intp)
-    ranks[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    return ranks
-
-
-@functools.lru_cache(maxsize=16)
-def _repr_ranks(bins: int) -> np.ndarray:
-    """The rank of each code 0..bins-1 in repr order ("10" before "2"); read-only."""
-    return _read_only(_ranks_of([repr(c) for c in range(bins)]))
-
-
 def _joint(members: list[_Codes]) -> _Codes:
-    """The codes of the members' symbol tuples, numbered in the members' lexicographic order.
-
-    A tuple of ints compares by repr as its members do one by one, since
-    ", " and ")" sort below every digit: IG adds a set's branches in the
-    order of these codes.
-    """
+    """The codes of the members' symbol tuples, numbered in the members' lexicographic order."""
     if len(members) == 1:
         return members[0]
     codes, width = members[0].codes, members[0].width
@@ -238,8 +218,8 @@ def _segment_sums(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return totals
 
 
-def _information_gain(s: _Codes, t: _Codes) -> np.ndarray:
-    """H(S) - sum_t p(t) H(S|t) in bits per row, clipped at 0.
+def _conditional_entropy(s: _Codes, t: _Codes) -> np.ndarray:
+    """H(S|T) = sum_t p(t) H(S|t) in bits per row.
 
     t's codes are the branches, whose terms are added in code order; each
     branch's entropy adds its own counts' terms, from _terms of its own
@@ -261,24 +241,18 @@ def _information_gain(s: _Codes, t: _Codes) -> np.ndarray:
     terms = np.concatenate(tables)[np.repeat(offsets[which], lengths) + counts]
     weighted = np.zeros(a * t.width)
     weighted[branches[first]] = (sizes / n) * (0.0 - _segment_sums(terms, lengths))
-    return np.maximum(s.entropy - np.cumsum(weighted.reshape(a, t.width), axis=1)[:, -1], 0.0)
+    return np.cumsum(weighted.reshape(a, t.width), axis=1)[:, -1]
+
+
+def _information_gain(s: _Codes, t: _Codes) -> np.ndarray:
+    """H(S) - H(S|T) in bits per row, clipped at 0."""
+    return np.maximum(s.entropy - _conditional_entropy(s, t), 0.0)
 
 
 def _symbol_codes(symbols: np.ndarray) -> _Codes:
-    """A symbol vector, or a matrix's rows, as a one-row block numbered in repr order of the symbols."""
+    """A symbol vector, or a matrix's rows, as a one-row block of their codes."""
     codes, first = _codes(symbols)
-    ranks = _ranks_of([repr(v) for v in _plain(symbols, first)])
-    return _Codes(ranks[codes][None, :], first.shape[0])
-
-
-def _weighted_entropy(branches, n: int) -> float:
-    """sum_t p(t) H(S|t) in bits over per-branch count lists, added in the order given."""
-    total = 0.0
-    for cell in branches:
-        if len(cell) > 1:  # a pure branch adds exactly 0.0
-            nt = sum(cell)
-            total += (nt / n) * _entropy_from_counts(cell, nt)
-    return total
+    return _Codes(codes[None, :], first.shape[0])
 
 
 @dataclass(frozen=True)
@@ -320,11 +294,12 @@ class JointHistogram:
     n: int
 
     def __post_init__(self):
-        counts = {
-            (_canon(x), _canon(y)): int(c) for (x, y), c in self.counts.items()
-        }
+        given = {(_canon(x), _canon(y)): c for (x, y), c in self.counts.items()}
+        counts = {cell: int(c) for cell, c in given.items()}
         if not counts:
             raise ValueError("joint histogram needs at least one cell")
+        if any(counts[cell] != c for cell, c in given.items()):
+            raise ValueError("cell counts must be whole numbers")
         if any(c <= 0 for c in counts.values()):
             raise ValueError("cell counts must be positive")
         total = sum(counts.values())
@@ -341,20 +316,16 @@ class JointHistogram:
         cells = zip(_plain(xa, first), _plain(ya, first))
         return cls(dict(zip(cells, counts.tolist())), len(xa))
 
-    def _marginal(self, axis: int) -> DiscreteDistribution:
-        acc: dict = {}
-        for cell, c in self.counts.items():
-            acc[cell[axis]] = acc.get(cell[axis], 0) + c
-        return DiscreteDistribution({s: c / self.n for s, c in acc.items()})
-
-    def marginal_x(self) -> DiscreteDistribution:
-        return self._marginal(0)
-
-    def marginal_y(self) -> DiscreteDistribution:
-        return self._marginal(1)
-
-    def swapped(self) -> "JointHistogram":
-        return JointHistogram({(y, x): c for (x, y), c in self.counts.items()}, self.n)
+    def _sides(self) -> list[_Codes]:
+        """The x and y sides as one-row blocks of n codes: each side's symbols numbered in
+        first-met order, so mixed types need no sorting, and each cell repeated by its count."""
+        repeats = list(self.counts.values())
+        sides = []
+        for symbols in zip(*self.counts):
+            codes: dict = {}
+            cells = [codes.setdefault(s, len(codes)) for s in symbols]
+            sides.append(_Codes(np.repeat(cells, repeats)[None, :], len(codes)))
+        return sides
 
 
 def entropy(dist: DiscreteDistribution) -> float:
@@ -364,10 +335,7 @@ def entropy(dist: DiscreteDistribution) -> float:
 
 def conditional_entropy(joint: JointHistogram) -> float:
     """H(X|Y) in bits: the y-weighted average entropy of the conditional columns."""
-    by_y: dict = {}
-    for (_, y), c in joint.counts.items():
-        by_y.setdefault(y, []).append(c)
-    return _weighted_entropy([by_y[y] for y in sorted(by_y, key=repr)], joint.n)
+    return float(_conditional_entropy(*joint._sides())[0])
 
 
 def mutual_information(joint: JointHistogram) -> MeasureResult:
@@ -376,10 +344,7 @@ def mutual_information(joint: JointHistogram) -> MeasureResult:
     Evaluated as H(X) + H(Y) - H(X,Y), which is exactly symmetric under
     swapping the axes; tiny negative rounding residue is clipped to 0.
     """
-    hx = entropy(joint.marginal_x())
-    hy = entropy(joint.marginal_y())
-    hxy = _entropy_from_counts(joint.counts.values(), joint.n)
-    return MeasureResult("MI", max(hx + hy - hxy, 0.0), joint.n)
+    return MeasureResult("MI", float(_mutual_information(*joint._sides())[0]), joint.n)
 
 
 def information_gain(parent_symbols, child_assignment) -> MeasureResult:
@@ -493,9 +458,10 @@ def equal_frequency_symbols(values, bins: int) -> np.ndarray:
 
 
 def _feature_codes(values: np.ndarray, ordered: np.ndarray, bins: int) -> tuple[_Codes, np.ndarray]:
-    """The equal-frequency codes of (A, n) values at bins, numbered in repr order, and the too-wide rows."""
+    """The equal-frequency codes of (A, n) values at bins, as intp so that _joint's radix
+    products cannot wrap, and the too-wide rows."""
     codes, wide = _equal_frequency_codes(values, ordered, (bins,))
-    return _Codes(_repr_ranks(bins)[codes[:, 0]], bins), wide
+    return _Codes(codes[:, 0].astype(np.intp), bins), wide
 
 
 def _grid_shapes(bound: float) -> list[tuple[int, int]]:

@@ -189,38 +189,22 @@ def _fit_stack(xt: np.ndarray, ys: np.ndarray, order: np.ndarray, max_depth: int
         s = live[p]
         feature, at = feature[p].astype(np.intp), at[p].astype(np.intp)
 
-        # Each child's rows are a stable filter of its parent's, on every line: the
-        # children of split nodes follow one another, left then right, and the rows
-        # of the level's leaves go to one spare cell past the end.  A row at column c
-        # of its node's line goes to column to_left + (left rows of the node up to c)
-        # - 1, or to to_right + (right rows of the node before c).
-        goes_left = np.zeros(a * n, dtype=bool)
+        # Each child's rows are a stable filter of its parent's, on every line: keyed 2j
+        # (left) or 2j + 1 (right) from the j-th split node, or past every child in a
+        # leaf, one stable sort of each line lays the children out one after another,
+        # left then right, and the leaves' rows last, where the line is cut.
+        goes_left = np.zeros(a * n, dtype=bool)  # the first at rows of the split feature's line
         taken = np.cumsum(at) - at
         left_cells = np.repeat(feature * width + starts[s] - taken, at)
         goes_left[rows.reshape(-1)[left_cells + np.arange(left_cells.size)]] = True
         if depth + 1 == max_depth:
             rows = rows[-1:]  # the children are leaves: they need their rows only
-        side = goes_left.take(rows)
-        lefts = np.cumsum(side, axis=1)  # left rows of the line up to each column
-        before = lefts.take(starts - 1, axis=1)  # ... before each node
-        before[:, 0] = 0
-        begin, parents = starts, counts
+        key = np.full(size, 2 * s.size, dtype=np.min_scalar_type(2 * s.size))  # sorts fastest
+        key[s] = 2 * np.arange(s.size) + 1
+        moves = np.argsort(np.repeat(key, counts) - goes_left.take(rows), axis=1, kind="stable")
         counts = np.column_stack([at, counts[s] - at]).ravel()
         starts = np.cumsum(counts) - counts
-        spare = (rows.shape[0] + 3) * width  # past every cell of the next lines
-        to_left, to_right = np.full(size, spare), np.full(size, spare)
-        to_left[s], to_right[s] = starts[0::2], starts[1::2]
-        left = np.repeat(to_left - before - 1, parents, axis=1)
-        left += lefts
-        right = np.repeat(to_right - begin + before, parents, axis=1)
-        right += np.arange(width)
-        right -= lefts
-        cell = np.where(side, left, right)
-        lines, width = rows.shape[0], counts.sum()
-        cell += (np.arange(lines) * width)[:, None]
-        moved = np.empty(lines * width + 1, dtype=np.intp)
-        np.put(moved, cell, rows, mode="clip")
-        rows = moved[:-1].reshape(lines, width)
+        rows = np.take_along_axis(rows, moves[:, : counts.sum()], axis=1)
     return fitted.reshape(a, n)
 
 

@@ -598,6 +598,8 @@ def run_grid_search(
     over processes (the frame goes to each worker once) without changing
     the log contents.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     referenced = {c for fs in space.feature_sets for c in fs}
     referenced.update(space.targets)
     referenced.add("close")  # trend labels come from the close column

@@ -243,14 +243,28 @@ def brute_information_gain(parent, assignment):
     return brute_mi(list(parent), list(assignment))
 
 
+def pinned_mi(xs, ys):
+    """I(X;Y) in the package's pinned arithmetic: H(X) + H(Y) - H(X,Y), each by sorted_entropy."""
+    n = len(xs)
+
+    def h(symbols):
+        return sorted_entropy(_count(symbols).values(), n)
+
+    return max(h(xs) + h(ys) - h(zip(xs, ys)), 0.0)
+
+
 def pinned_information_gain(parent, assignment):
-    """IG in the package's pinned arithmetic: branches in repr order, each by sorted_entropy."""
+    """IG in the package's pinned arithmetic: branches in ascending order, each by sorted_entropy.
+
+    Ascending order is the package's code order for a vector of symbols and
+    for the feature-code tuples of a search's feature sets.
+    """
     n = len(parent)
     branches = {}
     for s, t in zip(parent, assignment):
         branches.setdefault(t, []).append(s)
     weighted = 0.0
-    for t in sorted(branches, key=repr):
+    for t in sorted(branches):
         members = branches[t]
         weighted += (len(members) / n) * sorted_entropy(_count(members).values(), len(members))
     return max(sorted_entropy(_count(parent).values(), n) - weighted, 0.0)

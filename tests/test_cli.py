@@ -289,6 +289,20 @@ def test_search_rejects_tiny_windows(tmp_path, features_csv, capsys):
     assert ">= 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", (0, -3))
+def test_search_refuses_jobs_below_one(tmp_path, features_csv, capsys, jobs):
+    out_dir = tmp_path / "x"
+    rc = main(
+        ["search", "--input", str(features_csv), "--output", str(out_dir), "--jobs", str(jobs)]
+    )
+    assert rc == 2
+    assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not out_dir.exists()
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        space = SearchSpace((100,), (("f_rsi",),), ("t_ret_c_1",), ("MI",))
+        run_grid_search(read_frame(features_csv), space, jobs=jobs)
+
+
 def test_verify_synthetic_passes_and_writes(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(

@@ -34,6 +34,8 @@ from _oracles import (
     brute_mic,
     brute_mic_scores,
     brute_synergy,
+    pinned_information_gain,
+    pinned_mi,
     reference_equal_frequency,
 )
 
@@ -74,6 +76,10 @@ def test_joint_histogram_validation():
         JointHistogram({(0, 0): 3}, 4)
     with pytest.raises(ValueError):
         JointHistogram.from_symbols([0, 1], [0])
+    for count in (1.9, 0.5, 2.5):
+        with pytest.raises(ValueError, match="whole numbers"):
+            JointHistogram({(0, 0): count, (1, 1): 2}, 3)
+    assert JointHistogram({(0, 0): 1.0, (1, 1): np.int64(2)}, 3).counts == {(0, 0): 1, (1, 1): 2}
 
 
 def test_conditional_entropy_hand_value():
@@ -100,7 +106,8 @@ def test_mutual_information_symmetry_is_bit_exact():
         xs = rng.integers(0, 5, n)
         ys = rng.integers(0, 5, n)
         joint = JointHistogram.from_symbols(xs, ys)
-        assert mutual_information(joint).value == mutual_information(joint.swapped()).value
+        swapped = JointHistogram.from_symbols(ys, xs)
+        assert mutual_information(joint).value == mutual_information(swapped).value
 
 
 def test_mutual_information_matches_both_definitions():
@@ -113,7 +120,7 @@ def test_mutual_information_matches_both_definitions():
         joint = JointHistogram.from_symbols(xs, ys)
         value = mutual_information(joint).value
         assert value == pytest.approx(brute_mi(xs, ys), abs=1e-12)
-        hx = entropy(joint.marginal_x())
+        hx = entropy(DiscreteDistribution.from_symbols(xs))
         assert value == pytest.approx(hx - conditional_entropy(joint), abs=1e-12)
         assert value == pytest.approx(
             brute_entropy(xs) - brute_conditional_entropy(xs, ys), abs=1e-12
@@ -139,6 +146,39 @@ def test_information_gain_equals_mutual_information():
             mutual_information(JointHistogram.from_symbols(parent, branches)).value,
             abs=1e-12,
         )
+
+
+def discrete_pairs():
+    """Paired symbols: ints of up to 16 values, so that 10 and 2 meet, or short strings."""
+    ints = st.integers(0, 15)
+    text = st.text(alphabet="ab10", max_size=3)
+    return st.one_of(
+        st.lists(st.tuples(ints, ints), min_size=1, max_size=80),
+        st.lists(st.tuples(text, text), min_size=1, max_size=80),
+        st.lists(st.tuples(ints, text), min_size=1, max_size=80),
+    )
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(pairs=discrete_pairs())
+@example(pairs=list(zip([1, 1, 1, 0, 1, 0, 1, 1, 1, 0, 0], [9, 4, 10, 9, 5, 1, 1, 8, 10, 5, 10])))
+def test_discrete_measures_are_the_pinned_references(pairs):
+    """MI and IG equal their pinned references with ==, IG's branches added in ascending
+    order of their symbols; conditional entropy is within 1e-12 of the brute one."""
+    xs, ys = (list(side) for side in zip(*pairs))
+    joint = JointHistogram.from_symbols(xs, ys)
+    assert mutual_information(joint).value == pinned_mi(xs, ys)
+    assert information_gain(xs, ys).value == pinned_information_gain(xs, ys)
+    assert conditional_entropy(joint) == pytest.approx(brute_conditional_entropy(xs, ys), abs=1e-12)
+
+
+def test_a_joint_of_mixed_type_cells_still_scores():
+    cells = {(0, "a"): 2, ("b", 1.5): 1, ((1, 2), None): 3, (0, None): 1, ("b", "a"): 2}
+    joint = JointHistogram(cells, 9)
+    xs = [x for (x, _), c in cells.items() for _ in range(c)]
+    ys = [y for (_, y), c in cells.items() for _ in range(c)]
+    assert mutual_information(joint).value == pinned_mi(xs, ys)
+    assert conditional_entropy(joint) == pytest.approx(brute_conditional_entropy(xs, ys), abs=1e-12)
 
 
 def test_information_gain_input_checks():

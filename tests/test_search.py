@@ -19,10 +19,8 @@ from depscope.cli import main
 from depscope.frame import TimeSeriesFrame, write_csv
 from depscope.measures import (
     MEASURE_IDS,
-    JointHistogram,
     distance_correlation,
     equal_frequency_symbols,
-    mutual_information,
     pearson,
     pps,
 )
@@ -50,6 +48,7 @@ from depscope.shaping import discretize, pair_targets
 from _oracles import (
     brute_mic_scores,
     pinned_information_gain,
+    pinned_mi,
     reference_equal_frequency,
     reference_grid_search,
     reference_parallel_coordinates,
@@ -348,18 +347,15 @@ def test_discrete_measures_match_the_exact_tables_bit_for_bit(feature_bins):
         ys = 0.0013 * rng.integers(-6, 7, n)
         cols, x, y = _window_symbols(xs, ys, feature_bins, 0.001)
 
-        def mi(symbols):
-            return mutual_information(JointHistogram.from_symbols(symbols, y)).value
-
         def score(measure):
             return evaluate_pairs(measure, xs, ys, feature_bins=feature_bins).value
 
-        assert score("MI") == mi(x)
+        assert score("MI") == pinned_mi(x, y)
         assert score("IG") == pinned_information_gain(y, x)
         i_single = 0.0
         for col in cols:
-            i_single += mi(col)
-        assert score("RSI_SYNERGY") == mi(list(zip(*cols))) - i_single
+            i_single += pinned_mi(col, y)
+        assert score("RSI_SYNERGY") == pinned_mi(list(zip(*cols)), y) - i_single
 
 
 def test_evaluate_pairs_turns_value_errors_into_degenerate_records():
@@ -536,17 +532,14 @@ def _expected_information(frame, scan, anchor, features, measure):
     x = cols[0] if len(cols) == 1 else list(zip(*cols))
     y = discretize(ys, 0.001).tolist()
 
-    def mi(symbols):
-        return mutual_information(JointHistogram.from_symbols(symbols, y)).value
-
     if measure == "MI":
-        return mi(x), None
+        return pinned_mi(x, y), None
     if measure == "IG":
         return pinned_information_gain(y, x), None
     i_single = 0.0
     for col in cols:
-        i_single += mi(col)
-    return mi(list(zip(*cols))) - i_single, None
+        i_single += pinned_mi(col, y)
+    return pinned_mi(list(zip(*cols)), y) - i_single, None
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
