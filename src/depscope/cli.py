@@ -105,6 +105,14 @@ def _binning(args) -> dict:
     return {"bin_width": bin_width, "feature_bins": args.feature_bins}
 
 
+def _check_counts(args, *flags: str) -> None:
+    """Refuse a window, step or horizon flag below 1, naming the flag and its value."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise ValueError(f"--{flag} must be >= 1, got {value}")
+
+
 def cmd_ingest(args) -> int:
     frame = load_ohlcv(args.input)
     report = validate_frame(frame)
@@ -170,6 +178,7 @@ def _measure_windowed(args, frame, features, measures) -> list[dict]:
 
 
 def cmd_measure(args) -> int:
+    _check_counts(args, "window", "step", "horizon")
     frame = read_frame(args.input)
     features = _parse_names(args.features)
     measures = _parse_measures(args.measures)
@@ -197,6 +206,7 @@ def cmd_measure(args) -> int:
 def cmd_search(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    _check_counts(args, "step", "horizon")
     frame = read_frame(args.input)
     base = default_search_space()
     space = SearchSpace(
@@ -235,6 +245,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_counts(args, "window", "step")
     measures = _parse_measures(args.measures)
     if (args.embedded is None) != (args.control is None):
         raise ValueError("--embedded and --control must be given together")

@@ -3,8 +3,8 @@
 A frame is an immutable bundle of a date axis plus equally long float
 columns.  Loaders reject bad input instead of repairing it; the only
 normalization applied is sorting rows into ascending date order.  CSV
-tables are parsed one column at a time; _FirstFault finds the fault a
-row-by-row loop would stop at.
+tables are parsed and written one column at a time; _FirstFault finds the
+fault a row-by-row loop would stop at.
 """
 from __future__ import annotations
 
@@ -281,14 +281,15 @@ def write_csv(frame: TimeSeriesFrame, destination=None) -> str | None:
 
     Floats are written with repr, which round-trips float64 exactly.  Writes
     to a path or text file object when given one, else returns the text.
+    The text is csv.writer's, written one column at a time: only the header
+    can need quoting, so only the header goes through csv.writer.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("date",) + frame.column_names)
-    cols = [frame.columns[name] for name in frame.column_names]
-    for i in range(len(frame)):
-        writer.writerow([str(frame.timestamps[i])] + [repr(float(col[i])) for col in cols])
-    return _emit(buf.getvalue(), destination)
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(("date",) + frame.column_names)
+    columns = [np.datetime_as_string(frame.timestamps).tolist()]
+    columns += [list(map(repr, frame.columns[name].tolist())) for name in frame.column_names]
+    lines = [header.getvalue().removesuffix("\n"), *map(",".join, zip(*columns))]
+    return _emit("\n".join(lines) + "\n", destination)
 
 
 def _emit(text: str, destination) -> str | None:

@@ -107,32 +107,76 @@ def spearman(x, y) -> MeasureResult:
     return _correlations("SC", _average_ranks(xa[None]), _average_ranks(ya[None]))(0)
 
 
-def _centered_distances(points: np.ndarray) -> tuple[np.ndarray, float]:
+# sqrt(x * x) is |x| for every double x whose square neither underflows nor overflows
+# (Boldo 2015, radix 2): |x| >= 2**-511 keeps x * x normal, |x| < 2**511 keeps it finite.
+EXACT_LOW = 2.0**-511
+EXACT_HIGH = 2.0**511
+
+
+def _abs_is_cdist(ordered: np.ndarray) -> np.ndarray:
+    """Whether |xi - xj| is cdist's one-column distance bit for bit, for each ascending row.
+
+    cdist takes sqrt((xi - xj)**2) of the same rounded difference, so the two
+    agree wherever no non-zero difference is below EXACT_LOW and none
+    reaches EXACT_HIGH.  Rounding is monotone, so the smallest non-zero
+    difference of a row is a gap between neighbours and the largest is its
+    span: only those are checked.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.diff(ordered, axis=-1)
+        span = ordered[..., -1:] - ordered[..., :1]
+    tiny = ((0.0 < gaps) & (gaps < EXACT_LOW)).any(axis=-1)
+    return (span < EXACT_HIGH).all(axis=-1) & ~tiny
+
+
+def _exact(points: np.ndarray) -> bool:
+    """Whether _distances may take |xi - xj| of these row points."""
+    return points.shape[1] == 1 and bool(_abs_is_cdist(np.sort(points[:, 0])))
+
+
+def _distances(points: np.ndarray, exact: bool) -> np.ndarray:
+    """cdist(points, points); |xi - xj| when exact, which _abs_is_cdist must have found of
+    one-column points."""
+    if not exact:
+        return cdist(points, points)
+    d = np.subtract.outer(points[:, 0], points[:, 0])
+    return np.abs(d, out=d)
+
+
+def _centered_distances(
+    points: np.ndarray, exact: bool, scratch: np.ndarray
+) -> tuple[np.ndarray, float]:
     """Double-centered Euclidean distance matrix of row points, and its distance variance.
 
-    The matrix is centred in place, in the order of d - row - col + d.mean().
-    Distances too large for float64 would centre inf - inf into NaN, so a
-    non-finite distance variance raises ValueError instead, as do fewer
-    than 2 points.
+    Distances are _distances(points, exact).  The matrix is centred in place,
+    in the order of d - row - col + grand mean, each mean np.add.reduce over
+    its count, the bits of ndarray.mean; the squares are taken into scratch,
+    an (n, n) buffer the caller lets it overwrite.  Distances too large for
+    float64 would centre inf - inf into NaN, so a non-finite distance
+    variance raises ValueError instead, as do fewer than 2 points.
     """
-    if points.shape[0] < 2:
+    n = points.shape[0]
+    if n < 2:
         raise ValueError("need at least 2 observations")
     with np.errstate(over="ignore", invalid="ignore"):
-        d = cdist(points, points)
-        row = d.mean(axis=1, keepdims=True)
-        col = d.mean(axis=0, keepdims=True)
-        grand = d.mean()
+        d = _distances(points, exact)
+        row = np.add.reduce(d, axis=1, keepdims=True) / n
+        col = np.add.reduce(d, axis=0, keepdims=True) / n
+        grand = np.add.reduce(d, axis=None) / (n * n)
         d -= row
         d -= col
         d += grand
-        dvar = float(np.square(d).mean())
+        dvar = float(np.add.reduce(np.multiply(d, d, out=scratch), axis=None) / (n * n))
     if not math.isfinite(dvar):
         raise ValueError("distances overflow")
     return d, dvar
 
 
-def _distance_correlation(xp: np.ndarray, x_centered, yp: np.ndarray, y_centered) -> MeasureResult:
-    """DC of paired row points from each side's _centered_distances."""
+def _distance_correlation(
+    xp: np.ndarray, x_centered, yp: np.ndarray, y_centered, scratch: np.ndarray
+) -> MeasureResult:
+    """DC of paired row points from each side's _centered_distances; the elementwise
+    product is taken into the (n, n) buffer scratch."""
     (a, dvar_x), (b, dvar_y) = x_centered, y_centered
     n = a.shape[0]
     dvar = dvar_x * dvar_y
@@ -142,7 +186,7 @@ def _distance_correlation(xp: np.ndarray, x_centered, yp: np.ndarray, y_centered
         raise ValueError("distance variance underflows to zero")
     if dvar == math.inf:
         raise ValueError("distances overflow")
-    dcov2 = max(float((a * b).mean()), 0.0)
+    dcov2 = max(float(np.add.reduce(np.multiply(a, b, out=scratch), axis=None) / (n * n)), 0.0)
     value = math.sqrt(dcov2 / math.sqrt(dvar))
     return MeasureResult("DC", min(value, 1.0), n)
 
@@ -165,4 +209,7 @@ def distance_correlation(x, y) -> MeasureResult:
         raise ValueError("need at least 2 observations")
     if not (np.isfinite(xp).all() and np.isfinite(yp).all()):
         raise ValueError("inputs are not finite")
-    return _distance_correlation(xp, _centered_distances(xp), yp, _centered_distances(yp))
+    scratch = np.empty((xp.shape[0],) * 2)
+    x_centered = _centered_distances(xp, _exact(xp), scratch)
+    y_centered = _centered_distances(yp, _exact(yp), scratch)
+    return _distance_correlation(xp, x_centered, yp, y_centered, scratch)

@@ -8,6 +8,9 @@ are logged as degenerate records instead of being dropped.
 One column-major scan scores them (scan_window): window, then a block of
 anchors, then column and measure.  Each block cuts every column's windows
 into one (anchors, W) matrix and sorts each row once, by a stable argsort.
+A block is sized by the window cells of all the distinct columns it cuts,
+with a cap per column, so a narrow scan (one signal, one target) takes as
+many anchors a block as that cap allows.
 One block scorer (_Block) scores every trial of a block, and
 evaluate_pairs is a one-anchor block: it flags each anchor with the first
 reason that holds, in one order for every measure, and scores every
@@ -15,9 +18,11 @@ measure but DC at every anchor of the block at once: PC and SC on the
 rows of the matrices, PPS by growing the trees of every anchor (and of
 every feature set of one size and every target) level by level together,
 MI, IG, RSI_SYNERGY and MIC through the integer-code kernel.  DC, whose
-centred distances are n x n, scores one anchor at a time.  What the
-measures derive from a window (codes, entropies, ranks, centred
-distances) is made once and read by every trial that uses it.
+centred distances are n x n, scores one anchor at a time, taking |xi - xj|
+as a one-column side's distances where its sorted window shows that to be
+cdist's bits.  What the measures derive from a window (codes, entropies,
+ranks, centred distances) is made once and read by every trial that uses
+it.
 
 The trial log is written and read one field at a time, over every trial:
 the writers format each column with one C-level call per cell, quote or
@@ -63,6 +68,7 @@ from .measures.information import (
 from .measures.model_based import _pps
 from .measures.result import Measure, as_points, measure_row
 from .measures.statistical import (
+    _abs_is_cdist,
     _average_ranks,
     _centered_distances,
     _correlations,
@@ -240,12 +246,15 @@ def label_trend(close, anchor: int) -> str:
 
 
 _INFORMATION_MEASURES = frozenset({"MI", "IG", "RSI_SYNERGY", "MIC"})
-# Window entries per column in one anchor block: a block holds max(1, _BLOCK_CELLS // W)
-# anchors, so no temporary grows with the number of anchors of a scan.
-_BLOCK_CELLS = 2048
+# Window entries in one anchor block, over all its C distinct columns and per column: a
+# block holds max(1, min(_BLOCK_CELLS // (W * C), _COLUMN_CELLS // W)) anchors, so no
+# temporary grows with the number of anchors of a scan.  The per-column cap bounds what
+# grows with one column's cells (MIC's (anchors, shapes, n) tables, a PPS stack's rows).
+_BLOCK_CELLS = 24_576
+_COLUMN_CELLS = 4_096
 # Window entries in one stack of PPS trees: the trials of a block whose feature sets have as
-# many columns grow together, four blocks' worth at a time.
-_STACK_CELLS = 4 * _BLOCK_CELLS
+# many columns grow together, at most this many target cells at a time.
+_STACK_CELLS = 8_192
 
 
 class _Column:
@@ -271,6 +280,11 @@ class _Column:
         """Each row ascending."""
         return np.take_along_axis(self.values, self.order, axis=1)
 
+    @cached_property
+    def exact(self) -> np.ndarray:
+        """Whether DC may take |xi - xj| as each row's distances (_abs_is_cdist)."""
+        return _abs_is_cdist(self.ordered)
+
 
 class _Side:
     """A feature set or a target at one anchor of a block, and its centred distances, made once.
@@ -278,29 +292,35 @@ class _Side:
     DC is the one measure scored an anchor at a time: its centred distance
     matrix is n x n, so a side keeps it for as long as the scan keeps the
     side, a target for one anchor, a feature set for one (anchor, feature
-    set).  A derivation that raises is not kept: each trial that reads it
-    raises again.
+    set).  A one-column side whose sorted window passes _abs_is_cdist takes
+    |xi - xj| as its distances.  Squares and products are taken into the
+    block's one (n, n) scratch buffer.  A derivation that raises is not
+    kept: each trial that reads it raises again.
     """
 
-    def __init__(self, columns: tuple[_Column, ...], row: int):
+    def __init__(self, columns: tuple[_Column, ...], row: int, scratch: np.ndarray | None):
         self.columns = columns
         self.row = row
         self.n = columns[0].values.shape[1]
+        self.scratch = scratch
 
     @cached_property
     def points(self) -> np.ndarray:
         """The window as an (n, F) matrix of row points."""
+        if len(self.columns) == 1:
+            return self.columns[0].values[self.row, :, None]
         return np.column_stack([c.values[self.row] for c in self.columns])
 
     @cached_property
     def centered_distances(self) -> tuple[np.ndarray, float]:
-        return _centered_distances(self.points)
+        exact = len(self.columns) == 1 and bool(self.columns[0].exact[self.row])
+        return _centered_distances(self.points, exact, self.scratch)
 
     def distance_correlation(self, y: "_Side") -> MeasureResult:
         """DC of this feature side and target side y; a ValueError comes back flagged."""
         try:
             return _distance_correlation(
-                self.points, self.centered_distances, y.points, y.centered_distances
+                self.points, self.centered_distances, y.points, y.centered_distances, self.scratch
             )
         except ValueError as exc:
             return degenerate_result("DC", self.n, str(exc))
@@ -473,12 +493,14 @@ class _Block:
     def scores(self, measure_rows: list[Measure]) -> list[list[MeasureResult]]:
         """Each anchor's results in (feature set, target, measure) order."""
         trials = [[self._trial(m, x, y) for y in self.ys for m in measure_rows] for x in self.sets]
+        n = self.sets[0][0].values.shape[1]
+        scratch = np.empty((n, n)) if any(m.id == "DC" for m in measure_rows) else None
         scores = []
         for row in range(self.anchors):
-            y_sides = [_Side((y,), row) for y in self.ys]
+            y_sides = [_Side((y,), row, scratch) for y in self.ys]
             results = []
             for x, by_set in zip(self.sets, trials):
-                x_side = _Side(x, row)
+                x_side = _Side(x, row, scratch)
                 for (y, _), trial in zip(product(y_sides, measure_rows), by_set):
                     result = trial[row]
                     results.append(x_side.distance_correlation(y) if result is None else result)
@@ -532,10 +554,13 @@ def scan_window(
     Returns the anchors, oldest first (only those in block), and for each
     anchor its results in (feature set, target, measure) order.  This is the
     one anchor loop behind the grid search, verification and windowed
-    measurement.  It walks the anchors in blocks: each block cuts every
-    column's windows into one matrix, every measure but DC scores every
-    anchor of the block at once, and DC scores one anchor at a time from
-    rows of the same matrices.  For DC, targets keep their centred
+    measurement.  It walks the anchors in blocks of at most _BLOCK_CELLS
+    window cells over all the distinct feature and target columns and
+    _COLUMN_CELLS per column: each block cuts every column's windows into
+    one matrix, every measure but DC scores every anchor of the block at
+    once, and DC scores one anchor at a time from rows of the same
+    matrices, |xi - xj| being a one-column side's distances where the
+    sorted row passes _abs_is_cdist.  For DC, targets keep their centred
     distances for the anchor, feature sets for their own trials only.
     Windows with fewer than min_samples pairs come back degenerate without
     being scored.
@@ -548,15 +573,17 @@ def scan_window(
         flagged = [degenerate_result(m, window, f"fewer than {min_samples} pairs") for m in measures]
         return anchors, [flagged * trials_per_measure for _ in anchors]
     feature_columns = {name: frame.column(name) for fs in feature_sets for name in fs}
-    target_columns = [frame.column(t) for t in targets]
+    target_columns = {name: frame.column(name) for name in targets}
     lags = np.arange(1 - window, 1)  # a window's rows relative to its anchor
     leads = 1 + pair_targets(np.arange(horizon), window)  # the target row paired with each of them
-    size = max(1, _BLOCK_CELLS // window)
+    cut = window * (len(feature_columns) + len(target_columns))  # cells of one anchor
+    size = max(1, min(_BLOCK_CELLS // cut, _COLUMN_CELLS // window))
     scores = []
     for start in range(0, len(anchors), size):
         part = anchors[start : start + size, None]
         columns = {name: _Column(col[part + lags]) for name, col in feature_columns.items()}
-        ys = [_Column(col[part + leads]) for col in target_columns]
+        cut_targets = {name: _Column(col[part + leads]) for name, col in target_columns.items()}
+        ys = [cut_targets[name] for name in targets]
         sets = [tuple(columns[name] for name in fs) for fs in feature_sets]
         scores += _Block(len(part), sets, ys, feature_bins, bin_width).scores(measure_rows)
     return anchors, scores

@@ -11,13 +11,16 @@ reference_fit grows the regression tree one node at a time, each node
 sorting its own rows and scanning one threshold at a time
 (reference_best_split), against which the level-wise grower of a stack of
 trees is checked bit for bit; reference_correlation is PC's arithmetic on
-one pair of vectors, against which stacked rows are checked.
+one pair of vectors, against which stacked rows are checked;
+reference_distance_correlation is DC in the arithmetic of scipy's cdist
+and ndarray.mean, against which |xi - xj| distances and np.add.reduce
+means are checked by repr.
 reference_equal_frequency bins one bin count at a time, against which the
 binning of every count from one sort is checked bit for bit.
-The reference_* trial-log writers and reader and reference_read_frame
-write and parse one row and one cell at a time, against which the
-column-at-a-time text layer is checked byte for byte and message for
-message.
+The reference_* trial-log writers and reader, reference_write_csv and
+reference_read_frame write and parse one row and one cell at a time,
+against which the column-at-a-time text layer is checked byte for byte
+and message for message.
 """
 import csv
 import io
@@ -36,6 +39,7 @@ from depscope.frame import (
     ValidationReport,
     validate_frame,
 )
+from depscope.measures import MeasureResult, degenerate_result
 from depscope.search import (
     GROUP_AXES,
     TRIAL_CSV_HEADER,
@@ -104,6 +108,40 @@ def brute_distance_correlation(xs, ys):
     if dvx <= 0.0 or dvy <= 0.0:
         return None
     return min(math.sqrt(max(dcov2, 0.0) / math.sqrt(dvx * dvy)), 1.0)
+
+
+def reference_distance_correlation(xs, ys):
+    """DC in the arithmetic of scipy's cdist and ndarray.mean, the result or the ValueError of
+    distance_correlation on finite paired points.
+
+    Each side's squared differences are summed column by column and
+    rooted; the distances are centred as d - row mean - column mean + grand
+    mean, and dCov^2 is the mean of the elementwise product.
+    """
+    points = [np.asarray(side, dtype=np.float64) for side in (xs, ys)]
+    points = [p.reshape(p.shape[0], -1) for p in points]
+    n = points[0].shape[0]
+
+    def centered(p):
+        squares = np.zeros((n, n))
+        for column in p.T:
+            diff = np.subtract.outer(column, column)
+            squares += np.square(diff)
+        d = np.sqrt(squares)
+        c = d - d.mean(axis=1, keepdims=True) - d.mean(axis=0, keepdims=True) + d.mean()
+        return c, float(np.square(c).mean())
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        (a, dvar_x), (b, dvar_y) = centered(points[0]), centered(points[1])
+        dvar = dvar_x * dvar_y
+        if not (math.isfinite(dvar_x) and math.isfinite(dvar_y)) or dvar == math.inf:
+            raise ValueError("distances overflow")
+        if dvar == 0.0:
+            if any((p == p[0]).all() for p in points):
+                return degenerate_result("DC", n, "zero distance variance")
+            raise ValueError("distance variance underflows to zero")
+        dcov2 = max(float((a * b).mean()), 0.0)
+    return MeasureResult("DC", min(math.sqrt(dcov2 / math.sqrt(dvar)), 1.0), n)
 
 
 def reference_correlation(x, y):
@@ -564,6 +602,17 @@ def _reference_trial(row, line):
     if not (record.degenerate or math.isfinite(record.objective)):
         raise ValueError(f"{where} a scored trial has a finite objective, got {objective}")
     return record
+
+
+def reference_write_csv(frame):
+    """write_csv's text, one row at a time through csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("date",) + frame.column_names)
+    cols = [frame.columns[name] for name in frame.column_names]
+    for i in range(len(frame)):
+        writer.writerow([str(frame.timestamps[i])] + [repr(float(col[i])) for col in cols])
+    return buf.getvalue()
 
 
 def reference_read_frame(text, required_header=None):

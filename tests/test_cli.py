@@ -507,6 +507,30 @@ def test_invalid_binning_is_a_config_error_on_every_command(
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value", (0, -2))
+def test_counts_below_one_are_refused_by_flag(tmp_path, features_csv, capsys, value):
+    measure = [
+        "measure", "--input", str(features_csv), "--features", "f_rsi",
+        "--target", "t_ret_c_1", "--measures", "pc",
+    ]
+    verify = ["verify", "--length", "400", "--lag", "20", "--measures", "pc"]
+    search = ["search", "--input", str(features_csv), "--output", str(tmp_path / "run")]
+    cases = (
+        (measure, "--window"),
+        (measure + ["--window", "50"], "--step"),
+        (measure + ["--window", "50"], "--horizon"),
+        (verify, "--window"),
+        (verify, "--step"),
+        (search + ["--windows", "50"], "--step"),
+        (search + ["--windows", "50"], "--horizon"),
+    )
+    for command, flag in cases:
+        capsys.readouterr()
+        assert main(command + [flag, str(value)]) == 2, (command, flag)
+        assert capsys.readouterr() == ("", f"error: {flag} must be >= 1, got {value}\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_argparse_errors_map_to_exit_two(capsys):
     assert main(["measure", "--input", "x.csv"]) == 2
     assert main(["unknown-command"]) == 2

@@ -19,7 +19,7 @@ from depscope.frame import (
     write_csv,
 )
 
-from _oracles import reference_read_frame
+from _oracles import reference_read_frame, reference_write_csv
 
 GOOD_CSV = """date,open,high,low,close,volume
 2020-01-02,10.0,11.0,9.5,10.5,1000
@@ -282,6 +282,26 @@ def test_write_csv_preserves_values_exactly():
         f = TimeSeriesFrame(timestamps=ts, columns=cols)
         back = read_frame(io.StringIO(write_csv(f)))
         assert frames_equal(f, back)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    days=st.lists(st.one_of(st.integers(-800_000, 3_000_000), st.none()), max_size=12),
+    names=st.lists(st.sampled_from(("a", "b,c", 'q"d', "sp ace", "line\nbreak", "")),
+                   max_size=3, unique=True),
+    data=st.data(),
+)
+def test_write_csv_is_the_row_wise_reference(days, names, data):
+    """Column-at-a-time text is csv.writer's row by row, byte for byte: dates from year -221
+    to 10,183 and NaT, every float (NaN, infinities, signed zeros, subnormals), header names
+    that need quoting, and frames with no rows or no columns."""
+    ts = np.array([np.datetime64("NaT") if d is None else d for d in days], dtype="datetime64[D]")
+    columns = {
+        name: data.draw(st.lists(st.floats(), min_size=len(days), max_size=len(days)))
+        for name in names
+    }
+    frame = TimeSeriesFrame(timestamps=ts, columns=columns)
+    assert write_csv(frame) == reference_write_csv(frame)
 
 
 def test_frames_equal_distinguishes_nan_positions():

@@ -7,19 +7,24 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist as scipy_cdist
 from scipy.stats import rankdata
 
+from depscope.frame import TimeSeriesFrame
 from depscope.measures import (
     MeasureResult,
+    degenerate_result,
     distance_correlation,
     pearson,
     spearman,
     statistical,
 )
+from depscope.search import scan_window
+from depscope.shaping import pair_targets
 
 from _oracles import (
     brute_distance_correlation,
     brute_pearson,
     brute_spearman,
     reference_correlation,
+    reference_distance_correlation,
 )
 
 
@@ -189,9 +194,9 @@ def test_centring_in_place_is_the_expression_bit_for_bit(scale):
     if scale == 1e154:
         assert math.isnan(dvar)
         with pytest.raises(ValueError, match="^distances overflow$"):
-            statistical._centered_distances(points)
+            statistical._centered_distances(points, False, np.empty((50, 50)))
         return
-    centred, got = statistical._centered_distances(points)
+    centred, got = statistical._centered_distances(points, False, np.empty((50, 50)))
     assert centred.tobytes() == expected.tobytes()
     assert np.float64(got).tobytes() == np.float64(dvar).tobytes()
 
@@ -321,3 +326,78 @@ def test_stacked_correlations_score_each_row_as_one_pair(pair):
                 assert got == "ValueError(sums of squares are not finite and positive)"
             else:
                 assert record(i).value == expected
+
+
+# Values whose differences straddle the bounds of the exact |xi - xj| path: gaps just below
+# and at 2**-511, spans just below, at and above 2**511, one that overflows, and signed zeros.
+PLANTED_PAIRS = (
+    (0.0, np.nextafter(statistical.EXACT_LOW, 0.0)),
+    (0.0, statistical.EXACT_LOW),
+    (-statistical.EXACT_LOW, 0.0),
+    (0.0, np.nextafter(statistical.EXACT_HIGH, 0.0)),
+    (0.0, statistical.EXACT_HIGH),
+    (-statistical.EXACT_HIGH, statistical.EXACT_HIGH),
+    (-1e300, 1e300),
+    (0.0, -0.0),
+)
+
+
+@st.composite
+def distance_columns(draw, n=st.integers(2, 40)):
+    """A finite column: normal values at one scale, rounded to ties or not, with up to two
+    PLANTED_PAIRS at drawn rows.  At 1e-160 squared differences are subnormal, at 1e-170
+    they underflow to zero and from 1e154 up some overflow."""
+    size = draw(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(size)
+    if draw(st.booleans()):
+        values = np.round(values)
+    values *= draw(st.sampled_from((1e-170, 1e-160, 1e-150, 1.0, 1e153, 1e154)))
+    for pair in draw(st.lists(st.sampled_from(PLANTED_PAIRS), max_size=2)):
+        rows = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+        values[rows] = pair
+    return values
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(x=distance_columns())
+def test_one_column_distances_are_scipys_bit_for_bit(x):
+    """The guard passes exactly the columns none of whose non-zero differences is below
+    2**-511 or at 2**511 and up, and the distances it picks are scipy's bit for bit."""
+    with np.errstate(over="ignore"):
+        differences = np.abs(np.subtract.outer(x, x))
+    exact = bool(statistical._abs_is_cdist(np.sort(x)))
+    assert exact == bool(
+        ((differences == 0.0) | (statistical.EXACT_LOW <= differences)).all()
+        and (differences < statistical.EXACT_HIGH).all()
+    )
+    points = x[:, None]
+    assert statistical._exact(points) == exact
+    with np.errstate(over="ignore"):
+        got = statistical._distances(points, exact)
+        assert got.tobytes() == scipy_cdist(points, points).tobytes()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    x=distance_columns(n=st.just(60)),
+    y=distance_columns(n=st.just(60)),
+    window=st.sampled_from((2, 3, 9, 20)),
+)
+def test_distance_correlation_is_the_cdist_reference_by_repr(x, y, window):
+    """DC of distance_correlation and of every anchor of a scan equals DC in cdist's and
+    ndarray.mean's arithmetic, by repr, on planted gaps, spans, ties and signed zeros."""
+    assert _outcome(distance_correlation, x, y) == _outcome(reference_distance_correlation, x, y)
+    frame = TimeSeriesFrame(np.datetime64("2020-01-01") + np.arange(60), {"x": x, "y": y})
+    anchors, scores = scan_window(
+        frame, window, (("x",),), ("y",), ("DC",), step=window, horizon=window,
+        bin_width=0.001, feature_bins=8,
+    )
+    for anchor, (got,) in zip(anchors.tolist(), scores):
+        xs = x[anchor - window + 1 : anchor + 1]
+        ys = pair_targets(y[anchor + 1 : anchor + 1 + window], window)
+        try:
+            expected = reference_distance_correlation(xs, ys)
+        except ValueError as exc:
+            expected = degenerate_result("DC", window, str(exc))
+        assert repr(got) == repr(expected)

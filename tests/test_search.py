@@ -542,6 +542,24 @@ def _expected_information(frame, scan, anchor, features, measure):
     return pinned_mi(list(zip(*cols)), y) - i_single, None
 
 
+def cut_blocks_of(mp, per_block, window, feature_sets):
+    """Patch the block constants so that a scan of window over feature_sets and one target
+    cuts per_block anchors a block, both bounds binding, and return the list that the anchor
+    count of each block the scan makes is appended to."""
+    columns = len({name for fs in feature_sets for name in fs}) + 1
+    mp.setattr(search, "_BLOCK_CELLS", per_block * window * columns)
+    mp.setattr(search, "_COLUMN_CELLS", per_block * window)
+    blocks = []
+    block = search._Block
+
+    def counted(anchors, *rest):
+        blocks.append(anchors)
+        return block(anchors, *rest)
+
+    mp.setattr(search, "_Block", counted)
+    return blocks
+
+
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(drawn=block_scans())
 def test_block_boundaries_change_no_information_result(drawn):
@@ -559,8 +577,9 @@ def test_block_boundaries_change_no_information_result(drawn):
         )
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_BLOCK_CELLS", per_block * window)
+        blocks = cut_blocks_of(mp, per_block, window, scan["sets"])
         anchors, scores = run()
+        assert blocks == [len(anchors[i : i + per_block]) for i in range(0, len(anchors), per_block)]
         _, head = run(slice(0, split))
         _, tail = run(slice(split, None))
     assert [[repr(r) for r in rs] for rs in head + tail] == [[repr(r) for r in rs] for rs in scores]
@@ -659,8 +678,9 @@ def test_block_boundaries_change_no_anchor_measure_result(drawn):
         )
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search, "_BLOCK_CELLS", per_block * window)
+        blocks = cut_blocks_of(mp, per_block, window, scan["sets"])
         anchors, scores = run()
+        assert blocks == [len(anchors[i : i + per_block]) for i in range(0, len(anchors), per_block)]
         _, head = run(slice(0, split))
         _, tail = run(slice(split, None))
     assert [[repr(r) for r in rs] for rs in head + tail] == [[repr(r) for r in rs] for rs in scores]
