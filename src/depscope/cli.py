@@ -24,6 +24,7 @@ from .search import (
     SearchSpace,
     TREND_LABELS,
     check_binning,
+    check_windows,
     correlate_measure_with_scores,
     default_search_space,
     evaluate_pairs,
@@ -39,6 +40,7 @@ from .verify import (
     EMBEDDINGS,
     VERIFY_MEASURES,
     SyntheticSpec,
+    check_series,
     run_synthetic_verification,
     run_verification,
     write_verification_report,
@@ -197,7 +199,7 @@ def cmd_measure(args) -> int:
                 f"{'true' if r['degenerate'] else 'false'}"
             )
         text = "\n".join(lines) + "\n"
-    _emit(text, sys.stdout if args.output is None else args.output)
+    _emit((text,), sys.stdout if args.output is None else args.output)
     if all(r["degenerate"] for r in rows):
         return EXIT_DEGENERATE
     return EXIT_OK
@@ -207,10 +209,12 @@ def cmd_search(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     _check_counts(args, "step", "horizon")
-    frame = read_frame(args.input)
     base = default_search_space()
+    windows = _parse_windows(args.windows) if args.windows else base.window_sizes
+    check_windows(windows, name="--windows")
+    frame = read_frame(args.input)
     space = SearchSpace(
-        window_sizes=_parse_windows(args.windows) if args.windows else base.window_sizes,
+        window_sizes=windows,
         feature_sets=(
             _parse_feature_sets(args.features) if args.features else base.feature_sets
         ),
@@ -259,6 +263,7 @@ def cmd_verify(args) -> int:
             **_binning(args),
         )
     else:
+        check_series(args.length, args.lag, names=("--length", "--lag"))
         spec = SyntheticSpec(
             length=args.length,
             embedding=args.embedding,
@@ -335,7 +340,7 @@ def cmd_report(args) -> int:
         for g in ranking.rows:
             lines.append(f"{g.value},{repr(g.median_objective)},{g.trials}")
         text = "\n".join(lines) + "\n"
-    _emit(text, sys.stdout if args.output is None else args.output)
+    _emit((text,), sys.stdout if args.output is None else args.output)
     if ranking.notice:
         print(ranking.notice, file=sys.stderr)
         return EXIT_DEGENERATE

@@ -3,18 +3,26 @@
 A frame is an immutable bundle of a date axis plus equally long float
 columns.  Loaders reject bad input instead of repairing it; the only
 normalization applied is sorting rows into ascending date order.  CSV
-tables are parsed and written one column at a time; _FirstFault finds the
-fault a row-by-row loop would stop at.
+tables and the other artifacts stream in chunks of _CHUNK_ROWS rows: a
+reader holds one chunk of rows and no whole text, a writer one chunk's
+text.  Each chunk is parsed or written one column at a time; _FirstFault
+finds the fault a row-by-row loop would stop at.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import os
-from collections.abc import Callable, Iterable, Sequence
+import shutil
+import tempfile
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +30,9 @@ import numpy as np
 OHLCV_HEADER = ("date", "open", "high", "low", "close", "volume")
 _MISSING = {"": "nan"}  # an empty numeric cell is parsed as NaN: "missing"
 _EPOCH = date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
+# Rows that a reader parses, or a writer formats, at a time: what either holds is bounded by
+# one chunk, not by the rows of the artifact.
+_CHUNK_ROWS = 1024
 
 
 class CsvParseError(ValueError):
@@ -128,40 +139,96 @@ def validate_frame(frame: TimeSeriesFrame) -> ValidationReport:
     return ValidationReport(row_count=len(frame), issues=tuple(issues))
 
 
-def _as_text(source) -> tuple[str, str]:
-    """Pull CSV text out of a path, bytes, or file object; return (text, label)."""
-    if isinstance(source, Path):
-        return source.read_text(encoding="utf-8"), str(source)
-    if isinstance(source, str):
-        return Path(source).read_text(encoding="utf-8"), source
-    if isinstance(source, (bytes, bytearray)):
-        return bytes(source).decode("utf-8"), "<bytes>"
-    data = source.read()
-    label = getattr(source, "name", "<stream>")
-    if isinstance(data, bytes):
-        return data.decode("utf-8"), str(label)
-    return data, str(label)
+@contextmanager
+def _table(source) -> Iterator[tuple[list[str] | None, Iterator[tuple[list, tuple]], str]]:
+    """The first row of the CSV text in a path, bytes or a file object (None when there is
+    none), chunks of the non-blank rows below it (_row_chunks), and a label for the source.
 
-
-def _read_table(text: str) -> tuple[list[str] | None, list[list[str]]]:
-    """The first row of CSV text (None when there is none) and the non-blank rows below it.
-
-    Text the csv module cannot split into rows, such as a bare carriage
-    return inside an unquoted cell, raises CsvParseError naming its line.
+    A fault is raised in the order a reader of the whole text raised it, as
+    it decoded all of the text, split all of it into rows, then checked the
+    rows: invalid UTF-8 anywhere first (UnicodeDecodeError), then the first
+    text the csv module cannot split into a row, such as a bare carriage
+    return inside an unquoted cell (CsvParseError naming its line), then a
+    ValueError raised in the with block.  So after such a ValueError the rest
+    of the text is read, a line at a time, for either of the first two.
     """
-    reader = csv.reader(io.StringIO(text))
+    with _lines(source) as (lines, label):
+        reader = csv.reader(lines)
+        try:
+            yield next(reader, None), _row_chunks(reader), label
+        except csv.Error as exc:
+            error = CsvParseError(str(exc), line=reader.line_num)
+        except ValueError as exc:
+            if isinstance(exc, UnicodeDecodeError):
+                raise
+            error = _split_error(reader) or exc
+        else:
+            return
+        deque(lines, maxlen=0)
+        raise error from None
+
+
+@contextmanager
+def _lines(source) -> Iterator[tuple[Iterable[str], str]]:
+    """The lines of CSV text in a path, bytes or a file object, and a label for it.
+
+    A path is read as UTF-8 with universal newlines, as Path.read_text
+    reads it.  Bytes and file objects are split at "\n" alone, as io.StringIO
+    splits the text that read() returns (decoded as UTF-8 when it is bytes).
+    """
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as lines:
+            yield lines, str(source)
+    elif isinstance(source, (bytes, bytearray)):
+        yield _split_lines(io.BytesIO(source)), "<bytes>"
+    else:
+        yield _split_lines(source), str(getattr(source, "name", "<stream>"))
+
+
+def _split_lines(stream) -> Iterator[str]:
+    """The lines of a text or binary stream read a block at a time, each ending at "\n" but
+    perhaps the last; a line spanning blocks is joined once, when it ends."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    tail = []  # the pieces of the line not yet ended
+    while block := stream.read(io.DEFAULT_BUFFER_SIZE):
+        text = decode(block) if isinstance(block, bytes) else block
+        head, newline, rest = text.partition("\n")
+        if not newline:
+            tail.append(text)
+            continue
+        yield "".join([*tail, head, newline])
+        lines = io.StringIO(rest).readlines()
+        tail = lines[-1:] if lines and not lines[-1].endswith("\n") else []
+        yield from lines[: len(lines) - len(tail)]
+    if last := "".join([*tail, decode(b"", final=True)]):
+        yield last
+
+
+def _row_chunks(reader) -> Iterator[tuple[list, tuple]]:
+    """The reader's non-blank rows in chunks of at most _CHUNK_ROWS: the rows, and the
+    physical line each ends on."""
+    # zip reads each row's line_num after the row, from the line the row ends on.
+    rows = filter(itemgetter(0), zip(reader, map(attrgetter("line_num"), repeat(reader))))
+    for chunk in _chunks(rows):
+        cells, ends = zip(*chunk)
+        yield list(cells), ends
+
+
+def _split_error(reader) -> CsvParseError | None:
+    """The error of the first row of the reader's remaining text that the csv module cannot
+    split, or None."""
     try:
-        return next(reader, None), list(filter(None, reader))
+        deque(reader, maxlen=0)
     except csv.Error as exc:
-        raise CsvParseError(str(exc), line=reader.line_num) from None
+        return CsvParseError(str(exc), line=reader.line_num)
+    return None
 
 
-def _line_of(text: str, row: int) -> int:
-    """The physical line on which the row-th non-blank row below the first row ends."""
-    reader = csv.reader(io.StringIO(text))
-    next(reader)
-    next(islice(filter(None, reader), row, None))
-    return reader.line_num
+def _chunks(items: Iterable) -> Iterator[list]:
+    """Lists of _CHUNK_ROWS consecutive items, the last one shorter."""
+    items = iter(items)
+    while chunk := list(islice(items, _CHUNK_ROWS)):
+        yield chunk
 
 
 class _FirstFault:
@@ -214,24 +281,53 @@ def read_frame(source, required_header: tuple[str, ...] | None = None) -> TimeSe
     frame that fails validate_frame, because of empty (or NaN) cells,
     infinite cells or duplicate dates, raises FrameValidationError with
     validate_frame's issues sorted by row, column and kind.  A parse error
-    names the physical line its row ends on.  Each column is parsed in one
-    pass; the error raised is the first faulty row's first faulty cell.
+    names the physical line its row ends on.  Rows are parsed a chunk at a
+    time, each column of a chunk in one pass; the error raised is the first
+    faulty row's first faulty cell.  Invalid UTF-8, or text the csv module
+    cannot split into rows, raises first wherever it is (_table).
     """
-    text, label = _as_text(source)
-    header, rows = _read_table(text)
+    with _table(source) as (header, chunks, label):
+        header = _check_header(header, required_header)
+        parts = [_parse_rows(header, *chunk) for chunk in chunks]
+
+    rows = sum(len(days) for days, _ in parts)
+    days = np.concatenate([np.empty(0, dtype=np.int64)] + [days for days, _ in parts])
+    dates = (days - _EPOCH).astype("datetime64[D]")
+    order = np.argsort(dates, kind="stable")
+    columns = {
+        name: np.concatenate([np.empty(0)] + [values[i] for _, values in parts])[order]
+        for i, name in enumerate(header[1:])
+    }
+    frame = TimeSeriesFrame(timestamps=dates[order], columns=columns, source=label)
+    issues = validate_frame(frame).issues
+    if issues:
+        issues = tuple(sorted(issues, key=lambda it: (it.row, it.column, it.kind)))
+        raise FrameValidationError(ValidationReport(row_count=rows, issues=issues))
+    return frame
+
+
+def _check_header(header: list[str] | None, required: tuple[str, ...] | None) -> tuple[str, ...]:
     if header is None:
         raise CsvParseError("empty input", line=1)
     header = tuple(header)
-    if required_header is not None and header != required_header:
+    if required is not None and header != required:
         raise CsvParseError(
-            f"header must be exactly {','.join(required_header)!r}, got {','.join(header)!r}",
-            line=1,
+            f"header must be exactly {','.join(required)!r}, got {','.join(header)!r}", line=1
         )
     if not header or header[0] != "date" or len(header) < 2:
         raise CsvParseError("header must start with 'date' and name at least one column", line=1)
     if len(set(header)) != len(header):
         raise CsvParseError("duplicate column names in header", line=1)
+    return header
 
+
+def _parse_rows(
+    header: tuple[str, ...], rows: list, ends: tuple
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One chunk of read_frame's rows: each row's date as a day number, and each column.
+
+    Raises the chunk's first fault.
+    """
     width = len(header)
     fault = _FirstFault(len(rows))
     fault.flag(
@@ -245,30 +341,21 @@ def read_frame(source, required_header: tuple[str, ...] | None = None) -> TimeSe
         list(map(str.strip, raw_dates)),
         lambda row, _: f"bad ISO-8601 date {raw_dates[row]!r}",
     )
-    columns = {}
+    columns = []
     for name, column in zip(header[1:], cells[1:]):
         column = list(map(str.strip, column))
-        columns[name] = fault.map(
+        values = fault.map(
             float,
             list(map(_MISSING.get, column, column)) if "" in column else column,
             lambda row, _, column=column, name=name: (
                 f"bad numeric value {column[row]!r} in column {name}"
             ),
         )
+        columns.append(values)
     if fault.error is not None:
-        raise CsvParseError(fault.error, line=_line_of(text, fault.rows))
-
-    dates = (np.array(list(map(date.toordinal, dates)), dtype=np.int64) - _EPOCH).astype(
-        "datetime64[D]"
-    )
-    order = np.argsort(dates, kind="stable")
-    columns = {name: np.array(values, dtype=np.float64)[order] for name, values in columns.items()}
-    frame = TimeSeriesFrame(timestamps=dates[order], columns=columns, source=label)
-    issues = validate_frame(frame).issues
-    if issues:
-        issues = tuple(sorted(issues, key=lambda it: (it.row, it.column, it.kind)))
-        raise FrameValidationError(ValidationReport(row_count=len(rows), issues=issues))
-    return frame
+        raise CsvParseError(fault.error, line=ends[fault.rows])
+    days = np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
+    return days, [np.array(values, dtype=np.float64) for values in columns]
 
 
 def load_ohlcv(source) -> TimeSeriesFrame:
@@ -281,26 +368,48 @@ def write_csv(frame: TimeSeriesFrame, destination=None) -> str | None:
 
     Floats are written with repr, which round-trips float64 exactly.  Writes
     to a path or text file object when given one, else returns the text.
-    The text is csv.writer's, written one column at a time: only the header
-    can need quoting, so only the header goes through csv.writer.
+    The text is csv.writer's, written a chunk of rows at a time, each one
+    column at a time: only the header can need quoting, so only the header
+    goes through csv.writer.
     """
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(("date",) + frame.column_names)
-    columns = [np.datetime_as_string(frame.timestamps).tolist()]
-    columns += [list(map(repr, frame.columns[name].tolist())) for name in frame.column_names]
-    lines = [header.getvalue().removesuffix("\n"), *map(",".join, zip(*columns))]
-    return _emit("\n".join(lines) + "\n", destination)
+    return _emit(_frame_parts(frame, header.getvalue()), destination)
 
 
-def _emit(text: str, destination) -> str | None:
-    """Return the text when destination is None, else write it to a path (as UTF-8) or to a
-    text file object and return None."""
+def _frame_parts(frame: TimeSeriesFrame, header: str) -> Iterator[str]:
+    """The header, then the text of each chunk of rows."""
+    yield header
+    for start in range(0, len(frame), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        columns = [np.datetime_as_string(frame.timestamps[rows]).tolist()]
+        columns += [list(map(repr, values[rows].tolist())) for values in frame.columns.values()]
+        yield "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
+def _emit(parts: Iterable[str], destination) -> str | None:
+    """Return the parts joined when destination is None, else write them to a path (as UTF-8)
+    or to a text file object and return None.
+
+    The parts are spooled, and copied to the destination only once the last
+    is made, so a writer that raises leaves the destination as it was.  The
+    spool holds io.DEFAULT_BUFFER_SIZE bytes in memory and the rest in a
+    temporary file, so no writer holds more than one part.
+    """
     if destination is None:
-        return text
-    if isinstance(destination, (str, os.PathLike)):
-        Path(destination).write_text(text, encoding="utf-8")
-    else:
-        destination.write(text)
+        return "".join(parts)
+    # surrogatepass lets any str through the spool unchanged; the destination encodes it.
+    with tempfile.SpooledTemporaryFile(
+        io.DEFAULT_BUFFER_SIZE, "w+", encoding="utf-8", errors="surrogatepass", newline=""
+    ) as spool:
+        for part in parts:
+            spool.write(part)  # a write, unlike writelines, moves a full spool to its file
+        spool.seek(0)
+        if isinstance(destination, (str, os.PathLike)):
+            with open(destination, "w", encoding="utf-8") as out:
+                shutil.copyfileobj(spool, out)
+        else:
+            shutil.copyfileobj(spool, destination)
     return None
 
 

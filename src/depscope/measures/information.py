@@ -14,7 +14,8 @@ table cached per n (_terms, as MIC's grid is in _mic_grid) and add them with
 np.cumsum, which sums in the same order and so gives the same bits; zero
 counts sort first and add 0.0, so zero-padded rows give the same bits too.
 IG and conditional entropy add their branches in code order.  The public
-functions score a one-row block.
+functions of symbols score a one-row block; those of a JointHistogram add
+the same terms, in the same order, from its cell counts alone.
 """
 from __future__ import annotations
 
@@ -316,16 +317,18 @@ class JointHistogram:
         cells = zip(_plain(xa, first), _plain(ya, first))
         return cls(dict(zip(cells, counts.tolist())), len(xa))
 
-    def _sides(self) -> list[_Codes]:
-        """The x and y sides as one-row blocks of n codes: each side's symbols numbered in
-        first-met order, so mixed types need no sorting, and each cell repeated by its count."""
-        repeats = list(self.counts.values())
-        sides = []
-        for symbols in zip(*self.counts):
-            codes: dict = {}
-            cells = [codes.setdefault(s, len(codes)) for s in symbols]
-            sides.append(_Codes(np.repeat(cells, repeats)[None, :], len(codes)))
-        return sides
+    def _margins(self) -> tuple[dict, dict]:
+        """Each x symbol's count, and each y symbol's cell counts, y symbols in first-met order.
+
+        Scoring reads cell counts alone, so its cost grows with the cells,
+        not with n.
+        """
+        xs: dict = {}
+        ys: dict = {}
+        for (x, y), c in self.counts.items():
+            xs[x] = xs.get(x, 0) + c
+            ys.setdefault(y, []).append(c)
+        return xs, ys
 
 
 def entropy(dist: DiscreteDistribution) -> float:
@@ -334,8 +337,16 @@ def entropy(dist: DiscreteDistribution) -> float:
 
 
 def conditional_entropy(joint: JointHistogram) -> float:
-    """H(X|Y) in bits: the y-weighted average entropy of the conditional columns."""
-    return float(_conditional_entropy(*joint._sides())[0])
+    """H(X|Y) in bits: the y-weighted average entropy of the conditional columns.
+
+    The columns are added in first-met order of y, as _conditional_entropy
+    adds its branches in code order, so the bits are the same.
+    """
+    total = 0.0
+    for counts in joint._margins()[1].values():
+        size = sum(counts)
+        total += size / joint.n * _entropy_from_counts(counts, size)
+    return total
 
 
 def mutual_information(joint: JointHistogram) -> MeasureResult:
@@ -344,7 +355,14 @@ def mutual_information(joint: JointHistogram) -> MeasureResult:
     Evaluated as H(X) + H(Y) - H(X,Y), which is exactly symmetric under
     swapping the axes; tiny negative rounding residue is clipped to 0.
     """
-    return MeasureResult("MI", float(_mutual_information(*joint._sides())[0]), joint.n)
+    xs, ys = joint._margins()
+    n = joint.n
+    value = (
+        _entropy_from_counts(xs.values(), n)
+        + _entropy_from_counts(map(sum, ys.values()), n)
+        - _entropy_from_counts(joint.counts.values(), n)
+    )
+    return MeasureResult("MI", max(value, 0.0), n)
 
 
 def information_gain(parent_symbols, child_assignment) -> MeasureResult:
@@ -495,13 +513,36 @@ def _mic_side(values: np.ndarray, ordered: np.ndarray) -> _MicSide:
     return _MicSide(codes, _table_entropy(counts, _terms(n)), wide)
 
 
-def _mic(x: _MicSide, y: _MicSide) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's best normalized MI and the index of its grid shape; every joint table counted at once."""
+def _mic_work(x: _MicSide) -> tuple[np.ndarray, np.ndarray]:
+    """Buffers for _mic's joint cells of x's rows: one cell per (row, grid shape, observation),
+    as intp and as x's codes."""
+    a, _, n = x.codes.shape
+    shape = (a, len(_mic_grid(n).shapes), n)
+    return np.empty(shape, dtype=np.intp), np.empty(shape, dtype=x.codes.dtype)
+
+
+def _mic(
+    x: _MicSide, y: _MicSide, work: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's best normalized MI and the index of its grid shape; every joint table
+    counted at once.
+
+    The cells are made in work, _mic_work's buffers, which a scan makes once
+    per anchor block: tables of every shape are hundreds of KiB, and a fresh
+    one per call would cost its pages each time.
+    """
     a, _, n = x.codes.shape
     grid = _mic_grid(n)
-    cells = grid.gy[:, None] * x.codes[:, grid.gx - 2]
-    cells += y.codes[:, grid.gy - 2]
-    joint = _row_counts(cells.reshape(-1, n), grid.cells).reshape(a, len(grid.shapes), -1)
+    shapes = len(grid.shapes)
+    cells, codes = work
+    # The indices are in range; mode="clip" lets np.take write into codes unbuffered.
+    np.take(x.codes, grid.gx - 2, axis=1, out=codes, mode="clip")
+    np.multiply(grid.gy[:, None], codes, out=cells)
+    cells += np.take(y.codes, grid.gy - 2, axis=1, out=codes, mode="clip")
+    # Every table has fewer than n cells (grid.cells < max(n**0.6, 5) <= n), so one bincount
+    # counts them all, each (row, shape) at its own offset, as _row_counts does.
+    cells += (grid.cells * np.arange(a * shapes)).reshape(a, shapes, 1)
+    joint = np.bincount(cells.ravel(), minlength=a * shapes * grid.cells).reshape(a, shapes, -1)
     hxy = _table_entropy(joint, _terms(n))
     m = np.maximum(x.entropy[:, grid.gx - 2] + y.entropy[:, grid.gy - 2] - hxy, 0.0) / grid.divisors
     best = np.argmax(m, axis=1)  # the first of equal maxima: ties prefer the smaller gx, then gy
@@ -535,5 +576,5 @@ def mic(x, y) -> MeasureResult:
             raise ValueError("values must be finite")
         if side.wide[0]:
             raise ValueError(TOO_WIDE)
-    value, best = _mic(*sides)
+    value, best = _mic(*sides, _mic_work(sides[0]))
     return _mic_result(float(value[0]), int(best[0]), xa.shape[0])

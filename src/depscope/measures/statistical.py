@@ -35,8 +35,8 @@ def _average_ranks(a: np.ndarray, order: np.ndarray | None = None) -> np.ndarray
     return ranks
 
 
-def cdist(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the row points of xa and of xb.
+def cdist(xa: np.ndarray, xb: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Euclidean distances between the row points of xa and of xb, in out when given.
 
     Squared differences are summed column by column in column order and
     then rooted, the arithmetic of scipy.spatial.distance.cdist, so
@@ -44,7 +44,7 @@ def cdist(xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     after the first are added CDIST_ROWS rows at a time, so their squared
     differences are a block-sized temporary, not a second matrix.
     """
-    d = np.subtract.outer(xa[:, 0], xb[:, 0])
+    d = np.subtract.outer(xa[:, 0], xb[:, 0], out=out)
     d *= d
     for j in range(1, xa.shape[1]):
         for start in range(0, xa.shape[0], CDIST_ROWS):
@@ -134,21 +134,22 @@ def _exact(points: np.ndarray) -> bool:
     return points.shape[1] == 1 and bool(_abs_is_cdist(np.sort(points[:, 0])))
 
 
-def _distances(points: np.ndarray, exact: bool) -> np.ndarray:
-    """cdist(points, points); |xi - xj| when exact, which _abs_is_cdist must have found of
-    one-column points."""
+def _distances(points: np.ndarray, exact: bool, out: np.ndarray | None = None) -> np.ndarray:
+    """cdist(points, points), in out when given; |xi - xj| when exact, which _abs_is_cdist must
+    have found of one-column points."""
     if not exact:
-        return cdist(points, points)
-    d = np.subtract.outer(points[:, 0], points[:, 0])
+        return cdist(points, points, out)
+    d = np.subtract.outer(points[:, 0], points[:, 0], out=out)
     return np.abs(d, out=d)
 
 
 def _centered_distances(
-    points: np.ndarray, exact: bool, scratch: np.ndarray
+    points: np.ndarray, exact: bool, scratch: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
     """Double-centered Euclidean distance matrix of row points, and its distance variance.
 
-    Distances are _distances(points, exact).  The matrix is centred in place,
+    Distances are _distances(points, exact, out), made in the (n, n) buffer
+    out when it is given, else in a new matrix.  The matrix is centred in place,
     in the order of d - row - col + grand mean, each mean np.add.reduce over
     its count, the bits of ndarray.mean; the squares are taken into scratch,
     an (n, n) buffer the caller lets it overwrite.  Distances too large for
@@ -159,7 +160,7 @@ def _centered_distances(
     if n < 2:
         raise ValueError("need at least 2 observations")
     with np.errstate(over="ignore", invalid="ignore"):
-        d = _distances(points, exact)
+        d = _distances(points, exact, out)
         row = np.add.reduce(d, axis=1, keepdims=True) / n
         col = np.add.reduce(d, axis=0, keepdims=True) / n
         grand = np.add.reduce(d, axis=None) / (n * n)

@@ -22,14 +22,17 @@ centred distances are n x n, scores one anchor at a time, taking |xi - xj|
 as a one-column side's distances where its sorted window shows that to be
 cdist's bits.  What the measures derive from a window (codes, entropies,
 ranks, centred distances) is made once and read by every trial that uses
-it.
+it.  The largest temporaries, MIC's joint cells and DC's centred
+distances, are made in buffers a block allocates once, not per trial or
+anchor: a fresh array of hundreds of KiB costs its pages on every call.
 
-The trial log is written and read one field at a time, over every trial:
-the writers format each column with one C-level call per cell, quote or
-escape each distinct text once and join the rows with fixed separators,
-giving csv.writer's and json.dumps(payload, indent=2)'s bytes; the reader
-parses each column in one pass and raises what a row-by-row reader would
-raise at the first faulty row.
+The trial log streams in chunks of frame._CHUNK_ROWS trials, and each chunk
+is written and read one field at a time: the writers format each column
+with one C-level call per cell, quote or escape each distinct text once
+and join the rows with fixed separators, giving csv.writer's and
+json.dumps(payload, indent=2)'s bytes; the reader parses each column in one
+pass and raises what a row-by-row reader would raise at the first faulty
+row.  A writer holds one chunk's text, a reader one chunk's rows.
 """
 from __future__ import annotations
 
@@ -39,16 +42,16 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
-from functools import cached_property
-from itertools import chain, product
+from functools import cached_property, partial
+from itertools import chain, filterfalse, product
 from operator import attrgetter
 
 import numpy as np
 
-from .frame import TimeSeriesFrame, _as_text, _emit, _FirstFault, _line_of, _read_table
+from .frame import TimeSeriesFrame, _chunks, _emit, _FirstFault, _table
 from .measures import MeasureResult, degenerate_result, spearman
 from .measures.information import (
     TOO_WIDE,
@@ -61,6 +64,7 @@ from .measures.information import (
     _mic,
     _mic_result,
     _mic_side,
+    _mic_work,
     _MicSide,
     _mutual_information,
     _synergy,
@@ -85,6 +89,14 @@ log = logging.getLogger(__name__)
 TREND_LABELS = ("DOWN", "NEUTRAL", "UP")
 TREND_LOOKBACK = 20  # rows back from the anchor that the trend return spans
 TREND_THRESHOLD = 0.02  # a trend return above this is UP, below its negative DOWN
+MIN_WINDOW = 8  # the narrowest window a search space takes
+
+
+def check_windows(window_sizes, *, name: str = "window sizes") -> None:
+    """Refuse a window narrower than MIN_WINDOW; name is what the message calls the sizes."""
+    for window in window_sizes:
+        if window < MIN_WINDOW:
+            raise ValueError(f"{name} must be >= {MIN_WINDOW}, got {window}")
 
 
 def check_binning(
@@ -135,8 +147,7 @@ class SearchSpace:
         object.__setattr__(self, "measures", tuple(self.measures))
         if not (self.window_sizes and self.feature_sets and self.targets and self.measures):
             raise ValueError("every search axis needs at least one value")
-        if any(w < 8 for w in self.window_sizes):
-            raise ValueError("window sizes must be >= 8")
+        check_windows(self.window_sizes)
         if any(not fs for fs in self.feature_sets):
             raise ValueError("feature sets must be non-empty")
         names = [("feature", n, _FEATURE_JOINS) for fs in self.feature_sets for n in fs]
@@ -202,16 +213,19 @@ GROUP_AXES = ("window_size", "features", "target", "measure")
 _FLAG_TEXT = {True: "true", False: "false"}
 
 
-def _cells(records, name: str) -> list[str]:
-    """One field of every trial as it appears in the CSV artifacts and in rankings."""
-    values = map(attrgetter(name), records)
-    if name == "features":
-        return list(map("|".join, values))
+def _cells(records, name: str, fault: _FirstFault) -> list[str]:
+    """One field of every trial as it appears in the CSV artifacts and in rankings.
+
+    A value that cannot be written is a fault of its trial (fault.map): the
+    cells of the trials above it are returned.
+    """
+    convert = {"features": "|".join, "objective": float, "degenerate": bool}.get(name, str)
+    cells = fault.map(convert, list(map(attrgetter(name), records)), lambda row, exc: exc)
     if name == "objective":
-        return list(map(repr, map(float, values)))
+        return list(map(repr, cells))
     if name == "degenerate":
-        return list(map(_FLAG_TEXT.__getitem__, map(bool, values)))
-    return list(map(str, values))
+        return list(map(_FLAG_TEXT.__getitem__, cells))
+    return cells
 
 
 @dataclass(frozen=True)
@@ -292,17 +306,27 @@ class _Side:
     DC is the one measure scored an anchor at a time: its centred distance
     matrix is n x n, so a side keeps it for as long as the scan keeps the
     side, a target for one anchor, a feature set for one (anchor, feature
-    set).  A one-column side whose sorted window passes _abs_is_cdist takes
+    set).  The matrix is made in out, an (n, n) buffer of the block's that
+    no other live side uses: each target has its own, and the feature sets
+    share one; a fresh matrix per side would cost its pages at every anchor.
+    A one-column side whose sorted window passes _abs_is_cdist takes
     |xi - xj| as its distances.  Squares and products are taken into the
     block's one (n, n) scratch buffer.  A derivation that raises is not
     kept: each trial that reads it raises again.
     """
 
-    def __init__(self, columns: tuple[_Column, ...], row: int, scratch: np.ndarray | None):
+    def __init__(
+        self,
+        columns: tuple[_Column, ...],
+        row: int,
+        scratch: np.ndarray | None,
+        out: np.ndarray | None,
+    ):
         self.columns = columns
         self.row = row
         self.n = columns[0].values.shape[1]
         self.scratch = scratch
+        self.out = out
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -314,7 +338,7 @@ class _Side:
     @cached_property
     def centered_distances(self) -> tuple[np.ndarray, float]:
         exact = len(self.columns) == 1 and bool(self.columns[0].exact[self.row])
-        return _centered_distances(self.points, exact, self.scratch)
+        return _centered_distances(self.points, exact, self.scratch, self.out)
 
     def distance_correlation(self, y: "_Side") -> MeasureResult:
         """DC of this feature side and target side y; a ValueError comes back flagged."""
@@ -399,7 +423,7 @@ class _Block:
         if m.id == "MIC":
             sx, sy = self._mic(x[0]), self._mic(y)
             checks += [(sx.wide, TOO_WIDE), (sy.wide, TOO_WIDE)]
-            values, best = _mic(sx, sy)
+            values, best = _mic(sx, sy, self._keep(("mic work",), lambda: _mic_work(sx)))
             return lambda i: _mic_result(float(values[i]), int(best[i]), n)
         if n == 0:
             raise ValueError("empty symbol sequences")
@@ -493,14 +517,20 @@ class _Block:
     def scores(self, measure_rows: list[Measure]) -> list[list[MeasureResult]]:
         """Each anchor's results in (feature set, target, measure) order."""
         trials = [[self._trial(m, x, y) for y in self.ys for m in measure_rows] for x in self.sets]
-        n = self.sets[0][0].values.shape[1]
-        scratch = np.empty((n, n)) if any(m.id == "DC" for m in measure_rows) else None
+        self._kept.clear()  # DC reads none of it
+        dc = any(m.id == "DC" for m in measure_rows)
+
+        def square(c: _Column) -> np.ndarray | None:  # an (n, n) buffer for DC of c's windows
+            return np.empty((c.values.shape[1],) * 2) if dc else None
+
+        scratch, x_out = square(self.sets[0][0]), square(self.sets[0][0])
+        y_outs = [square(y) for y in self.ys]
         scores = []
         for row in range(self.anchors):
-            y_sides = [_Side((y,), row, scratch) for y in self.ys]
+            y_sides = [_Side((y,), row, scratch, out) for y, out in zip(self.ys, y_outs)]
             results = []
             for x, by_set in zip(self.sets, trials):
-                x_side = _Side(x, row, scratch)
+                x_side = _Side(x, row, scratch, x_out)
                 for (y, _), trial in zip(product(y_sides, measure_rows), by_set):
                     result = trial[row]
                     results.append(x_side.distance_correlation(y) if result is None else result)
@@ -639,6 +669,9 @@ def run_grid_search(
         for w in space.window_sizes
     }
     if jobs > 1:
+        # Imported here, so that importing depscope loads no multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         units = []
         for w in anchors:
             count = len(anchors[w])
@@ -701,30 +734,58 @@ def _csv_column(cells: list[str]) -> list[str]:
     return list(map(written.__getitem__, cells))
 
 
-def _csv_text(names: tuple[str, ...], records) -> str:
-    """The named fields of the trials as CSV, one column at a time."""
-    columns = [_csv_column(_cells(records, name)) for name in names]
-    return "\n".join([",".join(names), *map(",".join, zip(*columns))]) + "\n"
+def _csv_text(names: tuple[str, ...], records: list) -> str:
+    """The named fields of the trials as CSV rows, one column at a time; raises what the first
+    trial with a value that cannot be written raises on its first such field."""
+    if not records:
+        return ""
+    fault = _FirstFault(len(records))
+    columns = [_csv_column(_cells(records, name, fault)) for name in names]
+    if fault.error is not None:
+        raise fault.error
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
+def _trial_parts(
+    rows: Iterable[TrialRecord], text: Callable[[list], str], head: str, sep="", tail=""
+) -> Iterator[str]:
+    """head, then text(chunk) of each chunk of the rows joined by sep, then tail."""
+    yield head
+    for i, chunk in enumerate(_chunks(rows)):
+        yield sep + text(chunk) if i else text(chunk)
+    yield tail
 
 
 def write_trial_log_csv(log_: TrialLog, destination=None) -> str | None:
     """Write trial rows as CSV; feature names inside a set are joined with '|'."""
-    return _emit(_csv_text(TRIAL_CSV_HEADER, log_.records), destination)
+    text = partial(_csv_text, TRIAL_CSV_HEADER)
+    head = ",".join(TRIAL_CSV_HEADER) + "\n"
+    return _emit(_trial_parts(log_.records, text, head), destination)
 
 
 def read_trial_log_csv(source) -> TrialLog:
     """Read back a trial CSV written by write_trial_log_csv, from a path, bytes or a stream.
 
     Blank rows are skipped.  A row that write_trial_log_csv cannot write
-    raises ValueError naming the physical line it ends on.  Each column is
-    parsed in one pass; the error raised is the first faulty row's first
-    fault, in the order the cells are checked: cell count, degenerate flag,
-    trial_id, window_size, objective, then the objective against its flag.
+    raises ValueError naming the physical line it ends on.  Rows are parsed
+    a chunk at a time, each column of a chunk in one pass; the error raised
+    is the first faulty row's first fault, in the order the cells are
+    checked: cell count, degenerate flag, trial_id, window_size, objective,
+    then the objective against its flag.  Invalid UTF-8, or text the csv
+    module cannot split into rows, raises first wherever it is (frame._table).
+    Trials of one feature set share one tuple.
     """
-    text, _ = _as_text(source)
-    header, rows = _read_table(text)
-    if tuple(header or ()) != TRIAL_CSV_HEADER:
-        raise ValueError(f"expected header {','.join(TRIAL_CSV_HEADER)}")
+    with _table(source) as (header, chunks, _):
+        if tuple(header or ()) != TRIAL_CSV_HEADER:
+            raise ValueError(f"expected header {','.join(TRIAL_CSV_HEADER)}")
+        sets: dict[str, tuple[str, ...]] = {}
+        records = tuple(chain.from_iterable(_parse_trials(*chunk, sets) for chunk in chunks))
+    return TrialLog(records=records, space=None, seed=-1)
+
+
+def _parse_trials(rows: list, ends: tuple, sets: dict) -> Iterator[TrialRecord]:
+    """The trials of one chunk of read_trial_log_csv's rows; raises its first fault.  sets maps
+    each features cell read so far to its tuple."""
     width = len(TRIAL_CSV_HEADER)
     fault = _FirstFault(len(rows))
     fault.flag(
@@ -751,14 +812,13 @@ def read_trial_log_csv(source) -> TrialLog:
         lambda row: f"a scored trial has a finite objective, got {texts[row]}",
     )
     if fault.error is not None:
-        raise ValueError(f"line {_line_of(text, fault.rows)}: {fault.error}")
-    sets = {cell: tuple(cell.split("|")) for cell in set(cells["features"])}
-    records = map(
+        raise ValueError(f"line {ends[fault.rows]}: {fault.error}")
+    sets.update((cell, tuple(cell.split("|"))) for cell in set(cells["features"]) - sets.keys())
+    return map(
         TrialRecord, ids, windows, map(sets.__getitem__, cells["features"]),
         cells["target"], cells["measure"], cells["anchor_date"], cells["trend"],
         objectives, degenerate,
     )
-    return TrialLog(records=tuple(records), space=None, seed=-1)
 
 
 def _message(row: int, exc: Exception) -> str:
@@ -782,11 +842,12 @@ def _json_field(value) -> str:
     return json.dumps(value, indent=2).replace("\n", "\n      ")
 
 
-def _json_column(values: list, fault: _FirstFault) -> list[str]:
+def _json_column(values: list, fault: _FirstFault, written: dict) -> list[str]:
     """Each value as the field of a trial in trials.json; a value json cannot encode is a fault.
 
     Numbers, booleans and None are written with repr, strings and tuples of
-    strings once per distinct value; a value of any other type on its own.
+    strings once per distinct value, kept in written for the log's later
+    chunks; a value of any other type on its own.
     """
     kinds = set(map(type, values))
     if kinds <= {int, float, bool, type(None)}:
@@ -795,7 +856,7 @@ def _json_column(values: list, fault: _FirstFault) -> list[str]:
     if kinds <= {str} or (
         kinds <= {tuple} and set(map(type, chain.from_iterable(values))) <= {str}
     ):
-        written = {value: _json_field(value) for value in set(values)}
+        written.update((value, _json_field(value)) for value in set(values) - written.keys())
         return list(map(written.__getitem__, values))
     return fault.map(_json_field, values, lambda row, exc: exc)
 
@@ -805,7 +866,8 @@ def write_trial_log_json(log_: TrialLog, destination=None) -> str | None:
 
     Each trial is its record's fields, with a NaN objective written as null.
     The text is json.dumps(payload, indent=2) + "\n" byte for byte, the same
-    TypeError included, but each field is encoded for every trial at once.
+    TypeError included, but each field is encoded for every trial of a chunk
+    at once.
     """
     head = {
         "space": asdict(log_.space) if log_.space is not None else None,
@@ -813,17 +875,24 @@ def write_trial_log_json(log_: TrialLog, destination=None) -> str | None:
         "created_utc": log_.created_utc,
         "elapsed_s": log_.elapsed_s,
     }
-    columns = {name: list(map(attrgetter(name), log_.records)) for name in TRIAL_CSV_HEADER}
-    columns["objective"] = [None if math.isnan(v) else v for v in columns["objective"]]
     text = json.dumps({**head, "trials": []}, indent=2) + "\n"
-    if log_.records:
-        fault = _FirstFault(len(log_.records))
-        encoded = [_json_column(values, fault) for values in columns.values()]
-        if fault.error is not None:
-            raise fault.error
-        trials = ",\n".join(map(_JSON_TRIAL.__mod__, zip(*encoded)))
-        text = "".join((text[: -len("[]\n}\n")], "[\n", trials, "\n  ]\n}\n"))
-    return _emit(text, destination)
+    if not log_.records:
+        return _emit((text,), destination)
+    trials = partial(_json_trials, {})
+    head = text[: -len("[]\n}\n")] + "[\n"
+    return _emit(_trial_parts(log_.records, trials, head, ",\n", "\n  ]\n}\n"), destination)
+
+
+def _json_trials(written: dict, records: list) -> str:
+    """The trials as trials.json lists them, joined by ",\n"; written holds the text of each
+    string and tuple of strings encoded for the log so far."""
+    columns = {name: list(map(attrgetter(name), records)) for name in TRIAL_CSV_HEADER}
+    columns["objective"] = [None if math.isnan(v) else v for v in columns["objective"]]
+    fault = _FirstFault(len(records))
+    encoded = [_json_column(values, fault, written) for values in columns.values()]
+    if fault.error is not None:
+        raise fault.error
+    return ",\n".join(map(_JSON_TRIAL.__mod__, zip(*encoded)))
 
 
 def write_parallel_coordinates(log_: TrialLog, destination=None) -> str | None:
@@ -831,8 +900,10 @@ def write_parallel_coordinates(log_: TrialLog, destination=None) -> str | None:
 
     Degenerate trials are omitted because they have no objective to plot.
     """
-    scored = [r for r in log_.records if not r.degenerate]
-    return _emit(_csv_text(GROUP_AXES + ("objective",), scored), destination)
+    names = GROUP_AXES + ("objective",)
+    scored = filterfalse(attrgetter("degenerate"), log_.records)
+    parts = _trial_parts(scored, partial(_csv_text, names), ",".join(names) + "\n")
+    return _emit(parts, destination)
 
 
 @dataclass(frozen=True)
@@ -866,8 +937,12 @@ def rank_hyperparameters(log_: TrialLog, group_by: str, trend: str | None = None
     kept = [
         r for r in log_.records if not (r.degenerate or (trend is not None and r.trend != trend))
     ]
+    fault = _FirstFault(len(kept))
+    values = _cells(kept, group_by, fault)
+    if fault.error is not None:
+        raise fault.error
     groups: dict[str, list[float]] = {}
-    for value, r in zip(_cells(kept, group_by), kept):
+    for value, r in zip(values, kept):
         groups.setdefault(value, []).append(r.objective)
     rows = [
         RankedGroup(value=v, median_objective=float(np.median(objs)), trials=len(objs))

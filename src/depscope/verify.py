@@ -25,6 +25,7 @@ from .search import evaluate_pairs  # noqa: F401
 from .shaping import pair_arrays  # noqa: F401
 
 EMBEDDINGS = ("none", "linear_lag", "nonlinear_lag", "regime_pattern")
+MIN_LENGTH = 300  # the shortest synthetic series, leaving room for lags and windows
 VERIFY_MEASURES = ("PC", "MI", "DC", "MIC")  # the measures verified unless told otherwise
 REGIME_BLOCK = 100  # regime embedding: coupling toggles every this many rows
 
@@ -33,6 +34,21 @@ CRITERION_TEXT = (
     "planted coupling exceeds its median score on matched coupling-free "
     "control series by more than the control sampling noise"
 )
+
+
+def check_series(length: int, lag: int, *, names: tuple[str, str] = ("length", "lag")) -> None:
+    """Refuse a synthetic series shorter than MIN_LENGTH rows, or a lag outside 1..length // 4.
+
+    names are what the message calls the length and the lag: Python fields
+    by default, flags on the command line.
+    """
+    length_name, lag_name = names
+    if length < MIN_LENGTH:
+        raise ValueError(f"{length_name} must be >= {MIN_LENGTH}, got {length}")
+    if not (1 <= lag <= length // 4):
+        raise ValueError(
+            f"{lag_name} must be between 1 and {length_name} // 4 = {length // 4}, got {lag}"
+        )
 
 
 @dataclass(frozen=True)
@@ -46,12 +62,9 @@ class SyntheticSpec:
     seed: int = 42
 
     def __post_init__(self):
-        if self.length < 300:
-            raise ValueError("length must be >= 300 to leave room for lags and windows")
+        check_series(self.length, self.lag)
         if self.embedding not in EMBEDDINGS:
             raise ValueError(f"embedding must be one of {EMBEDDINGS}")
-        if not (1 <= self.lag <= self.length // 4):
-            raise ValueError("lag must be between 1 and length // 4")
         if not (0.0 <= self.strength <= 1.0):
             raise ValueError("strength must be within [0, 1]")
 
@@ -277,4 +290,4 @@ def write_verification_report(report: VerificationReport, destination=None) -> s
             for m in report.measures
         ],
     }
-    return _emit(json.dumps(payload, indent=2) + "\n", destination)
+    return _emit((json.dumps(payload, indent=2) + "\n",), destination)

@@ -576,6 +576,26 @@ def reference_trial_log_json(log_):
     return json.dumps(payload, indent=2) + "\n"
 
 
+def reference_whole_text(data, universal_newlines=False):
+    """The text of CSV bytes that a reader of the whole input checks row by row.
+
+    Decoded as UTF-8 all at once, so invalid UTF-8 anywhere raises
+    UnicodeDecodeError first; with universal_newlines, as Path.read_text
+    reads a path.  Then split into rows all at once, so the first row the
+    csv module cannot split raises CsvParseError naming its line.
+    """
+    text = data.decode("utf-8")
+    if universal_newlines:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    reader = csv.reader(io.StringIO(text))
+    try:
+        for _ in reader:
+            pass
+    except csv.Error as exc:
+        raise CsvParseError(str(exc), line=reader.line_num) from None
+    return text
+
+
 def reference_read_trial_log_csv(text):
     """The trial log in CSV text, one row at a time; the first faulty row raises."""
     reader = csv.reader(io.StringIO(text))

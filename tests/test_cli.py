@@ -531,6 +531,26 @@ def test_counts_below_one_are_refused_by_flag(tmp_path, features_csv, capsys, va
     assert not (tmp_path / "run").exists()
 
 
+def test_series_and_window_flags_are_refused_by_flag_before_any_work(tmp_path, capsys):
+    """Bad --length, --lag and --windows name their flag and value, before a series is made
+    or the input read: an input that does not exist is never opened."""
+    missing = str(tmp_path / "missing.csv")
+    cases = (
+        (["verify", "--length", "400", "--lag", "0"],
+         "--lag must be between 1 and --length // 4 = 100, got 0"),
+        (["verify", "--length", "2000", "--lag", "600"],
+         "--lag must be between 1 and --length // 4 = 500, got 600"),
+        (["verify", "--length", "0"], "--length must be >= 300, got 0"),
+        (["search", "--input", missing, "--output", str(tmp_path / "run"), "--windows", "50,4"],
+         "--windows must be >= 8, got 4"),
+    )
+    for command, message in cases:
+        capsys.readouterr()
+        assert main(command + ["--measures", "pc"]) == 2, command
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_argparse_errors_map_to_exit_two(capsys):
     assert main(["measure", "--input", "x.csv"]) == 2
     assert main(["unknown-command"]) == 2
@@ -563,11 +583,12 @@ def test_log_level_env_is_honored(monkeypatch, tmp_path, ohlcv_csv):
 
 
 def test_import_loads_no_scipy():
-    """Every command is a fresh interpreter, so the package and its CLI import numpy alone."""
+    """Every command is a fresh interpreter, so the package and its CLI import numpy alone,
+    and no process pool: multiprocessing loads only when a search runs with jobs > 1."""
     src = str(Path(depscope.__file__).resolve().parents[1])
     code = (
         "import sys, depscope, depscope.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')))"
     )
     done = subprocess.run(
         [sys.executable, "-c", code],

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import depscope.frame
 from depscope.frame import (
     OHLCV_HEADER,
     CsvParseError,
@@ -19,7 +20,7 @@ from depscope.frame import (
     write_csv,
 )
 
-from _oracles import reference_read_frame, reference_write_csv
+from _oracles import reference_read_frame, reference_whole_text, reference_write_csv
 
 GOOD_CSV = """date,open,high,low,close,volume
 2020-01-02,10.0,11.0,9.5,10.5,1000
@@ -162,6 +163,9 @@ def frame_outcome(read, text):
     )
 
 
+CHUNKS = (1, 2, 3, 7)  # chunk sizes the streaming tests patch in
+
+
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(
     days=st.lists(st.integers(0, 60), min_size=1, max_size=8, unique=True),
@@ -169,13 +173,17 @@ def frame_outcome(read, text):
     data=st.data(),
     faults=st.lists(
         st.tuples(
-            st.sampled_from(("first", "middle", "last")), st.sampled_from(sorted(ROW_FAULTS))
+            st.sampled_from(("first", "middle", "last", "edge-1", "edge")),
+            st.sampled_from(sorted(ROW_FAULTS)),
         ),
         max_size=2,
     ),
+    chunk=st.sampled_from(CHUNKS),
 )
-def test_read_frame_is_the_row_wise_reference(days, width, data, faults):
-    """A written frame with up to two faulty rows: an equal frame or the same error and line."""
+def test_read_frame_is_the_row_wise_reference(days, width, data, faults, chunk):
+    """A written frame with up to two faulty rows, on either side of a chunk edge (the last row
+    of the first chunk, the first of the second): an equal frame or the same error and line,
+    at every chunk size."""
     ts = np.datetime64("2020-01-01") + np.array(days)
     finite = st.floats(allow_nan=False, allow_infinity=False)
     columns = {
@@ -185,12 +193,16 @@ def test_read_frame_is_the_row_wise_reference(days, width, data, faults):
     lines = write_csv(TimeSeriesFrame(timestamps=ts, columns=columns)).splitlines()
     rows = [line.split(",") for line in lines[1:]]
     first = rows[0]
+    edge = min(chunk, len(rows) - 1)
+    places = {"first": 0, "middle": len(rows) // 2, "last": -1, "edge-1": edge - 1, "edge": edge}
     for where, fault in faults:  # two faults on one row make a row with two faulty cells
-        at = {"first": 0, "middle": len(rows) // 2, "last": -1}[where]
+        at = places[where]
         rows[at] = ROW_FAULTS[fault](rows[at], first)
     text = "\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n"
     expected = frame_outcome(reference_read_frame, text)
-    assert frame_outcome(lambda t: read_frame(io.StringIO(t)), text) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(depscope.frame, "_CHUNK_ROWS", chunk)
+        assert frame_outcome(lambda t: read_frame(io.StringIO(t)), text) == expected
 
 
 def test_read_frame_is_the_reference_on_two_faults_in_one_row():
@@ -200,8 +212,50 @@ def test_read_frame_is_the_reference_on_two_faults_in_one_row():
         bad = ROW_FAULTS[second](ROW_FAULTS[first](rows[2], rows[1]), rows[1])
         text = "\n".join(",".join(row) for row in rows[:2] + [bad] + rows[3:]) + "\n"
         expected = frame_outcome(reference_read_frame, text)
-        got = frame_outcome(lambda t: read_frame(io.StringIO(t)), text)
-        assert got == expected, (first, second)
+        for chunk in CHUNKS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(depscope.frame, "_CHUNK_ROWS", chunk)
+                got = frame_outcome(lambda t: read_frame(io.StringIO(t)), text)
+            assert got == expected, (first, second, chunk)
+
+
+FRAME_FAULTS = {  # rows read_frame refuses: a bad cell, text the csv module cannot split,
+    "bad": b"2020-01-07,x,1,1,1,1\n",  # invalid UTF-8
+    "unsplit": b"2020-01-08,1,1\r2,1,1,1\n",
+    "undecodable": b"2020-01-09,1,1,\xff,1,1\n",
+}
+
+
+def undecodable_outcome(read, data):
+    """frame_outcome(read, data), with a UnicodeDecodeError as its type, reason and first bad
+    byte: the position it names counts from the block decoded, not from the input's start."""
+    try:
+        return frame_outcome(read, data)
+    except UnicodeDecodeError as exc:
+        return type(exc), exc.reason, exc.object[exc.start]
+
+
+@pytest.mark.parametrize(
+    "faults", [p for k in (1, 2, 3) for p in itertools.permutations(FRAME_FAULTS, k)]
+)
+def test_read_frame_faults_raise_in_the_whole_text_order(tmp_path, faults):
+    """Invalid UTF-8 anywhere raises first, then the first text the csv module cannot split,
+    then the first faulty row, as a reader of the whole text raised them: faults in any order,
+    in one chunk or across chunks and read blocks, from bytes, a binary stream and a path."""
+    header, good = GOOD_CSV.encode().splitlines(keepends=True)[:2]
+    path = tmp_path / "faults.csv"
+    for gap, chunk in itertools.product((0, 1, 300), CHUNKS):
+        data = header + b"".join(good * gap + FRAME_FAULTS[fault] for fault in faults)
+        path.write_bytes(data + good * gap)
+        data += good * gap
+        for source, universal in ((data, False), (io.BytesIO(data), False), (path, True)):
+            expected = undecodable_outcome(
+                lambda d: reference_read_frame(reference_whole_text(d, universal)), data
+            )
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(depscope.frame, "_CHUNK_ROWS", chunk)
+                got = undecodable_outcome(read_frame, source)
+            assert got == expected, (gap, chunk, type(source))
 
 
 def test_duplicate_header_names_rejected():
@@ -290,18 +344,25 @@ def test_write_csv_preserves_values_exactly():
     names=st.lists(st.sampled_from(("a", "b,c", 'q"d', "sp ace", "line\nbreak", "")),
                    max_size=3, unique=True),
     data=st.data(),
+    chunk=st.sampled_from(CHUNKS),
 )
-def test_write_csv_is_the_row_wise_reference(days, names, data):
-    """Column-at-a-time text is csv.writer's row by row, byte for byte: dates from year -221
-    to 10,183 and NaT, every float (NaN, infinities, signed zeros, subnormals), header names
-    that need quoting, and frames with no rows or no columns."""
+def test_write_csv_is_the_row_wise_reference(days, names, data, chunk):
+    """Column-at-a-time text is csv.writer's row by row, byte for byte, at every chunk size,
+    returned or written to a stream: dates from year -221 to 10,183 and NaT, every float (NaN,
+    infinities, signed zeros, subnormals), header names that need quoting, and frames with no
+    rows or no columns."""
     ts = np.array([np.datetime64("NaT") if d is None else d for d in days], dtype="datetime64[D]")
     columns = {
         name: data.draw(st.lists(st.floats(), min_size=len(days), max_size=len(days)))
         for name in names
     }
     frame = TimeSeriesFrame(timestamps=ts, columns=columns)
-    assert write_csv(frame) == reference_write_csv(frame)
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(depscope.frame, "_CHUNK_ROWS", chunk)
+        assert write_csv(frame) == reference_write_csv(frame)
+        assert write_csv(frame, out) is None
+    assert out.getvalue() == reference_write_csv(frame)
 
 
 def test_frames_equal_distinguishes_nan_positions():

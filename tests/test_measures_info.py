@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +19,12 @@ from depscope.measures import (
     redundancy_synergy_index,
 )
 from depscope.measures.information import (
+    _Codes,
+    _conditional_entropy,
     _entropy_from_counts,
     _equal_frequency_codes,
     _grid_shapes,
+    _mutual_information,
     _table_entropy,
     _terms,
 )
@@ -37,6 +42,7 @@ from _oracles import (
     pinned_information_gain,
     pinned_mi,
     reference_equal_frequency,
+    sorted_entropy,
 )
 
 
@@ -179,6 +185,48 @@ def test_a_joint_of_mixed_type_cells_still_scores():
     ys = [y for (_, y), c in cells.items() for _ in range(c)]
     assert mutual_information(joint).value == pinned_mi(xs, ys)
     assert conditional_entropy(joint) == pytest.approx(brute_conditional_entropy(xs, ys), abs=1e-12)
+
+
+def kernel_scores(joint):
+    """MI and conditional entropy of the integer-code kernel on the observations the joint's
+    cells stand for: each cell repeated by its count, each side numbered in first-met order."""
+    repeats = list(joint.counts.values())
+    sides = []
+    for symbols in zip(*joint.counts):
+        codes = {}
+        cells = [codes.setdefault(s, len(codes)) for s in symbols]
+        sides.append(_Codes(np.repeat(cells, repeats)[None, :], len(codes)))
+    return float(_mutual_information(*sides)[0]), float(_conditional_entropy(*sides)[0])
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(pairs=discrete_pairs())
+def test_joint_scores_are_the_kernels_bits(pairs):
+    """Scored from cell counts alone, MI and conditional entropy keep the kernel's bits."""
+    joint = JointHistogram.from_symbols(*zip(*pairs))
+    assert (mutual_information(joint).value, conditional_entropy(joint)) == kernel_scores(joint)
+
+
+def test_a_joint_scores_in_its_cells_not_its_observations():
+    """Three cells of two million observations score at once, and no table of n terms is made
+    (one takes 16 MB)."""
+    n = 2_000_003
+    joint = JointHistogram({(0, 0): 1_000_000, (0, 1): 3, (1, 1): 1_000_000}, n)
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        mi = mutual_information(joint).value
+        h = conditional_entropy(joint)
+        elapsed = time.perf_counter() - started
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.1
+    assert peak < 2**20
+    xs, ys, cells = [1_000_003, 1_000_000], [1_000_000, 1_000_003], [1_000_000, 3, 1_000_000]
+    expected = sorted_entropy(xs, n) + sorted_entropy(ys, n) - sorted_entropy(cells, n)
+    assert mi == max(expected, 0.0) > 0.0
+    assert h == 1_000_003 / n * sorted_entropy([3, 1_000_000], 1_000_003)
 
 
 def test_information_gain_input_checks():

@@ -7,6 +7,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+import itertools
 from itertools import product
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import depscope.frame
 from depscope import search
 from depscope.cli import main
 from depscope.frame import TimeSeriesFrame, write_csv
@@ -55,6 +57,7 @@ from _oracles import (
     reference_read_trial_log_csv,
     reference_trial_log_csv,
     reference_trial_log_json,
+    reference_whole_text,
 )
 
 
@@ -717,7 +720,7 @@ def test_scan_memory_does_not_grow_with_the_anchors_it_scans():
     try:
         anchors, scores = scan_window(
             frame, 100, (("a", "b", "c"), ("a",)), ("y",),
-            INFORMATION_MEASURES + ("PC", "SC", "PPS"),
+            INFORMATION_MEASURES + ("PC", "SC", "DC", "PPS"),
             step=1, horizon=100, bin_width=0.001, feature_bins=8,
         )
         retained, peak = tracemalloc.get_traced_memory()
@@ -915,14 +918,27 @@ def test_trial_log_csv_text_the_csv_module_cannot_split_is_a_value_error():
 
 
 def test_trial_log_csv_reads_paths_bytes_and_streams(tmp_path):
-    text = TRIAL_LOG_HEADER + GOOD_TRIAL_ROW
-    path = tmp_path / "trials.csv"
-    path.write_text(text, encoding="utf-8")
-    sources = (
-        path, str(path), text.encode(), io.BytesIO(text.encode()), io.StringIO(text)
+    """One row, and a log of many read blocks whose names are multi-byte in UTF-8: every source
+    reads them as the row-wise reference reads their text."""
+    records = tuple(
+        TrialRecord(i, 8, ("\u00e9" * (i % 5), "\u6f22"), "y\u2028", "MI", "2021-01-09", "UP",
+                    math.nan if i % 3 else i / 7, bool(i % 3))
+        for i in range(3000)
     )
-    for source in sources:
-        assert read_trial_log_csv(source).records == (GOOD_TRIAL,)
+    long = write_trial_log_csv(TrialLog(records, None, 0))
+    assert len(long.encode()) > 10 * io.DEFAULT_BUFFER_SIZE
+    path = tmp_path / "trials.csv"
+    for text in (TRIAL_LOG_HEADER + GOOD_TRIAL_ROW, long):
+        path.write_text(text, encoding="utf-8")
+        sources = (
+            path, str(path), text.encode(), io.BytesIO(text.encode()), io.StringIO(text)
+        )
+        expected = trial_fields(reference_read_trial_log_csv(text).records)
+        for source in sources:
+            assert trial_fields(read_trial_log_csv(source).records) == expected
+    assert read_trial_log_csv(io.StringIO(TRIAL_LOG_HEADER + GOOD_TRIAL_ROW)).records == (
+        GOOD_TRIAL,
+    )
 
 
 NAME_CHARS = "ab_\u00e9\u6f22\u2028\x00,\"\n\r|"  # non-ASCII, JSON escapes, CSV quoting
@@ -995,12 +1011,26 @@ def trial_logs(draw, names=st.text(st.sampled_from(NAME_CHARS), max_size=4), val
     )
 
 
+CHUNKS = (1, 2, 3, 7)  # artifact chunk sizes the streaming tests patch in
+
+
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
-@given(log=trial_logs())
-def test_trial_writers_write_the_row_wise_references_bytes(log):
-    assert write_trial_log_csv(log) == reference_trial_log_csv(log)
-    assert write_parallel_coordinates(log) == reference_parallel_coordinates(log)
-    assert write_trial_log_json(log) == reference_trial_log_json(log)
+@given(log=trial_logs(), chunk=st.sampled_from(CHUNKS))
+def test_trial_writers_write_the_row_wise_references_bytes(log, chunk):
+    """At every chunk size, returned or written to a stream."""
+    pairs = (
+        (write_trial_log_csv, reference_trial_log_csv),
+        (write_parallel_coordinates, reference_parallel_coordinates),
+        (write_trial_log_json, reference_trial_log_json),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(depscope.frame, "_CHUNK_ROWS", chunk)
+        for write, reference in pairs:
+            expected = reference(log)
+            assert write(log) == expected
+            out = io.StringIO()
+            assert write(log, out) is None
+            assert out.getvalue() == expected
 
 
 class Unencodable:
@@ -1016,6 +1046,7 @@ class Unencodable:
         {1: {"objective": np.float32(0.5)}},
         {1: {"objective": "0.5"}},
         {1: {"features": ("a", 1)}},
+        {0: {"objective": "high"}, 1: {"features": ("a", 1)}},
         {1: {"features": ["a", "b"]}, 2: {"features": ()}},
         {2: {"target": Unencodable()}, 1: {"trend": b"x"}},
         {1: {"anchor_date": Unencodable(), "trend": b"x"}},
@@ -1023,7 +1054,8 @@ class Unencodable:
     ),
 )
 def test_trial_writers_match_the_references_on_other_types(changes):
-    """Values of other types than run_grid_search writes: the same text or the same error."""
+    """Values of other types than run_grid_search writes: the same text or the same error, the
+    first faulty trial's first, at every chunk size."""
     log = replace(GOLDEN_LOG, records=tuple(
         replace(r, **changes.get(i, {})) for i, r in enumerate(GOLDEN_LOG.records)
     ))
@@ -1032,8 +1064,36 @@ def test_trial_writers_match_the_references_on_other_types(changes):
         (write_parallel_coordinates, reference_parallel_coordinates),
         (write_trial_log_json, reference_trial_log_json),
     )
-    for write, reference in pairs:
-        assert outcome(write, log) == outcome(reference, log)
+    for (write, reference), chunk in product(pairs, CHUNKS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(depscope.frame, "_CHUNK_ROWS", chunk)
+            assert outcome(write, log) == outcome(reference, log), (write, chunk)
+
+
+@pytest.mark.parametrize(
+    "write, fault",
+    (
+        (write_trial_log_csv, {"features": ("a", 1)}),
+        (write_parallel_coordinates, {"objective": "high"}),
+        (write_trial_log_json, {"target": Unencodable()}),
+        (write_trial_log_json, {"trial_id": 10**5000}),
+    ),
+)
+def test_a_writer_that_raises_leaves_its_destination_as_it_was(tmp_path, write, fault):
+    """A fault in the last trial, chunks of one trial: nothing is written, to a path or a
+    stream, before the writer raises."""
+    last = replace(GOLDEN_LOG.records[0], **{"trial_id": 2, **fault})
+    log = replace(GOLDEN_LOG, records=GOLDEN_LOG.records[:-1] + (last,))
+    path = tmp_path / "artifact"
+    path.write_bytes(b"kept\r\n\xc3\xa9")
+    stream = io.StringIO("kept")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(depscope.frame, "_CHUNK_ROWS", 1)
+        for destination in (path, str(path), stream):
+            with pytest.raises((TypeError, ValueError)):
+                write(log, destination)
+    assert path.read_bytes() == b"kept\r\n\xc3\xa9"
+    assert stream.getvalue() == "kept"
 
 
 def put_fault(cells, bad):
@@ -1045,6 +1105,18 @@ def put_fault(cells, bad):
     return (cells + ["x"] * len(bad))[: len(bad)]
 
 
+def fault_row(where, rows, chunk):
+    """The index of the row a fault put "where" goes to: the first, middle or last row, or the
+    last row of the first chunk or the first of the second (the last row if there is none)."""
+    edge = min(chunk, len(rows) - 1)
+    return {"first": 0, "middle": len(rows) // 2, "last": -1, "edge-1": edge - 1, "edge": edge}[
+        where
+    ]
+
+
+FAULT_PLACES = ("first", "middle", "last", "edge-1", "edge")
+
+
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(
     # csv.writer leaves "\r" unquoted, so a name holding one does not round-trip, and
@@ -1052,23 +1124,26 @@ def put_fault(cells, bad):
     log=trial_logs(names=st.text(st.sampled_from(NAME_CHARS.replace("\r", "").replace("|", ""))),
                    valid=True),
     faults=st.lists(
-        st.tuples(st.sampled_from(("first", "middle", "last")), st.sampled_from(BAD_TRIAL_ROWS)),
-        max_size=2,
+        st.tuples(st.sampled_from(FAULT_PLACES), st.sampled_from(BAD_TRIAL_ROWS)), max_size=2
     ),
+    chunk=st.sampled_from(CHUNKS),
 )
-def test_trial_log_reader_is_the_row_wise_reference(log, faults):
-    """Reference-written trials with up to two faulty rows: equal records or the same error."""
+def test_trial_log_reader_is_the_row_wise_reference(log, faults, chunk):
+    """Reference-written trials with up to two faulty rows, on either side of a chunk edge:
+    equal records or the same error, at every chunk size."""
     text = reference_trial_log_csv(log)
     rows = list(csv.reader(io.StringIO(text)))[1:]
     for where, (bad, _) in faults:  # two faults on one row make a row with two faulty cells
         if rows:
-            at = {"first": 0, "middle": len(rows) // 2, "last": -1}[where]
+            at = fault_row(where, rows, chunk)
             rows[at] = put_fault(rows[at], bad.split(","))
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     text = TRIAL_LOG_HEADER + buf.getvalue()
     expected = outcome(reference_read_trial_log_csv, text)
-    assert outcome(read_trial_log_csv_from_text, text) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(depscope.frame, "_CHUNK_ROWS", chunk)
+        assert outcome(read_trial_log_csv_from_text, text) == expected
     if not faults:
         assert expected == trial_fields(log.records)
 
@@ -1079,7 +1154,79 @@ def test_trial_log_reader_is_the_reference_on_two_faults_in_one_row():
         cells = put_fault(put_fault(BAD_TRIAL_BASE.split(","), first.split(",")), second.split(","))
         text = TRIAL_LOG_HEADER + GOOD_TRIAL_ROW + ",".join(cells) + "\n" + GOOD_TRIAL_ROW
         expected = outcome(reference_read_trial_log_csv, text)
-        assert outcome(read_trial_log_csv_from_text, text) == expected, (first, second)
+        for chunk in CHUNKS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(depscope.frame, "_CHUNK_ROWS", chunk)
+                got = outcome(read_trial_log_csv_from_text, text)
+            assert got == expected, (first, second, chunk)
+
+
+TRIAL_FAULTS = {  # rows the reader refuses: a bad cell, text the csv module cannot split,
+    "bad": GOOD_TRIAL_ROW.replace("false", "x").encode(),  # invalid UTF-8
+    "unsplit": GOOD_TRIAL_ROW.replace(",a,", ",a\rb,").encode(),
+    "undecodable": GOOD_TRIAL_ROW.encode().replace(b",a,", b",a\xff,"),
+}
+
+
+def undecodable_outcome(read, data):
+    """outcome(read, data), with a UnicodeDecodeError as its type, reason and first bad byte:
+    the position it names counts from the block decoded, not from the start of the input."""
+    try:
+        result = read(data)
+    except UnicodeDecodeError as exc:
+        return type(exc), exc.reason, exc.object[exc.start]
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return trial_fields(result.records)
+
+
+@pytest.mark.parametrize(
+    "faults", [p for k in (1, 2, 3) for p in itertools.permutations(TRIAL_FAULTS, k)]
+)
+def test_trial_log_faults_raise_in_the_whole_text_order(tmp_path, faults):
+    """Invalid UTF-8 anywhere raises first, then the first text the csv module cannot split,
+    then the first faulty row, as a reader of the whole text raised them: faults in any order,
+    in one chunk or across chunks and read blocks, from bytes, a binary stream and a path."""
+    path = tmp_path / "trials.csv"
+    for gap, chunk in product((0, 1, 200), CHUNKS):
+        rows = [GOOD_TRIAL_ROW.encode() * gap + TRIAL_FAULTS[fault] for fault in faults]
+        data = TRIAL_LOG_HEADER.encode() + b"".join(rows) + GOOD_TRIAL_ROW.encode() * gap
+        path.write_bytes(data)
+        for source, universal in ((data, False), (io.BytesIO(data), False), (path, True)):
+            expected = undecodable_outcome(
+                lambda d: reference_read_trial_log_csv(reference_whole_text(d, universal)), data
+            )
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(depscope.frame, "_CHUNK_ROWS", chunk)
+                got = undecodable_outcome(read_trial_log_csv, source)
+            assert got == expected, (gap, chunk, type(source))
+
+
+def test_trial_artifacts_stream_in_bounded_memory(tmp_path):
+    """Writing the three artifacts of a trial log and reading it back holds one chunk at a
+    time: beyond what the read returns, ten times the trials peak within 0.5 MiB."""
+
+    def transient(trials):
+        records = tuple(
+            TrialRecord(i, 100 + i % 4 * 50, (f"f{i % 9}",), "t_ret_c_1", "MI",
+                        f"2001-{1 + i % 12:02}-{1 + i % 28:02}", "NEUTRAL",
+                        math.nan if i % 4 == 0 else i / trials, i % 4 == 0)
+            for i in range(trials)
+        )
+        log = TrialLog(records, default_search_space(), 0, "2001-01-01T00:00:00+00:00", 1.0)
+        tracemalloc.start()
+        try:
+            write_trial_log_csv(log, tmp_path / "trials.csv")
+            write_trial_log_json(log, tmp_path / "trials.json")
+            write_parallel_coordinates(log, tmp_path / "parallel_coordinates.csv")
+            back = read_trial_log_csv(tmp_path / "trials.csv")
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(back.records) == trials
+        return peak - retained
+
+    assert transient(50_000) - transient(5_000) < 0.5 * 2**20
 
 
 def test_trial_log_json_layout():
