@@ -119,7 +119,7 @@ def cmd_ingest(args) -> int:
     frame = load_ohlcv(args.input)
     report = validate_frame(frame)
     print(f"rows: {len(frame)}")
-    print(f"span: {frame.timestamps[0]} .. {frame.timestamps[-1]}")
+    print(f"span: {frame.timestamps[0]} .. {frame.timestamps[-1]}" if len(frame) else "span: none")
     print(f"columns: {', '.join(frame.column_names)}")
     print(f"issues: {len(report.issues)}")
     if args.output is not None:

@@ -19,6 +19,7 @@ the same terms, in the same order, from its cell counts alone.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -36,12 +37,12 @@ TOO_WIDE = "values span more than float64"  # equal-frequency edges would overfl
 
 
 def _canon(symbol):
-    """Normalize numpy scalars and sequences to plain hashable Python values."""
+    """Normalize numpy scalars and sequences to plain hashable Python values, every NaN to one."""
     if isinstance(symbol, np.generic):
-        return symbol.item()
+        symbol = symbol.item()
     if isinstance(symbol, (tuple, list, np.ndarray)):
         return tuple(_canon(s) for s in symbol)
-    return symbol
+    return math.nan if isinstance(symbol, float) and math.isnan(symbol) else symbol
 
 
 def _plain(symbols: np.ndarray, rows: np.ndarray) -> list:
@@ -63,10 +64,22 @@ def _entropy_from_counts(counts, n) -> float:
     return -total if total != 0.0 else 0.0
 
 
+def _symbols(symbols) -> np.ndarray:
+    """np.asarray(symbols), or one Python object per entry where asarray would make strings of
+    values of other types (1 and "1" one symbol) or cannot type them (ints beyond int64)."""
+    values = np.asarray(symbols)
+    if values.dtype.kind in "US" and not isinstance(symbols, np.ndarray):
+        objects = np.asarray(symbols, dtype=object)
+        kind = str if values.dtype.kind == "U" else bytes
+        if not all(isinstance(v, kind) for v in objects.flat):
+            return objects
+    return values
+
+
 def _paired(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """Two symbol sequences as arrays of one shared, non-zero length."""
-    xa = np.asarray(xs)
-    ya = np.asarray(ys)
+    xa = _symbols(xs)
+    ya = _symbols(ys)
     if len(xa) != len(ya):
         raise ValueError(f"length mismatch: {len(xa)} vs {len(ya)}")
     if not len(xa):
@@ -78,10 +91,22 @@ def _codes(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense codes 0..k-1 of a symbol vector or of a matrix's rows, and each code's first row.
 
     Rows are read as fixed-width bytes, which is far cheaper than
-    np.unique(axis=0); adding 0.0 to float rows keeps -0.0 and 0.0 one symbol.
+    np.unique(axis=0); float rows count -0.0 and 0.0 as one symbol, and every
+    NaN as one, as np.unique does.  Objects are coded by value: in sorted
+    order where they compare, else in first-met order.
     """
+    if symbols.dtype == object:
+        values = [_canon(v) for v in symbols.tolist()]
+        distinct = list(dict.fromkeys(values))
+        with contextlib.suppress(TypeError):
+            distinct = sorted(distinct)
+        index = {v: i for i, v in enumerate(distinct)}
+        codes = np.array([index[v] for v in values], dtype=np.intp)
+        return codes, np.unique(codes, return_index=True)[1]
     if symbols.ndim == 2:
-        rows = np.ascontiguousarray(symbols + 0.0 if symbols.dtype.kind == "f" else symbols)
+        if symbols.dtype.kind == "f":
+            symbols = np.where(np.isnan(symbols), np.nan, symbols + 0.0)
+        rows = np.ascontiguousarray(symbols)
         symbols = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     elif symbols.ndim != 1:
         raise ValueError("symbols must be a vector or a matrix of symbol rows")
@@ -264,6 +289,8 @@ class DiscreteDistribution:
 
     def __post_init__(self):
         probs = {_canon(s): float(p) for s, p in self.probabilities.items()}
+        if len(probs) < len(self.probabilities):
+            raise ValueError("symbols repeat: every NaN is one symbol")
         if not probs:
             raise ValueError("distribution needs at least one symbol")
         if not all(p >= 0.0 for p in probs.values()):
@@ -275,7 +302,7 @@ class DiscreteDistribution:
 
     @classmethod
     def from_symbols(cls, symbols) -> "DiscreteDistribution":
-        values = np.asarray(symbols)
+        values = _symbols(symbols)
         if not len(values):
             raise ValueError("empty symbol sequence")
         codes, first = _codes(values)
@@ -296,6 +323,8 @@ class JointHistogram:
 
     def __post_init__(self):
         given = {(_canon(x), _canon(y)): c for (x, y), c in self.counts.items()}
+        if len(given) < len(self.counts):
+            raise ValueError("cells repeat: every NaN is one symbol")
         counts = {cell: int(c) for cell, c in given.items()}
         if not counts:
             raise ValueError("joint histogram needs at least one cell")
@@ -394,7 +423,7 @@ def redundancy_synergy_index(feature_symbol_lists, y_symbols) -> MeasureResult:
     parts, negative means the parts are redundant, and a single-feature set
     scores exactly 0.  Set sizes above MAX_SET_SIZE are refused.
     """
-    features = [np.asarray(f) for f in feature_symbol_lists]
+    features = [_symbols(f) for f in feature_symbol_lists]
     if not features:
         raise ValueError("need at least one feature symbol sequence")
     _check_set_size(len(features))

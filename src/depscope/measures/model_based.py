@@ -6,9 +6,10 @@ the root; each level scans every split of every feature of every node
 that can still split, in every anchor, in one zero-padded pass; and a
 child's presort is a stable filter of its parent's padded rows.  Each
 node's arithmetic is that of a node grown on its own, so the trees are
-the same bit for bit.  No tree is kept: a row's fitted value is written
-at each level it reaches, so the last one written is its leaf's mean.
-pps grows a stack of one.
+the same bit for bit: every node's total is np.add.reduce's, taken for
+the nodes of each size at once as the rows of one matrix.  No tree is
+kept: a row's fitted value is written at each level it reaches, so the
+last one written is its leaf's mean.  pps grows a stack of one.
 """
 from __future__ import annotations
 
@@ -18,62 +19,30 @@ from .result import MeasureResult, as_points, degenerate_result
 
 
 OVERFLOW = "targets overflow the split scan's squared sums"
-_PAIRWISE_BLOCK = 128  # numpy sums a longer contiguous run as two halves
-
-
-def _pairwise_runs(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(offset, length) of the runs of at most 128 entries that numpy sums a vector of each
-    length in counts in, as two (counts, 2**D) arrays.
-
-    numpy sums a run longer than 128 as the sum of its two halves, split at
-    half its length rounded down to a multiple of 8.  Here every run is
-    split D times, a short one into itself and an empty run, so that
-    adding adjacent runs' sums D times adds them in numpy's order.
-    """
-    start = np.zeros((counts.size, 1), dtype=np.intp)
-    length = counts[:, None]
-    while (length > _PAIRWISE_BLOCK).any():
-        half = length // 2
-        half -= half % 8
-        half = np.where(length > _PAIRWISE_BLOCK, half, length)
-        start = np.stack([start, start + half], axis=2).reshape(counts.size, -1)
-        length = np.stack([half, length - half], axis=2).reshape(counts.size, -1)
-    return start, length
 
 
 def _sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The sum of each segment values[starts[i] : starts[i] + counts[i]], bit for bit
     np.add.reduce's of that slice.
 
-    numpy sums a contiguous run pairwise, from 0.0 (_pairwise_runs): a run
-    of at most 128 entries adds its whole blocks of 8 into eight lanes in
-    order, sums the lanes as ((0+1)+(2+3))+((4+5)+(6+7)), then adds its
-    remaining entries one at a time.  Here every run of every segment is
-    summed at once, so the cost is a few calls whatever the number of
-    segments.  Zeros stand in for the entries a run lacks: x + 0.0 is x up
-    to the sign of a zero, which the final 0.0 + settles as numpy's does.
+    The segments are gathered shortest first, so those of each length are
+    the rows of one C-contiguous matrix, and numpy reduces each row of a
+    matrix along its last axis as it reduces that row alone: a few calls
+    per distinct length, whatever the number of segments.
     """
-    offsets, length = _pairwise_runs(counts)
-    sums = np.zeros(offsets.shape)
-    run = np.flatnonzero(length)  # the non-empty runs, by (segment, run) index
-    first = offsets.reshape(-1)[run] + starts[run // offsets.shape[1]]
-    length = length.reshape(-1)[run]
-    blocks = -(-int(length.max(initial=0)) // 8)  # of 8 entries, enough for the longest run
-    at = np.arange(8 * blocks + 8)[:, None]
-    cells = at + first
-    cells[at >= length] = values.size  # past a run: a zero
-    entries = np.append(values, 0.0).take(cells).reshape(blocks + 1, 8, run.size)
-    whole = length // 8  # the run's whole blocks of 8, then its rest
-    rest = entries[whole, :, np.arange(run.size)]
-    entries[whole, :, np.arange(run.size)] = 0.0
-    lanes = np.add.reduce(entries, axis=0)  # block after block, as numpy's lanes add
-    lanes = lanes[0::2] + lanes[1::2]
-    lanes = lanes[0::2] + lanes[1::2]
-    rest = np.column_stack([lanes[0] + lanes[1], rest])
-    sums.reshape(-1)[run] = np.add.accumulate(rest, axis=1)[:, -1]
-    while sums.shape[1] > 1:
-        sums = sums[:, 0::2] + sums[:, 1::2]
-    return 0.0 + sums[:, 0]
+    order = np.argsort(counts, kind="stable")
+    lengths = counts[order]
+    ends = np.cumsum(lengths)
+    at = ends - lengths  # where each segment begins in flat
+    flat = values.take(np.repeat(starts[order] - at, lengths) + np.arange(lengths.sum()))
+    ordered = np.empty(counts.size)
+    firsts = np.flatnonzero(np.diff(lengths, prepend=-1)).tolist()  # each length's first segment
+    for i, j in zip(firsts, firsts[1:] + [counts.size]):
+        rows = flat[at[i] : ends[j - 1]].reshape(j - i, lengths[i])
+        np.add.reduce(rows, axis=1, out=ordered[i:j])
+    sums = np.empty(counts.size)
+    sums[order] = ordered
+    return sums
 
 
 _GROUP_CELLS = 2048  # padded cells that cost about as much as one more call of each scan pass
@@ -144,8 +113,8 @@ def _fit_stack(xt: np.ndarray, ys: np.ndarray, order: np.ndarray, max_depth: int
     point k in [min_leaf, rows - min_leaf] of every feature, tied
     neighbours excluded (_scan), when it strictly improves on the node's
     own SSE: its first k rows in the feature's order go left.  A row's
-    fitted value is its leaf's targets' mean, summed in ascending row
-    order (_sums).
+    fitted value is its leaf's targets' mean, their sum in ascending row
+    order as np.add.reduce takes it (_sums).
     """
     a, f, n = xt.shape
     # The stack's rows are numbered anchor by anchor: row r of anchor i is i * n + r.

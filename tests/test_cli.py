@@ -41,6 +41,15 @@ def test_ingest_success(tmp_path, ohlcv_csv, capsys):
     assert load_ohlcv(out).column_names == ("open", "high", "low", "close", "volume")
 
 
+def test_ingest_of_a_header_only_file_has_no_span(tmp_path, capsys):
+    empty, out = tmp_path / "empty.csv", tmp_path / "clean.csv"
+    empty.write_text("date,open,high,low,close,volume\n")
+    assert main(["ingest", "--input", str(empty), "--output", str(out)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert "rows: 0" in printed and "span: none" in printed
+    assert out.read_text() == "date,open,high,low,close,volume\n"
+
+
 def test_ingest_missing_file_is_io_error(tmp_path, capsys):
     assert main(["ingest", "--input", str(tmp_path / "absent.csv")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -75,6 +75,34 @@ def test_numpy_symbols_are_canonicalized():
     assert all(isinstance(k[0], int) for k in j.counts)
 
 
+def test_symbols_of_other_types_stay_apart():
+    """1 and "1" are two symbols, as they are two dict keys: numpy would make both "1".
+    Every NaN is one symbol, as np.unique counts them."""
+    d = DiscreteDistribution.from_symbols([(1, "a"), ("1", "a")])
+    assert d.probabilities == {(1, "a"): 0.5, ("1", "a"): 0.5}
+    assert entropy(d) == 1.0
+    joint = JointHistogram.from_symbols([1, "1", 1, "1"], [0, 1, 0, 1])
+    assert joint.counts == {(1, 0): 2, ("1", 1): 2}
+    assert mutual_information(joint).value == 1.0
+    assert information_gain([0, 1, 0, 1], [1, "1", 1, "1"]).value == 1.0
+    assert redundancy_synergy_index([[1, "1", 1, "1"], [0, 0, 1, 1]], [0, 1, 1, 0]).value == 1.0
+    assert redundancy_synergy_index([[0, 0, 1, 1], [b"1", 1, b"1", 1]], [0, 1, 1, 0]).value == 1.0
+    assert len(DiscreteDistribution.from_symbols([float("nan"), float("nan"), "nan"])) == 2
+    assert len(DiscreteDistribution.from_symbols(np.array([[np.nan, 1.0], [-np.nan, 1.0]]))) == 1
+    with pytest.raises(ValueError, match="NaN"):
+        DiscreteDistribution({float("nan"): 0.5, float("nan"): 0.5})
+    with pytest.raises(ValueError, match="NaN"):
+        JointHistogram({(float("nan"), 0): 1, (float("nan"), 0): 1}, 2)
+
+
+def test_symbols_numpy_cannot_type_are_coded_by_value():
+    d = DiscreteDistribution.from_symbols([(10**20, "x"), (1, "x"), (10**20, "x")])
+    assert d.probabilities == {(1, "x"): 1 / 3, (10**20, "x"): 2 / 3}
+    assert entropy(d) == entropy(DiscreteDistribution.from_symbols([(2, "x"), (1, "x"), (2, "x")]))
+    big = information_gain([0, 1, 0], [10**20, 1, 10**20])
+    assert big.value == information_gain([0, 1, 0], [2, 1, 2]).value > 0.0
+
+
 def test_joint_histogram_validation():
     with pytest.raises(ValueError):
         JointHistogram({}, 0)
