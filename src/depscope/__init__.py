@@ -20,7 +20,6 @@ from .frame import (
     write_csv,
 )
 from .indicators import (
-    INDICATOR_KINDS,
     IndicatorSpec,
     atr,
     build_feature_matrix,
@@ -57,7 +56,6 @@ from .search import (
     SearchSpace,
     TrialLog,
     TrialRecord,
-    RankingReport,
     config_key,
     correlate_measure_with_scores,
     default_search_space,

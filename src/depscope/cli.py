@@ -160,20 +160,21 @@ def _measure_whole_series(args, frame, features, measures) -> list[dict]:
 
 def _measure_windowed(args, frame, features, measures) -> list[dict]:
     horizon = args.horizon if args.horizon is not None else args.window
-    _, scores = scan_window(
+    _, values, reasons = scan_window(
         frame, args.window, (features,), (args.target,), measures,
         step=args.step, horizon=horizon, **_binning(args),
     )
     rows = []
     for i, measure in enumerate(measures):
-        values = [r[i].value for r in scores if not r[i].degenerate]
+        scored = values[reasons[:, i] == "", i]
+        why = f": {reasons[0, i]}" if len(reasons) else ""  # the first anchor's reason
         rows.append(
             {
                 "measure": measure,
-                "value": float(np.median(values)) if values else None,
-                "sample_size": len(scores),
-                "degenerate": not values,
-                "reason": "" if values else "no scorable anchors",
+                "value": float(np.median(scored)) if scored.size else None,
+                "sample_size": len(values),
+                "degenerate": not scored.size,
+                "reason": "" if scored.size else "no scorable anchors" + why,
             }
         )
     return rows

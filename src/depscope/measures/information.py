@@ -553,8 +553,8 @@ def _mic_work(x: _MicSide) -> tuple[np.ndarray, np.ndarray]:
 def _mic(
     x: _MicSide, y: _MicSide, work: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's best normalized MI and the index of its grid shape; every joint table
-    counted at once.
+    """Each row's MIC, its best normalized MI clipped to [0, 1], and the index of its grid
+    shape; every joint table counted at once.
 
     The cells are made in work, _mic_work's buffers, which a scan makes once
     per anchor block: tables of every shape are hundreds of KiB, and a fresh
@@ -575,17 +575,8 @@ def _mic(
     hxy = _table_entropy(joint, _terms(n))
     m = np.maximum(x.entropy[:, grid.gx - 2] + y.entropy[:, grid.gy - 2] - hxy, 0.0) / grid.divisors
     best = np.argmax(m, axis=1)  # the first of equal maxima: ties prefer the smaller gx, then gy
-    return m[np.arange(a), best], best
-
-
-def _mic_result(value: float, best: int, n: int) -> MeasureResult:
-    """The MIC record of one row of _mic."""
-    grid = _mic_grid(n)
-    params = {"alpha": MIC_ALPHA, "bound": grid.bound}
-    if not value > 0.0:
-        return MeasureResult("MIC", 0.0, n, params=params)
-    params["grid"] = grid.shapes[best]
-    return MeasureResult("MIC", min(value, 1.0), n, params=params)
+    values = m[np.arange(a), best]
+    return np.where(values > 0.0, np.minimum(values, 1.0), 0.0), best
 
 
 def mic(x, y) -> MeasureResult:
@@ -596,7 +587,8 @@ def mic(x, y) -> MeasureResult:
     each grid's mutual information by log2(min(gx, gy)); ties prefer the
     smaller gx, then gy.  One partition per shape (equal-frequency on each
     axis) stands in for the exhaustive partition search, which keeps the
-    estimate deterministic and fast.
+    estimate deterministic and fast.  params holds the grid shape of a
+    score above 0.
     """
     xa, ya = paired_vectors(x, y)
     sides = [_mic_side(v[None, :], np.sort(v)[None, :]) for v in (xa, ya)]
@@ -605,5 +597,9 @@ def mic(x, y) -> MeasureResult:
             raise ValueError("values must be finite")
         if side.wide[0]:
             raise ValueError(TOO_WIDE)
-    value, best = _mic(*sides, _mic_work(sides[0]))
-    return _mic_result(float(value[0]), int(best[0]), xa.shape[0])
+    values, best = _mic(*sides, _mic_work(sides[0]))
+    grid = _mic_grid(xa.shape[0])
+    params = {"alpha": MIC_ALPHA, "bound": grid.bound}
+    if values[0] > 0.0:
+        params["grid"] = grid.shapes[best[0]]
+    return MeasureResult("MIC", float(values[0]), xa.shape[0], params=params)

@@ -177,11 +177,6 @@ def _fit_stack(xt: np.ndarray, ys: np.ndarray, order: np.ndarray, max_depth: int
     return fitted.reshape(a, n)
 
 
-def _check_finite(xs: np.ndarray, ys: np.ndarray) -> None:
-    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
-        raise ValueError("inputs are not finite")
-
-
 def _squares_fit(ys: np.ndarray) -> np.ndarray:
     """Whether each row's squared sums fit float64: (sum |y|)**2 caps each one the scan forms."""
     with np.errstate(over="ignore"):
@@ -221,44 +216,45 @@ def pps(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> MeasureResult:
     ys = np.asarray(y, dtype=np.float64)
     if ys.ndim != 1 or ys.shape[0] != xs.shape[0]:
         raise ValueError("y must be a vector matching X row count")
-    _check_finite(xs, ys)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("inputs are not finite")
     xt = xs.T[None]
     order = np.argsort(xt, axis=2, kind="stable")
-    return _pps(xt, ys[None], order, np.arange(1), max_depth, min_samples_leaf)(0)
+    mae, baseline, ((constant, reason), (overflow, _)) = _pps(
+        xt, ys[None], order, np.arange(1), max_depth, min_samples_leaf
+    )
+    params = {"max_depth": max_depth, "min_samples_leaf": min_samples_leaf}
+    n = ys.shape[0]
+    if constant[0]:
+        return degenerate_result("PPS", n, reason, **params)
+    if overflow[0]:
+        raise ValueError(OVERFLOW)
+    mae, base = float(mae[0]), float(baseline[0])
+    raw = 1.0 - mae / base
+    return MeasureResult(
+        "PPS", min(max(raw, 0.0), 1.0), n,
+        params={**params, "raw": raw, "mae_model": mae, "mae_baseline": base},
+    )
 
 
 def _pps(xt, ys, order, rows, max_depth: int = 4, min_samples_leaf: int = 5):
-    """PPS at the anchors rows of a stack, as record(i): anchor i's result or its ValueError.
+    """Each anchor's MAE of its tree and of the median baseline, and the checks that flag
+    anchors: a constant target, then targets whose squared sums overflow.
 
-    xt, ys and order are as _fit_stack takes them, and ys is finite at rows.
-    A constant target is degenerate, then targets whose squared sums
-    overflow are refused; the trees of the other anchors grow together.
-    Nothing warns.
+    xt, ys and order are as _fit_stack takes them, and ys is finite at the
+    anchors rows, whose trees grow together where no check flags them; MAEs
+    are NaN where nothing was measured.  Nothing warns.
     """
-    n = ys.shape[1]
+    a, n = ys.shape
     if n == 0:
         raise ValueError("y must be a non-empty vector")
-    params = {"max_depth": max_depth, "min_samples_leaf": min_samples_leaf}
+    mae, baseline = np.full(a, np.nan), np.full(a, np.nan)
+    constant, overflow = np.zeros(a, dtype=bool), np.zeros(a, dtype=bool)
     targets = ys[rows]
-    baseline = _median_mae(targets)
-    constant = (baseline == 0.0) | (targets.min(axis=1) == targets.max(axis=1))
-    grown = rows[~constant & _squares_fit(targets)]
+    baseline[rows] = _median_mae(targets)
+    constant[rows] = (baseline[rows] == 0.0) | (targets.min(axis=1) == targets.max(axis=1))
+    overflow[rows] = ~_squares_fit(targets)
+    grown = rows[~(constant[rows] | overflow[rows])]
     fitted = _fit_stack(xt[grown], ys[grown], order[grown], max_depth, min_samples_leaf)
-    mae_model = np.mean(np.abs(ys[grown] - fitted), axis=1)
-    at = dict(zip(rows.tolist(), range(rows.size)))
-    mae_at = dict(zip(grown.tolist(), mae_model.tolist()))
-
-    def record(i: int) -> MeasureResult:
-        j = at[i]
-        if constant[j]:
-            return degenerate_result("PPS", n, "constant target", **params)
-        if i not in mae_at:
-            raise ValueError(OVERFLOW)
-        mae, base = mae_at[i], float(baseline[j])
-        raw = 1.0 - mae / base
-        return MeasureResult(
-            "PPS", min(max(raw, 0.0), 1.0), n,
-            params={**params, "raw": raw, "mae_model": mae, "mae_baseline": base},
-        )
-
-    return record
+    mae[grown] = np.mean(np.abs(ys[grown] - fitted), axis=1)
+    return mae, baseline, [(constant, "constant target"), (overflow, OVERFLOW)]

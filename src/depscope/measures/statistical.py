@@ -56,13 +56,13 @@ def cdist(xa: np.ndarray, xb: np.ndarray, out: np.ndarray | None = None) -> np.n
 
 
 NOT_FINITE_POSITIVE = "sums of squares are not finite and positive"
-# Each correlation's reason for a constant row, and its params.
-_CORRELATIONS = {"PC": ("zero variance", {}), "SC": ("zero rank variance", {"ties": "average"})}
+# Each correlation's reason for a constant row.
+_CONSTANT = {"PC": "zero variance", "SC": "zero rank variance"}
 
 
 def _correlations(measure_id: str, x: np.ndarray, y: np.ndarray):
-    """PC, or SC of ranks, of each row pair of two (A, n) matrices, as record(i): row i's result,
-    or the ValueError refusing it.
+    """PC, or SC of ranks, of each row pair of two (A, n) matrices, and the checks that flag
+    rows: a constant row, then sums of squares that are not finite and positive.
 
     Each row's correlation is sxy/sqrt(sxx*syy) about its own mean, the
     arithmetic of that row alone: row means and stacked dot products are
@@ -71,40 +71,39 @@ def _correlations(measure_id: str, x: np.ndarray, y: np.ndarray):
     and the single sqrt keeps perfectly linear rows at exactly +/-1.0.  A
     row whose sxx*syy is not a positive finite float (non-finite input,
     overflow, underflow) would score NaN or a meaningless r, so it is
-    refused.  Nothing warns.
+    flagged.  Nothing warns.
     """
-    n = x.shape[1]
-    if n < 2:
+    if x.shape[1] < 2:
         raise ValueError("need at least 2 observations")
-    reason, params = _CORRELATIONS[measure_id]
     constant = (x.min(axis=1) == x.max(axis=1)) | (y.min(axis=1) == y.max(axis=1))
-    with np.errstate(all="ignore"):  # what over- or underflows is refused below
+    with np.errstate(all="ignore"):  # what over- or underflows is flagged below
         dx = x - x.mean(axis=1, keepdims=True)
         dy = y - y.mean(axis=1, keepdims=True)
         product = np.vecdot(dx, dx) * np.vecdot(dy, dy)
         r = np.clip(np.vecdot(dx, dy) / np.sqrt(product), -1.0, 1.0)
     refused = ~((0.0 < product) & (product < math.inf))
+    return r, [(constant, _CONSTANT[measure_id]), (refused, NOT_FINITE_POSITIVE)]
 
-    def record(i: int) -> MeasureResult:
-        if constant[i]:
-            return degenerate_result(measure_id, n, reason)
-        if refused[i]:
-            raise ValueError(NOT_FINITE_POSITIVE)
-        return MeasureResult(measure_id, float(r[i]), n, params=dict(params))
 
-    return record
+def _correlation(measure_id: str, x: np.ndarray, y: np.ndarray, **params) -> MeasureResult:
+    """One pair's result: a constant side is degenerate, and a refused one raises."""
+    r, ((constant, reason), (refused, _)) = _correlations(measure_id, x[None], y[None])
+    if constant[0]:
+        return degenerate_result(measure_id, x.shape[0], reason)
+    if refused[0]:
+        raise ValueError(NOT_FINITE_POSITIVE)
+    return MeasureResult(measure_id, float(r[0]), x.shape[0], params=params)
 
 
 def pearson(x, y) -> MeasureResult:
     """Pearson correlation coefficient; constant input is flagged degenerate."""
-    xa, ya = paired_vectors(x, y)
-    return _correlations("PC", xa[None], ya[None])(0)
+    return _correlation("PC", *paired_vectors(x, y))
 
 
 def spearman(x, y) -> MeasureResult:
     """Spearman rank correlation: Pearson on average ranks, so ties share their rank."""
     xa, ya = paired_vectors(x, y)
-    return _correlations("SC", _average_ranks(xa[None]), _average_ranks(ya[None]))(0)
+    return _correlation("SC", _average_ranks(xa), _average_ranks(ya), ties="average")
 
 
 # sqrt(x * x) is |x| for every double x whose square neither underflows nor overflows
@@ -175,21 +174,21 @@ def _centered_distances(
 
 def _distance_correlation(
     xp: np.ndarray, x_centered, yp: np.ndarray, y_centered, scratch: np.ndarray
-) -> MeasureResult:
-    """DC of paired row points from each side's _centered_distances; the elementwise
-    product is taken into the (n, n) buffer scratch."""
+) -> tuple[float, str]:
+    """DC of paired row points from each side's _centered_distances and "", or NaN and the
+    reason for a constant side; distance variances that underflow to zero or overflow raise
+    ValueError.  The elementwise product is taken into the (n, n) buffer scratch."""
     (a, dvar_x), (b, dvar_y) = x_centered, y_centered
     n = a.shape[0]
     dvar = dvar_x * dvar_y
     if dvar == 0.0:
         if (xp == xp[0]).all() or (yp == yp[0]).all():
-            return degenerate_result("DC", n, "zero distance variance")
+            return math.nan, "zero distance variance"
         raise ValueError("distance variance underflows to zero")
     if dvar == math.inf:
         raise ValueError("distances overflow")
     dcov2 = max(float(np.add.reduce(np.multiply(a, b, out=scratch), axis=None) / (n * n)), 0.0)
-    value = math.sqrt(dcov2 / math.sqrt(dvar))
-    return MeasureResult("DC", min(value, 1.0), n)
+    return min(math.sqrt(dcov2 / math.sqrt(dvar)), 1.0), ""
 
 
 def distance_correlation(x, y) -> MeasureResult:
@@ -213,4 +212,7 @@ def distance_correlation(x, y) -> MeasureResult:
     scratch = np.empty((xp.shape[0],) * 2)
     x_centered = _centered_distances(xp, _exact(xp), scratch)
     y_centered = _centered_distances(yp, _exact(yp), scratch)
-    return _distance_correlation(xp, x_centered, yp, y_centered, scratch)
+    value, reason = _distance_correlation(xp, x_centered, yp, y_centered, scratch)
+    if reason:
+        return degenerate_result("DC", xp.shape[0], reason)
+    return MeasureResult("DC", value, xp.shape[0])

@@ -26,6 +26,10 @@ it.  The largest temporaries, MIC's joint cells and DC's centred
 distances, are made in buffers a block allocates once, not per trial or
 anchor: a fresh array of hundreds of KiB costs its pages on every call.
 
+Scores stay arrays from the kernels to the trial log: each kernel returns
+its values and the (mask, reason) checks it adds, and a block one value and
+one reason per (anchor, trial).  The scan builds no MeasureResult.
+
 The trial log streams in chunks of frame._CHUNK_ROWS trials, and each chunk
 is written and read one field at a time: the writers format each column
 with one C-level call per cell, quote or escape each distinct text once
@@ -43,10 +47,10 @@ import logging
 import math
 import time
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from functools import cached_property, partial
-from itertools import chain, filterfalse, product
+from itertools import chain, filterfalse
 from operator import attrgetter
 
 import numpy as np
@@ -62,7 +66,6 @@ from .measures.information import (
     _information_gain,
     _joint,
     _mic,
-    _mic_result,
     _mic_side,
     _mic_work,
     _MicSide,
@@ -259,7 +262,6 @@ def label_trend(close, anchor: int) -> str:
     return "NEUTRAL"
 
 
-_INFORMATION_MEASURES = frozenset({"MI", "IG", "RSI_SYNERGY", "MIC"})
 # Window entries in one anchor block, over all its C distinct columns and per column: a
 # block holds max(1, min(_BLOCK_CELLS // (W * C), _COLUMN_CELLS // W)) anchors, so no
 # temporary grows with the number of anchors of a scan.  The per-column cap bounds what
@@ -324,7 +326,6 @@ class _Side:
     ):
         self.columns = columns
         self.row = row
-        self.n = columns[0].values.shape[1]
         self.scratch = scratch
         self.out = out
 
@@ -340,33 +341,33 @@ class _Side:
         exact = len(self.columns) == 1 and bool(self.columns[0].exact[self.row])
         return _centered_distances(self.points, exact, self.scratch, self.out)
 
-    def distance_correlation(self, y: "_Side") -> MeasureResult:
-        """DC of this feature side and target side y; a ValueError comes back flagged."""
+    def distance_correlation(self, y: "_Side") -> tuple[float, str]:
+        """(DC, "") of this feature side and target side y, or (NaN, why), a ValueError's too."""
         try:
             return _distance_correlation(
                 self.points, self.centered_distances, y.points, y.centered_distances, self.scratch
             )
         except ValueError as exc:
-            return degenerate_result("DC", self.n, str(exc))
+            return math.nan, str(exc)
 
 
 @dataclass
 class _Block:
-    """Every (feature set, target, measure) trial of one anchor block.
+    """Every (feature set, target, measure) trial of one anchor block, as arrays.
 
     Each trial flags every anchor with the first reason that holds for it,
     in one order for every measure: non-finite input, a pairwise measure on
-    a set, sides of unequal length, then the measure's own refusals.  Every
-    measure but DC scores every anchor of the block at once: PC and SC on
-    the rows of the block's matrices, PPS by growing the trees of every
-    anchor together (with those of every other trial whose feature set has
-    as many columns), MI, IG, RSI_SYNERGY and MIC through the integer-code
-    kernel.  DC scores one anchor at a time (_Side), so that a side's
-    centred distances live for one anchor only.  What the block's trials
-    share is kept until the block is dropped: each column's codes and
-    ranks, each feature set's codes, and each (feature set, target)'s MI,
-    which RSI_SYNERGY of every set holding the feature reads again.  A
-    derivation that raises is not kept.
+    a set, sides of unequal length, the measure's own checks, then its value
+    range.  Every measure but DC scores every anchor of the block at once:
+    PC and SC on the rows of the block's matrices, PPS by growing the trees
+    of every anchor together (with those of every other trial whose feature
+    set has as many columns), MI, IG, RSI_SYNERGY and MIC through the
+    integer-code kernel.  DC scores one anchor at a time (_Side), so that a
+    side's centred distances live for one anchor only.  Trials are scored
+    measure by measure; what they share is kept until the block is dropped
+    (each column's codes and ranks, each feature set's codes, each (feature
+    set, target)'s MI, which RSI_SYNERGY reads again), but MIC's sides and
+    buffers only until its trials are done.  What raises is not kept.
     """
 
     anchors: int  # rows of every column's matrix
@@ -414,53 +415,40 @@ class _Block:
             ("mi", x, y), lambda: _mutual_information(self._codes(x), self._targets(y)[0])
         )
 
-    def _information(self, m: Measure, x: tuple[_Column, ...], y: _Column, checks: list):
-        """Score MI, IG, RSI_SYNERGY or MIC at every anchor; add its refusals to checks.
-
-        Returns the record of an anchor by index.
-        """
-        n = y.values.shape[1]
-        if m.id == "MIC":
-            sx, sy = self._mic(x[0]), self._mic(y)
-            checks += [(sx.wide, TOO_WIDE), (sy.wide, TOO_WIDE)]
-            values, best = _mic(sx, sy, self._keep(("mic work",), lambda: _mic_work(sx)))
-            return lambda i: _mic_result(float(values[i]), int(best[i]), n)
-        if n == 0:
-            raise ValueError("empty symbol sequences")
-        target, refused = self._targets(y)
-        checks.append((refused, TOO_MANY_BINS))
-        params = {}
-        if m.id == "RSI_SYNERGY":
-            _check_set_size(len(x))
-            params = {"set_size": len(x)}
-        checks += [(self._features(c)[1], TOO_WIDE) for c in x]
-        if m.id == "MI":
-            values = self._mutual_information(x, y)
-        elif m.id == "IG":  # the features assign the split branches
-            values = _information_gain(target, self._codes(x))
-        else:
-            singles = [self._mutual_information((c,), y) for c in x]
-            values = _synergy(self._mutual_information(x, y), singles)
-        return lambda i: MeasureResult(m.id, float(values[i]), n, params=dict(params))
-
-    def _record(self, m: Measure, x: tuple[_Column, ...], y: _Column, checks: list):
-        """Score measure row m at every anchor no check flags; None for DC.
-
-        Returns the record of such an anchor by index: its result, or the
-        ValueError refusing it.
-        """
-        if m.id in _INFORMATION_MEASURES:
-            return self._information(m, x, y, checks)
+    def _values(self, m: Measure, x: tuple[_Column, ...], y: _Column, checks: list):
+        """Measure row m at every anchor, and None for DC; adds the measure's checks to checks."""
+        if m.id == "DC":
+            return None
         if m.id == "PC":
-            return _correlations("PC", x[0].values, y.values)
-        if m.id == "SC":
-            return _correlations("SC", self._ranks(x[0]), self._ranks(y))
-        if m.id == "PPS":
-            return self._pps(x, y)
-        return None
+            values, refusals = _correlations("PC", x[0].values, y.values)
+        elif m.id == "SC":
+            values, refusals = _correlations("SC", self._ranks(x[0]), self._ranks(y))
+        elif m.id == "PPS":
+            values, refusals = self._pps(x, y)
+        elif m.id == "MIC":
+            sx, sy = self._mic(x[0]), self._mic(y)
+            values = _mic(sx, sy, self._keep(("mic",), lambda: _mic_work(sx)))[0]
+            refusals = [(sx.wide, TOO_WIDE), (sy.wide, TOO_WIDE)]
+        else:  # MI, IG or RSI_SYNERGY; a refused target flags an anchor before a set too large
+            if y.values.shape[1] == 0:
+                raise ValueError("empty symbol sequences")
+            target, refused = self._targets(y)
+            checks.append((refused, TOO_MANY_BINS))
+            if m.id == "RSI_SYNERGY":
+                _check_set_size(len(x))
+            refusals = [(self._features(c)[1], TOO_WIDE) for c in x]
+            if m.id == "MI":
+                values = self._mutual_information(x, y)
+            elif m.id == "IG":  # the features assign the split branches
+                values = _information_gain(target, self._codes(x))
+            else:
+                singles = [self._mutual_information((c,), y) for c in x]
+                values = _synergy(self._mutual_information(x, y), singles)
+        checks += refusals
+        return values
 
     def _pps(self, x: tuple[_Column, ...], y: _Column):
-        """PPS's record on feature set x and target y.
+        """PPS on feature set x and target y at every anchor, and its checks.
 
         The trees of the (feature set, target) pairs whose sets have x's size
         grow in stacks of at most _STACK_CELLS window cells, once per block;
@@ -470,72 +458,89 @@ class _Block:
         def make():
             pairs = [(s, t) for s in self.sets if len(s) == len(x) for t in self.ys]
             size = max(1, _STACK_CELLS // max(1, self.ys[0].values.size))
-            records = {}
+            scored = {}
             for start in range(0, len(pairs), size):
                 stack = pairs[start : start + size]
-                record = _pps(
+                mae, baseline, checks = _pps(
                     np.concatenate([np.stack([c.values for c in s], axis=1) for s, _ in stack]),
                     np.concatenate([t.values for _, t in stack]),
                     np.concatenate([np.stack([c.order for c in s], axis=1) for s, _ in stack]),
                     np.flatnonzero(np.concatenate([self._finite(s + (t,)) for s, t in stack])),
                 )
-                records.update((pair, (record, j * self.anchors)) for j, pair in enumerate(stack))
-            return records
+                values = np.clip(1.0 - mae / baseline, 0.0, 1.0)
+                for j, pair in enumerate(stack):
+                    rows = slice(j * self.anchors, (j + 1) * self.anchors)
+                    scored[pair] = values[rows], [(mask[rows], reason) for mask, reason in checks]
+            return scored
 
-        record, first = self._keep(("pps", len(x)), make)[x, y]
-        return lambda i: record(first + i)
+        return self._keep(("pps", len(x)), make)[x, y]
 
-    def _trial(self, m: Measure, x: tuple[_Column, ...], y: _Column) -> list[MeasureResult | None]:
-        """Measure row m on feature set x and target y at every anchor; None where DC scores."""
+    def _trial(self, m: Measure, x: tuple[_Column, ...], y: _Column):
+        """Measure row m on feature set x and target y: each anchor's value, NaN for DC, and
+        its first reason, "" where none holds."""
         a, n = x[0].values.shape
         every = np.ones(a, dtype=bool)
         checks = [(~self._finite(x + (y,)), "non-finite input")]
-        record = None
+        values = None
         if m.pairwise and len(x) > 1:
             checks.append((every, "pairwise measure on multivariate input"))
         elif y.values.shape[1] != n:
             checks.append((every, f"length mismatch: {n} vs {y.values.shape[1]}"))
         else:
             try:
-                record = self._record(m, x, y, checks)
+                values = self._values(m, x, y, checks)
             except ValueError as exc:
                 checks.append((every, str(exc)))
-        results: list[MeasureResult | None] = [None] * a
-        for mask, reason in checks:
-            for i in np.flatnonzero(mask).tolist():
-                if results[i] is None:
-                    results[i] = degenerate_result(m.id, n, reason)
-        if record is not None:
-            for i, result in enumerate(results):
-                if result is None:
-                    try:
-                        results[i] = record(i)
-                    except ValueError as exc:
-                        results[i] = degenerate_result(m.id, n, str(exc))
-        return results
+        reasons = np.full(a, "", dtype=object)
+        for mask, reason in reversed(checks):  # the first check that holds writes last
+            reasons[mask] = reason
+        return np.full(a, np.nan) if values is None else values, reasons
 
-    def scores(self, measure_rows: list[Measure]) -> list[list[MeasureResult]]:
-        """Each anchor's results in (feature set, target, measure) order."""
-        trials = [[self._trial(m, x, y) for y in self.ys for m in measure_rows] for x in self.sets]
+    def scores(self, measure_rows: list[Measure]) -> tuple[np.ndarray, np.ndarray]:
+        """An (A, T) float64 value matrix, one column per trial in (feature set, target,
+        measure) order, NaN exactly where the (A, T) matrix of reasons does not hold "".
+        DC fills its cells last, one anchor at a time."""
+        pairs = [(x, y) for x in self.sets for y in self.ys]
+        t = len(measure_rows)
+        values = np.empty((self.anchors, len(pairs) * t))
+        reasons = np.empty(values.shape, dtype=object)
+        for k, m in enumerate(measure_rows):
+            for j, (x, y) in enumerate(pairs):
+                values[:, j * t + k], reasons[:, j * t + k] = self._trial(m, x, y)
+            if m.id == "MIC":  # no later trial reads MIC's sides and work buffers
+                self._kept = {key: kept for key, kept in self._kept.items() if key[0] != "mic"}
         self._kept.clear()  # DC reads none of it
-        dc = any(m.id == "DC" for m in measure_rows)
+        dc = [k for k, m in enumerate(measure_rows) if m.id == "DC"]
+        if dc:
+            self._distance_correlations(values, reasons, dc)
+        lo, hi = np.array([m.range for m in measure_rows] * len(pairs)).T
+        flagged = reasons != ""
+        outside = ~flagged & ~((lo <= values) & (values <= hi))
+        for row, c in zip(*np.nonzero(outside)):
+            m, value = measure_rows[c % t], float(values[row, c])
+            reasons[row, c] = f"{m.id} value {value} outside [{m.range[0]}, {m.range[1]}]"
+        values[flagged | outside] = np.nan
+        return values, reasons
 
-        def square(c: _Column) -> np.ndarray | None:  # an (n, n) buffer for DC of c's windows
-            return np.empty((c.values.shape[1],) * 2) if dc else None
+    def _distance_correlations(self, values: np.ndarray, reasons: np.ndarray, dc: list[int]):
+        """DC, measure dc of each (feature set, target), in every cell that no check flags."""
+        shape = (self.anchors, len(self.sets), len(self.ys), -1)
+        values, reasons = values.reshape(shape), reasons.reshape(shape)  # views of the matrices
+
+        def square(c: _Column) -> np.ndarray:  # an (n, n) buffer for DC of c's windows
+            return np.empty((c.values.shape[1],) * 2)
 
         scratch, x_out = square(self.sets[0][0]), square(self.sets[0][0])
         y_outs = [square(y) for y in self.ys]
-        scores = []
         for row in range(self.anchors):
             y_sides = [_Side((y,), row, scratch, out) for y, out in zip(self.ys, y_outs)]
-            results = []
-            for x, by_set in zip(self.sets, trials):
+            for i, x in enumerate(self.sets):
                 x_side = _Side(x, row, scratch, x_out)
-                for (y, _), trial in zip(product(y_sides, measure_rows), by_set):
-                    result = trial[row]
-                    results.append(x_side.distance_correlation(y) if result is None else result)
-            scores.append(results)
-        return scores
+                for j, y_side in enumerate(y_sides):
+                    for k in dc:
+                        if not reasons[row, i, j, k]:
+                            cell = row, i, j, k
+                            values[cell], reasons[cell] = x_side.distance_correlation(y_side)
 
 
 def evaluate_pairs(
@@ -562,7 +567,10 @@ def evaluate_pairs(
     if ys.ndim != 1:
         raise ValueError(f"ys must be a vector of targets, got shape {ys.shape}")
     x = tuple(_Column(column[None, :]) for column in xs.T)
-    return _Block(1, [x], [_Column(ys[None, :])], feature_bins, bin_width).scores([m])[0][0]
+    values, reasons = _Block(1, [x], [_Column(ys[None, :])], feature_bins, bin_width).scores([m])
+    if reasons[0, 0]:
+        return degenerate_result(m.id, xs.shape[0], reasons[0, 0])
+    return MeasureResult(m.id, float(values[0, 0]), xs.shape[0])
 
 
 def scan_window(
@@ -578,59 +586,55 @@ def scan_window(
     feature_bins: int,
     min_samples: int = 1,
     block: slice = slice(None),
-) -> tuple[np.ndarray, list[list[MeasureResult]]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score every (feature set, target, measure) at every anchor of one window grid.
 
-    Returns the anchors, oldest first (only those in block), and for each
-    anchor its results in (feature set, target, measure) order.  This is the
-    one anchor loop behind the grid search, verification and windowed
-    measurement.  It walks the anchors in blocks of at most _BLOCK_CELLS
-    window cells over all the distinct feature and target columns and
-    _COLUMN_CELLS per column: each block cuts every column's windows into
-    one matrix, every measure but DC scores every anchor of the block at
-    once, and DC scores one anchor at a time from rows of the same
-    matrices, |xi - xj| being a one-column side's distances where the
-    sorted row passes _abs_is_cdist.  For DC, targets keep their centred
-    distances for the anchor, feature sets for their own trials only.
-    Windows with fewer than min_samples pairs come back degenerate without
-    being scored.
+    Returns the anchors, oldest first (only those in block), and _Block.scores'
+    value and reason matrices over them.  This is the one anchor loop behind
+    the grid search, verification and windowed measurement.  It walks the
+    anchors in blocks of at most _BLOCK_CELLS window cells over all the
+    distinct feature and target columns and _COLUMN_CELLS per column: each
+    block cuts every column's windows into one matrix, every measure but DC
+    scores every anchor of the block at once, and DC scores one anchor at a
+    time from rows of the same matrices, |xi - xj| being a one-column side's
+    distances where the sorted row passes _abs_is_cdist.  For DC, targets
+    keep their centred distances for the anchor, feature sets for their own
+    trials only.  Windows with fewer than min_samples pairs come back
+    degenerate without being scored.
     """
     check_binning(bin_width, feature_bins)
     measure_rows = [measure_row(m) for m in measures]
     anchors = anchor_grid(len(frame), window, step, horizon)[block]
-    trials_per_measure = len(feature_sets) * len(targets)
+    shape = (len(anchors), len(feature_sets) * len(targets) * len(measure_rows))
     if window < min_samples:
-        flagged = [degenerate_result(m, window, f"fewer than {min_samples} pairs") for m in measures]
-        return anchors, [flagged * trials_per_measure for _ in anchors]
+        reason = f"fewer than {min_samples} pairs"
+        return anchors, np.full(shape, np.nan), np.full(shape, reason, dtype=object)
     feature_columns = {name: frame.column(name) for fs in feature_sets for name in fs}
     target_columns = {name: frame.column(name) for name in targets}
     lags = np.arange(1 - window, 1)  # a window's rows relative to its anchor
     leads = 1 + pair_targets(np.arange(horizon), window)  # the target row paired with each of them
     cut = window * (len(feature_columns) + len(target_columns))  # cells of one anchor
     size = max(1, min(_BLOCK_CELLS // cut, _COLUMN_CELLS // window))
-    scores = []
+    values, reasons = np.empty(shape), np.empty(shape, dtype=object)
     for start in range(0, len(anchors), size):
         part = anchors[start : start + size, None]
         columns = {name: _Column(col[part + lags]) for name, col in feature_columns.items()}
         cut_targets = {name: _Column(col[part + leads]) for name, col in target_columns.items()}
         ys = [cut_targets[name] for name in targets]
         sets = [tuple(columns[name] for name in fs) for fs in feature_sets]
-        scores += _Block(len(part), sets, ys, feature_bins, bin_width).scores(measure_rows)
-    return anchors, scores
+        block_scores = _Block(len(part), sets, ys, feature_bins, bin_width).scores(measure_rows)
+        values[start : start + size], reasons[start : start + size] = block_scores
+    return anchors, values, reasons
 
 
-def _scan_block(frame: TimeSeriesFrame, space: SearchSpace, window: int, block: slice) -> list:
-    """(objective, degenerate) of every trial of one window's anchor block, per anchor.
-
-    The objective is a float even where the measure scored a numpy float (PC, SC).
-    """
-    _, scores = scan_window(
+def _scan_block(frame: TimeSeriesFrame, space: SearchSpace, window: int, block: slice) -> tuple:
+    """The values and reasons of every trial of one window's anchor block (scan_window)."""
+    return scan_window(
         frame, window, space.feature_sets, space.targets, space.measures,
         step=space.step, horizon=space.horizon if space.horizon is not None else window,
         bin_width=space.bin_width, feature_bins=space.feature_bins,
         min_samples=space.min_samples, block=block,
-    )
-    return [[(float(r.value), r.degenerate) for r in results] for results in scores]
+    )[1:]
 
 
 _worker_scan: tuple | None = None  # a pool worker's (frame, space), sent once by _start_worker
@@ -641,7 +645,7 @@ def _start_worker(frame: TimeSeriesFrame, space: SearchSpace) -> None:
     _worker_scan = (frame, space)
 
 
-def _scan_unit(unit: tuple[int, slice]) -> list:
+def _scan_unit(unit: tuple[int, slice]) -> tuple:
     return _scan_block(*_worker_scan, *unit)
 
 
@@ -682,9 +686,10 @@ def run_grid_search(
             max_workers=jobs, initializer=_start_worker, initargs=(frame, space)
         ) as pool:
             blocks = list(pool.map(_scan_unit, units))
-        scores = {w: [] for w in anchors}
+        parts = {w: [] for w in anchors}
         for (w, _), block in zip(units, blocks):
-            scores[w] += block
+            parts[w].append(block)
+        scores = {w: tuple(map(np.concatenate, zip(*parts[w]))) for w in anchors}
     else:
         scores = {w: _scan_block(frame, space, w, slice(None)) for w in anchors}
 
@@ -701,9 +706,14 @@ def run_grid_search(
         labels = [
             (str(frame.timestamps[a]), label_trend(close, a)) for a in anchors[w].tolist()
         ]
+        values, reasons = scores[w]
+        flags = reasons != ""
+        objectives = values.astype(object)
+        objectives[flags] = math.nan  # one NaN object, so that equal logs compare equal
         for c, config in enumerate(configs):
-            for (date, trend), trials in zip(labels, scores[w]):
-                records.append(TrialRecord(len(records), w, *config, date, trend, *trials[c]))
+            trials = zip(labels, objectives[:, c].tolist(), flags[:, c].tolist())
+            for (date, trend), value, flag in trials:
+                records.append(TrialRecord(len(records), w, *config, date, trend, value, flag))
     return TrialLog(
         records=tuple(records),
         space=space,
@@ -973,9 +983,4 @@ def correlate_measure_with_scores(log_: TrialLog, scores: dict[str, float]) -> M
     objectives = [float(np.median(by_key[k])) for k in overlap]
     external = [float(scores[k]) for k in overlap]
     result = spearman(objectives, external)
-    params = dict(result.params)
-    params["overlap"] = len(overlap)
-    return MeasureResult(
-        result.measure_id, result.value, result.sample_size, params=params,
-        degenerate=result.degenerate,
-    )
+    return replace(result, params={**result.params, "overlap": len(overlap)})

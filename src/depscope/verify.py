@@ -203,16 +203,15 @@ def run_verification(
         scan_window(
             dependence_frame(f), window, (("signal",),), ("ret",), measures,
             step=step, horizon=window, bin_width=bin_width, feature_bins=feature_bins,
-        )[1]
+        )[1:]
         for f in (embedded, control)
     ]
     rows = []
     for i, measure in enumerate(measures):
-        sides = []
-        for scores in scans:
-            values = [r[i].value for r in scores if not r[i].degenerate]
-            sides.append((values, len(scores) - len(values)))
-        (e_vals, e_rej), (c_vals, c_rej) = sides
+        (e_vals, e_rej), (c_vals, c_rej) = [  # the scored values, and how many are not
+            (values[reasons[:, i] == "", i].tolist(), int((reasons[:, i] != "").sum()))
+            for values, reasons in scans
+        ]
         inconclusive = not e_vals or not c_vals
         if inconclusive:
             e_med = c_med = margin = math.nan

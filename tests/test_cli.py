@@ -249,6 +249,20 @@ def test_measure_all_degenerate_exits_three_but_writes(tmp_path, features_csv):
     assert "true" in out.read_text()
 
 
+def test_measure_window_says_why_no_anchor_scored(features_csv, capsys):
+    """With no scorable anchor, the reason names the first anchor's."""
+    rc = main(
+        [
+            "measure", "--input", str(features_csv), "--features", "f_ret_c_1",
+            "--target", "t_ret_c_1", "--window", "6", "--measures", "mic", "--format", "json",
+        ]
+    )
+    assert rc == 3
+    (row,) = json.loads(capsys.readouterr().out)
+    assert row["degenerate"] and row["value"] is None
+    assert row["reason"] == "no scorable anchors: mic needs at least 8 observations, got 6"
+
+
 def test_search_writes_three_artifacts(tmp_path, features_csv, capsys):
     out_dir = tmp_path / "run"
     rc = main(

@@ -8,7 +8,10 @@ equals MI, both ignore strictly increasing maps of the features, and a
 single feature carries no synergy.  The correlation family keeps its own:
 PC and DC are symmetric, PC flips sign with y, SC ignores strictly
 increasing maps of x, and DC ignores a shift and a positive scale of x.
-Each of these holds value for value, or both sides are degenerate.
+Each of these holds value for value, or both sides are degenerate.  On
+finite pairs, evaluate_pairs agrees with each measure's own function: the
+same value bits where it scores, and its reason or its ValueError's message
+where it does not.
 """
 import math
 
@@ -17,7 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depscope.measures import MEASURE_IDS, VALUE_RANGES
+from depscope.measures import (
+    MEASURE_IDS,
+    VALUE_RANGES,
+    distance_correlation,
+    mic,
+    pearson,
+    pps,
+    spearman,
+)
 from depscope.search import evaluate_pairs
 
 values = st.one_of(
@@ -166,3 +177,56 @@ def test_dc_ignores_shift_and_positive_scale_of_x(window, shift, scale):
     before = evaluate_pairs("DC", xs, ys)
     after = evaluate_pairs("DC", scale * xs + shift, ys)
     assert _same_or_both_degenerate(before, after, tol=1e-7)
+
+
+OWN_FUNCTIONS = {
+    "PC": pearson, "SC": spearman, "DC": distance_correlation, "MIC": mic, "PPS": pps,
+}
+# Scales that reach each measure's refusals: distances and squared sums that underflow or
+# overflow, and spans past float64.
+SCALES = (1e-170, 1e-100, 1e80, 1e154, 1e200, 3e306, 1e308)
+
+
+@st.composite
+def finite_pairs(draw):
+    """Finite windows of 2-40 rows and 1-2 feature columns: drawn cells, scaled normals with
+    or without ties, or either with a constant target."""
+    n = draw(st.integers(2, 40))
+    n_features = draw(st.integers(1, 2))
+    cells = n * (n_features + 1)
+    if draw(st.booleans()):
+        cell = st.one_of(grid_values, values)
+        flat = np.array(draw(st.lists(cell, min_size=cells, max_size=cells)))
+    else:
+        scale = draw(st.one_of(st.just(1.0), st.sampled_from(SCALES)))
+        flat = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(cells)
+        if draw(st.booleans()):
+            flat = np.round(flat * 2.0) / 2.0
+        with np.errstate(over="ignore"):
+            flat = np.nan_to_num(flat * scale, posinf=1.7e308, neginf=-1.7e308)
+    xs = flat[: n * n_features].reshape(n, n_features)
+    ys = flat[n * n_features :]
+    if draw(st.booleans()):
+        ys = np.full(n, ys[0])
+    return xs, ys
+
+
+@pytest.mark.parametrize("measure", OWN_FUNCTIONS)
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(pair=finite_pairs())
+def test_evaluate_pairs_agrees_with_each_measures_own_function(measure, pair):
+    """The value bits where the function scores, its reason where it flags the pair, and its
+    ValueError's message as the reason where it raises."""
+    xs, ys = pair
+    if measure in ("PC", "SC", "MIC"):  # pairwise: one feature column
+        xs = xs[:, 0]
+    r = evaluate_pairs(measure, xs, ys)
+    try:
+        own = OWN_FUNCTIONS[measure](xs, ys)
+    except ValueError as exc:
+        assert r.degenerate and r.params["reason"] == str(exc)
+        return
+    if own.degenerate:
+        assert r.degenerate and r.params["reason"] == own.params["reason"]
+    else:
+        assert not r.degenerate and repr(r.value) == repr(own.value)

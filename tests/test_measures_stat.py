@@ -310,22 +310,25 @@ def _outcome(score, *args):
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(pair=row_pairs())
 def test_stacked_correlations_score_each_row_as_one_pair(pair):
-    """PC and SC of a block's rows equal pearson and spearman of each row pair by repr, and the
-    value is the one-pair arithmetic's, bit for bit."""
+    """PC and SC of a block's rows equal pearson and spearman of each row pair, value by repr
+    and reason, and the value is the one-pair arithmetic's, bit for bit."""
     x, y = pair
     ranked = statistical._average_ranks(x), statistical._average_ranks(y)
     for measure, score, sides in (("PC", pearson, (x, y)), ("SC", spearman, ranked)):
-        record = statistical._correlations(measure, *sides)
+        values, checks = statistical._correlations(measure, *sides)
         for i in range(x.shape[0]):
-            got = _outcome(record, i)
-            assert got == _outcome(score, x[i], y[i])
+            reason = next((reason for mask, reason in checks if mask[i]), "")
             expected = reference_correlation(sides[0][i], sides[1][i])
+            if expected == "refused":
+                assert reason == "sums of squares are not finite and positive"
+                assert _outcome(score, x[i], y[i]) == f"ValueError({reason})"
+                continue
+            r = score(x[i], y[i])
             if expected == "constant":
-                assert "zero" in got
-            elif expected == "refused":
-                assert got == "ValueError(sums of squares are not finite and positive)"
+                assert "zero" in reason and r.degenerate and r.params["reason"] == reason
             else:
-                assert record(i).value == expected
+                assert not reason and repr(r.value) == repr(float(values[i]))
+                assert values[i] == expected
 
 
 # Values whose differences straddle the bounds of the exact |xi - xj| path: gaps just below
@@ -389,15 +392,15 @@ def test_distance_correlation_is_the_cdist_reference_by_repr(x, y, window):
     ndarray.mean's arithmetic, by repr, on planted gaps, spans, ties and signed zeros."""
     assert _outcome(distance_correlation, x, y) == _outcome(reference_distance_correlation, x, y)
     frame = TimeSeriesFrame(np.datetime64("2020-01-01") + np.arange(60), {"x": x, "y": y})
-    anchors, scores = scan_window(
+    anchors, values, reasons = scan_window(
         frame, window, (("x",),), ("y",), ("DC",), step=window, horizon=window,
         bin_width=0.001, feature_bins=8,
     )
-    for anchor, (got,) in zip(anchors.tolist(), scores):
+    for anchor, (value,), (reason,) in zip(anchors.tolist(), values.tolist(), reasons.tolist()):
         xs = x[anchor - window + 1 : anchor + 1]
         ys = pair_targets(y[anchor + 1 : anchor + 1 + window], window)
         try:
             expected = reference_distance_correlation(xs, ys)
         except ValueError as exc:
             expected = degenerate_result("DC", window, str(exc))
-        assert repr(got) == repr(expected)
+        assert (repr(value), reason) == (repr(expected.value), expected.params.get("reason", ""))

@@ -21,8 +21,10 @@ from depscope.cli import main
 from depscope.frame import TimeSeriesFrame, write_csv
 from depscope.measures import (
     MEASURE_IDS,
+    VALUE_RANGES,
     distance_correlation,
     equal_frequency_symbols,
+    mic,
     pearson,
     pps,
 )
@@ -46,6 +48,7 @@ from depscope.search import (
     write_trial_log_json,
 )
 from depscope.shaping import discretize, pair_targets
+from depscope.verify import SyntheticSpec, dependence_frame, generate_synthetic
 
 from _oracles import (
     brute_mic_scores,
@@ -230,13 +233,12 @@ def test_correlations_of_fewer_than_two_rows_say_so():
                 warnings.simplefilter("error")
                 r = evaluate_pairs(measure, x, x)
             assert r.degenerate and r.params["reason"] == "need at least 2 observations"
-    _, scores = scan_window(
+    _, values, reasons = scan_window(
         frame, 1, (("a",),), ("y",), ("PC", "SC", "DC"),
         step=5, horizon=1, bin_width=0.001, feature_bins=8,
     )
-    assert scores
-    for r in (r for results in scores for r in results):
-        assert r.degenerate and r.params["reason"] == "need at least 2 observations"
+    assert reasons.size
+    assert np.isnan(values).all() and (reasons == "need at least 2 observations").all()
 
 
 def test_information_measures_of_an_empty_window_say_so():
@@ -319,13 +321,12 @@ def test_targets_near_float64s_limit_are_refused_without_a_warning():
         frame = TimeSeriesFrame(
             np.datetime64("2021-01-01") + np.arange(400), {"a": rng.standard_normal(400), "y": y}
         )
-        anchors, scores = scan_window(
+        anchors, values, reasons = scan_window(
             frame, 50, (("a",),), ("y",), ("PPS", "PC", "SC"),
             step=50, horizon=50, bin_width=0.001, feature_bins=8,
         )
-    flagged = {
-        a: [r.params["reason"] for r in rs if r.degenerate] for a, rs in zip(anchors, scores)
-    }
+    _assert_scan_contract(values, reasons, ("PPS", "PC", "SC"))
+    flagged = {a: [reason for reason in rs if reason] for a, rs in zip(anchors, reasons)}
     assert flagged.pop(249) == [
         "targets overflow the split scan's squared sums",
         "sums of squares are not finite and positive",
@@ -407,23 +408,29 @@ def test_per_n_tables_are_shared_and_read_only():
 
 
 def _assert_scan_is_evaluate_pairs(frame, window, feature_sets, targets, measures, horizon):
-    """Every scan_window result is evaluate_pairs' on its own window: value and reason."""
-    anchors, scores = scan_window(
+    """Every scan_window result is evaluate_pairs' on its own window: value and reason.
+
+    Returns each trial's (measure, value, reason) at every anchor."""
+    anchors, values, reasons = scan_window(
         frame, window, feature_sets, targets, measures,
         step=9, horizon=horizon, bin_width=0.001, feature_bins=8,
     )
     assert len(anchors) > 1
-    for a, results in zip(anchors.tolist(), scores):
+    _assert_scan_contract(values, reasons, measures)
+    ids = [m for _ in feature_sets for _ in targets for m in measures]
+    results = []
+    for a, row_values, row_reasons in zip(anchors.tolist(), values.tolist(), reasons.tolist()):
         expected = []
         for fs in feature_sets:
             xs = np.column_stack([frame.column(c)[a - window + 1 : a + 1] for c in fs])
             for t in targets:
                 ys = pair_targets(frame.column(t)[a + 1 : a + 1 + horizon], window)
                 expected += [evaluate_pairs(m, xs, ys) for m in measures]
-        assert [(repr(r.value), r.params.get("reason")) for r in results] == [
-            (repr(r.value), r.params.get("reason")) for r in expected
+        assert [(repr(v), reason) for v, reason in zip(row_values, row_reasons)] == [
+            (repr(r.value), r.params.get("reason", "")) for r in expected
         ]
-    return [r for results in scores for r in results]
+        results += zip(ids, row_values, row_reasons)
+    return results
 
 
 def test_scan_window_derivations_that_raise_flag_every_trial_that_reads_them():
@@ -438,19 +445,19 @@ def test_scan_window_derivations_that_raise_flag_every_trial_that_reads_them():
     results = _assert_scan_is_evaluate_pairs(
         frame, 6, (("a",), ("c",)), ("y", "z"), ("MIC", "PC", "MI"), horizon=6
     )
-    mic = [r for r in results if r.measure_id == "MIC"]
-    assert {r.params["reason"] for r in mic} == {"mic needs at least 8 observations, got 6"}
+    mic = {reason for measure, _, reason in results if measure == "MIC"}
+    assert mic == {"mic needs at least 8 observations, got 6"}
     for measure in ("PC", "MI"):
-        assert any(not r.degenerate for r in results if r.measure_id == measure)
+        assert any(not reason for m, _, reason in results if m == measure)
 
     results = _assert_scan_is_evaluate_pairs(
         frame, 40, (("big",), ("a",), ("big", "c")), ("y", "huge"), ("DC", "MI", "IG"), horizon=7
     )
-    reasons = {r.params.get("reason") for r in results}
+    reasons = {reason for _, _, reason in results}
     assert reasons >= {"distances overflow"}
-    assert any("int64" in str(reason) for reason in reasons)
-    assert any(not r.degenerate for r in results if r.measure_id == "DC")
-    assert any(not r.degenerate for r in results if r.measure_id == "MI")
+    assert any("int64" in reason for reason in reasons)
+    assert any(not reason for m, _, reason in results if m == "DC")
+    assert any(not reason for m, _, reason in results if m == "MI")
 
 
 INFORMATION_MEASURES = ("MI", "IG", "RSI_SYNERGY", "MIC")
@@ -545,6 +552,19 @@ def _expected_information(frame, scan, anchor, features, measure):
     return pinned_mi(list(zip(*cols)), y) - i_single, None
 
 
+def _assert_scan_contract(values, reasons, measures):
+    """A scan_window result holds NaN exactly where a reason does, and every other value
+    inside its measure's range; its columns cycle through measures."""
+    assert (np.isnan(values) == (reasons != "")).all()
+    lo, hi = np.array([VALUE_RANGES[m] for m in measures] * (values.shape[1] // len(measures))).T
+    assert (((lo <= values) & (values <= hi)) | (reasons != "")).all()
+
+
+def _trial_cells(values, reasons):
+    """Each anchor's trials of a scan_window result as (repr(value), reason) pairs."""
+    return [list(zip(map(repr, vs), rs)) for vs, rs in zip(values.tolist(), reasons.tolist())]
+
+
 def cut_blocks_of(mp, per_block, window, feature_sets):
     """Patch the block constants so that a scan of window over feature_sets and one target
     cuts per_block anchors a block, both bounds binding, and return the list that the anchor
@@ -581,18 +601,20 @@ def test_block_boundaries_change_no_information_result(drawn):
 
     with pytest.MonkeyPatch.context() as mp:
         blocks = cut_blocks_of(mp, per_block, window, scan["sets"])
-        anchors, scores = run()
+        anchors, values, reasons = run()
         assert blocks == [len(anchors[i : i + per_block]) for i in range(0, len(anchors), per_block)]
-        _, head = run(slice(0, split))
-        _, tail = run(slice(split, None))
-    assert [[repr(r) for r in rs] for rs in head + tail] == [[repr(r) for r in rs] for rs in scores]
+        _, *head = run(slice(0, split))
+        _, *tail = run(slice(split, None))
+    assert _trial_cells(*head) + _trial_cells(*tail) == _trial_cells(values, reasons)
+    _assert_scan_contract(values, reasons, INFORMATION_MEASURES)
 
     flagged = {reason: set() for reason in PLANTED_REASONS.values()}
-    for i, (anchor, results) in enumerate(zip(anchors.tolist(), scores)):
+    scores = zip(anchors.tolist(), values.tolist(), reasons.tolist())
+    for i, (anchor, row_values, row_reasons) in enumerate(scores):
         trials = [(fs, m) for fs in scan["sets"] for m in INFORMATION_MEASURES]
-        for (features, measure), r in zip(trials, results):
-            if r.degenerate:
-                flagged.setdefault(r.params["reason"], set()).add(i)
+        for (features, measure), value, reason in zip(trials, row_values, row_reasons):
+            if reason:
+                flagged.setdefault(reason, set()).add(i)
             if plants.get("nan") == i:
                 expected = "non-finite input"
             elif measure == "MIC" and len(features) > 1:
@@ -602,12 +624,16 @@ def test_block_boundaries_change_no_information_result(drawn):
             elif plants.get("float64") == i:
                 expected = PLANTED_REASONS["float64"]
             else:
-                value, grid = _expected_information(frame, scan, anchor, features, measure)
-                assert not r.degenerate, (features, measure, r.params)
-                assert r.value == value, (features, measure)
-                assert r.params.get("grid") == grid
+                expected, grid = _expected_information(frame, scan, anchor, features, measure)
+                assert not reason, (features, measure, reason)
+                assert value == expected, (features, measure)
+                if measure == "MIC":  # the scan keeps no grid; mic() of the window reports it
+                    xs = frame.column(features[0])[anchor - window + 1 : anchor + 1]
+                    ys = frame.column("y")[anchor + 1 : anchor + 1 + scan["horizon"]]
+                    r = mic(xs, pair_targets(ys, window))
+                    assert r.value == value and r.params.get("grid") == grid
                 continue
-            assert r.degenerate and r.params["reason"] == expected
+            assert math.isnan(value) and reason == expected
     for kind, reason in PLANTED_REASONS.items():
         assert flagged[reason] == ({plants[kind]} if kind in plants else set())
 
@@ -682,22 +708,27 @@ def test_block_boundaries_change_no_anchor_measure_result(drawn):
 
     with pytest.MonkeyPatch.context() as mp:
         blocks = cut_blocks_of(mp, per_block, window, scan["sets"])
-        anchors, scores = run()
+        anchors, values, reasons = run()
         assert blocks == [len(anchors[i : i + per_block]) for i in range(0, len(anchors), per_block)]
-        _, head = run(slice(0, split))
-        _, tail = run(slice(split, None))
-    assert [[repr(r) for r in rs] for rs in head + tail] == [[repr(r) for r in rs] for rs in scores]
+        _, *head = run(slice(0, split))
+        _, *tail = run(slice(split, None))
+    assert _trial_cells(*head) + _trial_cells(*tail) == _trial_cells(values, reasons)
+    _assert_scan_contract(values, reasons, ANCHOR_MEASURES)
 
     planted = {i: kind for kind, i in plants.items()}
-    for i, (anchor, results) in enumerate(zip(anchors.tolist(), scores)):
+    scores = zip(anchors.tolist(), values.tolist(), reasons.tolist())
+    for i, (anchor, row_values, row_reasons) in enumerate(scores):
         ys = pair_targets(frame.column("y")[anchor + 1 : anchor + 1 + horizon], window)
         trials = [(fs, m) for fs in scan["sets"] for m in ANCHOR_MEASURES]
-        for (features, measure), r in zip(trials, results):
+        for (features, measure), value, reason in zip(trials, row_values, row_reasons):
             xs = np.column_stack(
                 [frame.column(c)[anchor - window + 1 : anchor + 1] for c in features]
             )
-            assert repr(r) == repr(evaluate_pairs(measure, xs, ys)), (i, features, measure)
-            reason = r.params.get("reason")
+            r = evaluate_pairs(measure, xs, ys)
+            assert (repr(value), reason) == (repr(r.value), r.params.get("reason", "")), (
+                i, features, measure
+            )
+            reason = reason or None
             if planted.get(i) == "nan":
                 assert reason == "non-finite input"
             elif len(features) > 1 and measure in ("PC", "SC"):
@@ -705,7 +736,7 @@ def test_block_boundaries_change_no_anchor_measure_result(drawn):
             elif i in planted:
                 assert reason == PLANTED_TARGETS[planted[i]][ANCHOR_MEASURES.index(measure)]
             else:
-                assert not r.degenerate, (i, features, measure, reason)
+                assert reason is None, (i, features, measure, reason)
 
 
 def test_scan_memory_does_not_grow_with_the_anchors_it_scans():
@@ -718,7 +749,7 @@ def test_scan_memory_does_not_grow_with_the_anchors_it_scans():
     frame = TimeSeriesFrame(np.datetime64("2001-01-01") + np.arange(n), columns)
     tracemalloc.start()
     try:
-        anchors, scores = scan_window(
+        anchors, values, reasons = scan_window(
             frame, 100, (("a", "b", "c"), ("a",)), ("y",),
             INFORMATION_MEASURES + ("PC", "SC", "DC", "PPS"),
             step=1, horizon=100, bin_width=0.001, feature_bins=8,
@@ -727,10 +758,32 @@ def test_scan_memory_does_not_grow_with_the_anchors_it_scans():
     finally:
         tracemalloc.stop()
     assert len(anchors) == 2301
-    assert {r.params.get("reason") for r in scores[0]} == {
-        None, "pairwise measure on multivariate input"
-    }
+    assert set(reasons[0]) == {"", "pairwise measure on multivariate input"}
     assert peak - retained < 3 * 2**20
+
+
+def test_scan_drops_mics_buffers_before_its_later_trials():
+    """A block drops MIC's sides and work buffers once its MIC trials are done: a verification
+    scan of all eight measures peaks at most 1.5 MiB over its start (keeping them through the
+    block's later trials peaks at 1.82 MiB)."""
+    spec = SyntheticSpec(length=2000, embedding="nonlinear_lag", lag=100, seed=0)
+    frame = dependence_frame(generate_synthetic(spec))
+
+    def scan():
+        return scan_window(
+            frame, 100, (("signal",),), ("ret",), MEASURE_IDS,
+            step=25, horizon=100, bin_width=0.001, feature_bins=8,
+        )
+
+    scan()  # fills the per-n tables that every later scan reads
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        scan()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 1.5 * 2**20
 
 
 def test_evaluate_pairs_unknown_measure_still_raises():
@@ -833,7 +886,9 @@ def test_grid_search_matches_the_per_configuration_reference():
 
     serial = run_grid_search(frame, space)
     assert fields(serial.records) == fields(reference_grid_search(frame, space))
-    assert fields(run_grid_search(frame, space, jobs=2).records) == fields(serial.records)
+    parallel = run_grid_search(frame, space, jobs=2)
+    assert fields(parallel.records) == fields(serial.records)
+    assert parallel.records == serial.records  # degenerate trials share one NaN objective
     scored = [r for r in serial.records if not r.degenerate]
     assert {r.measure for r in scored} == set(MEASURE_IDS)
     assert {r.window_size for r in scored} == {40, 64}
