@@ -13,7 +13,6 @@ from .frame import (
     TimeSeriesFrame,
     ValidationIssue,
     ValidationReport,
-    frames_equal,
     load_ohlcv,
     read_frame,
     validate_frame,
@@ -46,7 +45,6 @@ from .measures import (
     information_gain,
     mic,
     mutual_information,
-    naive_median_mae,
     pearson,
     pps,
     redundancy_synergy_index,
@@ -69,8 +67,6 @@ from .search import (
     write_trial_log_json,
 )
 from .shaping import (
-    ShapedDataset,
-    WindowSample,
     discretize,
     make_sliding_windows,
     pair_arrays,
@@ -79,9 +75,7 @@ from .shaping import (
 )
 from .verify import (
     EMBEDDINGS,
-    MeasureVerification,
     SyntheticSpec,
-    VerificationReport,
     dependence_frame,
     generate_synthetic,
     run_synthetic_verification,

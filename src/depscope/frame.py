@@ -411,15 +411,3 @@ def _emit(parts: Iterable[str], destination) -> str | None:
         else:
             shutil.copyfileobj(spool, destination)
     return None
-
-
-def frames_equal(a: TimeSeriesFrame, b: TimeSeriesFrame) -> bool:
-    """Value equality on the date axis and every column (NaN == NaN)."""
-    if a.column_names != b.column_names or len(a) != len(b):
-        return False
-    if not np.array_equal(a.timestamps, b.timestamps):
-        return False
-    return all(
-        np.array_equal(a.columns[name], b.columns[name], equal_nan=True)
-        for name in a.column_names
-    )

@@ -10,7 +10,7 @@ from .information import (
     mutual_information,
     redundancy_synergy_index,
 )
-from .model_based import naive_median_mae, pps
+from .model_based import pps
 from .result import MEASURE_IDS, VALUE_RANGES, MeasureResult, degenerate_result
 from .statistical import distance_correlation, pearson, spearman
 
@@ -31,6 +31,5 @@ __all__ = [
     "redundancy_synergy_index",
     "equal_frequency_symbols",
     "mic",
-    "naive_median_mae",
     "pps",
 ]

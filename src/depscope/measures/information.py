@@ -90,10 +90,12 @@ def _paired(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 def _codes(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense codes 0..k-1 of a symbol vector or of a matrix's rows, and each code's first row.
 
-    Rows are read as fixed-width bytes, which is far cheaper than
-    np.unique(axis=0); float rows count -0.0 and 0.0 as one symbol, and every
-    NaN as one, as np.unique does.  Objects are coded by value: in sorted
-    order where they compare, else in first-met order.
+    Codes follow the symbols' value order.  A matrix's rows join their
+    columns' codes with _joint's radix, so they are numbered
+    lexicographically, far more cheaply than by np.unique(axis=0); -0.0 and
+    0.0 are one symbol, and every NaN is one, as np.unique has them.
+    Objects are coded by value: in sorted order where they compare, else in
+    first-met order.
     """
     if symbols.dtype == object:
         values = [_canon(v) for v in symbols.tolist()]
@@ -103,11 +105,8 @@ def _codes(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         index = {v: i for i, v in enumerate(distinct)}
         codes = np.array([index[v] for v in values], dtype=np.intp)
         return codes, np.unique(codes, return_index=True)[1]
-    if symbols.ndim == 2:
-        if symbols.dtype.kind == "f":
-            symbols = np.where(np.isnan(symbols), np.nan, symbols + 0.0)
-        rows = np.ascontiguousarray(symbols)
-        symbols = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    if symbols.ndim == 2 and symbols.shape[1]:
+        symbols = _joint([_symbol_codes(column) for column in symbols.T]).codes[0]
     elif symbols.ndim != 1:
         raise ValueError("symbols must be a vector or a matrix of symbol rows")
     _, first, codes = np.unique(symbols, return_index=True, return_inverse=True)
@@ -590,7 +589,9 @@ def mic(x, y) -> MeasureResult:
     estimate deterministic and fast.  params holds the grid shape of a
     score above 0.
     """
-    xa, ya = paired_vectors(x, y)
+    xa, ya = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if xa.ndim != 1 or xa.shape != ya.shape:
+        paired_vectors(xa, ya)  # raises; below 2 observations mic's minimum of 8 speaks
     sides = [_mic_side(v[None, :], np.sort(v)[None, :]) for v in (xa, ya)]
     for v, side in zip((xa, ya), sides):
         if not np.all(np.isfinite(v)):

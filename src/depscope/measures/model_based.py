@@ -185,17 +185,10 @@ def _squares_fit(ys: np.ndarray) -> np.ndarray:
 
 
 def _median_mae(ys: np.ndarray) -> np.ndarray:
-    """naive_median_mae of each row of an (A, n) matrix; past float64 it is inf, unwarned."""
+    """Each row's mean absolute error of always predicting its median (midpoint for even
+    counts), for an (A, n) matrix; past float64 it is inf, unwarned."""
     with np.errstate(over="ignore"):
         return np.mean(np.abs(ys - np.median(ys, axis=1, keepdims=True)), axis=1)
-
-
-def naive_median_mae(y) -> float:
-    """Mean absolute error of always predicting the median (midpoint for even counts)."""
-    ys = np.asarray(y, dtype=np.float64)
-    if ys.ndim != 1 or ys.shape[0] == 0:
-        raise ValueError("y must be a non-empty vector")
-    return float(_median_mae(ys[None])[0])
 
 
 def pps(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> MeasureResult:

@@ -61,10 +61,6 @@ class MeasureResult:
         if not self.degenerate and (math.isnan(self.value) or not (lo <= self.value <= hi)):
             raise ValueError(f"{self.measure_id} value {self.value} outside [{lo}, {hi}]")
 
-    @property
-    def value_range(self) -> tuple[float, float]:
-        return VALUE_RANGES[self.measure_id]
-
 
 def degenerate_result(measure_id: str, sample_size: int, reason: str, **params) -> MeasureResult:
     """Build the flagged NaN result used for inputs a measure cannot score."""

@@ -32,11 +32,12 @@ one reason per (anchor, trial).  The scan builds no MeasureResult.
 
 The trial log streams in chunks of frame._CHUNK_ROWS trials, and each chunk
 is written and read one field at a time: the writers format each column
-with one C-level call per cell, quote or escape each distinct text once
-and join the rows with fixed separators, giving csv.writer's and
-json.dumps(payload, indent=2)'s bytes; the reader parses each column in one
-pass and raises what a row-by-row reader would raise at the first faulty
-row.  A writer holds one chunk's text, a reader one chunk's rows.
+with one C-level call per cell, quote each distinct text that needs it once
+and join the rows with fixed separators, giving csv.writer's bytes; the
+reader parses each column in one pass and raises what a row-by-row reader
+would raise at the first faulty row.  A writer holds one chunk's text, a
+reader one chunk's rows.  trials.csv is the one trial table; trials.json
+is the run record (search space, seed, wall-clock facts) and lists no trial.
 """
 from __future__ import annotations
 
@@ -757,13 +758,11 @@ def _csv_text(names: tuple[str, ...], records: list) -> str:
 
 
 def _trial_parts(
-    rows: Iterable[TrialRecord], text: Callable[[list], str], head: str, sep="", tail=""
+    rows: Iterable[TrialRecord], text: Callable[[list], str], head: str
 ) -> Iterator[str]:
-    """head, then text(chunk) of each chunk of the rows joined by sep, then tail."""
+    """head, then text(chunk) of each chunk of the rows."""
     yield head
-    for i, chunk in enumerate(_chunks(rows)):
-        yield sep + text(chunk) if i else text(chunk)
-    yield tail
+    yield from map(text, _chunks(rows))
 
 
 def write_trial_log_csv(log_: TrialLog, destination=None) -> str | None:
@@ -835,74 +834,18 @@ def _message(row: int, exc: Exception) -> str:
     return str(exc)
 
 
-# The JSON text of the scalars json.dumps writes otherwise than repr.
-_JSON_SCALARS = {
-    "None": "null", "True": "true", "False": "false",
-    "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity",
-}
-_JSON_TRIAL = (  # one trial of trials.json, its fields' JSON text left as %s
-    "    {\n"
-    + ",\n".join(f"      {json.dumps(name)}: %s" for name in TRIAL_CSV_HEADER)
-    + "\n    }"
-)
-
-
-def _json_field(value) -> str:
-    """json.dumps(value, indent=2) nested as a trial's field in trials.json, six spaces in."""
-    return json.dumps(value, indent=2).replace("\n", "\n      ")
-
-
-def _json_column(values: list, fault: _FirstFault, written: dict) -> list[str]:
-    """Each value as the field of a trial in trials.json; a value json cannot encode is a fault.
-
-    Numbers, booleans and None are written with repr, strings and tuples of
-    strings once per distinct value, kept in written for the log's later
-    chunks; a value of any other type on its own.
-    """
-    kinds = set(map(type, values))
-    if kinds <= {int, float, bool, type(None)}:
-        text = list(map(repr, values))
-        return list(map(_JSON_SCALARS.get, text, text))
-    if kinds <= {str} or (
-        kinds <= {tuple} and set(map(type, chain.from_iterable(values))) <= {str}
-    ):
-        written.update((value, _json_field(value)) for value in set(values) - written.keys())
-        return list(map(written.__getitem__, values))
-    return fault.map(_json_field, values, lambda row, exc: exc)
-
-
 def write_trial_log_json(log_: TrialLog, destination=None) -> str | None:
-    """JSON form: the search-space echo, the seed, wall-clock metadata, all trials.
+    """The run record: the search-space echo, the seed and wall-clock metadata.
 
-    Each trial is its record's fields, with a NaN objective written as null.
-    The text is json.dumps(payload, indent=2) + "\n" byte for byte, the same
-    TypeError included, but each field is encoded for every trial of a chunk
-    at once.
+    The trials themselves are trials.csv's alone.
     """
-    head = {
+    record = {
         "space": asdict(log_.space) if log_.space is not None else None,
         "seed": log_.seed,
         "created_utc": log_.created_utc,
         "elapsed_s": log_.elapsed_s,
     }
-    text = json.dumps({**head, "trials": []}, indent=2) + "\n"
-    if not log_.records:
-        return _emit((text,), destination)
-    trials = partial(_json_trials, {})
-    head = text[: -len("[]\n}\n")] + "[\n"
-    return _emit(_trial_parts(log_.records, trials, head, ",\n", "\n  ]\n}\n"), destination)
-
-
-def _json_trials(written: dict, records: list) -> str:
-    """The trials as trials.json lists them, joined by ",\n"; written holds the text of each
-    string and tuple of strings encoded for the log so far."""
-    columns = {name: list(map(attrgetter(name), records)) for name in TRIAL_CSV_HEADER}
-    columns["objective"] = [None if math.isnan(v) else v for v in columns["objective"]]
-    fault = _FirstFault(len(records))
-    encoded = [_json_column(values, fault, written) for values in columns.values()]
-    if fault.error is not None:
-        raise fault.error
-    return ",\n".join(map(_JSON_TRIAL.__mod__, zip(*encoded)))
+    return _emit((json.dumps(record, indent=2) + "\n",), destination)
 
 
 def write_parallel_coordinates(log_: TrialLog, destination=None) -> str | None:

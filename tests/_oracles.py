@@ -24,10 +24,8 @@ and message for message.
 """
 import csv
 import io
-import json
 import math
 from bisect import bisect_right
-from dataclasses import asdict
 from datetime import date
 
 import numpy as np
@@ -561,21 +559,6 @@ def reference_parallel_coordinates(log_):
     return reference_csv_text(GROUP_AXES + ("objective",), scored)
 
 
-def reference_trial_log_json(log_):
-    """trials.json through json's own indenting encoder."""
-    payload = {
-        "space": asdict(log_.space) if log_.space is not None else None,
-        "seed": log_.seed,
-        "created_utc": log_.created_utc,
-        "elapsed_s": log_.elapsed_s,
-        "trials": [
-            {**vars(r), "objective": None if math.isnan(r.objective) else r.objective}
-            for r in log_.records
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def reference_whole_text(data, universal_newlines=False):
     """The text of CSV bytes that a reader of the whole input checks row by row.
 
@@ -622,6 +605,14 @@ def _reference_trial(row, line):
     if not (record.degenerate or math.isfinite(record.objective)):
         raise ValueError(f"{where} a scored trial has a finite objective, got {objective}")
     return record
+
+
+def assert_same_frame(a, b):
+    """The two frames have the same dates, column names and values, NaN where NaN is."""
+    assert a.column_names == b.column_names
+    np.testing.assert_array_equal(a.timestamps, b.timestamps)
+    for name in a.column_names:
+        np.testing.assert_array_equal(a.column(name), b.column(name))
 
 
 def reference_write_csv(frame):

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from depscope.measures import (
@@ -214,9 +214,11 @@ def finite_pairs(draw):
 @pytest.mark.parametrize("measure", OWN_FUNCTIONS)
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(pair=finite_pairs())
+@example(pair=(np.zeros((0, 2)), np.zeros(0)))
+@example(pair=(np.ones((1, 2)), np.ones(1)))
 def test_evaluate_pairs_agrees_with_each_measures_own_function(measure, pair):
     """The value bits where the function scores, its reason where it flags the pair, and its
-    ValueError's message as the reason where it raises."""
+    ValueError's message as the reason where it raises; drawn pairs, and 0 and 1 rows."""
     xs, ys = pair
     if measure in ("PC", "SC", "MIC"):  # pairwise: one feature column
         xs = xs[:, 0]

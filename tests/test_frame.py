@@ -13,14 +13,18 @@ from depscope.frame import (
     FrameValidationError,
     TimeSeriesFrame,
     ValidationIssue,
-    frames_equal,
     load_ohlcv,
     read_frame,
     validate_frame,
     write_csv,
 )
 
-from _oracles import reference_read_frame, reference_whole_text, reference_write_csv
+from _oracles import (
+    assert_same_frame,
+    reference_read_frame,
+    reference_whole_text,
+    reference_write_csv,
+)
 
 GOOD_CSV = """date,open,high,low,close,volume
 2020-01-02,10.0,11.0,9.5,10.5,1000
@@ -85,7 +89,7 @@ def test_read_frame_round_trip():
     assert str(f.timestamps[0]) == "2020-01-02"
     assert f.column("volume")[2] == 1200.0
     again = read_frame(io.StringIO(write_csv(f)))
-    assert frames_equal(f, again)
+    assert_same_frame(f, again)
 
 
 def test_read_frame_sorts_by_date():
@@ -320,7 +324,7 @@ def test_write_csv_to_path(tmp_path):
     f = make_frame(3)
     target = tmp_path / "frame.csv"
     write_csv(f, target)
-    assert frames_equal(load_ohlcv(target), f)
+    assert_same_frame(load_ohlcv(target), f)
 
 
 def test_write_csv_preserves_values_exactly():
@@ -335,7 +339,7 @@ def test_write_csv_preserves_values_exactly():
         }
         f = TimeSeriesFrame(timestamps=ts, columns=cols)
         back = read_frame(io.StringIO(write_csv(f)))
-        assert frames_equal(f, back)
+        assert_same_frame(f, back)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -363,15 +367,6 @@ def test_write_csv_is_the_row_wise_reference(days, names, data, chunk):
         assert write_csv(frame) == reference_write_csv(frame)
         assert write_csv(frame, out) is None
     assert out.getvalue() == reference_write_csv(frame)
-
-
-def test_frames_equal_distinguishes_nan_positions():
-    ts = np.datetime64("2020-01-01") + np.arange(2)
-    a = TimeSeriesFrame(timestamps=ts, columns={"v": np.array([np.nan, 1.0])})
-    b = TimeSeriesFrame(timestamps=ts, columns={"v": np.array([np.nan, 1.0])})
-    c = TimeSeriesFrame(timestamps=ts, columns={"v": np.array([1.0, np.nan])})
-    assert frames_equal(a, b)
-    assert not frames_equal(a, c)
 
 
 def test_read_frame_reports_what_validate_frame_reports():

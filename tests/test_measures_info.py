@@ -77,7 +77,7 @@ def test_numpy_symbols_are_canonicalized():
 
 def test_symbols_of_other_types_stay_apart():
     """1 and "1" are two symbols, as they are two dict keys: numpy would make both "1".
-    Every NaN is one symbol, as np.unique counts them."""
+    Every NaN is one symbol, and -0.0 and 0.0 are one, as np.unique counts them."""
     d = DiscreteDistribution.from_symbols([(1, "a"), ("1", "a")])
     assert d.probabilities == {(1, "a"): 0.5, ("1", "a"): 0.5}
     assert entropy(d) == 1.0
@@ -89,6 +89,7 @@ def test_symbols_of_other_types_stay_apart():
     assert redundancy_synergy_index([[0, 0, 1, 1], [b"1", 1, b"1", 1]], [0, 1, 1, 0]).value == 1.0
     assert len(DiscreteDistribution.from_symbols([float("nan"), float("nan"), "nan"])) == 2
     assert len(DiscreteDistribution.from_symbols(np.array([[np.nan, 1.0], [-np.nan, 1.0]]))) == 1
+    assert len(DiscreteDistribution.from_symbols(np.array([[-0.0, 1.0], [0.0, 1.0]]))) == 1
     with pytest.raises(ValueError, match="NaN"):
         DiscreteDistribution({float("nan"): 0.5, float("nan"): 0.5})
     with pytest.raises(ValueError, match="NaN"):
@@ -204,6 +205,18 @@ def test_discrete_measures_are_the_pinned_references(pairs):
     assert mutual_information(joint).value == pinned_mi(xs, ys)
     assert information_gain(xs, ys).value == pinned_information_gain(xs, ys)
     assert conditional_entropy(joint) == pytest.approx(brute_conditional_entropy(xs, ys), abs=1e-12)
+
+
+def test_matrix_branches_add_in_the_value_order_of_their_rows():
+    """A matrix of branch symbols gives IG's bits for its rows as tuples: rows are coded in
+    value order, whose bytes order otherwise (-1 after 300, 256 before 1)."""
+    rng = np.random.default_rng(0)
+    for _ in range(3000):
+        n = int(rng.integers(2, 41))
+        parent = rng.integers(0, 4, n).tolist()
+        rows = rng.choice([-1, 1, 2, 256, 300], size=(n, int(rng.integers(1, 4))))
+        tuples = list(map(tuple, rows.tolist()))
+        assert information_gain(parent, rows).value == pinned_information_gain(parent, tuples)
 
 
 def test_a_joint_of_mixed_type_cells_still_scores():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depscope.measures import model_based, naive_median_mae, pps
+from depscope.measures import model_based, pps
 from depscope.measures.result import as_points
 
 from _oracles import reference_fit
@@ -96,10 +96,10 @@ def test_pps_input_checks(X, y, kwargs, message):
         pps(X, y, **kwargs)
 
 
-def test_naive_median_mae_hand_values():
-    assert naive_median_mae([0.0, 10.0]) == 5.0
-    assert naive_median_mae([1.0, 2.0, 3.0, 100.0]) == 25.0
-    assert naive_median_mae([7.0]) == 0.0
+def test_median_mae_hand_values():
+    """Each row's mean absolute error of always predicting its median."""
+    for row, mae in (([0.0, 10.0], 5.0), ([1.0, 2.0, 3.0, 100.0], 25.0), ([7.0], 0.0)):
+        assert model_based._median_mae(np.array([row])).tolist() == [mae]
 
 
 def test_pps_perfect_step_fit_scores_one():

@@ -9,6 +9,7 @@ from scipy.stats import rankdata
 
 from depscope.frame import TimeSeriesFrame
 from depscope.measures import (
+    VALUE_RANGES,
     MeasureResult,
     degenerate_result,
     distance_correlation,
@@ -214,7 +215,7 @@ def test_distance_correlation_independence_stays_low():
 def test_results_are_measure_records():
     r = pearson([1.0, 2.0], [2.0, 1.0])
     assert isinstance(r, MeasureResult)
-    assert r.value_range == (-1.0, 1.0)
+    assert VALUE_RANGES[r.measure_id] == (-1.0, 1.0)
 
 
 def test_distance_correlation_refuses_non_finite_input():
