@@ -4,21 +4,20 @@ A frame is an immutable bundle of a date axis plus equally long float
 columns.  Loaders reject bad input instead of repairing it; the only
 normalization applied is sorting rows into ascending date order.  CSV
 tables and the other artifacts stream in chunks of _CHUNK_ROWS rows: a
-reader holds one chunk of rows and no whole text, a writer one chunk's
-text.  Each chunk is parsed or written one column at a time; _FirstFault
-finds the fault a row-by-row loop would stop at.
+reader, of a path or a text stream, holds one chunk of rows and no whole
+text, a writer one chunk's text.  Each chunk is parsed or written one
+column at a time; a reader raises a chunk's faults before reading the
+next, and _FirstFault finds the fault a row-by-row loop would stop at.
 """
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import os
 import shutil
 import tempfile
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import date
 from itertools import compress, count, islice, repeat
@@ -141,67 +140,31 @@ def validate_frame(frame: TimeSeriesFrame) -> ValidationReport:
 
 @contextmanager
 def _table(source) -> Iterator[tuple[list[str] | None, Iterator[tuple[list, tuple]], str]]:
-    """The first row of the CSV text in a path, bytes or a file object (None when there is
-    none), chunks of the non-blank rows below it (_row_chunks), and a label for the source.
+    """The first row of the CSV text in a path or a text stream (None when there is none),
+    chunks of the non-blank rows below it (_row_chunks), and a label for the source.
 
-    A fault is raised in the order a reader of the whole text raised it, as
-    it decoded all of the text, split all of it into rows, then checked the
-    rows: invalid UTF-8 anywhere first (UnicodeDecodeError), then the first
-    text the csv module cannot split into a row, such as a bare carriage
-    return inside an unquoted cell (CsvParseError naming its line), then a
-    ValueError raised in the with block.  So after such a ValueError the rest
-    of the text is read, a line at a time, for either of the first two.
+    A path is read as UTF-8 with universal newlines, as Path.read_text reads
+    it; a text stream is iterated as it is; bytes and binary streams raise
+    TypeError before anything is read.  Faults raise in the order they are
+    read: invalid UTF-8 (UnicodeDecodeError), or text the csv module cannot
+    split into a row, such as a bare carriage return in an unquoted cell
+    (CsvParseError naming its line), as the chunk holding it is read, and a
+    chunk's faulty rows (in the with block) before the next chunk is read.
     """
-    with _lines(source) as (lines, label):
+    if isinstance(source, (bytes, bytearray, io.RawIOBase, io.BufferedIOBase)):
+        raise TypeError(f"expected a path or a text stream, got {type(source).__name__}")
+    path = isinstance(source, (str, Path))
+    label = str(source if path else getattr(source, "name", "<stream>"))
+    with open(source, encoding="utf-8") if path else nullcontext(source) as lines:
         reader = csv.reader(lines)
         try:
             yield next(reader, None), _row_chunks(reader), label
         except csv.Error as exc:
-            error = CsvParseError(str(exc), line=reader.line_num)
-        except ValueError as exc:
-            if isinstance(exc, UnicodeDecodeError):
-                raise
-            error = _split_error(reader) or exc
-        else:
-            return
-        deque(lines, maxlen=0)
-        raise error from None
-
-
-@contextmanager
-def _lines(source) -> Iterator[tuple[Iterable[str], str]]:
-    """The lines of CSV text in a path, bytes or a file object, and a label for it.
-
-    A path is read as UTF-8 with universal newlines, as Path.read_text
-    reads it.  Bytes and file objects are split at "\n" alone, as io.StringIO
-    splits the text that read() returns (decoded as UTF-8 when it is bytes).
-    """
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as lines:
-            yield lines, str(source)
-    elif isinstance(source, (bytes, bytearray)):
-        yield _split_lines(io.BytesIO(source)), "<bytes>"
-    else:
-        yield _split_lines(source), str(getattr(source, "name", "<stream>"))
-
-
-def _split_lines(stream) -> Iterator[str]:
-    """The lines of a text or binary stream read a block at a time, each ending at "\n" but
-    perhaps the last; a line spanning blocks is joined once, when it ends."""
-    decode = codecs.getincrementaldecoder("utf-8")().decode
-    tail = []  # the pieces of the line not yet ended
-    while block := stream.read(io.DEFAULT_BUFFER_SIZE):
-        text = decode(block) if isinstance(block, bytes) else block
-        head, newline, rest = text.partition("\n")
-        if not newline:
-            tail.append(text)
-            continue
-        yield "".join([*tail, head, newline])
-        lines = io.StringIO(rest).readlines()
-        tail = lines[-1:] if lines and not lines[-1].endswith("\n") else []
-        yield from lines[: len(lines) - len(tail)]
-    if last := "".join([*tail, decode(b"", final=True)]):
-        yield last
+            raise CsvParseError(str(exc), line=reader.line_num) from None
+        except UnicodeDecodeError:  # its position counts from the block being decoded
+            if path:
+                Path(source).read_bytes().decode("utf-8")  # raises at the file's own offset
+            raise
 
 
 def _row_chunks(reader) -> Iterator[tuple[list, tuple]]:
@@ -212,16 +175,6 @@ def _row_chunks(reader) -> Iterator[tuple[list, tuple]]:
     for chunk in _chunks(rows):
         cells, ends = zip(*chunk)
         yield list(cells), ends
-
-
-def _split_error(reader) -> CsvParseError | None:
-    """The error of the first row of the reader's remaining text that the csv module cannot
-    split, or None."""
-    try:
-        deque(reader, maxlen=0)
-    except csv.Error as exc:
-        return CsvParseError(str(exc), line=reader.line_num)
-    return None
 
 
 def _chunks(items: Iterable) -> Iterator[list]:
@@ -253,27 +206,27 @@ class _FirstFault:
     def map(
         self, convert: Callable, cells: Sequence, error: Callable[[int, Exception], object]
     ) -> list:
-        """convert each cell above the fault; one that raises ValueError or TypeError is a fault.
+        """convert each cell above the fault; one that raises ValueError is a fault.
 
         Returns the converted cells above the fault.
         """
         cells = cells[: self.rows]
         try:
             return list(map(convert, cells))
-        except (TypeError, ValueError):
+        except ValueError:
             pass
         values = []
         for row, cell in enumerate(cells):
             try:
                 values.append(convert(cell))
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 self.rows, self.error = row, error(row, exc)
                 break
         return values
 
 
 def read_frame(source, required_header: tuple[str, ...] | None = None) -> TimeSeriesFrame:
-    """Parse a date-indexed CSV into a validated frame.
+    """Parse a date-indexed CSV, from a path or a text stream, into a validated frame.
 
     The first column must be named "date" and hold ISO-8601 dates; every
     other column is parsed as float64.  Blank rows are skipped.  Rows are
@@ -284,7 +237,7 @@ def read_frame(source, required_header: tuple[str, ...] | None = None) -> TimeSe
     names the physical line its row ends on.  Rows are parsed a chunk at a
     time, each column of a chunk in one pass; the error raised is the first
     faulty row's first faulty cell.  Invalid UTF-8, or text the csv module
-    cannot split into rows, raises first wherever it is (_table).
+    cannot split into rows, raises as the chunk holding it is read (_table).
     """
     with _table(source) as (header, chunks, label):
         header = _check_header(header, required_header)

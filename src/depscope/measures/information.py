@@ -15,11 +15,12 @@ np.cumsum, which sums in the same order and so gives the same bits; zero
 counts sort first and add 0.0, so zero-padded rows give the same bits too.
 IG and conditional entropy add their branches in code order.  The public
 functions of symbols score a one-row block; those of a JointHistogram add
-the same terms, in the same order, from its cell counts alone.
+the same terms, in the same order, from its cell counts alone.  Symbols
+are numbers, or strings (or bytes) alone: values numpy would type as
+object, or turn into strings, are refused.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -46,10 +47,8 @@ def _canon(symbol):
 
 
 def _plain(symbols: np.ndarray, rows: np.ndarray) -> list:
-    """The given rows as the plain Python symbols _canon makes of them."""
+    """The given rows as plain Python symbols: a matrix's rows as tuples."""
     values = symbols[rows].tolist()
-    if symbols.dtype == object:
-        return [_canon(v) for v in values]
     return [tuple(v) for v in values] if symbols.ndim == 2 else values
 
 
@@ -65,14 +64,15 @@ def _entropy_from_counts(counts, n) -> float:
 
 
 def _symbols(symbols) -> np.ndarray:
-    """np.asarray(symbols), or one Python object per entry where asarray would make strings of
-    values of other types (1 and "1" one symbol) or cannot type them (ints beyond int64)."""
+    """np.asarray(symbols), refused (ValueError) where asarray types them as object (ints
+    beyond int64, None) or makes strings of values of other types (1 and "1")."""
     values = np.asarray(symbols)
-    if values.dtype.kind in "US" and not isinstance(symbols, np.ndarray):
-        objects = np.asarray(symbols, dtype=object)
-        kind = str if values.dtype.kind == "U" else bytes
-        if not all(isinstance(v, kind) for v in objects.flat):
-            return objects
+    kind = {"U": str, "S": bytes}.get(values.dtype.kind)
+    mixed = kind and not isinstance(symbols, np.ndarray) and not all(
+        isinstance(v, kind) for v in np.asarray(symbols, dtype=object).flat
+    )
+    if values.dtype == object or mixed:
+        raise ValueError("symbols must be numbers, or strings (or bytes) alone")
     return values
 
 
@@ -94,17 +94,7 @@ def _codes(symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     columns' codes with _joint's radix, so they are numbered
     lexicographically, far more cheaply than by np.unique(axis=0); -0.0 and
     0.0 are one symbol, and every NaN is one, as np.unique has them.
-    Objects are coded by value: in sorted order where they compare, else in
-    first-met order.
     """
-    if symbols.dtype == object:
-        values = [_canon(v) for v in symbols.tolist()]
-        distinct = list(dict.fromkeys(values))
-        with contextlib.suppress(TypeError):
-            distinct = sorted(distinct)
-        index = {v: i for i, v in enumerate(distinct)}
-        codes = np.array([index[v] for v in values], dtype=np.intp)
-        return codes, np.unique(codes, return_index=True)[1]
     if symbols.ndim == 2 and symbols.shape[1]:
         symbols = _joint([_symbol_codes(column) for column in symbols.T]).codes[0]
     elif symbols.ndim != 1:

@@ -33,11 +33,12 @@ one reason per (anchor, trial).  The scan builds no MeasureResult.
 The trial log streams in chunks of frame._CHUNK_ROWS trials, and each chunk
 is written and read one field at a time: the writers format each column
 with one C-level call per cell, quote each distinct text that needs it once
-and join the rows with fixed separators, giving csv.writer's bytes; the
-reader parses each column in one pass and raises what a row-by-row reader
-would raise at the first faulty row.  A writer holds one chunk's text, a
-reader one chunk's rows.  trials.csv is the one trial table; trials.json
-is the run record (search space, seed, wall-clock facts) and lists no trial.
+and join the rows with fixed separators, giving csv.writer's bytes (a value
+that cannot be written raises TypeError or ValueError); the reader parses
+each column in one pass and raises what a row-by-row reader would raise at
+the chunk's first faulty row.  A writer holds one chunk's text, a reader
+one chunk's rows.  trials.csv is the one trial table; trials.json is the
+run record (search space, seed, wall-clock facts) and lists no trial.
 """
 from __future__ import annotations
 
@@ -48,11 +49,12 @@ import logging
 import math
 import time
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from functools import cached_property, partial
 from itertools import chain, filterfalse
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -196,8 +198,7 @@ def default_search_space() -> SearchSpace:
     )
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """One trial; its fields, in order, are the trial-log columns."""
 
     trial_id: int
@@ -211,20 +212,17 @@ class TrialRecord:
     degenerate: bool
 
 
-TRIAL_CSV_HEADER = tuple(f.name for f in fields(TrialRecord))
+TRIAL_CSV_HEADER = TrialRecord._fields
 GROUP_AXES = ("window_size", "features", "target", "measure")
 
 _FLAG_TEXT = {True: "true", False: "false"}
 
 
-def _cells(records, name: str, fault: _FirstFault) -> list[str]:
-    """One field of every trial as it appears in the CSV artifacts and in rankings.
-
-    A value that cannot be written is a fault of its trial (fault.map): the
-    cells of the trials above it are returned.
-    """
+def _cells(records, name: str) -> list[str]:
+    """One field of every trial as it appears in the CSV artifacts and in rankings; a value
+    that cannot be written raises TypeError or ValueError."""
     convert = {"features": "|".join, "objective": float, "degenerate": bool}.get(name, str)
-    cells = fault.map(convert, list(map(attrgetter(name), records)), lambda row, exc: exc)
+    cells = list(map(convert, map(attrgetter(name), records)))
     if name == "objective":
         return list(map(repr, cells))
     if name == "degenerate":
@@ -746,14 +744,10 @@ def _csv_column(cells: list[str]) -> list[str]:
 
 
 def _csv_text(names: tuple[str, ...], records: list) -> str:
-    """The named fields of the trials as CSV rows, one column at a time; raises what the first
-    trial with a value that cannot be written raises on its first such field."""
+    """The named fields of the trials as CSV rows, one column at a time."""
     if not records:
         return ""
-    fault = _FirstFault(len(records))
-    columns = [_csv_column(_cells(records, name, fault)) for name in names]
-    if fault.error is not None:
-        raise fault.error
+    columns = [_csv_column(_cells(records, name)) for name in names]
     return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
@@ -773,7 +767,7 @@ def write_trial_log_csv(log_: TrialLog, destination=None) -> str | None:
 
 
 def read_trial_log_csv(source) -> TrialLog:
-    """Read back a trial CSV written by write_trial_log_csv, from a path, bytes or a stream.
+    """Read back a trial CSV written by write_trial_log_csv, from a path or a text stream.
 
     Blank rows are skipped.  A row that write_trial_log_csv cannot write
     raises ValueError naming the physical line it ends on.  Rows are parsed
@@ -781,7 +775,7 @@ def read_trial_log_csv(source) -> TrialLog:
     is the first faulty row's first fault, in the order the cells are
     checked: cell count, degenerate flag, trial_id, window_size, objective,
     then the objective against its flag.  Invalid UTF-8, or text the csv
-    module cannot split into rows, raises first wherever it is (frame._table).
+    module cannot split, raises as its chunk is read (frame._table).
     Trials of one feature set share one tuple.
     """
     with _table(source) as (header, chunks, _):
@@ -890,10 +884,7 @@ def rank_hyperparameters(log_: TrialLog, group_by: str, trend: str | None = None
     kept = [
         r for r in log_.records if not (r.degenerate or (trend is not None and r.trend != trend))
     ]
-    fault = _FirstFault(len(kept))
-    values = _cells(kept, group_by, fault)
-    if fault.error is not None:
-        raise fault.error
+    values = _cells(kept, group_by)
     groups: dict[str, list[float]] = {}
     for value, r in zip(values, kept):
         groups.setdefault(value, []).append(r.objective)

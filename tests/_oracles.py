@@ -20,13 +20,16 @@ binning of every count from one sort is checked bit for bit.
 The reference_* trial-log writers and reader, reference_write_csv and
 reference_read_frame write and parse one row and one cell at a time,
 against which the column-at-a-time text layer is checked byte for byte
-and message for message.
+and message for message; reference_chunked has them read a chunk of rows
+at a time, as the package's readers raise faults in the order they read.
 """
+import contextlib
 import csv
 import io
 import math
 from bisect import bisect_right
 from datetime import date
+from itertools import islice
 
 import numpy as np
 
@@ -559,24 +562,30 @@ def reference_parallel_coordinates(log_):
     return reference_csv_text(GROUP_AXES + ("objective",), scored)
 
 
-def reference_whole_text(data, universal_newlines=False):
-    """The text of CSV bytes that a reader of the whole input checks row by row.
+def reference_chunked(read, data, chunk, universal_newlines=False):
+    """What read, a row-wise reader of whole CSV text, raises or returns when CSV bytes are
+    read chunk rows at a time below the header, each chunk checked before the next is read.
 
     Decoded as UTF-8 all at once, so invalid UTF-8 anywhere raises
     UnicodeDecodeError first; with universal_newlines, as Path.read_text
-    reads a path.  Then split into rows all at once, so the first row the
-    csv module cannot split raises CsvParseError naming its line.
+    reads a path.  Then a chunk holding text the csv module cannot split into
+    a row raises CsvParseError naming its line; else the first faulty row of
+    the text through the chunk raises, as read raises it.  A frame is
+    validated whole, after its last chunk.
     """
     text = data.decode("utf-8")
     if universal_newlines:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    reader = csv.reader(io.StringIO(text))
+    lines = io.StringIO(text).readlines()
+    reader = csv.reader(lines)
     try:
-        for _ in reader:
-            pass
+        next(reader, None)
+        while list(islice(filter(None, reader), chunk)):
+            with contextlib.suppress(FrameValidationError):
+                read("".join(lines[: reader.line_num]))
     except csv.Error as exc:
         raise CsvParseError(str(exc), line=reader.line_num) from None
-    return text
+    return read(text)
 
 
 def reference_read_trial_log_csv(text):

@@ -21,8 +21,8 @@ from depscope.frame import (
 
 from _oracles import (
     assert_same_frame,
+    reference_chunked,
     reference_read_frame,
-    reference_whole_text,
     reference_write_csv,
 )
 
@@ -230,36 +230,62 @@ FRAME_FAULTS = {  # rows read_frame refuses: a bad cell, text the csv module can
 }
 
 
-def undecodable_outcome(read, data):
-    """frame_outcome(read, data), with a UnicodeDecodeError as its type, reason and first bad
-    byte: the position it names counts from the block decoded, not from the input's start."""
+def undecodable_outcome(read, source):
+    """frame_outcome(read, source), with a UnicodeDecodeError as its type, reason and the
+    position of the first bad byte."""
     try:
-        return frame_outcome(read, data)
+        return frame_outcome(read, source)
     except UnicodeDecodeError as exc:
-        return type(exc), exc.reason, exc.object[exc.start]
+        return type(exc), exc.reason, exc.start
 
 
 @pytest.mark.parametrize(
     "faults", [p for k in (1, 2, 3) for p in itertools.permutations(FRAME_FAULTS, k)]
 )
-def test_read_frame_faults_raise_in_the_whole_text_order(tmp_path, faults):
-    """Invalid UTF-8 anywhere raises first, then the first text the csv module cannot split,
-    then the first faulty row, as a reader of the whole text raised them: faults in any order,
-    in one chunk or across chunks and read blocks, from bytes, a binary stream and a path."""
+def test_read_frame_faults_raise_in_the_stream_order(tmp_path, faults):
+    """A chunk's invalid UTF-8 or text the csv module cannot split raises first, then its first
+    faulty row, before the next chunk is read: faults in any order, in one chunk or across
+    chunks, at every chunk size, from a path and a text stream.  A path is decoded a block of
+    io.DEFAULT_BUFFER_SIZE bytes at a time, so its invalid UTF-8 raises anywhere in a file of
+    one block, and is not reached 300 rows below a fault: a bad row at line 2 raises before
+    invalid UTF-8 or text the csv module cannot split that far below it."""
     header, good = GOOD_CSV.encode().splitlines(keepends=True)[:2]
     path = tmp_path / "faults.csv"
     for gap, chunk in itertools.product((0, 1, 300), CHUNKS):
-        data = header + b"".join(good * gap + FRAME_FAULTS[fault] for fault in faults)
-        path.write_bytes(data + good * gap)
-        data += good * gap
-        for source, universal in ((data, False), (io.BytesIO(data), False), (path, True)):
+        rows = [FRAME_FAULTS[fault] for fault in faults]  # the first at line 2
+        data = header + (good * gap).join(rows) + good * gap
+        path.write_bytes(data)
+        if gap < 300:  # one block holds all of a short file: a path's reader reaches it all
+            assert len(data) < io.DEFAULT_BUFFER_SIZE
+            reached = data
+        else:  # no block holds both a chunk's end and a fault 300 rows below it
+            assert len(good * (gap - chunk)) > io.DEFAULT_BUFFER_SIZE
+            reached = header + rows[0]
+        sources = [(path, reached, True)]
+        if b"\xff" not in data:
+            sources.append((io.StringIO(data.decode()), data, False))
+        for source, text, universal in sources:
             expected = undecodable_outcome(
-                lambda d: reference_read_frame(reference_whole_text(d, universal)), data
+                lambda d: reference_chunked(reference_read_frame, d, chunk, universal), text
             )
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(depscope.frame, "_CHUNK_ROWS", chunk)
                 got = undecodable_outcome(read_frame, source)
             assert got == expected, (gap, chunk, type(source))
+
+
+def test_read_frame_names_the_file_offset_of_invalid_utf8(tmp_path):
+    """The position a path's UnicodeDecodeError names counts from the start of the file, not
+    from the block of io.DEFAULT_BUFFER_SIZE bytes being decoded."""
+    header, good = GOOD_CSV.encode().splitlines(keepends=True)[:2]
+    data = bytearray(header + good * 400)
+    data[12384] = 0xFF
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as err:
+        read_frame(path)
+    assert (err.value.start, err.value.reason) == (12384, "invalid start byte")
+    assert "in position 12384" in str(err.value)
 
 
 def test_duplicate_header_names_rejected():

@@ -75,33 +75,59 @@ def test_numpy_symbols_are_canonicalized():
     assert all(isinstance(k[0], int) for k in j.counts)
 
 
-def test_symbols_of_other_types_stay_apart():
-    """1 and "1" are two symbols, as they are two dict keys: numpy would make both "1".
-    Every NaN is one symbol, and -0.0 and 0.0 are one, as np.unique counts them."""
-    d = DiscreteDistribution.from_symbols([(1, "a"), ("1", "a")])
-    assert d.probabilities == {(1, "a"): 0.5, ("1", "a"): 0.5}
+MIXED_SYMBOLS = (  # numpy makes strings of these, so 1 and "1" would be one symbol
+    [(1, "a"), ("1", "a")],
+    [1, "1", 1, "1"],
+    [b"1", 1, b"1", 1],
+    [float("nan"), float("nan"), "nan"],
+)
+OBJECT_SYMBOLS = (  # numpy types these as object
+    [(10**20, "x"), (1, "x"), (10**20, "x")],
+    [10**20, 1, 10**20],
+    [None, 1, None],
+    np.array([1, 2, 1], dtype=object),
+)
+
+
+@pytest.mark.parametrize("symbols", MIXED_SYMBOLS + OBJECT_SYMBOLS)
+def test_symbols_of_mixed_or_object_types_are_refused(symbols):
+    """By every public function of symbols, on either side, rather than coded as numpy would
+    make them (strings) or by Python value."""
+    n = len(symbols)
+    calls = (
+        lambda: DiscreteDistribution.from_symbols(symbols),
+        lambda: JointHistogram.from_symbols(symbols, [0] * n),
+        lambda: JointHistogram.from_symbols([0] * n, symbols),
+        lambda: information_gain([0] * n, symbols),
+        lambda: information_gain(symbols, [0] * n),
+        lambda: redundancy_synergy_index([symbols, [0] * n], [0] * n),
+        lambda: redundancy_synergy_index([[0] * n], symbols),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^symbols must be numbers, or strings"):
+            call()
+
+
+def test_symbols_of_one_type_are_coded_by_value():
+    """Strings (or bytes) alone are symbols, as numbers are.  Every NaN is one symbol, and -0.0
+    and 0.0 are one, as np.unique counts them; NaN dict keys are one symbol too."""
+    d = DiscreteDistribution.from_symbols([("1", "a"), ("2", "a")])
+    assert d.probabilities == {("1", "a"): 0.5, ("2", "a"): 0.5}
     assert entropy(d) == 1.0
-    joint = JointHistogram.from_symbols([1, "1", 1, "1"], [0, 1, 0, 1])
-    assert joint.counts == {(1, 0): 2, ("1", 1): 2}
+    joint = JointHistogram.from_symbols(["x", "y", "x", "y"], [0, 1, 0, 1])
+    assert joint.counts == {("x", 0): 2, ("y", 1): 2}
     assert mutual_information(joint).value == 1.0
-    assert information_gain([0, 1, 0, 1], [1, "1", 1, "1"]).value == 1.0
-    assert redundancy_synergy_index([[1, "1", 1, "1"], [0, 0, 1, 1]], [0, 1, 1, 0]).value == 1.0
-    assert redundancy_synergy_index([[0, 0, 1, 1], [b"1", 1, b"1", 1]], [0, 1, 1, 0]).value == 1.0
-    assert len(DiscreteDistribution.from_symbols([float("nan"), float("nan"), "nan"])) == 2
+    assert information_gain([0, 1, 0, 1], [b"1", b"2", b"1", b"2"]).value == 1.0
+    xor = [0, 1, 1, 0]
+    assert redundancy_synergy_index([["1", "2", "1", "2"], [0, 0, 1, 1]], xor).value == 1.0
+    assert redundancy_synergy_index([[0, 0, 1, 1], [b"1", b"", b"1", b""]], xor).value == 1.0
+    assert len(DiscreteDistribution.from_symbols([float("nan"), float("nan"), 1.0])) == 2
     assert len(DiscreteDistribution.from_symbols(np.array([[np.nan, 1.0], [-np.nan, 1.0]]))) == 1
     assert len(DiscreteDistribution.from_symbols(np.array([[-0.0, 1.0], [0.0, 1.0]]))) == 1
     with pytest.raises(ValueError, match="NaN"):
         DiscreteDistribution({float("nan"): 0.5, float("nan"): 0.5})
     with pytest.raises(ValueError, match="NaN"):
         JointHistogram({(float("nan"), 0): 1, (float("nan"), 0): 1}, 2)
-
-
-def test_symbols_numpy_cannot_type_are_coded_by_value():
-    d = DiscreteDistribution.from_symbols([(10**20, "x"), (1, "x"), (10**20, "x")])
-    assert d.probabilities == {(1, "x"): 1 / 3, (10**20, "x"): 2 / 3}
-    assert entropy(d) == entropy(DiscreteDistribution.from_symbols([(2, "x"), (1, "x"), (2, "x")]))
-    big = information_gain([0, 1, 0], [10**20, 1, 10**20])
-    assert big.value == information_gain([0, 1, 0], [2, 1, 2]).value > 0.0
 
 
 def test_joint_histogram_validation():

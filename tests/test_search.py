@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import depscope.frame
 from depscope import search
 from depscope.cli import main
-from depscope.frame import TimeSeriesFrame, write_csv
+from depscope.frame import TimeSeriesFrame, read_frame, write_csv
 from depscope.measures import (
     MEASURE_IDS,
     VALUE_RANGES,
@@ -54,12 +54,12 @@ from _oracles import (
     brute_mic_scores,
     pinned_information_gain,
     pinned_mi,
+    reference_chunked,
     reference_equal_frequency,
     reference_grid_search,
     reference_parallel_coordinates,
     reference_read_trial_log_csv,
     reference_trial_log_csv,
-    reference_whole_text,
 )
 
 
@@ -879,7 +879,7 @@ def test_grid_search_matches_the_per_configuration_reference():
 
     def fields(records):
         return [
-            tuple(repr(float(v)) if k == "objective" else v for k, v in vars(r).items())
+            tuple(repr(float(v)) if k == "objective" else v for k, v in r._asdict().items())
             for r in records
         ]
 
@@ -971,9 +971,10 @@ def test_trial_log_csv_text_the_csv_module_cannot_split_is_a_value_error():
         read_trial_log_csv(io.StringIO(text))
 
 
-def test_trial_log_csv_reads_paths_bytes_and_streams(tmp_path):
-    """One row, and a log of many read blocks whose names are multi-byte in UTF-8: every source
-    reads them as the row-wise reference reads their text."""
+def test_trial_log_csv_reads_paths_and_text_streams(tmp_path):
+    """One row, and a log of many read blocks whose names are multi-byte in UTF-8: a path, its
+    str and a text stream read them as the row-wise reference reads their text.  Bytes and
+    binary streams raise TypeError from either reader, before anything is read."""
     records = tuple(
         TrialRecord(i, 8, ("\u00e9" * (i % 5), "\u6f22"), "y\u2028", "MI", "2021-01-09", "UP",
                     math.nan if i % 3 else i / 7, bool(i % 3))
@@ -984,12 +985,14 @@ def test_trial_log_csv_reads_paths_bytes_and_streams(tmp_path):
     path = tmp_path / "trials.csv"
     for text in (TRIAL_LOG_HEADER + GOOD_TRIAL_ROW, long):
         path.write_text(text, encoding="utf-8")
-        sources = (
-            path, str(path), text.encode(), io.BytesIO(text.encode()), io.StringIO(text)
-        )
         expected = trial_fields(reference_read_trial_log_csv(text).records)
-        for source in sources:
+        for source in (path, str(path), io.StringIO(text)):
             assert trial_fields(read_trial_log_csv(source).records) == expected
+        binary = io.BytesIO(text.encode())
+        for source, read in product((text.encode(), binary), (read_trial_log_csv, read_frame)):
+            with pytest.raises(TypeError, match="^expected a path or a text stream, got "):
+                read(source)
+        assert binary.tell() == 0
     assert read_trial_log_csv(io.StringIO(TRIAL_LOG_HEADER + GOOD_TRIAL_ROW)).records == (
         GOOD_TRIAL,
     )
@@ -1001,7 +1004,7 @@ NAME_CHARS = "ab_\u00e9\u6f22\u2028\x00,\"\n\r|"  # non-ASCII, JSON escapes, CSV
 def trial_fields(records):
     """The fields of each record, NaN objectives compared by repr."""
     return [
-        tuple(repr(v) if k == "objective" else v for k, v in vars(r).items()) for r in records
+        tuple(repr(v) if k == "objective" else v for k, v in r._asdict().items()) for r in records
     ]
 
 
@@ -1107,10 +1110,12 @@ class Unencodable:
     ),
 )
 def test_trial_writers_match_the_references_on_other_types(changes):
-    """Values of other types than run_grid_search writes: the same text or the same error, the
-    first faulty trial's first, at every chunk size."""
+    """Values of other types than run_grid_search writes: the same text, or the same error
+    where one trial holds values that cannot be written, at every chunk size.  Where two
+    trials do, the writer raises; which of their errors is not fixed, as a writer converts
+    one field of every trial at a time."""
     log = replace(GOLDEN_LOG, records=tuple(
-        replace(r, **changes.get(i, {})) for i, r in enumerate(GOLDEN_LOG.records)
+        r._replace(**changes.get(i, {})) for i, r in enumerate(GOLDEN_LOG.records)
     ))
     pairs = (
         (write_trial_log_csv, reference_trial_log_csv),
@@ -1119,7 +1124,12 @@ def test_trial_writers_match_the_references_on_other_types(changes):
     for (write, reference), chunk in product(pairs, CHUNKS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(depscope.frame, "_CHUNK_ROWS", chunk)
-            assert outcome(write, log) == outcome(reference, log), (write, chunk)
+            got = outcome(write, log)
+        raised = [outcome(reference, replace(log, records=(r,))) for r in log.records]
+        if sum(isinstance(one, tuple) for one in raised) > 1:  # (type, message): it raised
+            assert isinstance(got, tuple) and got[0] in (TypeError, ValueError), (write, chunk)
+        else:
+            assert got == outcome(reference, log), (write, chunk)
 
 
 @pytest.mark.parametrize(
@@ -1136,7 +1146,7 @@ def test_a_writer_that_raises_leaves_its_destination_as_it_was(tmp_path, write, 
     is written, to a path or a stream, before the writer raises."""
     head = {k: v for k, v in fault.items() if k in {f.name for f in dataclass_fields(TrialLog)}}
     trial = {k: v for k, v in fault.items() if k not in head}
-    last = replace(GOLDEN_LOG.records[0], **{"trial_id": 2, **trial})
+    last = GOLDEN_LOG.records[0]._replace(**{"trial_id": 2, **trial})
     log = replace(GOLDEN_LOG, records=GOLDEN_LOG.records[:-1] + (last,), **head)
     path = tmp_path / "artifact"
     path.write_bytes(b"kept\r\n\xc3\xa9")
@@ -1222,13 +1232,13 @@ TRIAL_FAULTS = {  # rows the reader refuses: a bad cell, text the csv module can
 }
 
 
-def undecodable_outcome(read, data):
-    """outcome(read, data), with a UnicodeDecodeError as its type, reason and first bad byte:
-    the position it names counts from the block decoded, not from the start of the input."""
+def undecodable_outcome(read, source):
+    """outcome(read, source), with a UnicodeDecodeError as its type, reason and the position of
+    the first bad byte."""
     try:
-        result = read(data)
+        result = read(source)
     except UnicodeDecodeError as exc:
-        return type(exc), exc.reason, exc.object[exc.start]
+        return type(exc), exc.reason, exc.start
     except (TypeError, ValueError) as exc:
         return type(exc), str(exc)
     return trial_fields(result.records)
@@ -1237,18 +1247,32 @@ def undecodable_outcome(read, data):
 @pytest.mark.parametrize(
     "faults", [p for k in (1, 2, 3) for p in itertools.permutations(TRIAL_FAULTS, k)]
 )
-def test_trial_log_faults_raise_in_the_whole_text_order(tmp_path, faults):
-    """Invalid UTF-8 anywhere raises first, then the first text the csv module cannot split,
-    then the first faulty row, as a reader of the whole text raised them: faults in any order,
-    in one chunk or across chunks and read blocks, from bytes, a binary stream and a path."""
+def test_trial_log_faults_raise_in_the_stream_order(tmp_path, faults):
+    """A chunk's invalid UTF-8 or text the csv module cannot split raises first, then its first
+    faulty row, before the next chunk is read: faults in any order, in one chunk or across
+    chunks, at every chunk size, from a path and a text stream.  A path is decoded a block of
+    io.DEFAULT_BUFFER_SIZE bytes at a time, so its invalid UTF-8 raises anywhere in a file of
+    one block, and is not reached 300 rows below a fault: a bad row at line 2 raises before
+    invalid UTF-8 or text the csv module cannot split that far below it."""
+    good = GOOD_TRIAL_ROW.encode()
     path = tmp_path / "trials.csv"
-    for gap, chunk in product((0, 1, 200), CHUNKS):
-        rows = [GOOD_TRIAL_ROW.encode() * gap + TRIAL_FAULTS[fault] for fault in faults]
-        data = TRIAL_LOG_HEADER.encode() + b"".join(rows) + GOOD_TRIAL_ROW.encode() * gap
+    for gap, chunk in product((0, 1, 300), CHUNKS):
+        rows = [TRIAL_FAULTS[fault] for fault in faults]  # the first at line 2
+        data = TRIAL_LOG_HEADER.encode() + (good * gap).join(rows) + good * gap
         path.write_bytes(data)
-        for source, universal in ((data, False), (io.BytesIO(data), False), (path, True)):
+        if gap < 300:  # one block holds all of a short file: a path's reader reaches it all
+            assert len(data) < io.DEFAULT_BUFFER_SIZE
+            reached = data
+        else:  # no block holds both a chunk's end and a fault 300 rows below it
+            assert len(good * (gap - chunk)) > io.DEFAULT_BUFFER_SIZE
+            reached = TRIAL_LOG_HEADER.encode() + rows[0]
+        sources = [(path, reached, True)]
+        if b"\xff" not in data:
+            sources.append((io.StringIO(data.decode()), data, False))
+        for source, text, universal in sources:
             expected = undecodable_outcome(
-                lambda d: reference_read_trial_log_csv(reference_whole_text(d, universal)), data
+                lambda d: reference_chunked(reference_read_trial_log_csv, d, chunk, universal),
+                text,
             )
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(depscope.frame, "_CHUNK_ROWS", chunk)
@@ -1356,7 +1380,7 @@ def test_trial_writers_produce_the_golden_bytes():
     back = read_trial_log_csv(io.StringIO(GOLDEN_TRIALS_CSV)).records
     assert back[:2] == GOLDEN_LOG.records[:2]
     assert math.isnan(back[2].objective)
-    assert replace(back[2], objective=0.0) == replace(GOLDEN_LOG.records[2], objective=0.0)
+    assert back[2]._replace(objective=0.0) == GOLDEN_LOG.records[2]._replace(objective=0.0)
     ranked = rank_hyperparameters(GOLDEN_LOG, "features").rows
     assert [(g.value, g.trials) for g in ranked] == [("a|b", 1), ("f_rsi", 1)]
 
