@@ -209,6 +209,8 @@ def cmd_measure(args) -> int:
 def cmd_search(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.min_samples < 2:
+        raise ValueError(f"--min-samples must be >= 2, got {args.min_samples}")
     _check_counts(args, "step", "horizon")
     base = default_search_space()
     windows = _parse_windows(args.windows) if args.windows else base.window_sizes
@@ -251,6 +253,8 @@ def cmd_search(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_counts(args, "window", "step")
+    if not 0 <= args.strength <= 1:
+        raise ValueError(f"--strength must be within [0, 1], got {args.strength:g}")
     measures = _parse_measures(args.measures)
     if (args.embedded is None) != (args.control is None):
         raise ValueError("--embedded and --control must be given together")
@@ -460,7 +464,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, KeyError) as exc:
-        message = exc.args[0] if exc.args else exc
+        # str() of a KeyError quotes it; a UnicodeDecodeError's first argument is its codec.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_INVALID
 

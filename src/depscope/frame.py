@@ -7,7 +7,7 @@ tables and the other artifacts stream in chunks of _CHUNK_ROWS rows: a
 reader, of a path or a text stream, holds one chunk of rows and no whole
 text, a writer one chunk's text.  Each chunk is parsed or written one
 column at a time; a reader raises a chunk's faults before reading the
-next, and _FirstFault finds the fault a row-by-row loop would stop at.
+next; _first_fault parses a faulty chunk again row by row to find the first.
 """
 from __future__ import annotations
 
@@ -16,11 +16,11 @@ import io
 import os
 import shutil
 import tempfile
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import date
-from itertools import compress, count, islice, repeat
+from itertools import islice, repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
@@ -184,45 +184,16 @@ def _chunks(items: Iterable) -> Iterator[list]:
         yield chunk
 
 
-class _FirstFault:
-    """The first fault of a table that is checked one column at a time.
-
-    Make the checks in the order a row-by-row loop makes them on one row.
-    Each check looks only at the rows above the fault found so far, so the
-    fault kept is the first faulty row's first fault, the one that loop
-    stops at.
-    """
-
-    def __init__(self, rows: int):
-        self.rows = rows  # the rows above the fault; all of them while there is none
-        self.error = None  # what error(...) of the check that found the fault returned
-
-    def flag(self, failed: Iterable, error: Callable[[int], object]) -> None:
-        """A check that fails at the rows where failed is true; error(row) describes a failure."""
-        row = next(compress(count(), islice(failed, self.rows)), None)
-        if row is not None:
-            self.rows, self.error = row, error(row)
-
-    def map(
-        self, convert: Callable, cells: Sequence, error: Callable[[int, Exception], object]
-    ) -> list:
-        """convert each cell above the fault; one that raises ValueError is a fault.
-
-        Returns the converted cells above the fault.
-        """
-        cells = cells[: self.rows]
-        try:
-            return list(map(convert, cells))
-        except ValueError:
-            pass
-        values = []
-        for row, cell in enumerate(cells):
-            try:
-                values.append(convert(cell))
-            except ValueError as exc:
-                self.rows, self.error = row, error(row, exc)
-                break
-        return values
+def _first_fault(parse: Callable, rows: list, ends: tuple, *args):
+    """parse(rows, ends, *args); when that raises ValueError, each row is parsed alone, in order,
+    and the first to raise raises: the fault a row-by-row reader stops at."""
+    try:
+        return parse(rows, ends, *args)
+    except ValueError as exc:
+        fault = exc  # a row's fault raises outside this block, so it chains no chunk fault
+    for row, end in zip(rows, ends):
+        parse([row], (end,), *args)
+    raise fault  # not reached while each check looks at its own row alone
 
 
 def read_frame(source, required_header: tuple[str, ...] | None = None) -> TimeSeriesFrame:
@@ -234,14 +205,14 @@ def read_frame(source, required_header: tuple[str, ...] | None = None) -> TimeSe
     frame that fails validate_frame, because of empty (or NaN) cells,
     infinite cells or duplicate dates, raises FrameValidationError with
     validate_frame's issues sorted by row, column and kind.  A parse error
-    names the physical line its row ends on.  Rows are parsed a chunk at a
-    time, each column of a chunk in one pass; the error raised is the first
-    faulty row's first faulty cell.  Invalid UTF-8, or text the csv module
-    cannot split into rows, raises as the chunk holding it is read (_table).
+    names the physical line its row ends on.  Each chunk of rows is parsed
+    a column at a time, and a faulty one again row by row, so the error
+    raised is the first faulty row's first faulty cell.  Invalid UTF-8, or
+    text the csv module cannot split, raises as its chunk is read (_table).
     """
     with _table(source) as (header, chunks, label):
         header = _check_header(header, required_header)
-        parts = [_parse_rows(header, *chunk) for chunk in chunks]
+        parts = [_first_fault(_parse_rows, *chunk, header) for chunk in chunks]
 
     rows = sum(len(days) for days, _ in parts)
     days = np.concatenate([np.empty(0, dtype=np.int64)] + [days for days, _ in parts])
@@ -275,38 +246,31 @@ def _check_header(header: list[str] | None, required: tuple[str, ...] | None) ->
 
 
 def _parse_rows(
-    header: tuple[str, ...], rows: list, ends: tuple
+    rows: list, ends: tuple, header: tuple[str, ...]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """One chunk of read_frame's rows: each row's date as a day number, and each column.
 
-    Raises the chunk's first fault.
+    A fault raises naming the chunk's first row, so only that of a chunk of
+    one row names its own (_first_fault).
     """
     width = len(header)
-    fault = _FirstFault(len(rows))
-    fault.flag(
-        map(width.__ne__, map(len, rows)),
-        lambda row: f"expected {width} fields, got {len(rows[row])}",
-    )
-    cells = list(zip(*rows[: fault.rows])) or [()] * width
-    raw_dates = cells[0]
-    dates = fault.map(
-        date.fromisoformat,
-        list(map(str.strip, raw_dates)),
-        lambda row, _: f"bad ISO-8601 date {raw_dates[row]!r}",
-    )
+    if any(map(width.__ne__, map(len, rows))):
+        raise CsvParseError(f"expected {width} fields, got {len(rows[0])}", line=ends[0])
+    cells = list(zip(*rows))
+    try:
+        dates = list(map(date.fromisoformat, map(str.strip, cells[0])))
+    except ValueError:
+        raise CsvParseError(f"bad ISO-8601 date {cells[0][0]!r}", line=ends[0]) from None
     columns = []
     for name, column in zip(header[1:], cells[1:]):
         column = list(map(str.strip, column))
-        values = fault.map(
-            float,
-            list(map(_MISSING.get, column, column)) if "" in column else column,
-            lambda row, _, column=column, name=name: (
-                f"bad numeric value {column[row]!r} in column {name}"
-            ),
-        )
-        columns.append(values)
-    if fault.error is not None:
-        raise CsvParseError(fault.error, line=ends[fault.rows])
+        texts = map(_MISSING.get, column, column) if "" in column else column
+        try:
+            columns.append(list(map(float, texts)))
+        except ValueError:
+            raise CsvParseError(
+                f"bad numeric value {column[0]!r} in column {name}", line=ends[0]
+            ) from None
     days = np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
     return days, [np.array(values, dtype=np.float64) for values in columns]
 

@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .frame import TimeSeriesFrame, _chunks, _emit, _FirstFault, _table
+from .frame import TimeSeriesFrame, _chunks, _emit, _first_fault, _table
 from .measures import MeasureResult, degenerate_result, spearman
 from .measures.information import (
     TOO_WIDE,
@@ -771,61 +771,51 @@ def read_trial_log_csv(source) -> TrialLog:
 
     Blank rows are skipped.  A row that write_trial_log_csv cannot write
     raises ValueError naming the physical line it ends on.  Rows are parsed
-    a chunk at a time, each column of a chunk in one pass; the error raised
-    is the first faulty row's first fault, in the order the cells are
-    checked: cell count, degenerate flag, trial_id, window_size, objective,
-    then the objective against its flag.  Invalid UTF-8, or text the csv
-    module cannot split, raises as its chunk is read (frame._table).
-    Trials of one feature set share one tuple.
+    a chunk at a time, each column in one pass, and a faulty chunk again row
+    by row, so the error raised is the first faulty row's first fault, in
+    the order the cells are checked: cell count, degenerate flag, trial_id,
+    window_size, objective, then the objective against its flag.  Invalid
+    UTF-8, or text the csv module cannot split, raises as its chunk is read
+    (frame._table).  Trials of one feature set share one tuple.
     """
     with _table(source) as (header, chunks, _):
         if tuple(header or ()) != TRIAL_CSV_HEADER:
             raise ValueError(f"expected header {','.join(TRIAL_CSV_HEADER)}")
         sets: dict[str, tuple[str, ...]] = {}
-        records = tuple(chain.from_iterable(_parse_trials(*chunk, sets) for chunk in chunks))
+        parts = (_first_fault(_parse_trials, *chunk, sets) for chunk in chunks)
+        records = tuple(chain.from_iterable(parts))
     return TrialLog(records=records, space=None, seed=-1)
 
 
 def _parse_trials(rows: list, ends: tuple, sets: dict) -> Iterator[TrialRecord]:
-    """The trials of one chunk of read_trial_log_csv's rows; raises its first fault.  sets maps
-    each features cell read so far to its tuple."""
+    """The trials of one chunk of read_trial_log_csv's rows; a fault names the chunk's first row
+    (frame._first_fault).  sets maps each features cell read so far to its tuple."""
+    where = f"line {ends[0]}:"
     width = len(TRIAL_CSV_HEADER)
-    fault = _FirstFault(len(rows))
-    fault.flag(
-        map(width.__ne__, map(len, rows)),
-        lambda row: f"expected {width} cells, got {len(rows[row])}",
-    )
-    cells = dict(zip(TRIAL_CSV_HEADER, list(zip(*rows[: fault.rows])) or [()] * width))
+    if any(map(width.__ne__, map(len, rows))):
+        raise ValueError(f"{where} expected {width} cells, got {len(rows[0])}")
+    cells = dict(zip(TRIAL_CSV_HEADER, zip(*rows)))
     flags = cells["degenerate"]
-    fault.flag(
-        (flag not in ("true", "false") for flag in flags),
-        lambda row: f"degenerate must be true or false, got {flags[row]!r}",
-    )
-    ids = fault.map(int, cells["trial_id"], _message)
-    windows = fault.map(int, cells["window_size"], _message)
+    if not {"true", "false"}.issuperset(flags):
+        raise ValueError(f"{where} degenerate must be true or false, got {flags[0]!r}")
     texts = cells["objective"]
-    objectives = fault.map(float, texts, _message)
+    try:
+        ids = list(map(int, cells["trial_id"]))
+        windows = list(map(int, cells["window_size"]))
+        objectives = list(map(float, texts))
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}") from None
     degenerate = list(map("true".__eq__, flags))
-    fault.flag(
-        (flag and not math.isnan(value) for flag, value in zip(degenerate, objectives)),
-        lambda row: f"a degenerate trial has objective nan, got {texts[row]}",
-    )
-    fault.flag(
-        (not (flag or math.isfinite(value)) for flag, value in zip(degenerate, objectives)),
-        lambda row: f"a scored trial has a finite objective, got {texts[row]}",
-    )
-    if fault.error is not None:
-        raise ValueError(f"line {ends[fault.rows]}: {fault.error}")
+    if any(flag and not math.isnan(value) for flag, value in zip(degenerate, objectives)):
+        raise ValueError(f"{where} a degenerate trial has objective nan, got {texts[0]}")
+    if any(not (flag or math.isfinite(value)) for flag, value in zip(degenerate, objectives)):
+        raise ValueError(f"{where} a scored trial has a finite objective, got {texts[0]}")
     sets.update((cell, tuple(cell.split("|"))) for cell in set(cells["features"]) - sets.keys())
     return map(
         TrialRecord, ids, windows, map(sets.__getitem__, cells["features"]),
         cells["target"], cells["measure"], cells["anchor_date"], cells["trend"],
         objectives, degenerate,
     )
-
-
-def _message(row: int, exc: Exception) -> str:
-    return str(exc)
 
 
 def write_trial_log_json(log_: TrialLog, destination=None) -> str | None:

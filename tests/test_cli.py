@@ -62,6 +62,16 @@ def test_ingest_invalid_content_is_validation_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_invalid_utf8_is_named_with_its_reason_and_offset(tmp_path, capsys):
+    data = bytearray(b"date,open,high,low,close,volume\n2020-01-02,10.0,11.0,9.5,10.5,1000\n")
+    data[51] = 0xFF
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(data)
+    assert main(["ingest", "--input", str(bad)]) == 2
+    message = "'utf-8' codec can't decode byte 0xff in position 51: invalid start byte"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_features_output_columns(features_csv):
     from depscope.frame import read_frame
 
@@ -551,6 +561,25 @@ def test_counts_below_one_are_refused_by_flag(tmp_path, features_csv, capsys, va
         capsys.readouterr()
         assert main(command + [flag, str(value)]) == 2, (command, flag)
         assert capsys.readouterr() == ("", f"error: {flag} must be >= 1, got {value}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_min_samples_and_strength_are_refused_by_flag_before_any_work(tmp_path, capsys):
+    """Bad --min-samples and --strength name their flag and value before the input is read:
+    an input that does not exist is never opened."""
+    search = ["search", "--input", str(tmp_path / "missing.csv"), "--output", str(tmp_path / "run")]
+    verify = ["verify", "--length", "400", "--lag", "20", "--measures", "pc"]
+    cases = (
+        (search + ["--min-samples", "1"], "--min-samples must be >= 2, got 1"),
+        (search + ["--min-samples", "-3"], "--min-samples must be >= 2, got -3"),
+        (verify + ["--strength", "2"], "--strength must be within [0, 1], got 2"),
+        (verify + ["--strength", "-0.5"], "--strength must be within [0, 1], got -0.5"),
+        (verify + ["--strength", "nan"], "--strength must be within [0, 1], got nan"),
+    )
+    for command, message in cases:
+        capsys.readouterr()
+        assert main(command) == 2, command
+        assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not (tmp_path / "run").exists()
 
 

@@ -223,6 +223,32 @@ def test_read_frame_is_the_reference_on_two_faults_in_one_row():
             assert got == expected, (first, second, chunk)
 
 
+def test_read_frame_is_the_reference_at_the_default_chunk_size():
+    """2,200 rows read in full chunks of the default _CHUNK_ROWS: a row with a missing field
+    does not hide a bad number 200 rows above it in the same chunk, a fault on the last row of
+    a full chunk or in the second chunk is found, and a clean frame reads."""
+    assert depscope.frame._CHUNK_ROWS == 1024
+    lines = write_csv(make_frame(2200)).splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    cases = (
+        ({}, None),
+        ({900: "missing field", 700: "bad number"},
+         "line 702: bad numeric value 'abc' in column volume"),
+        ({1023: "missing field"}, "line 1025: expected 6 fields, got 5"),
+        ({1500: "bad date"}, "line 1502: bad ISO-8601 date '2020-13-40'"),
+    )
+    for faults, message in cases:
+        bad = [ROW_FAULTS[faults[i]](row, rows[0]) if i in faults else row
+               for i, row in enumerate(rows)]
+        text = "\n".join([lines[0]] + [",".join(row) for row in bad]) + "\n"
+        expected = frame_outcome(reference_read_frame, text)
+        if message is None:
+            assert len(expected[0]) == len(rows)
+        else:
+            assert expected[:2] == (CsvParseError, message)
+        assert frame_outcome(lambda t: read_frame(io.StringIO(t)), text) == expected, faults
+
+
 FRAME_FAULTS = {  # rows read_frame refuses: a bad cell, text the csv module cannot split,
     "bad": b"2020-01-07,x,1,1,1,1\n",  # invalid UTF-8
     "unsplit": b"2020-01-08,1,1\r2,1,1,1\n",

@@ -1225,6 +1225,31 @@ def test_trial_log_reader_is_the_reference_on_two_faults_in_one_row():
             assert got == expected, (first, second, chunk)
 
 
+def test_trial_log_reader_is_the_reference_at_the_default_chunk_size():
+    """2,200 trials read in full chunks of the default _CHUNK_ROWS: a row with too few cells
+    does not hide a bad objective 200 rows above it in the same chunk, a fault on the last
+    row of a full chunk or in the second chunk is found, and a clean log reads."""
+    assert depscope.frame._CHUNK_ROWS == 1024
+    good = [f"{i},8,a,y,PC,2021-01-09,NEUTRAL,{i / 7!r},false" for i in range(2200)]
+    short = "1,8,a,y,PC,2021-01-09,NEUTRAL,0.5"
+    cases = (
+        ({}, None),
+        ({900: short, 700: short + "x,false"},
+         "line 702: could not convert string to float: '0.5x'"),
+        ({1023: short}, "line 1025: expected 9 cells, got 8"),
+        ({1500: short + ",maybe"}, "line 1502: degenerate must be true or false, got 'maybe'"),
+    )
+    for faults, message in cases:
+        rows = [faults.get(i, row) for i, row in enumerate(good)]
+        text = TRIAL_LOG_HEADER + "\n".join(rows) + "\n"
+        expected = outcome(reference_read_trial_log_csv, text)
+        if message is None:
+            assert len(expected) == len(good)
+        else:
+            assert expected == (ValueError, message)
+        assert outcome(read_trial_log_csv_from_text, text) == expected, faults
+
+
 TRIAL_FAULTS = {  # rows the reader refuses: a bad cell, text the csv module cannot split,
     "bad": GOOD_TRIAL_ROW.replace("false", "x").encode(),  # invalid UTF-8
     "unsplit": GOOD_TRIAL_ROW.replace(",a,", ",a\rb,").encode(),
