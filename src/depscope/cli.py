@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .frame import _emit, load_ohlcv, read_frame, validate_frame, write_csv
+from .frame import _emit, load_ohlcv, read_frame, write_csv
 from .indicators import build_feature_matrix, standard_indicator_specs
 from .measures.result import MEASURES
 from .search import (
@@ -93,7 +93,14 @@ def _parse_feature_sets(text: str) -> tuple[tuple[str, ...], ...]:
 
 
 def _parse_windows(text: str) -> tuple[int, ...]:
-    return tuple(int(t.strip()) for t in text.split(",") if t.strip())
+    """The widths in --windows; an empty list or one that is not of integers is refused."""
+    try:
+        windows = tuple(int(t) for t in text.split(",") if t.strip())
+    except ValueError:
+        windows = ()
+    if not windows:
+        raise ValueError(f"--windows must be comma-separated integers, got {text!r}")
+    return windows
 
 
 def _binning(args) -> dict:
@@ -117,11 +124,9 @@ def _check_counts(args, *flags: str) -> None:
 
 def cmd_ingest(args) -> int:
     frame = load_ohlcv(args.input)
-    report = validate_frame(frame)
     print(f"rows: {len(frame)}")
     print(f"span: {frame.timestamps[0]} .. {frame.timestamps[-1]}" if len(frame) else "span: none")
     print(f"columns: {', '.join(frame.column_names)}")
-    print(f"issues: {len(report.issues)}")
     if args.output is not None:
         write_csv(frame, args.output)
         print(f"wrote {args.output}")
@@ -213,7 +218,7 @@ def cmd_search(args) -> int:
         raise ValueError(f"--min-samples must be >= 2, got {args.min_samples}")
     _check_counts(args, "step", "horizon")
     base = default_search_space()
-    windows = _parse_windows(args.windows) if args.windows else base.window_sizes
+    windows = base.window_sizes if args.windows is None else _parse_windows(args.windows)
     check_windows(windows, name="--windows")
     frame = read_frame(args.input)
     space = SearchSpace(

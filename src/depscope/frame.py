@@ -2,12 +2,11 @@
 
 A frame is an immutable bundle of a date axis plus equally long float
 columns.  Loaders reject bad input instead of repairing it; the only
-normalization applied is sorting rows into ascending date order.  CSV
-tables and the other artifacts stream in chunks of _CHUNK_ROWS rows: a
-reader, of a path or a text stream, holds one chunk of rows and no whole
-text, a writer one chunk's text.  Each chunk is parsed or written one
-column at a time; a reader raises a chunk's faults before reading the
-next; _first_fault parses a faulty chunk again row by row to find the first.
+normalization applied is sorting rows into ascending date order.  A
+reader, of a path or a text stream, parses one row at a time as it reads
+it and holds no whole text, so the first faulty row raises.  A writer
+formats _CHUNK_ROWS rows at a time, one column at a time, and holds one
+chunk's text.
 """
 from __future__ import annotations
 
@@ -16,21 +15,20 @@ import io
 import os
 import shutil
 import tempfile
-from collections.abc import Callable, Iterable, Iterator
+from array import array
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import date
-from itertools import islice, repeat
-from operator import attrgetter, itemgetter
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 OHLCV_HEADER = ("date", "open", "high", "low", "close", "volume")
-_MISSING = {"": "nan"}  # an empty numeric cell is parsed as NaN: "missing"
 _EPOCH = date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
-# Rows that a reader parses, or a writer formats, at a time: what either holds is bounded by
-# one chunk, not by the rows of the artifact.
+# Rows that a writer formats at a time: what it holds is bounded by one chunk, not by the
+# rows of the artifact.
 _CHUNK_ROWS = 1024
 
 
@@ -139,17 +137,17 @@ def validate_frame(frame: TimeSeriesFrame) -> ValidationReport:
 
 
 @contextmanager
-def _table(source) -> Iterator[tuple[list[str] | None, Iterator[tuple[list, tuple]], str]]:
+def _table(source) -> Iterator[tuple[list[str] | None, Iterator[list[str]], str]]:
     """The first row of the CSV text in a path or a text stream (None when there is none),
-    chunks of the non-blank rows below it (_row_chunks), and a label for the source.
+    the csv reader of the rows below it, and a label for the source.
 
     A path is read as UTF-8 with universal newlines, as Path.read_text reads
     it; a text stream is iterated as it is; bytes and binary streams raise
-    TypeError before anything is read.  Faults raise in the order they are
-    read: invalid UTF-8 (UnicodeDecodeError), or text the csv module cannot
-    split into a row, such as a bare carriage return in an unquoted cell
-    (CsvParseError naming its line), as the chunk holding it is read, and a
-    chunk's faulty rows (in the with block) before the next chunk is read.
+    TypeError before anything is read.  A blank row reads as an empty list.
+    The reader's line_num after a row is the physical line the row ends on.
+    Invalid UTF-8 (UnicodeDecodeError), or text the csv module cannot split
+    into a row, such as a bare carriage return in an unquoted cell
+    (CsvParseError naming its line), raises as the row holding it is read.
     """
     if isinstance(source, (bytes, bytearray, io.RawIOBase, io.BufferedIOBase)):
         raise TypeError(f"expected a path or a text stream, got {type(source).__name__}")
@@ -158,7 +156,7 @@ def _table(source) -> Iterator[tuple[list[str] | None, Iterator[tuple[list, tupl
     with open(source, encoding="utf-8") if path else nullcontext(source) as lines:
         reader = csv.reader(lines)
         try:
-            yield next(reader, None), _row_chunks(reader), label
+            yield next(reader, None), reader, label
         except csv.Error as exc:
             raise CsvParseError(str(exc), line=reader.line_num) from None
         except UnicodeDecodeError:  # its position counts from the block being decoded
@@ -167,33 +165,11 @@ def _table(source) -> Iterator[tuple[list[str] | None, Iterator[tuple[list, tupl
             raise
 
 
-def _row_chunks(reader) -> Iterator[tuple[list, tuple]]:
-    """The reader's non-blank rows in chunks of at most _CHUNK_ROWS: the rows, and the
-    physical line each ends on."""
-    # zip reads each row's line_num after the row, from the line the row ends on.
-    rows = filter(itemgetter(0), zip(reader, map(attrgetter("line_num"), repeat(reader))))
-    for chunk in _chunks(rows):
-        cells, ends = zip(*chunk)
-        yield list(cells), ends
-
-
 def _chunks(items: Iterable) -> Iterator[list]:
     """Lists of _CHUNK_ROWS consecutive items, the last one shorter."""
     items = iter(items)
     while chunk := list(islice(items, _CHUNK_ROWS)):
         yield chunk
-
-
-def _first_fault(parse: Callable, rows: list, ends: tuple, *args):
-    """parse(rows, ends, *args); when that raises ValueError, each row is parsed alone, in order,
-    and the first to raise raises: the fault a row-by-row reader stops at."""
-    try:
-        return parse(rows, ends, *args)
-    except ValueError as exc:
-        fault = exc  # a row's fault raises outside this block, so it chains no chunk fault
-    for row, end in zip(rows, ends):
-        parse([row], (end,), *args)
-    raise fault  # not reached while each check looks at its own row alone
 
 
 def read_frame(source, required_header: tuple[str, ...] | None = None) -> TimeSeriesFrame:
@@ -204,29 +180,43 @@ def read_frame(source, required_header: tuple[str, ...] | None = None) -> TimeSe
     sorted into ascending date order (the one permitted normalization).  A
     frame that fails validate_frame, because of empty (or NaN) cells,
     infinite cells or duplicate dates, raises FrameValidationError with
-    validate_frame's issues sorted by row, column and kind.  A parse error
-    names the physical line its row ends on.  Each chunk of rows is parsed
-    a column at a time, and a faulty one again row by row, so the error
-    raised is the first faulty row's first faulty cell.  Invalid UTF-8, or
-    text the csv module cannot split, raises as its chunk is read (_table).
+    validate_frame's issues sorted by row, column and kind.  Rows are parsed
+    one at a time as they are read, so the first faulty row raises, naming
+    the physical line it ends on and its first faulty cell.
     """
-    with _table(source) as (header, chunks, label):
+    with _table(source) as (header, reader, label):
         header = _check_header(header, required_header)
-        parts = [_first_fault(_parse_rows, *chunk, header) for chunk in chunks]
+        width, fields = len(header), len(header) - 1
+        days = array("q")  # each row's date as a day number
+        values = array("d")  # the rows' numbers, one row after another
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise CsvParseError(
+                    f"expected {width} fields, got {len(row)}", line=reader.line_num
+                )
+            try:
+                day = date.fromisoformat(row[0].strip()).toordinal()
+            except ValueError:
+                raise CsvParseError(f"bad ISO-8601 date {row[0]!r}", line=reader.line_num) from None
+            try:
+                values.extend(map(float, row[1:]))  # float ignores the spaces around a number
+            except ValueError:
+                del values[len(days) * fields :]  # the row's cells read before the fault
+                values.extend(_numbers(row, header, reader.line_num))
+            days.append(day)
 
-    rows = sum(len(days) for days, _ in parts)
-    days = np.concatenate([np.empty(0, dtype=np.int64)] + [days for days, _ in parts])
-    dates = (days - _EPOCH).astype("datetime64[D]")
+    dates = (np.frombuffer(days, dtype=np.int64) - _EPOCH).astype("datetime64[D]")
     order = np.argsort(dates, kind="stable")
-    columns = {
-        name: np.concatenate([np.empty(0)] + [values[i] for _, values in parts])[order]
-        for i, name in enumerate(header[1:])
-    }
-    frame = TimeSeriesFrame(timestamps=dates[order], columns=columns, source=label)
+    columns = np.frombuffer(values).reshape(len(days), fields)[order].T
+    frame = TimeSeriesFrame(
+        timestamps=dates[order], columns=dict(zip(header[1:], columns)), source=label
+    )
     issues = validate_frame(frame).issues
     if issues:
         issues = tuple(sorted(issues, key=lambda it: (it.row, it.column, it.kind)))
-        raise FrameValidationError(ValidationReport(row_count=rows, issues=issues))
+        raise FrameValidationError(ValidationReport(row_count=len(days), issues=issues))
     return frame
 
 
@@ -245,34 +235,14 @@ def _check_header(header: list[str] | None, required: tuple[str, ...] | None) ->
     return header
 
 
-def _parse_rows(
-    rows: list, ends: tuple, header: tuple[str, ...]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """One chunk of read_frame's rows: each row's date as a day number, and each column.
-
-    A fault raises naming the chunk's first row, so only that of a chunk of
-    one row names its own (_first_fault).
-    """
-    width = len(header)
-    if any(map(width.__ne__, map(len, rows))):
-        raise CsvParseError(f"expected {width} fields, got {len(rows[0])}", line=ends[0])
-    cells = list(zip(*rows))
-    try:
-        dates = list(map(date.fromisoformat, map(str.strip, cells[0])))
-    except ValueError:
-        raise CsvParseError(f"bad ISO-8601 date {cells[0][0]!r}", line=ends[0]) from None
-    columns = []
-    for name, column in zip(header[1:], cells[1:]):
-        column = list(map(str.strip, column))
-        texts = map(_MISSING.get, column, column) if "" in column else column
+def _numbers(row: list[str], header: tuple[str, ...], line: int) -> Iterator[float]:
+    """The numbers of a row's cells after its date, an empty cell as NaN ("missing"); the first
+    cell that is not a number raises, naming its column and the row's line."""
+    for name, cell in zip(header[1:], map(str.strip, row[1:])):
         try:
-            columns.append(list(map(float, texts)))
+            yield float(cell or "nan")
         except ValueError:
-            raise CsvParseError(
-                f"bad numeric value {column[0]!r} in column {name}", line=ends[0]
-            ) from None
-    days = np.fromiter(map(date.toordinal, dates), dtype=np.int64, count=len(dates))
-    return days, [np.array(values, dtype=np.float64) for values in columns]
+            raise CsvParseError(f"bad numeric value {cell!r} in column {name}", line=line) from None
 
 
 def load_ohlcv(source) -> TimeSeriesFrame:
@@ -287,8 +257,15 @@ def write_csv(frame: TimeSeriesFrame, destination=None) -> str | None:
     to a path or text file object when given one, else returns the text.
     The text is csv.writer's, written a chunk of rows at a time, each one
     column at a time: only the header can need quoting, so only the header
-    goes through csv.writer.
+    goes through csv.writer.  A column name holding a carriage return raises
+    ValueError before anything is written.
     """
+    for name in frame.column_names:
+        if "\r" in name:
+            raise ValueError(
+                f"column name {name!r} contains '\\r', which csv.writer leaves unquoted, "
+                "so the CSV could not be read back"
+            )
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(("date",) + frame.column_names)
     return _emit(_frame_parts(frame, header.getvalue()), destination)

@@ -95,7 +95,8 @@ def returns(series, d: int = 1) -> np.ndarray:
         raise ValueError(f"duration must be >= 1, got {d}")
     s = np.asarray(series, dtype=np.float64)
     if np.any(s <= 0.0):
-        raise ValueError("returns need a strictly positive series")
+        row = int(np.argmax(s <= 0.0))
+        raise ValueError(f"returns need a strictly positive series, got {s[row]:g} at row {row}")
     out = np.full(s.shape[0], np.nan)
     if d < s.shape[0]:
         out[d:] = s[d:] / s[:-d] - 1.0
@@ -257,7 +258,8 @@ def build_feature_matrix(frame: TimeSeriesFrame, specs) -> TimeSeriesFrame:
 
     Warm-ups leave NaN at the head and forward-shifted targets leave NaN at
     the tail; both margins are removed so the result has no non-finite
-    values.  Duplicate output names are rejected.
+    values.  Duplicate output names are rejected, and an indicator's error
+    names the column it was deriving.
     """
     specs = list(specs)
     if not specs:
@@ -269,7 +271,12 @@ def build_feature_matrix(frame: TimeSeriesFrame, specs) -> TimeSeriesFrame:
             raise ValueError(f"duplicate column name {name!r}")
         taken.add(name)
 
-    derived = {name: _compute_column(frame, spec) for name, spec in zip(names, specs)}
+    derived = {}
+    for name, spec in zip(names, specs):
+        try:
+            derived[name] = _compute_column(frame, spec)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
     defined = np.ones(len(frame), dtype=bool)
     for col in derived.values():
         defined &= np.isfinite(col)

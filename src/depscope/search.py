@@ -30,15 +30,14 @@ Scores stay arrays from the kernels to the trial log: each kernel returns
 its values and the (mask, reason) checks it adds, and a block one value and
 one reason per (anchor, trial).  The scan builds no MeasureResult.
 
-The trial log streams in chunks of frame._CHUNK_ROWS trials, and each chunk
-is written and read one field at a time: the writers format each column
-with one C-level call per cell, quote each distinct text that needs it once
-and join the rows with fixed separators, giving csv.writer's bytes (a value
-that cannot be written raises TypeError or ValueError); the reader parses
-each column in one pass and raises what a row-by-row reader would raise at
-the chunk's first faulty row.  A writer holds one chunk's text, a reader
-one chunk's rows.  trials.csv is the one trial table; trials.json is the
-run record (search space, seed, wall-clock facts) and lists no trial.
+The trial-log writers stream chunks of frame._CHUNK_ROWS trials, each
+written one field at a time: they format each column with one C-level call
+per cell, quote each distinct text that needs it once and join the rows
+with fixed separators, giving csv.writer's bytes (a value that cannot be
+written raises TypeError or ValueError), and hold one chunk's text.  The
+reader parses one row at a time as it reads it, so the first faulty row
+raises.  trials.csv is the one trial table; trials.json is the run record
+(search space, seed, wall-clock facts) and lists no trial.
 """
 from __future__ import annotations
 
@@ -52,13 +51,13 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from functools import cached_property, partial
-from itertools import chain, filterfalse
+from itertools import filterfalse
 from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .frame import TimeSeriesFrame, _chunks, _emit, _first_fault, _table
+from .frame import TimeSeriesFrame, _chunks, _emit, _table
 from .measures import MeasureResult, degenerate_result, spearman
 from .measures.information import (
     TOO_WIDE,
@@ -771,51 +770,45 @@ def read_trial_log_csv(source) -> TrialLog:
 
     Blank rows are skipped.  A row that write_trial_log_csv cannot write
     raises ValueError naming the physical line it ends on.  Rows are parsed
-    a chunk at a time, each column in one pass, and a faulty chunk again row
-    by row, so the error raised is the first faulty row's first fault, in
-    the order the cells are checked: cell count, degenerate flag, trial_id,
-    window_size, objective, then the objective against its flag.  Invalid
-    UTF-8, or text the csv module cannot split, raises as its chunk is read
-    (frame._table).  Trials of one feature set share one tuple.
+    one at a time as they are read (frame._table), so the first faulty row
+    raises, with its first fault in the order _trial checks its cells.
+    Trials of one feature set share one tuple.
     """
-    with _table(source) as (header, chunks, _):
+    with _table(source) as (header, reader, _):
         if tuple(header or ()) != TRIAL_CSV_HEADER:
             raise ValueError(f"expected header {','.join(TRIAL_CSV_HEADER)}")
         sets: dict[str, tuple[str, ...]] = {}
-        parts = (_first_fault(_parse_trials, *chunk, sets) for chunk in chunks)
-        records = tuple(chain.from_iterable(parts))
-    return TrialLog(records=records, space=None, seed=-1)
+        records = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                records.append(_trial(row, sets))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
+    return TrialLog(records=tuple(records), space=None, seed=-1)
 
 
-def _parse_trials(rows: list, ends: tuple, sets: dict) -> Iterator[TrialRecord]:
-    """The trials of one chunk of read_trial_log_csv's rows; a fault names the chunk's first row
-    (frame._first_fault).  sets maps each features cell read so far to its tuple."""
-    where = f"line {ends[0]}:"
-    width = len(TRIAL_CSV_HEADER)
-    if any(map(width.__ne__, map(len, rows))):
-        raise ValueError(f"{where} expected {width} cells, got {len(rows[0])}")
-    cells = dict(zip(TRIAL_CSV_HEADER, zip(*rows)))
-    flags = cells["degenerate"]
-    if not {"true", "false"}.issuperset(flags):
-        raise ValueError(f"{where} degenerate must be true or false, got {flags[0]!r}")
-    texts = cells["objective"]
-    try:
-        ids = list(map(int, cells["trial_id"]))
-        windows = list(map(int, cells["window_size"]))
-        objectives = list(map(float, texts))
-    except ValueError as exc:
-        raise ValueError(f"{where} {exc}") from None
-    degenerate = list(map("true".__eq__, flags))
-    if any(flag and not math.isnan(value) for flag, value in zip(degenerate, objectives)):
-        raise ValueError(f"{where} a degenerate trial has objective nan, got {texts[0]}")
-    if any(not (flag or math.isfinite(value)) for flag, value in zip(degenerate, objectives)):
-        raise ValueError(f"{where} a scored trial has a finite objective, got {texts[0]}")
-    sets.update((cell, tuple(cell.split("|"))) for cell in set(cells["features"]) - sets.keys())
-    return map(
-        TrialRecord, ids, windows, map(sets.__getitem__, cells["features"]),
-        cells["target"], cells["measure"], cells["anchor_date"], cells["trend"],
-        objectives, degenerate,
+def _trial(row: list[str], sets: dict) -> TrialRecord:
+    """One row of read_trial_log_csv, its checks in order: cell count, degenerate flag,
+    trial_id, window_size, objective, then the objective against its flag.  sets maps each
+    features cell read so far to its tuple."""
+    if len(row) != len(TRIAL_CSV_HEADER):
+        raise ValueError(f"expected {len(TRIAL_CSV_HEADER)} cells, got {len(row)}")
+    trial_id, window, features, target, measure, anchor, trend, objective, flag = row
+    if flag not in ("true", "false"):
+        raise ValueError(f"degenerate must be true or false, got {flag!r}")
+    if features not in sets:
+        sets[features] = tuple(features.split("|"))
+    record = TrialRecord(
+        int(trial_id), int(window), sets[features], target, measure, anchor, trend,
+        float(objective), flag == "true",
     )
+    if record.degenerate and not math.isnan(record.objective):
+        raise ValueError(f"a degenerate trial has objective nan, got {objective}")
+    if not (record.degenerate or math.isfinite(record.objective)):
+        raise ValueError(f"a scored trial has a finite objective, got {objective}")
+    return record
 
 
 def write_trial_log_json(log_: TrialLog, destination=None) -> str | None:

@@ -9,7 +9,7 @@ import pytest
 
 import depscope
 from depscope.cli import EXIT_INVALID, EXIT_OK, build_parser, main
-from depscope.frame import load_ohlcv, read_frame
+from depscope.frame import TimeSeriesFrame, load_ohlcv, read_frame
 from depscope.measures import MEASURE_IDS, VALUE_RANGES
 from depscope.search import SearchSpace, run_grid_search
 from depscope.verify import SyntheticSpec, generate_synthetic
@@ -79,6 +79,21 @@ def test_features_output_columns(features_csv):
     assert "f_rsi" in out.column_names
     assert "t_ret_c_hma_20" in out.column_names
     assert len(out) == 420 - 43
+
+
+def test_features_name_the_column_and_row_an_indicator_refuses(tmp_path, capsys):
+    """A zero-volume day: the volume-change column and the row of the zero are named, and no
+    feature matrix is written."""
+    frame = generate_synthetic(SyntheticSpec(length=400, seed=3))
+    volume = frame.column("volume").copy()
+    volume[200] = 0.0
+    prices = tmp_path / "prices.csv"
+    write_csv(TimeSeriesFrame(frame.timestamps, {**frame.columns, "volume": volume}), prices)
+    out = tmp_path / "features.csv"
+    assert main(["features", "--input", str(prices), "--output", str(out)]) == EXIT_INVALID
+    message = "f_vol_pct: returns need a strictly positive series, got 0 at row 200"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_measure_whole_series_csv(features_csv, capsys):
@@ -595,6 +610,12 @@ def test_series_and_window_flags_are_refused_by_flag_before_any_work(tmp_path, c
         (["verify", "--length", "0"], "--length must be >= 300, got 0"),
         (["search", "--input", missing, "--output", str(tmp_path / "run"), "--windows", "50,4"],
          "--windows must be >= 8, got 4"),
+        (["search", "--input", missing, "--output", str(tmp_path / "run"), "--windows", "100,abc"],
+         "--windows must be comma-separated integers, got '100,abc'"),
+        (["search", "--input", missing, "--output", str(tmp_path / "run"), "--windows", ","],
+         "--windows must be comma-separated integers, got ','"),
+        (["search", "--input", missing, "--output", str(tmp_path / "run"), "--windows", ""],
+         "--windows must be comma-separated integers, got ''"),
     )
     for command, message in cases:
         capsys.readouterr()

@@ -167,7 +167,7 @@ def frame_outcome(read, text):
     )
 
 
-CHUNKS = (1, 2, 3, 7)  # chunk sizes the streaming tests patch in
+CHUNKS = (1, 2, 3, 7)  # chunk sizes the writer tests patch in; reader tests put faults there
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
@@ -185,9 +185,9 @@ CHUNKS = (1, 2, 3, 7)  # chunk sizes the streaming tests patch in
     chunk=st.sampled_from(CHUNKS),
 )
 def test_read_frame_is_the_row_wise_reference(days, width, data, faults, chunk):
-    """A written frame with up to two faulty rows, on either side of a chunk edge (the last row
-    of the first chunk, the first of the second): an equal frame or the same error and line,
-    at every chunk size."""
+    """A written frame with up to two faulty rows, on either side of a writer's chunk edge (the
+    last row of the first chunk, the first of the second): an equal frame or the same error and
+    line."""
     ts = np.datetime64("2020-01-01") + np.array(days)
     finite = st.floats(allow_nan=False, allow_infinity=False)
     columns = {
@@ -204,9 +204,7 @@ def test_read_frame_is_the_row_wise_reference(days, width, data, faults, chunk):
         rows[at] = ROW_FAULTS[fault](rows[at], first)
     text = "\n".join([lines[0]] + [",".join(row) for row in rows]) + "\n"
     expected = frame_outcome(reference_read_frame, text)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(depscope.frame, "_CHUNK_ROWS", chunk)
-        assert frame_outcome(lambda t: read_frame(io.StringIO(t)), text) == expected
+    assert frame_outcome(lambda t: read_frame(io.StringIO(t)), text) == expected
 
 
 def test_read_frame_is_the_reference_on_two_faults_in_one_row():
@@ -216,11 +214,8 @@ def test_read_frame_is_the_reference_on_two_faults_in_one_row():
         bad = ROW_FAULTS[second](ROW_FAULTS[first](rows[2], rows[1]), rows[1])
         text = "\n".join(",".join(row) for row in rows[:2] + [bad] + rows[3:]) + "\n"
         expected = frame_outcome(reference_read_frame, text)
-        for chunk in CHUNKS:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(depscope.frame, "_CHUNK_ROWS", chunk)
-                got = frame_outcome(lambda t: read_frame(io.StringIO(t)), text)
-            assert got == expected, (first, second, chunk)
+        got = frame_outcome(lambda t: read_frame(io.StringIO(t)), text)
+        assert got == expected, (first, second)
 
 
 def test_read_frame_is_the_reference_at_the_default_chunk_size():
@@ -269,35 +264,33 @@ def undecodable_outcome(read, source):
     "faults", [p for k in (1, 2, 3) for p in itertools.permutations(FRAME_FAULTS, k)]
 )
 def test_read_frame_faults_raise_in_the_stream_order(tmp_path, faults):
-    """A chunk's invalid UTF-8 or text the csv module cannot split raises first, then its first
-    faulty row, before the next chunk is read: faults in any order, in one chunk or across
-    chunks, at every chunk size, from a path and a text stream.  A path is decoded a block of
-    io.DEFAULT_BUFFER_SIZE bytes at a time, so its invalid UTF-8 raises anywhere in a file of
-    one block, and is not reached 300 rows below a fault: a bad row at line 2 raises before
-    invalid UTF-8 or text the csv module cannot split that far below it."""
+    """The first faulty row raises, whether its fault is a bad cell, text the csv module cannot
+    split or invalid UTF-8: faults in any order, on adjacent rows or apart, from a path and a
+    text stream.  A path is decoded a block of io.DEFAULT_BUFFER_SIZE bytes at a time, so its
+    invalid UTF-8 raises anywhere in a file of one block, and is not reached 300 rows below a
+    fault: a bad row at line 2 raises before invalid UTF-8 or text the csv module cannot split
+    that far below it."""
     header, good = GOOD_CSV.encode().splitlines(keepends=True)[:2]
     path = tmp_path / "faults.csv"
-    for gap, chunk in itertools.product((0, 1, 300), CHUNKS):
+    for gap in (0, 1, 300):
         rows = [FRAME_FAULTS[fault] for fault in faults]  # the first at line 2
         data = header + (good * gap).join(rows) + good * gap
         path.write_bytes(data)
         if gap < 300:  # one block holds all of a short file: a path's reader reaches it all
             assert len(data) < io.DEFAULT_BUFFER_SIZE
             reached = data
-        else:  # no block holds both a chunk's end and a fault 300 rows below it
-            assert len(good * (gap - chunk)) > io.DEFAULT_BUFFER_SIZE
+        else:  # no block holds both the first row and a fault 300 rows below it
+            assert len(good * (gap - 1)) > io.DEFAULT_BUFFER_SIZE
             reached = header + rows[0]
         sources = [(path, reached, True)]
         if b"\xff" not in data:
             sources.append((io.StringIO(data.decode()), data, False))
         for source, text, universal in sources:
             expected = undecodable_outcome(
-                lambda d: reference_chunked(reference_read_frame, d, chunk, universal), text
+                lambda d: reference_chunked(reference_read_frame, d, 1, universal), text
             )
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(depscope.frame, "_CHUNK_ROWS", chunk)
-                got = undecodable_outcome(read_frame, source)
-            assert got == expected, (gap, chunk, type(source))
+            got = undecodable_outcome(read_frame, source)
+            assert got == expected, (gap, type(source))
 
 
 def test_read_frame_names_the_file_offset_of_invalid_utf8(tmp_path):
@@ -419,6 +412,20 @@ def test_write_csv_is_the_row_wise_reference(days, names, data, chunk):
         assert write_csv(frame) == reference_write_csv(frame)
         assert write_csv(frame, out) is None
     assert out.getvalue() == reference_write_csv(frame)
+
+
+def test_write_csv_refuses_a_column_name_it_could_not_read_back(tmp_path):
+    """csv.writer leaves a carriage return unquoted, so a header holding one would not read
+    back: the name is refused before anything is written, to a path or a stream."""
+    frame = read_frame(io.StringIO('date,"a\rb"\n2020-01-01,1.0\n'))
+    assert frame.column_names == ("a\rb",)
+    path = tmp_path / "out.csv"
+    path.write_text("kept")
+    stream = io.StringIO("kept")
+    for destination in (None, path, stream):
+        with pytest.raises(ValueError, match=r"^column name 'a\\rb' contains '\\r'"):
+            write_csv(frame, destination)
+    assert path.read_text() == stream.getvalue() == "kept"
 
 
 def test_read_frame_reports_what_validate_frame_reports():

@@ -1068,7 +1068,7 @@ def trial_logs(draw, names=st.text(st.sampled_from(NAME_CHARS), max_size=4), val
     )
 
 
-CHUNKS = (1, 2, 3, 7)  # artifact chunk sizes the streaming tests patch in
+CHUNKS = (1, 2, 3, 7)  # chunk sizes the writer tests patch in; reader tests put faults there
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
@@ -1193,8 +1193,8 @@ FAULT_PLACES = ("first", "middle", "last", "edge-1", "edge")
     chunk=st.sampled_from(CHUNKS),
 )
 def test_trial_log_reader_is_the_row_wise_reference(log, faults, chunk):
-    """Reference-written trials with up to two faulty rows, on either side of a chunk edge:
-    equal records or the same error, at every chunk size."""
+    """Reference-written trials with up to two faulty rows, on either side of a writer's chunk
+    edge: equal records or the same error."""
     text = reference_trial_log_csv(log)
     rows = list(csv.reader(io.StringIO(text)))[1:]
     for where, (bad, _) in faults:  # two faults on one row make a row with two faulty cells
@@ -1205,9 +1205,7 @@ def test_trial_log_reader_is_the_row_wise_reference(log, faults, chunk):
     csv.writer(buf, lineterminator="\n").writerows(rows)
     text = TRIAL_LOG_HEADER + buf.getvalue()
     expected = outcome(reference_read_trial_log_csv, text)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(depscope.frame, "_CHUNK_ROWS", chunk)
-        assert outcome(read_trial_log_csv_from_text, text) == expected
+    assert outcome(read_trial_log_csv_from_text, text) == expected
     if not faults:
         assert expected == trial_fields(log.records)
 
@@ -1218,11 +1216,8 @@ def test_trial_log_reader_is_the_reference_on_two_faults_in_one_row():
         cells = put_fault(put_fault(BAD_TRIAL_BASE.split(","), first.split(",")), second.split(","))
         text = TRIAL_LOG_HEADER + GOOD_TRIAL_ROW + ",".join(cells) + "\n" + GOOD_TRIAL_ROW
         expected = outcome(reference_read_trial_log_csv, text)
-        for chunk in CHUNKS:
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(depscope.frame, "_CHUNK_ROWS", chunk)
-                got = outcome(read_trial_log_csv_from_text, text)
-            assert got == expected, (first, second, chunk)
+        got = outcome(read_trial_log_csv_from_text, text)
+        assert got == expected, (first, second)
 
 
 def test_trial_log_reader_is_the_reference_at_the_default_chunk_size():
@@ -1273,36 +1268,33 @@ def undecodable_outcome(read, source):
     "faults", [p for k in (1, 2, 3) for p in itertools.permutations(TRIAL_FAULTS, k)]
 )
 def test_trial_log_faults_raise_in_the_stream_order(tmp_path, faults):
-    """A chunk's invalid UTF-8 or text the csv module cannot split raises first, then its first
-    faulty row, before the next chunk is read: faults in any order, in one chunk or across
-    chunks, at every chunk size, from a path and a text stream.  A path is decoded a block of
-    io.DEFAULT_BUFFER_SIZE bytes at a time, so its invalid UTF-8 raises anywhere in a file of
-    one block, and is not reached 300 rows below a fault: a bad row at line 2 raises before
-    invalid UTF-8 or text the csv module cannot split that far below it."""
+    """The first faulty row raises, whether its fault is a bad cell, text the csv module cannot
+    split or invalid UTF-8: faults in any order, on adjacent rows or apart, from a path and a
+    text stream.  A path is decoded a block of io.DEFAULT_BUFFER_SIZE bytes at a time, so its
+    invalid UTF-8 raises anywhere in a file of one block, and is not reached 300 rows below a
+    fault: a bad row at line 2 raises before invalid UTF-8 or text the csv module cannot split
+    that far below it."""
     good = GOOD_TRIAL_ROW.encode()
     path = tmp_path / "trials.csv"
-    for gap, chunk in product((0, 1, 300), CHUNKS):
+    for gap in (0, 1, 300):
         rows = [TRIAL_FAULTS[fault] for fault in faults]  # the first at line 2
         data = TRIAL_LOG_HEADER.encode() + (good * gap).join(rows) + good * gap
         path.write_bytes(data)
         if gap < 300:  # one block holds all of a short file: a path's reader reaches it all
             assert len(data) < io.DEFAULT_BUFFER_SIZE
             reached = data
-        else:  # no block holds both a chunk's end and a fault 300 rows below it
-            assert len(good * (gap - chunk)) > io.DEFAULT_BUFFER_SIZE
+        else:  # no block holds both the first row and a fault 300 rows below it
+            assert len(good * (gap - 1)) > io.DEFAULT_BUFFER_SIZE
             reached = TRIAL_LOG_HEADER.encode() + rows[0]
         sources = [(path, reached, True)]
         if b"\xff" not in data:
             sources.append((io.StringIO(data.decode()), data, False))
         for source, text, universal in sources:
             expected = undecodable_outcome(
-                lambda d: reference_chunked(reference_read_trial_log_csv, d, chunk, universal),
-                text,
+                lambda d: reference_chunked(reference_read_trial_log_csv, d, 1, universal), text
             )
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(depscope.frame, "_CHUNK_ROWS", chunk)
-                got = undecodable_outcome(read_trial_log_csv, source)
-            assert got == expected, (gap, chunk, type(source))
+            got = undecodable_outcome(read_trial_log_csv, source)
+            assert got == expected, (gap, type(source))
 
 
 def test_trial_artifacts_stream_in_bounded_memory(tmp_path):
