@@ -103,6 +103,18 @@ def _parse_windows(text: str) -> tuple[int, ...]:
     return windows
 
 
+def _axis(args, flag: str, parse, default):
+    """A search axis: parse of the flag's value, or default when the flag is not given; a
+    value that parse refuses, an empty one too, is named by flag and value."""
+    text = getattr(args, flag)
+    if text is None:
+        return default
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"--{flag} {text!r}: {exc}") from None
+
+
 def _binning(args) -> dict:
     """bin_width and feature_bins of --bin-bp and --feature-bins; bad values are named by flag."""
     bin_width = args.bin_bp * 1e-4
@@ -220,19 +232,17 @@ def cmd_search(args) -> int:
     base = default_search_space()
     windows = base.window_sizes if args.windows is None else _parse_windows(args.windows)
     check_windows(windows, name="--windows")
-    frame = read_frame(args.input)
     space = SearchSpace(
         window_sizes=windows,
-        feature_sets=(
-            _parse_feature_sets(args.features) if args.features else base.feature_sets
-        ),
-        targets=_parse_names(args.targets) if args.targets else base.targets,
-        measures=_parse_measures(args.measures) if args.measures else base.measures,
+        feature_sets=_axis(args, "features", _parse_feature_sets, base.feature_sets),
+        targets=_axis(args, "targets", _parse_names, base.targets),
+        measures=_axis(args, "measures", _parse_measures, base.measures),
         horizon=args.horizon,
         step=args.step,
         min_samples=args.min_samples,
         **_binning(args),
     )
+    frame = read_frame(args.input)
     log_ = run_grid_search(frame, space, seed=args.seed, jobs=args.jobs)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -257,15 +257,17 @@ def write_csv(frame: TimeSeriesFrame, destination=None) -> str | None:
     to a path or text file object when given one, else returns the text.
     The text is csv.writer's, written a chunk of rows at a time, each one
     column at a time: only the header can need quoting, so only the header
-    goes through csv.writer.  A column name holding a carriage return raises
-    ValueError before anything is written.
+    goes through csv.writer.  A column name holding a carriage return, or a
+    column named "date", raises ValueError before anything is written.
     """
     for name in frame.column_names:
         if "\r" in name:
-            raise ValueError(
-                f"column name {name!r} contains '\\r', which csv.writer leaves unquoted, "
-                "so the CSV could not be read back"
-            )
+            why = "contains '\\r', which csv.writer leaves unquoted"
+        elif name == "date":
+            why = "is the date column's, which the header names once"
+        else:
+            continue
+        raise ValueError(f"column name {name!r} {why}, so the CSV could not be read back")
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(("date",) + frame.column_names)
     return _emit(_frame_parts(frame, header.getvalue()), destination)

@@ -56,8 +56,8 @@ def cdist(xa: np.ndarray, xb: np.ndarray, out: np.ndarray | None = None) -> np.n
 
 
 NOT_FINITE_POSITIVE = "sums of squares are not finite and positive"
-# Each correlation's reason for a constant row.
-_CONSTANT = {"PC": "zero variance", "SC": "zero rank variance"}
+# Each correlation's reason for a constant row, or for DC a constant side.
+_CONSTANT = {"PC": "zero variance", "SC": "zero rank variance", "DC": "zero distance variance"}
 
 
 def _correlations(measure_id: str, x: np.ndarray, y: np.ndarray):
@@ -128,11 +128,6 @@ def _abs_is_cdist(ordered: np.ndarray) -> np.ndarray:
     return (span < EXACT_HIGH).all(axis=-1) & ~tiny
 
 
-def _exact(points: np.ndarray) -> bool:
-    """Whether _distances may take |xi - xj| of these row points."""
-    return points.shape[1] == 1 and bool(_abs_is_cdist(np.sort(points[:, 0])))
-
-
 def _distances(points: np.ndarray, exact: bool, out: np.ndarray | None = None) -> np.ndarray:
     """cdist(points, points), in out when given; |xi - xj| when exact, which _abs_is_cdist must
     have found of one-column points."""
@@ -172,23 +167,73 @@ def _centered_distances(
     return d, dvar
 
 
-def _distance_correlation(
-    xp: np.ndarray, x_centered, yp: np.ndarray, y_centered, scratch: np.ndarray
-) -> tuple[float, str]:
-    """DC of paired row points from each side's _centered_distances and "", or NaN and the
-    reason for a constant side; distance variances that underflow to zero or overflow raise
-    ValueError.  The elementwise product is taken into the (n, n) buffer scratch."""
-    (a, dvar_x), (b, dvar_y) = x_centered, y_centered
-    n = a.shape[0]
-    dvar = dvar_x * dvar_y
-    if dvar == 0.0:
-        if (xp == xp[0]).all() or (yp == yp[0]).all():
-            return math.nan, "zero distance variance"
-        raise ValueError("distance variance underflows to zero")
-    if dvar == math.inf:
-        raise ValueError("distances overflow")
-    dcov2 = max(float(np.add.reduce(np.multiply(a, b, out=scratch), axis=None) / (n * n)), 0.0)
-    return min(math.sqrt(dcov2 / math.sqrt(dvar)), 1.0), ""
+def _distance_correlations(sets: list, ys: list, todo: np.ndarray):
+    """DC of every (feature set, target) pair of an anchor block, and the (mask, reason)
+    checks that flag it: an (A, S, T) value array, NaN but where todo holds and no check does.
+
+    sets and ys are the block's feature-set and target sides, each a pair: a tuple of its
+    (A, n) column matrices, one anchor per row, and its rows sorted ascending if it has one
+    column, else None.  todo is an (A, S, T) mask of the anchors each pair scores.  At an
+    anchor a side is centred (_centered_distances) at most once, and only if a pair scored
+    there reads it; a one-column side whose sorted row passes _abs_is_cdist takes |xi - xj|
+    as its distances.  The centred matrices are made in (n, n) buffers made once per call,
+    one shared by the feature sets and one per target, and squares and products in one
+    scratch buffer: a fresh matrix per side would cost its pages at every anchor.  A
+    centring that raises is not kept: each pair that reads the side centres it again.
+
+    dCov^2 is the mean elementwise product of the centred matrices (a biased V-statistic),
+    clipped at zero.  A constant side is flagged "zero distance variance"; distance
+    variances that underflow to zero on non-constant points, and distances or variances
+    that overflow, are flagged with what went wrong.  Fewer than 2 observations raise
+    ValueError.
+    """
+    n = ys[0][0][0].shape[1]  # the window: the first target's (A, n) matrix
+    if n < 2:
+        raise ValueError("need at least 2 observations")
+    scratch, x_out, *y_outs = (np.empty((n, n)) for _ in range(2 + len(ys)))
+    values = np.full(todo.shape, math.nan)
+    flags: dict[str, np.ndarray] = {}
+
+    def centring(side):
+        """A side's centring at an anchor into out: its row points and centred distances."""
+        columns, ordered = side
+        exact = np.zeros(len(todo), dtype=bool) if ordered is None else _abs_is_cdist(ordered)
+
+        def centre(row: int, out: np.ndarray):
+            if len(columns) == 1:
+                points = columns[0][row, :, None]
+            else:
+                points = np.column_stack([c[row] for c in columns])
+            return points, _centered_distances(points, bool(exact[row]), scratch, out)
+
+        return centre
+
+    x_centres, y_centres = list(map(centring, sets)), list(map(centring, ys))
+    for row in range(len(todo)):
+        centred_ys = [None] * len(ys)
+        for i, centre_x in enumerate(x_centres):
+            centred_x = None
+            for j in np.flatnonzero(todo[row, i]):
+                try:
+                    if centred_x is None:
+                        centred_x = centre_x(row, x_out)
+                    if centred_ys[j] is None:
+                        centred_ys[j] = y_centres[j](row, y_outs[j])
+                    (xp, (a, dvar_x)), (yp, (b, dvar_y)) = centred_x, centred_ys[j]
+                    dvar = dvar_x * dvar_y
+                    if dvar == 0.0:
+                        constant = (xp == xp[0]).all() or (yp == yp[0]).all()
+                        raise ValueError(
+                            _CONSTANT["DC"] if constant else "distance variance underflows to zero"
+                        )
+                    if dvar == math.inf:
+                        raise ValueError("distances overflow")
+                    products = np.add.reduce(np.multiply(a, b, out=scratch), axis=None)
+                    dcov2 = max(float(products / (n * n)), 0.0)
+                    values[row, i, j] = min(math.sqrt(dcov2 / math.sqrt(dvar)), 1.0)
+                except ValueError as exc:
+                    flags.setdefault(str(exc), np.zeros(todo.shape, dtype=bool))[row, i, j] = True
+    return values, [(mask, reason) for reason, mask in flags.items()]
 
 
 def distance_correlation(x, y) -> MeasureResult:
@@ -199,7 +244,8 @@ def distance_correlation(x, y) -> MeasureResult:
     scores above zero at small n), and tiny negative rounding residue is
     clipped before the square root.  A constant side is degenerate; non-finite
     input, distance variances that underflow to zero on non-constant points,
-    and distances or variances that overflow raise ValueError.
+    and distances or variances that overflow raise ValueError.  The pair is
+    scored as a one-anchor block (_distance_correlations).
     """
     xp = as_points(x)
     yp = as_points(y)
@@ -209,10 +255,10 @@ def distance_correlation(x, y) -> MeasureResult:
         raise ValueError("need at least 2 observations")
     if not (np.isfinite(xp).all() and np.isfinite(yp).all()):
         raise ValueError("inputs are not finite")
-    scratch = np.empty((xp.shape[0],) * 2)
-    x_centered = _centered_distances(xp, _exact(xp), scratch)
-    y_centered = _centered_distances(yp, _exact(yp), scratch)
-    value, reason = _distance_correlation(xp, x_centered, yp, y_centered, scratch)
-    if reason:
+    sides = [(tuple(p.T[:, None]), np.sort(p.T) if p.shape[1] == 1 else None) for p in (xp, yp)]
+    values, checks = _distance_correlations(sides[:1], sides[1:], np.ones((1, 1, 1), dtype=bool))
+    for _, reason in checks:  # at most one, flagging the one anchor
+        if reason != _CONSTANT["DC"]:
+            raise ValueError(reason)
         return degenerate_result("DC", xp.shape[0], reason)
-    return MeasureResult("DC", value, xp.shape[0])
+    return MeasureResult("DC", float(values[0, 0, 0]), xp.shape[0])

@@ -13,18 +13,19 @@ with a cap per column, so a narrow scan (one signal, one target) takes as
 many anchors a block as that cap allows.
 One block scorer (_Block) scores every trial of a block, and
 evaluate_pairs is a one-anchor block: it flags each anchor with the first
-reason that holds, in one order for every measure, and scores every
-measure but DC at every anchor of the block at once: PC and SC on the
-rows of the matrices, PPS by growing the trees of every anchor (and of
-every feature set of one size and every target) level by level together,
-MI, IG, RSI_SYNERGY and MIC through the integer-code kernel.  DC, whose
-centred distances are n x n, scores one anchor at a time, taking |xi - xj|
-as a one-column side's distances where its sorted window shows that to be
-cdist's bits.  What the measures derive from a window (codes, entropies,
-ranks, centred distances) is made once and read by every trial that uses
-it.  The largest temporaries, MIC's joint cells and DC's centred
-distances, are made in buffers a block allocates once, not per trial or
-anchor: a fresh array of hundreds of KiB costs its pages on every call.
+reason that holds, in one order for every measure, and scores each
+measure at every anchor of the block: PC and SC on the rows of the
+matrices, PPS by growing the trees of every anchor (and of every feature
+set of one size and every target) level by level together, MI, IG and
+RSI_SYNERGY through the integer-code kernel, and MIC and DC by one kernel
+call per block that covers every (feature set, target) pair.  DC's
+kernel (statistical._distance_correlations) walks the anchors, centring
+each side once per anchor.  What the measures derive from a window
+(codes, entropies, ranks, centred distances) is made once and read by
+every trial that uses it.  The largest temporaries, MIC's joint cells and
+DC's centred distances, are made in buffers that the measure's kernel
+allocates once per call, not per trial or anchor: a fresh array of
+hundreds of KiB costs its pages on every call.
 
 Scores stay arrays from the kernels to the trial log: each kernel returns
 its values and the (mask, reason) checks it adds, and a block one value and
@@ -70,19 +71,12 @@ from .measures.information import (
     _mic,
     _mic_side,
     _mic_work,
-    _MicSide,
     _mutual_information,
     _synergy,
 )
 from .measures.model_based import _pps
 from .measures.result import Measure, as_points, measure_row
-from .measures.statistical import (
-    _abs_is_cdist,
-    _average_ranks,
-    _centered_distances,
-    _correlations,
-    _distance_correlation,
-)
+from .measures.statistical import _average_ranks, _correlations, _distance_correlations
 from .shaping import TOO_MANY_BINS, _fixed_width_codes, anchor_grid, pair_targets
 
 # Unused here; perfbench/layers.py looks these names up in this module to trace a run.
@@ -277,7 +271,8 @@ class _Column:
 
     Every window is sorted once, by a stable argsort: SC's ranks and the PPS
     tree's presort read the order, and the equal-frequency codes of every
-    bin count read the sorted values gathered through it.
+    bin count and DC's distance guard read the sorted values gathered
+    through it.
     """
 
     def __init__(self, values: np.ndarray):
@@ -294,60 +289,6 @@ class _Column:
         """Each row ascending."""
         return np.take_along_axis(self.values, self.order, axis=1)
 
-    @cached_property
-    def exact(self) -> np.ndarray:
-        """Whether DC may take |xi - xj| as each row's distances (_abs_is_cdist)."""
-        return _abs_is_cdist(self.ordered)
-
-
-class _Side:
-    """A feature set or a target at one anchor of a block, and its centred distances, made once.
-
-    DC is the one measure scored an anchor at a time: its centred distance
-    matrix is n x n, so a side keeps it for as long as the scan keeps the
-    side, a target for one anchor, a feature set for one (anchor, feature
-    set).  The matrix is made in out, an (n, n) buffer of the block's that
-    no other live side uses: each target has its own, and the feature sets
-    share one; a fresh matrix per side would cost its pages at every anchor.
-    A one-column side whose sorted window passes _abs_is_cdist takes
-    |xi - xj| as its distances.  Squares and products are taken into the
-    block's one (n, n) scratch buffer.  A derivation that raises is not
-    kept: each trial that reads it raises again.
-    """
-
-    def __init__(
-        self,
-        columns: tuple[_Column, ...],
-        row: int,
-        scratch: np.ndarray | None,
-        out: np.ndarray | None,
-    ):
-        self.columns = columns
-        self.row = row
-        self.scratch = scratch
-        self.out = out
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        """The window as an (n, F) matrix of row points."""
-        if len(self.columns) == 1:
-            return self.columns[0].values[self.row, :, None]
-        return np.column_stack([c.values[self.row] for c in self.columns])
-
-    @cached_property
-    def centered_distances(self) -> tuple[np.ndarray, float]:
-        exact = len(self.columns) == 1 and bool(self.columns[0].exact[self.row])
-        return _centered_distances(self.points, exact, self.scratch, self.out)
-
-    def distance_correlation(self, y: "_Side") -> tuple[float, str]:
-        """(DC, "") of this feature side and target side y, or (NaN, why), a ValueError's too."""
-        try:
-            return _distance_correlation(
-                self.points, self.centered_distances, y.points, y.centered_distances, self.scratch
-            )
-        except ValueError as exc:
-            return math.nan, str(exc)
-
 
 @dataclass
 class _Block:
@@ -356,16 +297,17 @@ class _Block:
     Each trial flags every anchor with the first reason that holds for it,
     in one order for every measure: non-finite input, a pairwise measure on
     a set, sides of unequal length, the measure's own checks, then its value
-    range.  Every measure but DC scores every anchor of the block at once:
-    PC and SC on the rows of the block's matrices, PPS by growing the trees
-    of every anchor together (with those of every other trial whose feature
-    set has as many columns), MI, IG, RSI_SYNERGY and MIC through the
-    integer-code kernel.  DC scores one anchor at a time (_Side), so that a
-    side's centred distances live for one anchor only.  Trials are scored
-    measure by measure; what they share is kept until the block is dropped
-    (each column's codes and ranks, each feature set's codes, each (feature
-    set, target)'s MI, which RSI_SYNERGY reads again), but MIC's sides and
-    buffers only until its trials are done.  What raises is not kept.
+    range.  PC and SC score the rows of the block's matrices, PPS grows the
+    trees of every anchor together (with those of every other trial whose
+    feature set has as many columns), and MI, IG and RSI_SYNERGY count
+    integer codes.  MIC and DC score every (feature set, target) pair of the
+    block in one kernel call, at the first trial that reads them; the sides
+    and buffers the kernel makes live for that call only (DC's kernel
+    centres each side once per anchor, into (n, n) buffers it makes once).
+    Trials are scored measure by measure; what they share is kept until the
+    block is dropped (each column's codes and ranks, each feature set's
+    codes, each (feature set, target)'s MI, which RSI_SYNERGY reads again,
+    and each kernel's values and checks).  What raises is not kept.
     """
 
     anchors: int  # rows of every column's matrix
@@ -402,9 +344,6 @@ class _Block:
     def _ranks(self, c: _Column) -> np.ndarray:
         return self._keep(("ranks", c), lambda: _average_ranks(c.values, c.order))
 
-    def _mic(self, c: _Column) -> _MicSide:
-        return self._keep(("mic", c), lambda: _mic_side(c.values, c.ordered))
-
     def _codes(self, x: tuple[_Column, ...]) -> _Codes:
         return self._keep(("set", x), lambda: _joint([self._features(c)[0] for c in x]))
 
@@ -414,19 +353,17 @@ class _Block:
         )
 
     def _values(self, m: Measure, x: tuple[_Column, ...], y: _Column, checks: list):
-        """Measure row m at every anchor, and None for DC; adds the measure's checks to checks."""
-        if m.id == "DC":
-            return None
+        """Measure row m at every anchor; adds the measure's checks to checks."""
         if m.id == "PC":
             values, refusals = _correlations("PC", x[0].values, y.values)
         elif m.id == "SC":
             values, refusals = _correlations("SC", self._ranks(x[0]), self._ranks(y))
         elif m.id == "PPS":
             values, refusals = self._pps(x, y)
+        elif m.id == "DC":
+            values, refusals = self._keep(("dc",), self._dc_pairs)[x, y]
         elif m.id == "MIC":
-            sx, sy = self._mic(x[0]), self._mic(y)
-            values = _mic(sx, sy, self._keep(("mic",), lambda: _mic_work(sx)))[0]
-            refusals = [(sx.wide, TOO_WIDE), (sy.wide, TOO_WIDE)]
+            values, refusals = self._keep(("mic",), self._mic_pairs)[x, y]
         else:  # MI, IG or RSI_SYNERGY; a refused target flags an anchor before a set too large
             if y.values.shape[1] == 0:
                 raise ValueError("empty symbol sequences")
@@ -473,13 +410,42 @@ class _Block:
 
         return self._keep(("pps", len(x)), make)[x, y]
 
+    def _dc_pairs(self) -> dict:
+        """DC of each (feature set, target) at each anchor with finite input, and its checks,
+        from one call of the block kernel (statistical._distance_correlations)."""
+
+        def side(x: tuple[_Column, ...]):
+            return tuple(c.values for c in x), x[0].ordered if len(x) == 1 else None
+
+        todo = np.array([[self._finite(x + (y,)) for y in self.ys] for x in self.sets])
+        values, checks = _distance_correlations(
+            list(map(side, self.sets)), [side((y,)) for y in self.ys], np.moveaxis(todo, -1, 0)
+        )
+        return {
+            (x, y): (values[:, i, j], [(mask[:, i, j], reason) for mask, reason in checks])
+            for i, x in enumerate(self.sets)
+            for j, y in enumerate(self.ys)
+        }
+
+    def _mic_pairs(self) -> dict:
+        """MIC of each (one-column feature set, target) at every anchor, and its checks; the
+        sides and the work buffers live for this call only."""
+        ys = [_mic_side(y.values, y.ordered) for y in self.ys]
+        xs = {x: _mic_side(x[0].values, x[0].ordered) for x in self.sets if len(x) == 1}
+        work = _mic_work(ys[0])
+        return {
+            (x, y): (_mic(sx, sy, work)[0], [(sx.wide, TOO_WIDE), (sy.wide, TOO_WIDE)])
+            for x, sx in xs.items()
+            for y, sy in zip(self.ys, ys)
+        }
+
     def _trial(self, m: Measure, x: tuple[_Column, ...], y: _Column):
-        """Measure row m on feature set x and target y: each anchor's value, NaN for DC, and
-        its first reason, "" where none holds."""
+        """Measure row m on feature set x and target y: each anchor's value, and its first
+        reason, "" where none holds."""
         a, n = x[0].values.shape
         every = np.ones(a, dtype=bool)
         checks = [(~self._finite(x + (y,)), "non-finite input")]
-        values = None
+        values = np.full(a, np.nan)
         if m.pairwise and len(x) > 1:
             checks.append((every, "pairwise measure on multivariate input"))
         elif y.values.shape[1] != n:
@@ -492,12 +458,11 @@ class _Block:
         reasons = np.full(a, "", dtype=object)
         for mask, reason in reversed(checks):  # the first check that holds writes last
             reasons[mask] = reason
-        return np.full(a, np.nan) if values is None else values, reasons
+        return values, reasons
 
     def scores(self, measure_rows: list[Measure]) -> tuple[np.ndarray, np.ndarray]:
         """An (A, T) float64 value matrix, one column per trial in (feature set, target,
-        measure) order, NaN exactly where the (A, T) matrix of reasons does not hold "".
-        DC fills its cells last, one anchor at a time."""
+        measure) order, NaN exactly where the (A, T) matrix of reasons does not hold ""."""
         pairs = [(x, y) for x in self.sets for y in self.ys]
         t = len(measure_rows)
         values = np.empty((self.anchors, len(pairs) * t))
@@ -505,12 +470,6 @@ class _Block:
         for k, m in enumerate(measure_rows):
             for j, (x, y) in enumerate(pairs):
                 values[:, j * t + k], reasons[:, j * t + k] = self._trial(m, x, y)
-            if m.id == "MIC":  # no later trial reads MIC's sides and work buffers
-                self._kept = {key: kept for key, kept in self._kept.items() if key[0] != "mic"}
-        self._kept.clear()  # DC reads none of it
-        dc = [k for k, m in enumerate(measure_rows) if m.id == "DC"]
-        if dc:
-            self._distance_correlations(values, reasons, dc)
         lo, hi = np.array([m.range for m in measure_rows] * len(pairs)).T
         flagged = reasons != ""
         outside = ~flagged & ~((lo <= values) & (values <= hi))
@@ -519,26 +478,6 @@ class _Block:
             reasons[row, c] = f"{m.id} value {value} outside [{m.range[0]}, {m.range[1]}]"
         values[flagged | outside] = np.nan
         return values, reasons
-
-    def _distance_correlations(self, values: np.ndarray, reasons: np.ndarray, dc: list[int]):
-        """DC, measure dc of each (feature set, target), in every cell that no check flags."""
-        shape = (self.anchors, len(self.sets), len(self.ys), -1)
-        values, reasons = values.reshape(shape), reasons.reshape(shape)  # views of the matrices
-
-        def square(c: _Column) -> np.ndarray:  # an (n, n) buffer for DC of c's windows
-            return np.empty((c.values.shape[1],) * 2)
-
-        scratch, x_out = square(self.sets[0][0]), square(self.sets[0][0])
-        y_outs = [square(y) for y in self.ys]
-        for row in range(self.anchors):
-            y_sides = [_Side((y,), row, scratch, out) for y, out in zip(self.ys, y_outs)]
-            for i, x in enumerate(self.sets):
-                x_side = _Side(x, row, scratch, x_out)
-                for j, y_side in enumerate(y_sides):
-                    for k in dc:
-                        if not reasons[row, i, j, k]:
-                            cell = row, i, j, k
-                            values[cell], reasons[cell] = x_side.distance_correlation(y_side)
 
 
 def evaluate_pairs(
@@ -592,13 +531,12 @@ def scan_window(
     the grid search, verification and windowed measurement.  It walks the
     anchors in blocks of at most _BLOCK_CELLS window cells over all the
     distinct feature and target columns and _COLUMN_CELLS per column: each
-    block cuts every column's windows into one matrix, every measure but DC
-    scores every anchor of the block at once, and DC scores one anchor at a
-    time from rows of the same matrices, |xi - xj| being a one-column side's
-    distances where the sorted row passes _abs_is_cdist.  For DC, targets
-    keep their centred distances for the anchor, feature sets for their own
-    trials only.  Windows with fewer than min_samples pairs come back
-    degenerate without being scored.
+    block cuts every column's windows into one matrix and scores every
+    anchor of the block from it (_Block).  DC's side sharing and buffers
+    live in its block kernel, statistical._distance_correlations: it
+    centres each target once per anchor and each feature set once per
+    (anchor, feature set).  Windows with fewer than min_samples pairs come
+    back degenerate without being scored.
     """
     check_binning(bin_width, feature_bins)
     measure_rows = [measure_row(m) for m in measures]

@@ -624,6 +624,24 @@ def test_series_and_window_flags_are_refused_by_flag_before_any_work(tmp_path, c
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    (
+        ("--features", "at least one feature set is required"),
+        ("--targets", "expected a comma-separated list of names"),
+        ("--measures", "at least one measure is required"),
+    ),
+)
+def test_an_empty_search_axis_is_refused_by_flag_before_any_work(tmp_path, capsys, flag, message):
+    """An empty --features, --targets or --measures names its flag and value and exits 2
+    before the input is read, rather than searching the default axis."""
+    missing = str(tmp_path / "missing.csv")
+    command = ["search", "--input", missing, "--output", str(tmp_path / "run"), flag, ""]
+    assert main(command) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} '': {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
 def test_argparse_errors_map_to_exit_two(capsys):
     assert main(["measure", "--input", "x.csv"]) == 2
     assert main(["unknown-command"]) == 2

@@ -428,6 +428,50 @@ def test_write_csv_refuses_a_column_name_it_could_not_read_back(tmp_path):
     assert path.read_text() == stream.getvalue() == "kept"
 
 
+def test_write_csv_refuses_a_column_named_date(tmp_path):
+    """A column named "date" would write the header date,date, which read_frame refuses as a
+    duplicate name: it is refused before anything is written, to a path or a stream."""
+    frame = TimeSeriesFrame(np.datetime64("2020-01-01") + np.arange(2), {"date": [1.0, 2.0]})
+    path = tmp_path / "out.csv"
+    path.write_text("kept")
+    stream = io.StringIO("kept")
+    for destination in (None, path, stream):
+        with pytest.raises(ValueError, match="^column name 'date' is the date column's"):
+            write_csv(frame, destination)
+    assert path.read_text() == stream.getvalue() == "kept"
+
+
+# Pieces of column names: the date column's name, and the text a CSV header quotes or splits on.
+NAME_PIECES = ("date", "", ",", '"', "\r", "\n", " ", "a")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    names=st.lists(
+        st.lists(st.sampled_from(NAME_PIECES), max_size=3).map("".join),
+        min_size=1, max_size=3, unique=True,
+    ),
+    days=st.lists(st.integers(-700_000, 2_900_000), max_size=5, unique=True).map(sorted),
+    data=st.data(),
+)
+def test_every_frame_write_csv_accepts_reads_back_equal(names, days, data):
+    """A sound frame (increasing dates, finite values, at least one column) that write_csv
+    writes reads back equal through read_frame; write_csv refuses only a name holding a
+    carriage return and the name "date"."""
+    columns = {
+        name: data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                 min_size=len(days), max_size=len(days)))
+        for name in names
+    }
+    frame = TimeSeriesFrame(np.array(days, dtype="datetime64[D]"), columns)
+    try:
+        text = write_csv(frame)
+    except ValueError:
+        assert any("\r" in name or name == "date" for name in names)
+        return
+    assert_same_frame(read_frame(io.StringIO(text)), frame)
+
+
 def test_read_frame_reports_what_validate_frame_reports():
     """Read back from CSV, a frame gets validate_frame's issues, in (row, column, kind) order."""
     ts = np.array(["2020-01-01", "2020-01-02", "2020-01-02", "2020-01-03"], dtype="datetime64[D]")
