@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .frame import _emit, load_ohlcv, read_frame, write_csv
+from .frame import _emit, _write_table, load_ohlcv, read_frame, write_csv
 from .indicators import build_feature_matrix, standard_indicator_specs
 from .measures.result import MEASURES
 from .search import (
@@ -126,6 +126,16 @@ def _binning(args) -> dict:
     return {"bin_width": bin_width, "feature_bins": args.feature_bins}
 
 
+def _write_rows(args, header: tuple[str, ...], rows: list[tuple[str, ...]], payload) -> None:
+    """Write the rows of text cells under header as CSV, or payload as JSON, as --format says,
+    to --output or stdout."""
+    destination = sys.stdout if args.output is None else args.output
+    if args.format == "json":
+        _emit((json.dumps(payload, indent=2) + "\n",), destination)
+    else:
+        _write_table(header, [list(zip(*rows))], destination)
+
+
 def _check_counts(args, *flags: str) -> None:
     """Refuse a window, step or horizon flag below 1, naming the flag and its value."""
     for flag in flags:
@@ -199,25 +209,19 @@ def _measure_windowed(args, frame, features, measures) -> list[dict]:
 
 def cmd_measure(args) -> int:
     _check_counts(args, "window", "step", "horizon")
+    features = _axis(args, "features", _parse_names, None)
+    measures = _axis(args, "measures", _parse_measures, None)
     frame = read_frame(args.input)
-    features = _parse_names(args.features)
-    measures = _parse_measures(args.measures)
     if args.window is None:
         rows = _measure_whole_series(args, frame, features, measures)
     else:
         rows = _measure_windowed(args, frame, features, measures)
-    if args.format == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
-        lines = ["measure,value,sample_size,degenerate"]
-        for r in rows:
-            value = "nan" if r["value"] is None else repr(float(r["value"]))
-            lines.append(
-                f"{r['measure']},{value},{r['sample_size']},"
-                f"{'true' if r['degenerate'] else 'false'}"
-            )
-        text = "\n".join(lines) + "\n"
-    _emit((text,), sys.stdout if args.output is None else args.output)
+    cells = [
+        (r["measure"], "nan" if r["value"] is None else repr(float(r["value"])),
+         str(r["sample_size"]), "true" if r["degenerate"] else "false")
+        for r in rows
+    ]
+    _write_rows(args, ("measure", "value", "sample_size", "degenerate"), cells, rows)
     if all(r["degenerate"] for r in rows):
         return EXIT_DEGENERATE
     return EXIT_OK
@@ -341,26 +345,16 @@ def cmd_report(args) -> int:
             f"over {result.params['overlap']} configurations"
         )
     ranking = rank_hyperparameters(log_, args.group_by, trend=args.trend)
-    if args.format == "json":
-        payload = {
-            "group_by": ranking.group_by,
-            "rows": [
-                {
-                    "value": g.value,
-                    "median_objective": g.median_objective,
-                    "trials": g.trials,
-                }
-                for g in ranking.rows
-            ],
-            "notice": ranking.notice,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [f"{ranking.group_by},median_objective,trials"]
-        for g in ranking.rows:
-            lines.append(f"{g.value},{repr(g.median_objective)},{g.trials}")
-        text = "\n".join(lines) + "\n"
-    _emit((text,), sys.stdout if args.output is None else args.output)
+    payload = {
+        "group_by": ranking.group_by,
+        "rows": [
+            {"value": g.value, "median_objective": g.median_objective, "trials": g.trials}
+            for g in ranking.rows
+        ],
+        "notice": ranking.notice,
+    }
+    cells = [(g.value, repr(g.median_objective), str(g.trials)) for g in ranking.rows]
+    _write_rows(args, (ranking.group_by, "median_objective", "trials"), cells, payload)
     if ranking.notice:
         print(ranking.notice, file=sys.stderr)
         return EXIT_DEGENERATE

@@ -4,9 +4,13 @@ A frame is an immutable bundle of a date axis plus equally long float
 columns.  Loaders reject bad input instead of repairing it; the only
 normalization applied is sorting rows into ascending date order.  A
 reader, of a path or a text stream, parses one row at a time as it reads
-it and holds no whole text, so the first faulty row raises.  A writer
-formats _CHUNK_ROWS rows at a time, one column at a time, and holds one
-chunk's text.
+it and holds no whole text, so the first faulty row raises.
+
+Every CSV table depscope writes (a frame, the trial log, the parallel
+coordinates, the measure and report tables) is written by _write_table:
+a header, then chunks of text columns, of at most _CHUNK_ROWS rows each.
+It quotes one column at a time as csv.writer quotes a cell, so its text is
+csv.writer's, and holds one chunk's text.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from datetime import date
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -125,8 +129,10 @@ def validate_frame(frame: TimeSeriesFrame) -> ValidationReport:
     """Enumerate semantic violations; an empty issue list means the frame is sound."""
     issues: list[ValidationIssue] = []
     ts = frame.timestamps
-    for i in (np.flatnonzero(ts[1:] <= ts[:-1]) + 1).tolist():
-        kind = "duplicate_time" if ts[i] == ts[i - 1] else "non_monotonic_time"
+    nat = np.isnat(ts)  # a NaT date compares False with every date, so it is checked first
+    for i in np.flatnonzero(nat | np.r_[False, ts[1:] <= ts[:-1]]).tolist():
+        same = ts[i] == ts[i - 1]
+        kind = "missing" if nat[i] else "duplicate_time" if same else "non_monotonic_time"
         issues.append(ValidationIssue(i, "date", kind))
     for name, arr in frame.columns.items():
         for i in np.flatnonzero(np.isnan(arr)):
@@ -254,12 +260,17 @@ def write_csv(frame: TimeSeriesFrame, destination=None) -> str | None:
     """Serialize a frame to CSV text that read_frame maps back to an equal frame.
 
     Floats are written with repr, which round-trips float64 exactly.  Writes
-    to a path or text file object when given one, else returns the text.
-    The text is csv.writer's, written a chunk of rows at a time, each one
-    column at a time: only the header can need quoting, so only the header
-    goes through csv.writer.  A column name holding a carriage return, or a
-    column named "date", raises ValueError before anything is written.
+    to a path or text file object when given one, else returns the text,
+    through _write_table.  A frame that could not be read back raises
+    ValueError before anything is written: one with no columns, a NaT date
+    (naming its row), a column name holding a carriage return, or a column
+    named "date".
     """
+    if not frame.columns:
+        raise ValueError("a frame with no columns writes a header read_frame refuses")
+    nat = np.flatnonzero(np.isnat(frame.timestamps))
+    if nat.size:
+        raise ValueError(f"row {nat[0]} has date NaT, so the CSV could not be read back")
     for name in frame.column_names:
         if "\r" in name:
             why = "contains '\\r', which csv.writer leaves unquoted"
@@ -268,19 +279,43 @@ def write_csv(frame: TimeSeriesFrame, destination=None) -> str | None:
         else:
             continue
         raise ValueError(f"column name {name!r} {why}, so the CSV could not be read back")
-    header = io.StringIO()
-    csv.writer(header, lineterminator="\n").writerow(("date",) + frame.column_names)
-    return _emit(_frame_parts(frame, header.getvalue()), destination)
+    chunks = (
+        [np.datetime_as_string(frame.timestamps[start : start + _CHUNK_ROWS]).tolist()]
+        + [list(map(repr, values[start : start + _CHUNK_ROWS].tolist()))
+           for values in frame.columns.values()]
+        for start in range(0, len(frame), _CHUNK_ROWS)
+    )
+    return _write_table(("date",) + frame.column_names, chunks, destination)
 
 
-def _frame_parts(frame: TimeSeriesFrame, header: str) -> Iterator[str]:
-    """The header, then the text of each chunk of rows."""
-    yield header
-    for start in range(0, len(frame), _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        columns = [np.datetime_as_string(frame.timestamps[rows]).tolist()]
-        columns += [list(map(repr, values[rows].tolist())) for values in frame.columns.values()]
-        yield "\n".join(map(",".join, zip(*columns))) + "\n"
+def _write_table(header: tuple[str, ...], chunks: Iterable[list], destination) -> str | None:
+    """Write the header, then each chunk of text columns, as the rows csv.writer writes (with
+    lineterminator "\n"); return or write the text as _emit does, so a chunk that raises
+    leaves destination as it was.  Every row has at least two cells."""
+    parts = map(_csv_rows, chain(([[name] for name in header],), chunks))
+    return _emit(parts, destination)
+
+
+def _csv_rows(columns: list) -> str:
+    """The rows of equally long text columns, one column at a time."""
+    rows = list(map(",".join, zip(*map(_csv_column, columns))))
+    return "\n".join(rows) + "\n" if rows else ""
+
+
+def _csv_column(cells: list[str]) -> list[str]:
+    """The cells as csv.writer writes them, quoting each distinct cell that needs it once."""
+    text = "".join(cells)
+    if not any(char in text for char in ',"\r\n'):  # no other character makes csv.writer quote
+        return cells
+    written = {cell: _csv_cell(cell) for cell in set(cells)}
+    return list(map(written.__getitem__, cells))
+
+
+def _csv_cell(cell: str) -> str:
+    """A cell as csv.writer writes it in a row of several cells."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((cell, ""))
+    return buf.getvalue()[: -len(",\n")]
 
 
 def _emit(parts: Iterable[str], destination) -> str | None:

@@ -31,34 +31,30 @@ Scores stay arrays from the kernels to the trial log: each kernel returns
 its values and the (mask, reason) checks it adds, and a block one value and
 one reason per (anchor, trial).  The scan builds no MeasureResult.
 
-The trial-log writers stream chunks of frame._CHUNK_ROWS trials, each
-written one field at a time: they format each column with one C-level call
-per cell, quote each distinct text that needs it once and join the rows
-with fixed separators, giving csv.writer's bytes (a value that cannot be
-written raises TypeError or ValueError), and hold one chunk's text.  The
-reader parses one row at a time as it reads it, so the first faulty row
-raises.  trials.csv is the one trial table; trials.json is the run record
-(search space, seed, wall-clock facts) and lists no trial.
+The trial-log writers hand chunks of frame._CHUNK_ROWS trials to
+frame._write_table, one text column per field, each formatted with one
+C-level call per cell (a value that cannot be written raises TypeError or
+ValueError).  The reader parses one row at a time as it reads it, so the
+first faulty row raises.  trials.csv is the one trial table; trials.json
+is the run record (search space, seed, wall-clock facts) and lists no
+trial.
 """
 from __future__ import annotations
 
-import csv
-import io
 import json
 import logging
 import math
 import time
-from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import filterfalse
 from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .frame import TimeSeriesFrame, _chunks, _emit, _table
+from .frame import TimeSeriesFrame, _chunks, _emit, _table, _write_table
 from .measures import MeasureResult, degenerate_result, spearman
 from .measures.information import (
     TOO_WIDE,
@@ -664,43 +660,10 @@ def config_key(window_size: int, features, target: str, measure: str) -> str:
     return f"{window_size}|{'+'.join(features)}|{target}|{measure}"
 
 
-def _csv_cell(cell: str) -> str:
-    """A cell as csv.writer writes it in a row of several cells."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((cell, ""))
-    return buf.getvalue()[: -len(",\n")]
-
-
-def _csv_column(cells: list[str]) -> list[str]:
-    """The cells as csv.writer writes them, quoting each distinct cell that needs it once."""
-    text = "".join(cells)
-    if not any(char in text for char in ',"\r\n'):  # no other character makes csv.writer quote
-        return cells
-    written = {cell: _csv_cell(cell) for cell in set(cells)}
-    return list(map(written.__getitem__, cells))
-
-
-def _csv_text(names: tuple[str, ...], records: list) -> str:
-    """The named fields of the trials as CSV rows, one column at a time."""
-    if not records:
-        return ""
-    columns = [_csv_column(_cells(records, name)) for name in names]
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
-
-
-def _trial_parts(
-    rows: Iterable[TrialRecord], text: Callable[[list], str], head: str
-) -> Iterator[str]:
-    """head, then text(chunk) of each chunk of the rows."""
-    yield head
-    yield from map(text, _chunks(rows))
-
-
 def write_trial_log_csv(log_: TrialLog, destination=None) -> str | None:
     """Write trial rows as CSV; feature names inside a set are joined with '|'."""
-    text = partial(_csv_text, TRIAL_CSV_HEADER)
-    head = ",".join(TRIAL_CSV_HEADER) + "\n"
-    return _emit(_trial_parts(log_.records, text, head), destination)
+    chunks = ([_cells(rows, name) for name in TRIAL_CSV_HEADER] for rows in _chunks(log_.records))
+    return _write_table(TRIAL_CSV_HEADER, chunks, destination)
 
 
 def read_trial_log_csv(source) -> TrialLog:
@@ -770,8 +733,8 @@ def write_parallel_coordinates(log_: TrialLog, destination=None) -> str | None:
     """
     names = GROUP_AXES + ("objective",)
     scored = filterfalse(attrgetter("degenerate"), log_.records)
-    parts = _trial_parts(scored, partial(_csv_text, names), ",".join(names) + "\n")
-    return _emit(parts, destination)
+    chunks = ([_cells(rows, name) for name in names] for rows in _chunks(scored))
+    return _write_table(names, chunks, destination)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -11,7 +12,14 @@ import depscope
 from depscope.cli import EXIT_INVALID, EXIT_OK, build_parser, main
 from depscope.frame import TimeSeriesFrame, load_ohlcv, read_frame
 from depscope.measures import MEASURE_IDS, VALUE_RANGES
-from depscope.search import SearchSpace, run_grid_search
+from depscope.search import (
+    SearchSpace,
+    TrialLog,
+    TrialRecord,
+    rank_hyperparameters,
+    run_grid_search,
+    write_trial_log_csv,
+)
 from depscope.verify import SyntheticSpec, generate_synthetic
 from depscope.frame import write_csv
 
@@ -625,21 +633,49 @@ def test_series_and_window_flags_are_refused_by_flag_before_any_work(tmp_path, c
 
 
 @pytest.mark.parametrize(
-    "flag, message",
+    "command, flag, message",
     (
-        ("--features", "at least one feature set is required"),
-        ("--targets", "expected a comma-separated list of names"),
-        ("--measures", "at least one measure is required"),
+        ("search", "--features", "at least one feature set is required"),
+        ("search", "--targets", "expected a comma-separated list of names"),
+        ("search", "--measures", "at least one measure is required"),
+        ("measure", "--features", "expected a comma-separated list of names"),
+        ("measure", "--measures", "at least one measure is required"),
     ),
 )
-def test_an_empty_search_axis_is_refused_by_flag_before_any_work(tmp_path, capsys, flag, message):
-    """An empty --features, --targets or --measures names its flag and value and exits 2
-    before the input is read, rather than searching the default axis."""
+def test_an_empty_list_is_refused_by_flag_before_any_work(tmp_path, capsys, command, flag, message):
+    """An empty --features, --targets or --measures of search, or --features or --measures of
+    measure, names its flag and value and exits 2 before the input is read (search would
+    otherwise run its default axis)."""
     missing = str(tmp_path / "missing.csv")
-    command = ["search", "--input", missing, "--output", str(tmp_path / "run"), flag, ""]
-    assert main(command) == 2
+    output = str(tmp_path / "run")
+    required = {"measure": ["--features", "a", "--target", "y"], "search": []}[command]
+    assert main([command, "--input", missing, "--output", output, *required, flag, ""]) == 2
     assert capsys.readouterr() == ("", f"error: {flag} '': {message}\n")
     assert not (tmp_path / "run").exists()
+
+
+def test_report_csv_quotes_group_values(tmp_path):
+    """Group values holding a comma, a quote or a line break are quoted as csv.writer quotes
+    them, so csv.reader reads every row back as three cells holding what the ranking says."""
+    names = ("a,b", 'q"d', "x\ny")
+    records = tuple(
+        TrialRecord(i, 8, (names[i % 3],), names[i % 3], "MI", "2021-01-09", "UP", i / 7, False)
+        for i in range(9)
+    )
+    log = TrialLog(records, None, 0)
+    trials = tmp_path / "trials.csv"
+    write_trial_log_csv(log, trials)
+    for group_by in ("features", "target"):
+        out = tmp_path / f"{group_by}.csv"
+        command = ["report", "--input", str(trials), "--output", str(out), "--group-by", group_by]
+        assert main(command + ["--format", "csv"]) == 0
+        with open(out, newline="", encoding="utf-8") as text:
+            rows = list(csv.reader(text))
+        ranking = rank_hyperparameters(log, group_by)
+        assert rows == [[group_by, "median_objective", "trials"]] + [
+            [g.value, repr(g.median_objective), str(g.trials)] for g in ranking.rows
+        ]
+        assert sorted(row[0] for row in rows[1:]) == sorted(names)
 
 
 def test_argparse_errors_map_to_exit_two(capsys):

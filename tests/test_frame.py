@@ -389,18 +389,18 @@ def test_write_csv_preserves_values_exactly():
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(
-    days=st.lists(st.one_of(st.integers(-800_000, 3_000_000), st.none()), max_size=12),
+    days=st.lists(st.integers(-800_000, 3_000_000), max_size=12),
     names=st.lists(st.sampled_from(("a", "b,c", 'q"d', "sp ace", "line\nbreak", "")),
-                   max_size=3, unique=True),
+                   min_size=1, max_size=3, unique=True),
     data=st.data(),
     chunk=st.sampled_from(CHUNKS),
 )
 def test_write_csv_is_the_row_wise_reference(days, names, data, chunk):
     """Column-at-a-time text is csv.writer's row by row, byte for byte, at every chunk size,
-    returned or written to a stream: dates from year -221 to 10,183 and NaT, every float (NaN,
+    returned or written to a stream: dates from year -221 to 10,183, every float (NaN,
     infinities, signed zeros, subnormals), header names that need quoting, and frames with no
-    rows or no columns."""
-    ts = np.array([np.datetime64("NaT") if d is None else d for d in days], dtype="datetime64[D]")
+    rows.  NaT dates and frames with no columns are refused (tests below)."""
+    ts = np.array(days, dtype="datetime64[D]")
     columns = {
         name: data.draw(st.lists(st.floats(), min_size=len(days), max_size=len(days)))
         for name in names
@@ -439,6 +439,41 @@ def test_write_csv_refuses_a_column_named_date(tmp_path):
         with pytest.raises(ValueError, match="^column name 'date' is the date column's"):
             write_csv(frame, destination)
     assert path.read_text() == stream.getvalue() == "kept"
+
+
+@pytest.mark.parametrize(
+    "frame, message",
+    (
+        (TimeSeriesFrame(np.datetime64("2020-01-01") + np.arange(2), {}),
+         "^a frame with no columns writes a header read_frame refuses$"),
+        (TimeSeriesFrame(np.array(["2020-01-01", "NaT", "2020-01-03", "NaT"], "datetime64[D]"),
+                         {"a": [1.0, 2.0, 3.0, 4.0]}),
+         "^row 1 has date NaT, so the CSV could not be read back$"),
+    ),
+    ids=("no-columns", "nat"),
+)
+def test_write_csv_refuses_a_frame_read_frame_would_refuse(tmp_path, frame, message):
+    """A frame with no columns would write the header "date", and a NaT date the cell "NaT":
+    read_frame refuses both, so write_csv refuses the frame, naming the first NaT row, before
+    anything is written, to a path or a stream."""
+    path = tmp_path / "out.csv"
+    path.write_text("kept")
+    stream = io.StringIO("kept")
+    for destination in (None, path, stream):
+        with pytest.raises(ValueError, match=message):
+            write_csv(frame, destination)
+    assert path.read_text() == stream.getvalue() == "kept"
+
+
+def test_validate_frame_reports_a_nat_date_as_missing():
+    """A NaT date compares False with every date, so it is reported on its own, in row order."""
+    ts = np.array(["2020-01-01", "NaT", "2020-01-03", "2020-01-03", "NaT"], "datetime64[D]")
+    frame = TimeSeriesFrame(ts, {"a": np.zeros(5)})
+    assert validate_frame(frame).issues == (
+        ValidationIssue(1, "date", "missing"),
+        ValidationIssue(3, "date", "duplicate_time"),
+        ValidationIssue(4, "date", "missing"),
+    )
 
 
 # Pieces of column names: the date column's name, and the text a CSV header quotes or splits on.

@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import depscope.frame
@@ -1087,6 +1087,62 @@ def test_trial_writers_write_the_row_wise_references_bytes(log, chunk):
             out = io.StringIO()
             assert write(log, out) is None
             assert out.getvalue() == expected
+
+
+# Pieces of column names: the date column's name, text that CSV quotes or splits on, and the
+# characters the trial log and config_key join names with.
+SEARCH_NAME_PIECES = ("date", "", ",", '"', "\n", " ", "|", "+", "a")
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    names=st.lists(
+        st.lists(st.sampled_from(SEARCH_NAME_PIECES), max_size=3).map("".join),
+        min_size=1, max_size=3, unique=True,
+    ),
+    data=st.data(),
+)
+def test_every_search_log_writes_and_reads_back_equal(names, data):
+    """SearchSpace refuses a feature name holding '|' or '+' and a target name holding '|'.
+    Any log run_grid_search returns over the other names, on a tiny frame whose columns may be
+    constant, reads back through read_trial_log_csv with equal fields (NaN exactly where
+    degenerate), and the read-back log writes the same bytes."""
+    for name in names:
+        as_feature = dict(feature_sets=((name,),), targets=("y",))
+        as_target = dict(feature_sets=(("a",),), targets=(name,))
+        for axes, refused in ((as_feature, "|+"), (as_target, "|")):
+            if any(char in name for char in refused):
+                with pytest.raises(ValueError, match=r"name .* contains '[|+]', which "):
+                    tiny_space(**axes)
+            else:
+                tiny_space(**axes)
+    features = [name for name in names if not ("|" in name or "+" in name)]
+    targets = [name for name in names if "|" not in name]
+    assume(features and targets)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = 30
+    columns = {
+        name: np.full(n, 1.5) if data.draw(st.booleans()) else rng.standard_normal(n)
+        for name in names
+    }
+    columns["close"] = 100.0 + np.cumsum(rng.standard_normal(n))
+    frame = TimeSeriesFrame(np.datetime64("2021-01-01") + np.arange(n), columns)
+    space = tiny_space(
+        feature_sets=data.draw(
+            st.lists(st.lists(st.sampled_from(features), min_size=1, max_size=2, unique=True)
+                     .map(tuple), min_size=1, max_size=2, unique=True)
+        ),
+        targets=data.draw(st.lists(st.sampled_from(targets), min_size=1, max_size=2, unique=True)),
+        measures=data.draw(st.lists(st.sampled_from(MEASURE_IDS), min_size=1, max_size=2,
+                                    unique=True)),
+        min_samples=data.draw(st.sampled_from((2, 9))),
+    )
+    log = run_grid_search(frame, space)
+    assert all(r.degenerate == math.isnan(r.objective) for r in log.records)
+    text = write_trial_log_csv(log)
+    back = read_trial_log_csv(io.StringIO(text))
+    assert trial_fields(back.records) == trial_fields(log.records)
+    assert write_trial_log_csv(back) == text
 
 
 class Unencodable:
