@@ -130,8 +130,10 @@ def validate_frame(frame: TimeSeriesFrame) -> ValidationReport:
     issues: list[ValidationIssue] = []
     ts = frame.timestamps
     nat = np.isnat(ts)  # a NaT date compares False with every date, so it is checked first
-    for i in np.flatnonzero(nat | np.r_[False, ts[1:] <= ts[:-1]]).tolist():
-        same = ts[i] == ts[i - 1]
+    # Each date is compared with the last non-NaT date above it (-1: none is).
+    above = np.r_[-1, np.maximum.accumulate(np.where(nat, -1, np.arange(len(ts))))][:-1]
+    for i in np.flatnonzero(nat | ((above >= 0) & (ts <= ts[above]))).tolist():
+        same = ts[i] == ts[above[i]]
         kind = "missing" if nat[i] else "duplicate_time" if same else "non_monotonic_time"
         issues.append(ValidationIssue(i, "date", kind))
     for name, arr in frame.columns.items():

@@ -4,9 +4,11 @@ MI, IG, RSI_SYNERGY and MIC score through one kernel on integer codes that
 scores a block of rows at once: each row is one sample (in a scan, one
 anchor), and a side is an (A, n) matrix of codes 0..width-1 (_Codes), kept
 no wider than n by renumbering each row densely.  Every table, MIC's at
-each grid size and shape included, is counted by _row_counts: np.bincount
-counts a table of at most n cells per row; a wider joint table is counted
-from the runs of its sorted rows, zero-padded to n cells.
+each grid size included, is counted by _row_counts: np.bincount counts a
+table of at most n cells per row; a wider joint table is counted from the
+runs of its sorted rows, zero-padded to n cells.  MIC's joint tables are the
+exception: _mic counts those of every grid shape with one bincount of its
+own, into the work buffers that its block kernel (_mics) makes once per call.
 Entropies are in bits with one pinned arithmetic: Python-float terms c / n
 summed smallest-first as p * math.log2(p), so results are deterministic and
 MI is exactly symmetric.  Counts of n observations look their terms up in a
@@ -545,9 +547,10 @@ def _mic(
     """Each row's MIC, its best normalized MI clipped to [0, 1], and the index of its grid
     shape; every joint table counted at once.
 
-    The cells are made in work, _mic_work's buffers, which a scan makes once
+    The cells are made in work, _mic_work's buffers, which _mics makes once
     per anchor block: tables of every shape are hundreds of KiB, and a fresh
-    one per call would cost its pages each time.
+    one per call would cost its pages each time.  The joint tables are
+    counted here, by one bincount into work, not by _row_counts.
     """
     a, _, n = x.codes.shape
     grid = _mic_grid(n)
@@ -566,6 +569,27 @@ def _mic(
     best = np.argmax(m, axis=1)  # the first of equal maxima: ties prefer the smaller gx, then gy
     values = m[np.arange(a), best]
     return np.where(values > 0.0, np.minimum(values, 1.0), 0.0), best
+
+
+def _mics(sets: list, ys: list):
+    """MIC of every (feature set, target) pair of an anchor block, and its check, the rows
+    too wide to bin on either side: an (A, S, T) value array, NaN for a set of more than one
+    column (which the scan flags as a pairwise measure's).
+
+    sets are the block's feature sets, each a tuple of _Column, and ys its targets, each a
+    _Column.  The sides and the work buffers live for this call only.
+    """
+    sides = [_mic_side(y.values, y.ordered) for y in ys]
+    work = _mic_work(sides[0])
+    values = np.full((len(ys[0].values), len(sets), len(ys)), np.nan)
+    wide = np.zeros(values.shape, dtype=bool)
+    for i, x in enumerate(sets):
+        if len(x) == 1:
+            sx = _mic_side(x[0].values, x[0].ordered)
+            for j, sy in enumerate(sides):
+                values[:, i, j] = _mic(sx, sy, work)[0]
+                wide[:, i, j] = sx.wide | sy.wide
+    return values, [(wide, TOO_WIDE)]
 
 
 def mic(x, y) -> MeasureResult:

@@ -9,7 +9,8 @@ node's arithmetic is that of a node grown on its own, so the trees are
 the same bit for bit: every node's total is np.add.reduce's, taken for
 the nodes of each size at once as the rows of one matrix.  No tree is
 kept: a row's fitted value is written at each level it reaches, so the
-last one written is its leaf's mean.  pps grows a stack of one.
+last one written is its leaf's mean.  pps grows a stack of one; a scan's
+block kernel, _ppss, grows a block's (feature set, target) pairs in stacks.
 """
 from __future__ import annotations
 
@@ -186,8 +187,9 @@ def _squares_fit(ys: np.ndarray) -> np.ndarray:
 
 def _median_mae(ys: np.ndarray) -> np.ndarray:
     """Each row's mean absolute error of always predicting its median (midpoint for even
-    counts), for an (A, n) matrix; past float64 it is inf, unwarned."""
-    with np.errstate(over="ignore"):
+    counts), for an (A, n) matrix; past float64 it is inf, and NaN or inf where a row is not
+    finite, unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
         return np.mean(np.abs(ys - np.median(ys, axis=1, keepdims=True)), axis=1)
 
 
@@ -214,7 +216,7 @@ def pps(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> MeasureResult:
     xt = xs.T[None]
     order = np.argsort(xt, axis=2, kind="stable")
     mae, baseline, ((constant, reason), (overflow, _)) = _pps(
-        xt, ys[None], order, np.arange(1), max_depth, min_samples_leaf
+        xt, ys[None], order, max_depth, min_samples_leaf
     )
     params = {"max_depth": max_depth, "min_samples_leaf": min_samples_leaf}
     n = ys.shape[0]
@@ -230,24 +232,57 @@ def pps(X, y, max_depth: int = 4, min_samples_leaf: int = 5) -> MeasureResult:
     )
 
 
-def _pps(xt, ys, order, rows, max_depth: int = 4, min_samples_leaf: int = 5):
+def _pps(xt, ys, order, max_depth: int = 4, min_samples_leaf: int = 5):
     """Each anchor's MAE of its tree and of the median baseline, and the checks that flag
-    anchors: a constant target, then targets whose squared sums overflow.
+    anchors: a constant target, then targets whose squared sums overflow (one of the two
+    flags every target that is not finite).
 
-    xt, ys and order are as _fit_stack takes them, and ys is finite at the
-    anchors rows, whose trees grow together where no check flags them; MAEs
-    are NaN where nothing was measured.  Nothing warns.
+    xt, ys and order are as _fit_stack takes them.  Every anchor is measured,
+    and the trees of every anchor no check flags grow together; the tree MAE
+    is NaN where none grew.  Nothing warns.
     """
     a, n = ys.shape
     if n == 0:
         raise ValueError("y must be a non-empty vector")
-    mae, baseline = np.full(a, np.nan), np.full(a, np.nan)
-    constant, overflow = np.zeros(a, dtype=bool), np.zeros(a, dtype=bool)
-    targets = ys[rows]
-    baseline[rows] = _median_mae(targets)
-    constant[rows] = (baseline[rows] == 0.0) | (targets.min(axis=1) == targets.max(axis=1))
-    overflow[rows] = ~_squares_fit(targets)
-    grown = rows[~(constant[rows] | overflow[rows])]
+    baseline = _median_mae(ys)
+    constant = (baseline == 0.0) | (ys.min(axis=1) == ys.max(axis=1))
+    overflow = ~_squares_fit(ys)
+    grown = np.flatnonzero(~(constant | overflow))
+    mae = np.full(a, np.nan)
     fitted = _fit_stack(xt[grown], ys[grown], order[grown], max_depth, min_samples_leaf)
     mae[grown] = np.mean(np.abs(ys[grown] - fitted), axis=1)
     return mae, baseline, [(constant, "constant target"), (overflow, OVERFLOW)]
+
+
+# Window entries in one stack of PPS trees: the (feature set, target) pairs of a block whose
+# feature sets have as many columns grow together, at most this many target cells at a time.
+_STACK_CELLS = 8_192
+
+
+def _ppss(sets: list, ys: list):
+    """PPS of every (feature set, target) pair of an anchor block, and the (mask, reason)
+    checks that flag it: an (A, S, T) value array, NaN where a check does.
+
+    sets are the block's feature sets, each a tuple of _Column, and ys its targets, each a
+    _Column.  The trees of the pairs whose sets have as many columns grow in stacks of at
+    most _STACK_CELLS window cells (_pps), pairs in (feature set, target) order.
+    """
+    a = len(ys[0].values)
+    values = np.full((a, len(sets), len(ys)), np.nan)
+    flags: dict[str, np.ndarray] = {}
+    size = max(1, _STACK_CELLS // max(1, ys[0].values.size))
+    for width in dict.fromkeys(map(len, sets)):
+        pairs = [(i, j) for i, x in enumerate(sets) if len(x) == width for j in range(len(ys))]
+        for start in range(0, len(pairs), size):
+            i, j = np.array(pairs[start : start + size]).T
+            mae, baseline, checks = _pps(
+                np.concatenate([np.stack([c.values for c in sets[k]], axis=1) for k in i]),
+                np.concatenate([ys[k].values for k in j]),
+                np.concatenate([np.stack([c.order for c in sets[k]], axis=1) for k in i]),
+            )
+            values[:, i, j] = np.clip(1.0 - mae / baseline, 0.0, 1.0).reshape(-1, a).T
+            for mask, reason in checks:
+                flags.setdefault(reason, np.zeros(values.shape, dtype=bool))[:, i, j] = (
+                    mask.reshape(-1, a).T
+                )
+    return values, [(mask, reason) for reason, mask in flags.items()]

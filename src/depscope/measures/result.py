@@ -1,8 +1,10 @@
-"""The table of dependence measures, their uniform result record, and float-input coercion."""
+"""The table of dependence measures, their uniform result record, float-input coercion, and
+the column windows of an anchor block that the block kernels read."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -99,3 +101,28 @@ def paired_vectors(x, y) -> tuple[np.ndarray, np.ndarray]:
     if xa.shape[0] < 2:
         raise ValueError("need at least 2 observations")
     return xa, ya
+
+
+class _Column:
+    """One column's windows in one anchor block, an (A, W) matrix with one anchor per row,
+    and its sort, each made once.
+
+    Every window is sorted once, by a stable argsort: SC's ranks and the PPS
+    tree's presort read the order, and the equal-frequency codes of every
+    bin count and DC's distance guard read the sorted values gathered
+    through it.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.finite = np.isfinite(values).all(axis=1)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The stable ascending argsort of each row."""
+        return np.argsort(self.values, axis=1, kind="stable")
+
+    @cached_property
+    def ordered(self) -> np.ndarray:
+        """Each row ascending."""
+        return np.take_along_axis(self.values, self.order, axis=1)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from .result import MeasureResult, as_points, degenerate_result, paired_vectors
+from .result import MeasureResult, _Column, as_points, degenerate_result, paired_vectors
 
 CDIST_ROWS = 64  # rows of the distance matrix cdist adds a column's squares to at a time
 
@@ -167,58 +167,58 @@ def _centered_distances(
     return d, dvar
 
 
-def _distance_correlations(sets: list, ys: list, todo: np.ndarray):
+def _distance_correlations(sets: list, ys: list):
     """DC of every (feature set, target) pair of an anchor block, and the (mask, reason)
-    checks that flag it: an (A, S, T) value array, NaN but where todo holds and no check does.
+    checks that flag it: an (A, S, T) value array, NaN where a check does.
 
-    sets and ys are the block's feature-set and target sides, each a pair: a tuple of its
-    (A, n) column matrices, one anchor per row, and its rows sorted ascending if it has one
-    column, else None.  todo is an (A, S, T) mask of the anchors each pair scores.  At an
-    anchor a side is centred (_centered_distances) at most once, and only if a pair scored
-    there reads it; a one-column side whose sorted row passes _abs_is_cdist takes |xi - xj|
-    as its distances.  The centred matrices are made in (n, n) buffers made once per call,
-    one shared by the feature sets and one per target, and squares and products in one
-    scratch buffer: a fresh matrix per side would cost its pages at every anchor.  A
+    sets are the block's feature sets, each a tuple of _Column, and ys its targets, each a
+    _Column (or a tuple of them: distance_correlation's y may be multivariate).  At an
+    anchor every side is centred (_centered_distances) at most once, from its columns' rows
+    at that anchor; a one-column side whose sorted row passes _abs_is_cdist takes
+    |xi - xj| as its distances.  The centred matrices are made in (n, n) buffers made once
+    per call, one shared by the feature sets and one per target, and squares and products
+    in one scratch buffer: a fresh matrix per side would cost its pages at every anchor.  A
     centring that raises is not kept: each pair that reads the side centres it again.
 
     dCov^2 is the mean elementwise product of the centred matrices (a biased V-statistic),
     clipped at zero.  A constant side is flagged "zero distance variance"; distance
     variances that underflow to zero on non-constant points, and distances or variances
-    that overflow, are flagged with what went wrong.  Fewer than 2 observations raise
+    that overflow, are flagged with what went wrong (non-finite input reads "distances
+    overflow"; the scan flags it as such first).  Fewer than 2 observations raise
     ValueError.
     """
-    n = ys[0][0][0].shape[1]  # the window: the first target's (A, n) matrix
+    anchors, n = sets[0][0].values.shape
     if n < 2:
         raise ValueError("need at least 2 observations")
     scratch, x_out, *y_outs = (np.empty((n, n)) for _ in range(2 + len(ys)))
-    values = np.full(todo.shape, math.nan)
+    values = np.full((anchors, len(sets), len(ys)), math.nan)
     flags: dict[str, np.ndarray] = {}
 
-    def centring(side):
+    def centring(side: tuple):
         """A side's centring at an anchor into out: its row points and centred distances."""
-        columns, ordered = side
-        exact = np.zeros(len(todo), dtype=bool) if ordered is None else _abs_is_cdist(ordered)
+        exact = _abs_is_cdist(side[0].ordered) if len(side) == 1 else np.zeros(anchors, dtype=bool)
 
         def centre(row: int, out: np.ndarray):
-            if len(columns) == 1:
-                points = columns[0][row, :, None]
+            if len(side) == 1:
+                points = side[0].values[row, :, None]
             else:
-                points = np.column_stack([c[row] for c in columns])
+                points = np.column_stack([c.values[row] for c in side])
             return points, _centered_distances(points, bool(exact[row]), scratch, out)
 
         return centre
 
-    x_centres, y_centres = list(map(centring, sets)), list(map(centring, ys))
-    for row in range(len(todo)):
+    x_centres = list(map(centring, sets))
+    y_centres = [centring(y if isinstance(y, tuple) else (y,)) for y in ys]
+    for row in range(anchors):
         centred_ys = [None] * len(ys)
         for i, centre_x in enumerate(x_centres):
             centred_x = None
-            for j in np.flatnonzero(todo[row, i]):
+            for j, centre_y in enumerate(y_centres):
                 try:
                     if centred_x is None:
                         centred_x = centre_x(row, x_out)
                     if centred_ys[j] is None:
-                        centred_ys[j] = y_centres[j](row, y_outs[j])
+                        centred_ys[j] = centre_y(row, y_outs[j])
                     (xp, (a, dvar_x)), (yp, (b, dvar_y)) = centred_x, centred_ys[j]
                     dvar = dvar_x * dvar_y
                     if dvar == 0.0:
@@ -232,7 +232,7 @@ def _distance_correlations(sets: list, ys: list, todo: np.ndarray):
                     dcov2 = max(float(products / (n * n)), 0.0)
                     values[row, i, j] = min(math.sqrt(dcov2 / math.sqrt(dvar)), 1.0)
                 except ValueError as exc:
-                    flags.setdefault(str(exc), np.zeros(todo.shape, dtype=bool))[row, i, j] = True
+                    flags.setdefault(str(exc), np.zeros(values.shape, dtype=bool))[row, i, j] = True
     return values, [(mask, reason) for reason, mask in flags.items()]
 
 
@@ -245,7 +245,7 @@ def distance_correlation(x, y) -> MeasureResult:
     clipped before the square root.  A constant side is degenerate; non-finite
     input, distance variances that underflow to zero on non-constant points,
     and distances or variances that overflow raise ValueError.  The pair is
-    scored as a one-anchor block (_distance_correlations).
+    scored as a one-anchor block of _Column windows (_distance_correlations).
     """
     xp = as_points(x)
     yp = as_points(y)
@@ -255,8 +255,8 @@ def distance_correlation(x, y) -> MeasureResult:
         raise ValueError("need at least 2 observations")
     if not (np.isfinite(xp).all() and np.isfinite(yp).all()):
         raise ValueError("inputs are not finite")
-    sides = [(tuple(p.T[:, None]), np.sort(p.T) if p.shape[1] == 1 else None) for p in (xp, yp)]
-    values, checks = _distance_correlations(sides[:1], sides[1:], np.ones((1, 1, 1), dtype=bool))
+    x, y = (tuple(_Column(c[None, :]) for c in p.T) for p in (xp, yp))
+    values, checks = _distance_correlations([x], [y])
     for _, reason in checks:  # at most one, flagging the one anchor
         if reason != _CONSTANT["DC"]:
             raise ValueError(reason)

@@ -13,18 +13,16 @@ with a cap per column, so a narrow scan (one signal, one target) takes as
 many anchors a block as that cap allows.
 One block scorer (_Block) scores every trial of a block, and
 evaluate_pairs is a one-anchor block: it flags each anchor with the first
-reason that holds, in one order for every measure, and scores each
-measure at every anchor of the block: PC and SC on the rows of the
-matrices, PPS by growing the trees of every anchor (and of every feature
-set of one size and every target) level by level together, MI, IG and
-RSI_SYNERGY through the integer-code kernel, and MIC and DC by one kernel
-call per block that covers every (feature set, target) pair.  DC's
-kernel (statistical._distance_correlations) walks the anchors, centring
-each side once per anchor.  What the measures derive from a window
-(codes, entropies, ranks, centred distances) is made once and read by
-every trial that uses it.  The largest temporaries, MIC's joint cells and
-DC's centred distances, are made in buffers that the measure's kernel
-allocates once per call, not per trial or anchor: a fresh array of
+reason that holds, in one order for every measure (non-finite input is
+flagged here alone), and scores each measure at every anchor of the
+block: PC and SC on the rows of the matrices, MI, IG and RSI_SYNERGY
+through the integer-code kernel, and DC, MIC and PPS through their block
+kernels, kernel(sets, ys), each in its measure's module, which score
+every (feature set, target) pair of the block in one call.  What the
+measures derive from a window (codes, entropies, ranks) is made once and
+read by every trial that uses it.  The largest temporaries, MIC's joint
+cells and DC's centred distances, are made in buffers that the measure's
+kernel allocates once per call, not per trial or anchor: a fresh array of
 hundreds of KiB costs its pages on every call.
 
 Scores stay arrays from the kernels to the trial log: each kernel returns
@@ -47,7 +45,6 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
-from functools import cached_property
 from itertools import filterfalse
 from operator import attrgetter
 from typing import NamedTuple
@@ -64,14 +61,12 @@ from .measures.information import (
     _feature_codes,
     _information_gain,
     _joint,
-    _mic,
-    _mic_side,
-    _mic_work,
+    _mics,
     _mutual_information,
     _synergy,
 )
-from .measures.model_based import _pps
-from .measures.result import Measure, as_points, measure_row
+from .measures.model_based import _ppss
+from .measures.result import Measure, _Column, as_points, measure_row
 from .measures.statistical import _average_ranks, _correlations, _distance_correlations
 from .shaping import TOO_MANY_BINS, _fixed_width_codes, anchor_grid, pair_targets
 
@@ -256,34 +251,6 @@ def label_trend(close, anchor: int) -> str:
 # grows with one column's cells (MIC's (anchors, shapes, n) tables, a PPS stack's rows).
 _BLOCK_CELLS = 24_576
 _COLUMN_CELLS = 4_096
-# Window entries in one stack of PPS trees: the trials of a block whose feature sets have as
-# many columns grow together, at most this many target cells at a time.
-_STACK_CELLS = 8_192
-
-
-class _Column:
-    """One column's windows in one anchor block, an (A, W) matrix with one anchor per row,
-    and its sort, each made once.
-
-    Every window is sorted once, by a stable argsort: SC's ranks and the PPS
-    tree's presort read the order, and the equal-frequency codes of every
-    bin count and DC's distance guard read the sorted values gathered
-    through it.
-    """
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-        self.finite = np.isfinite(values).all(axis=1)
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """The stable ascending argsort of each row."""
-        return np.argsort(self.values, axis=1, kind="stable")
-
-    @cached_property
-    def ordered(self) -> np.ndarray:
-        """Each row ascending."""
-        return np.take_along_axis(self.values, self.order, axis=1)
 
 
 @dataclass
@@ -291,19 +258,18 @@ class _Block:
     """Every (feature set, target, measure) trial of one anchor block, as arrays.
 
     Each trial flags every anchor with the first reason that holds for it,
-    in one order for every measure: non-finite input, a pairwise measure on
-    a set, sides of unequal length, the measure's own checks, then its value
-    range.  PC and SC score the rows of the block's matrices, PPS grows the
-    trees of every anchor together (with those of every other trial whose
-    feature set has as many columns), and MI, IG and RSI_SYNERGY count
-    integer codes.  MIC and DC score every (feature set, target) pair of the
-    block in one kernel call, at the first trial that reads them; the sides
-    and buffers the kernel makes live for that call only (DC's kernel
-    centres each side once per anchor, into (n, n) buffers it makes once).
-    Trials are scored measure by measure; what they share is kept until the
-    block is dropped (each column's codes and ranks, each feature set's
-    codes, each (feature set, target)'s MI, which RSI_SYNERGY reads again,
-    and each kernel's values and checks).  What raises is not kept.
+    in one order for every measure: non-finite input (flagged here alone),
+    a pairwise measure on a set, sides of unequal length, the measure's own
+    checks, then its value range.  PC and SC score the rows of the block's
+    matrices, and MI, IG and RSI_SYNERGY count integer codes.  DC, MIC and
+    PPS reach their block kernels through _pairs: one call, at the first
+    trial that reads it, scores every (feature set, target) pair at every
+    anchor, and what the kernel makes besides its values and checks lives
+    for that call only.  Trials are scored measure by measure; what they
+    share is kept until the block is dropped (each column's codes and
+    ranks, each feature set's codes, each (feature set, target)'s MI, which
+    RSI_SYNERGY reads again, and each kernel's values and checks).  What
+    raises is not kept.
     """
 
     anchors: int  # rows of every column's matrix
@@ -333,10 +299,6 @@ class _Block:
 
         return self._keep(("targets", c), make)
 
-    @staticmethod
-    def _finite(columns: tuple[_Column, ...]) -> np.ndarray:
-        return np.logical_and.reduce([c.finite for c in columns])
-
     def _ranks(self, c: _Column) -> np.ndarray:
         return self._keep(("ranks", c), lambda: _average_ranks(c.values, c.order))
 
@@ -354,12 +316,8 @@ class _Block:
             values, refusals = _correlations("PC", x[0].values, y.values)
         elif m.id == "SC":
             values, refusals = _correlations("SC", self._ranks(x[0]), self._ranks(y))
-        elif m.id == "PPS":
-            values, refusals = self._pps(x, y)
-        elif m.id == "DC":
-            values, refusals = self._keep(("dc",), self._dc_pairs)[x, y]
-        elif m.id == "MIC":
-            values, refusals = self._keep(("mic",), self._mic_pairs)[x, y]
+        elif m.id in ("DC", "MIC", "PPS"):
+            values, refusals = self._pairs(m, x, y)
         else:  # MI, IG or RSI_SYNERGY; a refused target flags an anchor before a set too large
             if y.values.shape[1] == 0:
                 raise ValueError("empty symbol sequences")
@@ -378,69 +336,20 @@ class _Block:
         checks += refusals
         return values
 
-    def _pps(self, x: tuple[_Column, ...], y: _Column):
-        """PPS on feature set x and target y at every anchor, and its checks.
-
-        The trees of the (feature set, target) pairs whose sets have x's size
-        grow in stacks of at most _STACK_CELLS window cells, once per block;
-        an anchor with non-finite input grows none.
-        """
-
-        def make():
-            pairs = [(s, t) for s in self.sets if len(s) == len(x) for t in self.ys]
-            size = max(1, _STACK_CELLS // max(1, self.ys[0].values.size))
-            scored = {}
-            for start in range(0, len(pairs), size):
-                stack = pairs[start : start + size]
-                mae, baseline, checks = _pps(
-                    np.concatenate([np.stack([c.values for c in s], axis=1) for s, _ in stack]),
-                    np.concatenate([t.values for _, t in stack]),
-                    np.concatenate([np.stack([c.order for c in s], axis=1) for s, _ in stack]),
-                    np.flatnonzero(np.concatenate([self._finite(s + (t,)) for s, t in stack])),
-                )
-                values = np.clip(1.0 - mae / baseline, 0.0, 1.0)
-                for j, pair in enumerate(stack):
-                    rows = slice(j * self.anchors, (j + 1) * self.anchors)
-                    scored[pair] = values[rows], [(mask[rows], reason) for mask, reason in checks]
-            return scored
-
-        return self._keep(("pps", len(x)), make)[x, y]
-
-    def _dc_pairs(self) -> dict:
-        """DC of each (feature set, target) at each anchor with finite input, and its checks,
-        from one call of the block kernel (statistical._distance_correlations)."""
-
-        def side(x: tuple[_Column, ...]):
-            return tuple(c.values for c in x), x[0].ordered if len(x) == 1 else None
-
-        todo = np.array([[self._finite(x + (y,)) for y in self.ys] for x in self.sets])
-        values, checks = _distance_correlations(
-            list(map(side, self.sets)), [side((y,)) for y in self.ys], np.moveaxis(todo, -1, 0)
-        )
-        return {
-            (x, y): (values[:, i, j], [(mask[:, i, j], reason) for mask, reason in checks])
-            for i, x in enumerate(self.sets)
-            for j, y in enumerate(self.ys)
-        }
-
-    def _mic_pairs(self) -> dict:
-        """MIC of each (one-column feature set, target) at every anchor, and its checks; the
-        sides and the work buffers live for this call only."""
-        ys = [_mic_side(y.values, y.ordered) for y in self.ys]
-        xs = {x: _mic_side(x[0].values, x[0].ordered) for x in self.sets if len(x) == 1}
-        work = _mic_work(ys[0])
-        return {
-            (x, y): (_mic(sx, sy, work)[0], [(sx.wide, TOO_WIDE), (sy.wide, TOO_WIDE)])
-            for x, sx in xs.items()
-            for y, sy in zip(self.ys, ys)
-        }
+    def _pairs(self, m: Measure, x: tuple[_Column, ...], y: _Column):
+        """Measure row m on feature set x and target y at every anchor, and its checks, from
+        one call of m's block kernel, which scores every (feature set, target) of the block."""
+        kernel = {"DC": _distance_correlations, "MIC": _mics, "PPS": _ppss}[m.id]
+        values, checks = self._keep((m.id,), lambda: kernel(self.sets, self.ys))
+        i, j = self.sets.index(x), self.ys.index(y)
+        return values[:, i, j], [(mask[:, i, j], reason) for mask, reason in checks]
 
     def _trial(self, m: Measure, x: tuple[_Column, ...], y: _Column):
         """Measure row m on feature set x and target y: each anchor's value, and its first
         reason, "" where none holds."""
         a, n = x[0].values.shape
         every = np.ones(a, dtype=bool)
-        checks = [(~self._finite(x + (y,)), "non-finite input")]
+        checks = [(~np.logical_and.reduce([c.finite for c in x + (y,)]), "non-finite input")]
         values = np.full(a, np.nan)
         if m.pairwise and len(x) > 1:
             checks.append((every, "pairwise measure on multivariate input"))
@@ -528,11 +437,9 @@ def scan_window(
     anchors in blocks of at most _BLOCK_CELLS window cells over all the
     distinct feature and target columns and _COLUMN_CELLS per column: each
     block cuts every column's windows into one matrix and scores every
-    anchor of the block from it (_Block).  DC's side sharing and buffers
-    live in its block kernel, statistical._distance_correlations: it
-    centres each target once per anchor and each feature set once per
-    (anchor, feature set).  Windows with fewer than min_samples pairs come
-    back degenerate without being scored.
+    anchor of the block from it (_Block); DC, MIC and PPS keep their side
+    sharing, buffers and stacks in their own block kernels.  Windows with
+    fewer than min_samples pairs come back degenerate without being scored.
     """
     check_binning(bin_width, feature_bins)
     measure_rows = [measure_row(m) for m in measures]

@@ -476,6 +476,16 @@ def test_validate_frame_reports_a_nat_date_as_missing():
     )
 
 
+def test_validate_frame_compares_a_date_with_the_last_one_above_a_nat():
+    """A NaT between two dates hides neither a reversal nor a duplicate across it."""
+    for last, kind in (("2020-01-01", "non_monotonic_time"), ("2020-01-03", "duplicate_time")):
+        ts = np.array(["2020-01-03", "NaT", last], "datetime64[D]")
+        assert validate_frame(TimeSeriesFrame(ts, {"a": np.zeros(3)})).issues == (
+            ValidationIssue(1, "date", "missing"),
+            ValidationIssue(2, "date", kind),
+        )
+
+
 # Pieces of column names: the date column's name, and the text a CSV header quotes or splits on.
 NAME_PIECES = ("date", "", ",", '"', "\r", "\n", " ", "a")
 

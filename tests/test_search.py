@@ -214,8 +214,8 @@ def test_evaluate_pairs_flags_non_finite_input():
         x_bad[7, 0] = bad
         y_bad = y.copy()
         y_bad[0] = bad
-        for measure in MEASURE_IDS:
-            for pair in ((x_bad, y), (xs, y_bad)):
+        for measure in MEASURE_IDS:  # a target of bad alone has a median of bad
+            for pair in ((x_bad, y), (xs, y_bad), (xs, np.full(40, bad))):
                 r = evaluate_pairs(measure, *pair)
                 assert r.degenerate and np.isnan(r.value)
                 assert r.params["reason"] == "non-finite input"
@@ -466,6 +466,21 @@ PLANTED_REASONS = {
     "int64": "values span more bins than int64 symbols can index",
     "float64": "values span more than float64",
 }
+# Values planted in one feature column at one anchor each: every trial whose set holds the
+# column is flagged "non-finite input" there, every other trial is scored as elsewhere.
+PLANTED_FEATURES = {"feature nan": math.nan, "feature inf": math.inf, "feature -inf": -math.inf}
+
+
+def plant_features(draw, columns, plants, window, step):
+    """Put each PLANTED_FEATURES value that plants places into a drawn feature column, at a
+    drawn row of its anchor's window; returns each such anchor's column."""
+    bad = {}
+    for kind, value in PLANTED_FEATURES.items():
+        if kind in plants:
+            name = draw(st.sampled_from("abc"))
+            columns[name][plants[kind] * step + draw(st.integers(0, window - 1))] = value
+            bad[plants[kind]] = name
+    return bad
 
 
 def _drawn_column(kind, n, rng, scale=1.0):
@@ -483,8 +498,8 @@ def _drawn_column(kind, n, rng, scale=1.0):
 def block_scans(draw):
     """A scan of 1-5 disjoint windows of 8-400 rows and the anchors per block to score it in.
 
-    One anchor each may carry a NaN target, a target past int64 bins, and
-    feature windows whose span overflows float64.
+    One anchor each may carry a NaN target, a target past int64 bins,
+    feature windows whose span overflows float64, and each PLANTED_FEATURES value.
     """
     window = draw(st.sampled_from((8, 9, 16, 31, 64, 100, 200, 400)))
     horizon = draw(st.sampled_from((window, max(1, window // 3), window + 7)))
@@ -503,7 +518,11 @@ def block_scans(draw):
     )
     kinds = [draw(st.sampled_from(COLUMN_KINDS)) for _ in range(4)]
     free = list(draw(st.permutations(range(count))))
-    plants = {reason: free.pop() for reason in PLANTED_REASONS if free and draw(st.booleans())}
+    plants = {
+        kind: free.pop()
+        for kind in (*PLANTED_REASONS, *PLANTED_FEATURES)
+        if free and draw(st.booleans())
+    }
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     step = max(window, horizon)  # windows and horizons of two anchors never share a row
@@ -516,12 +535,14 @@ def block_scans(draw):
             columns["y"][start + window] = np.nan
         elif reason == "int64":
             columns["y"][start + window] = 1e17  # 1e20 bins of 0.001
-        else:
+        elif reason == "float64":
             for name in "abc":
                 columns[name][start : start + 2] = (1.7e308, -1.7e308)
+    bad = plant_features(draw, columns, plants, window, step)
     frame = TimeSeriesFrame(np.datetime64("2021-01-01") + np.arange(n), columns)
     scan = dict(
-        window=window, horizon=horizon, step=step, feature_bins=feature_bins, sets=tuple(sets)
+        window=window, horizon=horizon, step=step, feature_bins=feature_bins, sets=tuple(sets),
+        bad=bad,
     )
     return frame, scan, per_block, split, plants
 
@@ -586,8 +607,8 @@ def cut_blocks_of(mp, per_block, window, feature_sets):
 @given(drawn=block_scans())
 def test_block_boundaries_change_no_information_result(drawn):
     """MI, IG, RSI_SYNERGY and MIC equal the exact-table references at every anchor, whatever
-    the anchors per block and however the anchors are sliced, and each planted refusal
-    flags its own anchor and no other."""
+    the anchors per block and however the anchors are sliced, and each planted refusal or
+    non-finite feature flags its own anchor and no other."""
     frame, scan, per_block, split, plants = drawn
     window = scan["window"]
 
@@ -614,7 +635,7 @@ def test_block_boundaries_change_no_information_result(drawn):
         for (features, measure), value, reason in zip(trials, row_values, row_reasons):
             if reason:
                 flagged.setdefault(reason, set()).add(i)
-            if plants.get("nan") == i:
+            if plants.get("nan") == i or scan["bad"].get(i) in features:
                 expected = "non-finite input"
             elif measure == "MIC" and len(features) > 1:
                 expected = "pairwise measure on multivariate input"
@@ -633,14 +654,16 @@ def test_block_boundaries_change_no_information_result(drawn):
                     assert r.value == value and r.params.get("grid") == grid
                 continue
             assert math.isnan(value) and reason == expected
-    for kind, reason in PLANTED_REASONS.items():
-        assert flagged[reason] == ({plants[kind]} if kind in plants else set())
+    expected = {r: {plants[k]} if k in plants else set() for k, r in PLANTED_REASONS.items()}
+    read = {name for fs in scan["sets"] for name in fs}
+    expected["non-finite input"] |= {i for i, name in scan["bad"].items() if name in read}
+    assert {reason: flagged[reason] for reason in expected} == expected
 
 
 ANCHOR_MEASURES = ("PC", "SC", "DC", "PPS")
 # Targets planted at one anchor each, and the reasons they give PC, SC, DC and PPS there.
 PLANTED_TARGETS = {
-    "nan": ("non-finite input",) * 4,
+    "non-finite": ("non-finite input",) * 4,  # NaN, inf or -inf
     "constant": (
         "zero variance", "zero rank variance", "zero distance variance", "constant target"
     ),
@@ -658,7 +681,8 @@ PLANTED_TARGETS = {
 @st.composite
 def anchor_scans(draw):
     """A scan of 1-6 disjoint windows of 8-400 rows, the anchors per block to score it in, and
-    at most one anchor per PLANTED_TARGETS kind whose target window carries it."""
+    at most one anchor per PLANTED_TARGETS kind whose target window carries it and per
+    PLANTED_FEATURES value whose window holds it in one feature column."""
     window = draw(st.sampled_from((8, 9, 16, 31, 64, 100, 200, 400)))
     horizon = draw(st.sampled_from((window, max(1, window // 3), window + 7)))
     count = draw(st.integers(1, 6))
@@ -669,7 +693,11 @@ def anchor_scans(draw):
                  max_size=3, unique=True)
     )
     free = list(draw(st.permutations(range(count))))
-    plants = {kind: free.pop() for kind in PLANTED_TARGETS if free and draw(st.booleans())}
+    plants = {
+        kind: free.pop()
+        for kind in (*PLANTED_TARGETS, *PLANTED_FEATURES)
+        if free and draw(st.booleans())
+    }
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     step = max(window, horizon)  # windows and horizons of two anchors never share a row
@@ -678,15 +706,16 @@ def anchor_scans(draw):
     columns["y"] = 0.01 * rng.standard_normal(n)
     for kind, i in plants.items():
         targets = slice(i * step + window, i * step + window + horizon)
-        if kind == "nan":
-            columns["y"][targets.start] = np.nan
+        if kind == "non-finite":
+            columns["y"][targets.start] = draw(st.sampled_from((np.nan, np.inf, -np.inf)))
         elif kind == "constant":
             columns["y"][targets] = 0.25
-        else:
+        elif kind in ("squares", "huge"):
             scale = 1e200 if kind == "squares" else 3e306
             columns["y"][targets] = rng.standard_normal(horizon) * scale
+    bad = plant_features(draw, columns, plants, window, step)
     frame = TimeSeriesFrame(np.datetime64("2021-01-01") + np.arange(n), columns)
-    scan = dict(window=window, horizon=horizon, step=step, sets=tuple(sets))
+    scan = dict(window=window, horizon=horizon, step=step, sets=tuple(sets), bad=bad)
     return frame, scan, per_block, split, plants
 
 
@@ -694,8 +723,8 @@ def anchor_scans(draw):
 @given(drawn=anchor_scans())
 def test_block_boundaries_change_no_anchor_measure_result(drawn):
     """PC, SC, DC and PPS of every anchor equal a one-anchor evaluate_pairs by repr, whatever
-    the anchors per block and however the anchors are sliced, and each planted target flags
-    its own anchor and no other."""
+    the anchors per block and however the anchors are sliced, and each planted target or
+    non-finite feature flags its own anchor and no other."""
     frame, scan, per_block, split, plants = drawn
     window, horizon = scan["window"], scan["horizon"]
 
@@ -728,11 +757,11 @@ def test_block_boundaries_change_no_anchor_measure_result(drawn):
                 i, features, measure
             )
             reason = reason or None
-            if planted.get(i) == "nan":
+            if planted.get(i) == "non-finite" or scan["bad"].get(i) in features:
                 assert reason == "non-finite input"
             elif len(features) > 1 and measure in ("PC", "SC"):
                 assert reason == "pairwise measure on multivariate input"
-            elif i in planted:
+            elif planted.get(i) in PLANTED_TARGETS:
                 assert reason == PLANTED_TARGETS[planted[i]][ANCHOR_MEASURES.index(measure)]
             else:
                 assert reason is None, (i, features, measure, reason)
