@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -318,13 +319,16 @@ def cmd_verify(args) -> int:
 
 
 def _read_scores(path: str) -> dict[str, float]:
-    """The config-key scores of a JSON file: an object whose values are all numbers."""
+    """The config-key scores of a JSON file: an object whose values are all finite numbers."""
 
-    def refuse(constant):
-        raise ValueError(f"{constant} is not a JSON number")
+    def number(text):  # NaN, Infinity, 1e999 and a 400-digit integer are not finite
+        if not math.isfinite(float(text)):
+            raise ValueError(f"{text} is not a finite number")
+        return float(text)
 
     try:
-        scores = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=refuse)
+        text = Path(path).read_text(encoding="utf-8")
+        scores = json.loads(text, parse_constant=number, parse_float=number, parse_int=number)
     except ValueError as exc:
         raise ValueError(f"{path}: not JSON: {exc}") from None
     if not isinstance(scores, dict) or not all(

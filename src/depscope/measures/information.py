@@ -31,10 +31,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..shaping import TOO_MANY_BINS, _fixed_width_codes
 from .result import MeasureResult, paired_vectors
 
 PROBABILITY_TOL = 1e-12
 MAX_SET_SIZE = 3  # synergy capacity limit: the joint table grows multiplicatively
+TOO_LARGE = f"feature set of size {{}} exceeds the capacity limit {MAX_SET_SIZE}"
 MIC_ALPHA = 0.6  # MIC grids need gx * gy below n ** MIC_ALPHA
 TOO_WIDE = "values span more than float64"  # equal-frequency edges would overflow
 
@@ -397,11 +399,6 @@ def information_gain(parent_symbols, child_assignment) -> MeasureResult:
     return MeasureResult("IG", float(value), parent.shape[0])
 
 
-def _check_set_size(size: int) -> None:
-    if size > MAX_SET_SIZE:
-        raise ValueError(f"feature set of size {size} exceeds the capacity limit {MAX_SET_SIZE}")
-
-
 def _synergy(joint: np.ndarray, singles: list[np.ndarray]) -> np.ndarray:
     """The joint MI minus the single MIs, added in member order, per row."""
     return joint - sum(singles, 0.0)
@@ -417,13 +414,64 @@ def redundancy_synergy_index(feature_symbol_lists, y_symbols) -> MeasureResult:
     features = [_symbols(f) for f in feature_symbol_lists]
     if not features:
         raise ValueError("need at least one feature symbol sequence")
-    _check_set_size(len(features))
+    if len(features) > MAX_SET_SIZE:
+        raise ValueError(TOO_LARGE.format(len(features)))
     _, y = _paired(np.column_stack(features), y_symbols)
     singles = [_symbol_codes(f) for f in features]
     target = _symbol_codes(y)
     mis = [_mutual_information(f, target) for f in singles]
     value = _synergy(_mutual_information(_joint(singles), target), mis)[0]
     return MeasureResult("RSI_SYNERGY", float(value), y.shape[0], params={"set_size": len(features)})
+
+
+def _information_kernels(feature_bins: int, bin_width: float) -> dict:
+    """The block kernels, kernel(sets, ys) as _mics', of MI, IG and RSI_SYNERGY for one anchor
+    block, by measure id: features in feature_bins equal-frequency codes, targets in
+    fixed-width bins of bin_width.
+
+    The three share their memos, kept as long as the kernels: each column's codes, each set's
+    joint codes and each (set, target)'s MI, which RSI_SYNERGY reads, are made once.  Anchors
+    are flagged where a target spans more bins than int64 can index, then (RSI_SYNERGY) for a
+    set above MAX_SET_SIZE, not scored, then where a feature is too wide to bin.
+    """
+    feature = functools.cache(lambda c: _feature_codes(c.values, c.ordered, feature_bins))
+
+    @functools.cache
+    def target(c) -> tuple[_Codes, np.ndarray]:
+        codes, refused = _fixed_width_codes(c.values, bin_width)
+        return _Codes(*_dense(codes)), refused
+
+    joint = functools.cache(lambda x: _joint([feature(c)[0] for c in x]))
+    mi = functools.cache(lambda x, y: _mutual_information(joint(x), target(y)[0]))
+
+    def kernel(score, limit: float):
+        def scores(sets: list, ys: list):
+            a, n = ys[0].values.shape
+            if n == 0:
+                raise ValueError("empty symbol sequences")
+            values = np.full((a, len(sets), len(ys)), np.nan)
+            sizes = np.array([len(x) for x in sets])[None, :, None]
+            checks = [(np.stack([target(y)[1] for y in ys], axis=1)[:, None, :], TOO_MANY_BINS)]
+            large = sorted({len(x) for x in sets if len(x) > limit})
+            checks += [(sizes == s, TOO_LARGE.format(s)) for s in large]
+            wide = np.zeros(values.shape[:2], dtype=bool)
+            for i, x in enumerate(sets):
+                if len(x) <= limit:
+                    wide[:, i] = np.logical_or.reduce([feature(c)[1] for c in x])
+                    for j, y in enumerate(ys):
+                        values[:, i, j] = score(x, y)
+            checks.append((wide[:, :, None], TOO_WIDE))
+            return values, [(np.broadcast_to(mask, values.shape), text) for mask, text in checks]
+
+        return scores
+
+    return {
+        "MI": kernel(mi, math.inf),
+        "IG": kernel(lambda x, y: _information_gain(target(y)[0], joint(x)), math.inf),
+        "RSI_SYNERGY": kernel(
+            lambda x, y: _synergy(mi(x, y), [mi((c,), y) for c in x]), MAX_SET_SIZE
+        ),
+    }
 
 
 @functools.lru_cache(maxsize=256)

@@ -1,6 +1,7 @@
 """Correlation-family dependence measures: Pearson, Spearman, distance correlation."""
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -85,6 +86,26 @@ def _correlations(measure_id: str, x: np.ndarray, y: np.ndarray):
     return r, [(constant, _CONSTANT[measure_id]), (refused, NOT_FINITE_POSITIVE)]
 
 
+def _pairwise(measure_id: str, sets: list, ys: list):
+    """PC, or SC of average ranks, of every (feature set, target) pair of an anchor block, and
+    _correlations' checks: an (A, S, T) value array, NaN for a set of more than one column
+    (which the scan flags as a pairwise measure's).  SC ranks each column once per call."""
+    ranks = functools.cache(lambda c: _average_ranks(c.values, c.order))
+    side = ranks if measure_id == "SC" else lambda c: c.values
+    values = np.full((len(ys[0].values), len(sets), len(ys)), math.nan)
+    masks = np.zeros((2,) + values.shape, dtype=bool)
+    for i, x in enumerate(sets):
+        if len(x) == 1:
+            for j, y in enumerate(ys):
+                values[:, i, j], checks = _correlations(measure_id, side(x[0]), side(y))
+                masks[:, :, i, j] = [mask for mask, _ in checks]
+    return values, list(zip(masks, (_CONSTANT[measure_id], NOT_FINITE_POSITIVE)))
+
+
+_pearsons = functools.partial(_pairwise, "PC")  # PC's block kernel, kernel(sets, ys)
+_spearmans = functools.partial(_pairwise, "SC")  # SC's
+
+
 def _correlation(measure_id: str, x: np.ndarray, y: np.ndarray, **params) -> MeasureResult:
     """One pair's result: a constant side is degenerate, and a refused one raises."""
     r, ((constant, reason), (refused, _)) = _correlations(measure_id, x[None], y[None])
@@ -101,8 +122,13 @@ def pearson(x, y) -> MeasureResult:
 
 
 def spearman(x, y) -> MeasureResult:
-    """Spearman rank correlation: Pearson on average ranks, so ties share their rank."""
+    """Spearman rank correlation: Pearson on average ranks, so ties share their rank.
+
+    Non-finite input raises ValueError.
+    """
     xa, ya = paired_vectors(x, y)
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise ValueError("inputs are not finite")  # ranks of infinities would be finite
     return _correlation("SC", _average_ranks(xa), _average_ranks(ya), ties="average")
 
 

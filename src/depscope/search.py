@@ -12,17 +12,16 @@ A block is sized by the window cells of all the distinct columns it cuts,
 with a cap per column, so a narrow scan (one signal, one target) takes as
 many anchors a block as that cap allows.
 One block scorer (_Block) scores every trial of a block, and
-evaluate_pairs is a one-anchor block: it flags each anchor with the first
-reason that holds, in one order for every measure (non-finite input is
-flagged here alone), and scores each measure at every anchor of the
-block: PC and SC on the rows of the matrices, MI, IG and RSI_SYNERGY
-through the integer-code kernel, and DC, MIC and PPS through their block
-kernels, kernel(sets, ys), each in its measure's module, which score
-every (feature set, target) pair of the block in one call.  What the
-measures derive from a window (codes, entropies, ranks) is made once and
-read by every trial that uses it.  The largest temporaries, MIC's joint
-cells and DC's centred distances, are made in buffers that the measure's
-kernel allocates once per call, not per trial or anchor: a fresh array of
+evaluate_pairs is a one-anchor block.  _Block makes one call per measure
+of that measure's block kernel, kernel(sets, ys), in the measure's
+module, which scores every (feature set, target) pair of the block at
+every anchor, then flags each anchor with the first reason that holds, in
+one order for every measure (non-finite input is flagged here alone).  What a
+measure derives from a window (ranks, codes, entropies) is made once per
+kernel call, and MI, IG and RSI_SYNERGY share their codes and MI values
+for the block.  The largest temporaries, MIC's joint cells and DC's
+centred distances, are made in buffers that the measure's kernel
+allocates once per call, not per trial or anchor: a fresh array of
 hundreds of KiB costs its pages on every call.
 
 Scores stay arrays from the kernels to the trial log: each kernel returns
@@ -43,7 +42,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from itertools import filterfalse
 from operator import attrgetter
@@ -53,22 +52,11 @@ import numpy as np
 
 from .frame import TimeSeriesFrame, _chunks, _emit, _table, _write_table
 from .measures import MeasureResult, degenerate_result, spearman
-from .measures.information import (
-    TOO_WIDE,
-    _check_set_size,
-    _Codes,
-    _dense,
-    _feature_codes,
-    _information_gain,
-    _joint,
-    _mics,
-    _mutual_information,
-    _synergy,
-)
+from .measures.information import _information_kernels, _mics
 from .measures.model_based import _ppss
 from .measures.result import Measure, _Column, as_points, measure_row
-from .measures.statistical import _average_ranks, _correlations, _distance_correlations
-from .shaping import TOO_MANY_BINS, _fixed_width_codes, anchor_grid, pair_targets
+from .measures.statistical import _distance_correlations, _pearsons, _spearmans
+from .shaping import anchor_grid, pair_targets
 
 # Unused here; perfbench/layers.py looks these names up in this module to trace a run.
 from .measures import equal_frequency_symbols  # noqa: F401
@@ -253,23 +241,22 @@ _BLOCK_CELLS = 24_576
 _COLUMN_CELLS = 4_096
 
 
+NON_FINITE = "non-finite input"
+PAIRWISE = "pairwise measure on multivariate input"
+
+
 @dataclass
 class _Block:
     """Every (feature set, target, measure) trial of one anchor block, as arrays.
 
-    Each trial flags every anchor with the first reason that holds for it,
-    in one order for every measure: non-finite input (flagged here alone),
-    a pairwise measure on a set, sides of unequal length, the measure's own
-    checks, then its value range.  PC and SC score the rows of the block's
-    matrices, and MI, IG and RSI_SYNERGY count integer codes.  DC, MIC and
-    PPS reach their block kernels through _pairs: one call, at the first
-    trial that reads it, scores every (feature set, target) pair at every
-    anchor, and what the kernel makes besides its values and checks lives
-    for that call only.  Trials are scored measure by measure; what they
-    share is kept until the block is dropped (each column's codes and
-    ranks, each feature set's codes, each (feature set, target)'s MI, which
-    RSI_SYNERGY reads again, and each kernel's values and checks).  What
-    raises is not kept.
+    Each measure is one call of its block kernel, kernel(sets, ys), which
+    scores every (feature set, target) pair at every anchor: an (A, S, T)
+    value array and the (mask, reason) checks it adds.  Each trial flags an
+    anchor with the first reason that holds, in one order for every measure:
+    non-finite input (flagged here alone), a pairwise measure on a set, the
+    kernel's checks (a ValueError it raises flags all its trials), then the
+    value range.  What a kernel makes lives for that call only, but MI, IG
+    and RSI_SYNERGY share codes and MI values for the block.
     """
 
     anchors: int  # rows of every column's matrix
@@ -277,112 +264,36 @@ class _Block:
     ys: list[_Column]  # the targets
     feature_bins: int
     bin_width: float
-    _kept: dict = field(default_factory=dict, init=False)
-
-    def _keep(self, key: tuple, make):
-        if key not in self._kept:
-            self._kept[key] = make()
-        return self._kept[key]
-
-    def _features(self, c: _Column) -> tuple[_Codes, np.ndarray]:
-        """The codes MI, IG and RSI_SYNERGY count for a feature, and the rows too wide to bin."""
-        return self._keep(
-            ("features", c), lambda: _feature_codes(c.values, c.ordered, self.feature_bins)
-        )
-
-    def _targets(self, c: _Column) -> tuple[_Codes, np.ndarray]:
-        """The codes they count for a target, fixed-width bins of bin_width, and the rows refused."""
-
-        def make():
-            codes, refused = _fixed_width_codes(c.values, self.bin_width)
-            return _Codes(*_dense(codes)), refused
-
-        return self._keep(("targets", c), make)
-
-    def _ranks(self, c: _Column) -> np.ndarray:
-        return self._keep(("ranks", c), lambda: _average_ranks(c.values, c.order))
-
-    def _codes(self, x: tuple[_Column, ...]) -> _Codes:
-        return self._keep(("set", x), lambda: _joint([self._features(c)[0] for c in x]))
-
-    def _mutual_information(self, x: tuple[_Column, ...], y: _Column) -> np.ndarray:
-        return self._keep(
-            ("mi", x, y), lambda: _mutual_information(self._codes(x), self._targets(y)[0])
-        )
-
-    def _values(self, m: Measure, x: tuple[_Column, ...], y: _Column, checks: list):
-        """Measure row m at every anchor; adds the measure's checks to checks."""
-        if m.id == "PC":
-            values, refusals = _correlations("PC", x[0].values, y.values)
-        elif m.id == "SC":
-            values, refusals = _correlations("SC", self._ranks(x[0]), self._ranks(y))
-        elif m.id in ("DC", "MIC", "PPS"):
-            values, refusals = self._pairs(m, x, y)
-        else:  # MI, IG or RSI_SYNERGY; a refused target flags an anchor before a set too large
-            if y.values.shape[1] == 0:
-                raise ValueError("empty symbol sequences")
-            target, refused = self._targets(y)
-            checks.append((refused, TOO_MANY_BINS))
-            if m.id == "RSI_SYNERGY":
-                _check_set_size(len(x))
-            refusals = [(self._features(c)[1], TOO_WIDE) for c in x]
-            if m.id == "MI":
-                values = self._mutual_information(x, y)
-            elif m.id == "IG":  # the features assign the split branches
-                values = _information_gain(target, self._codes(x))
-            else:
-                singles = [self._mutual_information((c,), y) for c in x]
-                values = _synergy(self._mutual_information(x, y), singles)
-        checks += refusals
-        return values
-
-    def _pairs(self, m: Measure, x: tuple[_Column, ...], y: _Column):
-        """Measure row m on feature set x and target y at every anchor, and its checks, from
-        one call of m's block kernel, which scores every (feature set, target) of the block."""
-        kernel = {"DC": _distance_correlations, "MIC": _mics, "PPS": _ppss}[m.id]
-        values, checks = self._keep((m.id,), lambda: kernel(self.sets, self.ys))
-        i, j = self.sets.index(x), self.ys.index(y)
-        return values[:, i, j], [(mask[:, i, j], reason) for mask, reason in checks]
-
-    def _trial(self, m: Measure, x: tuple[_Column, ...], y: _Column):
-        """Measure row m on feature set x and target y: each anchor's value, and its first
-        reason, "" where none holds."""
-        a, n = x[0].values.shape
-        every = np.ones(a, dtype=bool)
-        checks = [(~np.logical_and.reduce([c.finite for c in x + (y,)]), "non-finite input")]
-        values = np.full(a, np.nan)
-        if m.pairwise and len(x) > 1:
-            checks.append((every, "pairwise measure on multivariate input"))
-        elif y.values.shape[1] != n:
-            checks.append((every, f"length mismatch: {n} vs {y.values.shape[1]}"))
-        else:
-            try:
-                values = self._values(m, x, y, checks)
-            except ValueError as exc:
-                checks.append((every, str(exc)))
-        reasons = np.full(a, "", dtype=object)
-        for mask, reason in reversed(checks):  # the first check that holds writes last
-            reasons[mask] = reason
-        return values, reasons
 
     def scores(self, measure_rows: list[Measure]) -> tuple[np.ndarray, np.ndarray]:
         """An (A, T) float64 value matrix, one column per trial in (feature set, target,
         measure) order, NaN exactly where the (A, T) matrix of reasons does not hold ""."""
-        pairs = [(x, y) for x in self.sets for y in self.ys]
-        t = len(measure_rows)
-        values = np.empty((self.anchors, len(pairs) * t))
+        kernels = {
+            "PC": _pearsons, "SC": _spearmans, "DC": _distance_correlations, "MIC": _mics,
+            "PPS": _ppss, **_information_kernels(self.feature_bins, self.bin_width),
+        }
+        shape = (self.anchors, len(self.sets), len(self.ys))
+        finite = np.stack([np.logical_and.reduce([c.finite for c in x]) for x in self.sets], 1)
+        finite = finite[:, :, None] & np.stack([y.finite for y in self.ys], 1)[:, None, :]
+        multi = np.array([len(x) > 1 for x in self.sets])[None, :, None]
+        values = np.full(shape + (len(measure_rows),), np.nan)
         reasons = np.empty(values.shape, dtype=object)
         for k, m in enumerate(measure_rows):
-            for j, (x, y) in enumerate(pairs):
-                values[:, j * t + k], reasons[:, j * t + k] = self._trial(m, x, y)
-        lo, hi = np.array([m.range for m in measure_rows] * len(pairs)).T
-        flagged = reasons != ""
-        outside = ~flagged & ~((lo <= values) & (values <= hi))
-        for row, c in zip(*np.nonzero(outside)):
-            m, value = measure_rows[c % t], float(values[row, c])
-            reasons[row, c] = f"{m.id} value {value} outside [{m.range[0]}, {m.range[1]}]"
-        values[flagged | outside] = np.nan
-        return values, reasons
+            checks = [(~finite, NON_FINITE), (multi & m.pairwise, PAIRWISE)]
+            try:
+                values[..., k], found = kernels[m.id](self.sets, self.ys)
+                checks += found
+            except ValueError as exc:
+                checks.append((True, str(exc)))
+            reason = np.full(shape, "", dtype=object)
+            for mask, text in reversed(checks):  # the first check that holds writes last
+                reason[np.broadcast_to(mask, shape)] = text
+            value, (lo, hi) = values[..., k], m.range
+            for cell in zip(*np.nonzero((reason == "") & ~((lo <= value) & (value <= hi)))):
+                reason[cell] = f"{m.id} value {float(value[cell])} outside [{lo}, {hi}]"
+            value[reason != ""] = np.nan
+            reasons[..., k] = reason
+        return values.reshape(self.anchors, -1), reasons.reshape(self.anchors, -1)
 
 
 def evaluate_pairs(
@@ -397,10 +308,10 @@ def evaluate_pairs(
 
     xs is (n, F) or (n,); ys is the (n,) target vector, and any other
     shape raises ValueError.  Non-finite input and pairwise-only measures on
-    multivariate input are degenerate-flagged up front; numeric
-    degeneracies inside a measure, including synergy sets above its
-    capacity limit, come back flagged as well.  The pair is scored as a
-    one-anchor block of the scan.
+    multivariate input are degenerate-flagged up front, then sides of
+    unequal length; numeric degeneracies inside a measure, including
+    synergy sets above its capacity limit, come back flagged as well.  The
+    pair is scored as a one-anchor block of the scan.
     """
     m = measure_row(measure)
     check_binning(bin_width, feature_bins)
@@ -409,7 +320,15 @@ def evaluate_pairs(
     if ys.ndim != 1:
         raise ValueError(f"ys must be a vector of targets, got shape {ys.shape}")
     x = tuple(_Column(column[None, :]) for column in xs.T)
-    values, reasons = _Block(1, [x], [_Column(ys[None, :])], feature_bins, bin_width).scores([m])
+    y = _Column(ys[None, :])
+    if xs.shape[0] != ys.shape[0]:  # a block pairs equal lengths; its first checks come first
+        reason = (
+            NON_FINITE if not all(c.finite[0] for c in x + (y,))
+            else PAIRWISE if m.pairwise and len(x) > 1
+            else f"length mismatch: {xs.shape[0]} vs {ys.shape[0]}"
+        )
+        return degenerate_result(m.id, xs.shape[0], reason)
+    values, reasons = _Block(1, [x], [y], feature_bins, bin_width).scores([m])
     if reasons[0, 0]:
         return degenerate_result(m.id, xs.shape[0], reasons[0, 0])
     return MeasureResult(m.id, float(values[0, 0]), xs.shape[0])
@@ -437,9 +356,10 @@ def scan_window(
     anchors in blocks of at most _BLOCK_CELLS window cells over all the
     distinct feature and target columns and _COLUMN_CELLS per column: each
     block cuts every column's windows into one matrix and scores every
-    anchor of the block from it (_Block); DC, MIC and PPS keep their side
-    sharing, buffers and stacks in their own block kernels.  Windows with
-    fewer than min_samples pairs come back degenerate without being scored.
+    anchor of the block from it (_Block); every measure keeps what it
+    derives (ranks, codes, sides, buffers, stacks) in its own block kernel.
+    Windows with fewer than min_samples pairs come back degenerate without
+    being scored.
     """
     check_binning(bin_width, feature_bins)
     measure_rows = [measure_row(m) for m in measures]

@@ -483,6 +483,30 @@ def test_report_refuses_scores_that_are_not_an_object_of_numbers(tmp_path, featu
         assert str(scores_path) in capsys.readouterr().err
 
 
+def test_report_refuses_scores_that_overflow_to_infinity(tmp_path, features_csv, capsys):
+    """JSON reads 1e999 (or 400 digits) as inf; report refuses it as it refuses Infinity."""
+    out_dir = tmp_path / "run"
+    main(
+        [
+            "search", "--input", str(features_csv), "--output", str(out_dir),
+            "--windows", "8,16,24", "--features", "f_ret_c_1", "--targets", "t_ret_c_1",
+            "--measures", "mi", "--step", "40", "--min-samples", "8",
+        ]
+    )
+    capsys.readouterr()
+    scores_path = tmp_path / "scores.json"
+    keys = [f"{w}|f_ret_c_1|t_ret_c_1|MI" for w in (8, 16, 24)]
+    for big in ("1e999", "-1e999", "1" + "0" * 400):
+        cells = (f'"{k}": {v}' for k, v in zip(keys, ("0.1", "0.7", big)))
+        scores_path.write_text("{" + ", ".join(cells) + "}")
+        rc = main(
+            ["report", "--input", str(out_dir / "trials.csv"), "--scores", str(scores_path)]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2, big
+        assert str(scores_path) in captured.err and "rank correlation" not in captured.out
+
+
 def test_report_empty_after_filter_exits_three(tmp_path, features_csv, capsys):
     out_dir = tmp_path / "run"
     main(

@@ -218,11 +218,9 @@ def test_read_frame_is_the_reference_on_two_faults_in_one_row():
         assert got == expected, (first, second)
 
 
-def test_read_frame_is_the_reference_at_the_default_chunk_size():
-    """2,200 rows read in full chunks of the default _CHUNK_ROWS: a row with a missing field
-    does not hide a bad number 200 rows above it in the same chunk, a fault on the last row of
-    a full chunk or in the second chunk is found, and a clean frame reads."""
-    assert depscope.frame._CHUNK_ROWS == 1024
+def test_read_frame_is_the_reference_on_a_long_frame():
+    """2,200 rows, parsed one at a time: a row with a missing field does not hide a bad number
+    200 rows above it, faults on rows 1,024 and 1,501 are found, and a clean frame reads."""
     lines = write_csv(make_frame(2200)).splitlines()
     rows = [line.split(",") for line in lines[1:]]
     cases = (

@@ -17,7 +17,7 @@ from depscope.measures import (
     spearman,
     statistical,
 )
-from depscope.search import scan_window
+from depscope.search import evaluate_pairs, scan_window
 from depscope.shaping import pair_targets
 
 from _oracles import (
@@ -115,6 +115,17 @@ def test_spearman_exact_on_monotone_pairs():
         x = rng.standard_normal(int(rng.integers(3, 100)))
         assert spearman(x, np.exp(x)).value == 1.0
         assert spearman(x, -np.exp(x)).value == -1.0
+
+
+def test_spearman_refuses_infinities_as_every_measure_function_does():
+    """Infinite input ranks like any other value; spearman raises as pearson does, and as
+    evaluate_pairs flags it."""
+    for x, y in (([1.0, 2.0, math.inf, 4.0], [1.0, 2.0, 3.0, 4.0]),
+                 ([1.0, 2.0, 3.0], [-math.inf, 0.0, math.inf])):
+        for measure in (pearson, spearman):
+            with pytest.raises(ValueError, match="not finite"):
+                measure(x, y)
+        assert evaluate_pairs("SC", x, y).params["reason"] == "non-finite input"
 
 
 def test_spearman_ties_use_average_ranks():

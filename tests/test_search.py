@@ -1305,11 +1305,10 @@ def test_trial_log_reader_is_the_reference_on_two_faults_in_one_row():
         assert got == expected, (first, second)
 
 
-def test_trial_log_reader_is_the_reference_at_the_default_chunk_size():
-    """2,200 trials read in full chunks of the default _CHUNK_ROWS: a row with too few cells
-    does not hide a bad objective 200 rows above it in the same chunk, a fault on the last
-    row of a full chunk or in the second chunk is found, and a clean log reads."""
-    assert depscope.frame._CHUNK_ROWS == 1024
+def test_trial_log_reader_is_the_reference_on_a_long_log():
+    """2,200 trials, parsed one at a time: a row with too few cells does not hide a bad
+    objective 200 rows above it, faults on rows 1,024 and 1,501 are found, and a clean log
+    reads."""
     good = [f"{i},8,a,y,PC,2021-01-09,NEUTRAL,{i / 7!r},false" for i in range(2200)]
     short = "1,8,a,y,PC,2021-01-09,NEUTRAL,0.5"
     cases = (
