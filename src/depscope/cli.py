@@ -424,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=int, default=100)
     p.add_argument("--horizon", type=int, default=None, help="default: each window width")
     p.add_argument("--min-samples", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="worker processes, at most one per anchor block"
+    )
     p.add_argument("--seed", type=int, default=42, help="seed recorded in trials.json (default 42)")
     _add_common(p)
     p.set_defaults(handler=cmd_search)

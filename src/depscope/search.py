@@ -10,7 +10,10 @@ anchors, then column and measure.  Each block cuts every column's windows
 into one (anchors, W) matrix and sorts each row once, by a stable argsort.
 A block is sized by the window cells of all the distinct columns it cuts,
 with a cap per column, so a narrow scan (one signal, one target) takes as
-many anchors a block as that cap allows.
+many anchors a block as that cap allows.  One rule (_anchor_blocks) cuts
+the blocks, and run_grid_search's units of work are those same blocks at
+every jobs: scored in-process, or over a pool of at most one worker per
+block, so every trial is the same bits at any jobs.
 One block scorer (_Block) scores every trial of a block, and
 evaluate_pairs is a one-anchor block.  _Block makes one call per measure
 of that measure's block kernel, kernel(sets, ys), in the measure's
@@ -87,6 +90,8 @@ def check_binning(
     """
     if not (bin_width > 0.0):
         raise ValueError(f"{width} must be positive")
+    if bin_width == math.inf:  # every target would code to one symbol
+        raise ValueError(f"{width} must be finite")
     if not (2 <= feature_bins <= 16):
         raise ValueError(f"{bins} must be between 2 and 16")
 
@@ -233,12 +238,20 @@ def label_trend(close, anchor: int) -> str:
     return "NEUTRAL"
 
 
-# Window entries in one anchor block, over all its C distinct columns and per column: a
-# block holds max(1, min(_BLOCK_CELLS // (W * C), _COLUMN_CELLS // W)) anchors, so no
-# temporary grows with the number of anchors of a scan.  The per-column cap bounds what
-# grows with one column's cells (MIC's (anchors, shapes, n) tables, a PPS stack's rows).
+# Window entries in one anchor block, over all its distinct columns and per column
+# (_anchor_blocks), so no temporary grows with the number of anchors of a scan.  The
+# per-column cap bounds what grows with one column's cells (MIC's (anchors, shapes, n)
+# tables, a PPS stack's rows).
 _BLOCK_CELLS = 24_576
 _COLUMN_CELLS = 4_096
+
+
+def _anchor_blocks(count: int, window: int, feature_sets, targets) -> list[slice]:
+    """The blocks, in order, that a scan cuts from count anchors of window over feature_sets
+    and targets: the one block partition of scan_window and of run_grid_search's units."""
+    columns = len({name for fs in feature_sets for name in fs}) + len(set(targets))
+    size = max(1, min(_BLOCK_CELLS // (window * columns), _COLUMN_CELLS // window))
+    return [slice(start, start + size) for start in range(0, count, size)]
 
 
 NON_FINITE = "non-finite input"
@@ -372,17 +385,15 @@ def scan_window(
     target_columns = {name: frame.column(name) for name in targets}
     lags = np.arange(1 - window, 1)  # a window's rows relative to its anchor
     leads = 1 + pair_targets(np.arange(horizon), window)  # the target row paired with each of them
-    cut = window * (len(feature_columns) + len(target_columns))  # cells of one anchor
-    size = max(1, min(_BLOCK_CELLS // cut, _COLUMN_CELLS // window))
     values, reasons = np.empty(shape), np.empty(shape, dtype=object)
-    for start in range(0, len(anchors), size):
-        part = anchors[start : start + size, None]
+    for cut in _anchor_blocks(len(anchors), window, feature_sets, targets):
+        part = anchors[cut, None]
         columns = {name: _Column(col[part + lags]) for name, col in feature_columns.items()}
         cut_targets = {name: _Column(col[part + leads]) for name, col in target_columns.items()}
         ys = [cut_targets[name] for name in targets]
         sets = [tuple(columns[name] for name in fs) for fs in feature_sets]
         block_scores = _Block(len(part), sets, ys, feature_bins, bin_width).scores(measure_rows)
-        values[start : start + size], reasons[start : start + size] = block_scores
+        values[cut], reasons[cut] = block_scores
     return anchors, values, reasons
 
 
@@ -413,10 +424,11 @@ def run_grid_search(
 ) -> TrialLog:
     """Evaluate the full cartesian grid; trial order and ids are deterministic.
 
-    Unknown columns fail before any trial runs.  Anchors are independent, so
-    jobs > 1 fans contiguous anchor blocks, about 2 * jobs per window, out
-    over processes (the frame goes to each worker once) without changing
-    the log contents.
+    Unknown columns fail before any trial runs.  The units of work are the
+    anchor blocks scan_window cuts, window by window (_anchor_blocks); they
+    are scored in-process at jobs=1 and otherwise over a pool of
+    min(jobs, blocks) processes (the frame goes to each worker once), so the
+    log contents are the same at every jobs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -431,26 +443,25 @@ def run_grid_search(
         w: anchor_grid(len(frame), w, space.step, space.horizon if space.horizon is not None else w)
         for w in space.window_sizes
     }
-    if jobs > 1:
+    units = [
+        (w, block)
+        for w in anchors
+        for block in _anchor_blocks(len(anchors[w]), w, space.feature_sets, space.targets)
+    ]
+    workers = min(jobs, len(units))
+    if workers > 1:
         # Imported here, so that importing depscope loads no multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        units = []
-        for w in anchors:
-            count = len(anchors[w])
-            parts = max(1, min(2 * jobs, count))
-            bounds = [count * i // parts for i in range(parts + 1)]
-            units += [(w, slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_start_worker, initargs=(frame, space)
+            max_workers=workers, initializer=_start_worker, initargs=(frame, space)
         ) as pool:
             blocks = list(pool.map(_scan_unit, units))
-        parts = {w: [] for w in anchors}
-        for (w, _), block in zip(units, blocks):
-            parts[w].append(block)
-        scores = {w: tuple(map(np.concatenate, zip(*parts[w]))) for w in anchors}
     else:
-        scores = {w: _scan_block(frame, space, w, slice(None)) for w in anchors}
+        blocks = [_scan_block(frame, space, *unit) for unit in units]
+    parts = {w: [] for w in anchors}
+    for (w, _), block in zip(units, blocks):
+        parts[w].append(block)
 
     configs = [
         (features, target, measure)
@@ -461,11 +472,13 @@ def run_grid_search(
     close = frame.column("close")
     records = []
     for w in space.window_sizes:
+        if not parts[w]:
+            continue  # no anchor, so no trial
         # One trend label per anchor, shared by every configuration.
         labels = [
             (str(frame.timestamps[a]), label_trend(close, a)) for a in anchors[w].tolist()
         ]
-        values, reasons = scores[w]
+        values, reasons = map(np.concatenate, zip(*parts[w]))
         flags = reasons != ""
         objectives = values.astype(object)
         objectives[flags] = math.nan  # one NaN object, so that equal logs compare equal

@@ -566,6 +566,7 @@ def test_report_refuses_malformed_trial_rows(tmp_path, capsys, bad_row, message)
         (["--feature-bins", "0"], "--feature-bins (feature bin count, got 0) must be between 2 and 16"),
         (["--feature-bins", "1"], "--feature-bins (feature bin count, got 1) must be between 2 and 16"),
         (["--feature-bins", "17"], "--feature-bins (feature bin count, got 17) must be between 2 and 16"),
+        (["--bin-bp", "inf"], "--bin-bp (target bin width in basis points, got inf) must be finite"),
     ),
 )
 def test_invalid_binning_is_a_config_error_on_every_command(
@@ -735,7 +736,7 @@ def test_log_level_env_is_honored(monkeypatch, tmp_path, ohlcv_csv):
 
 def test_import_loads_no_scipy():
     """Every command is a fresh interpreter, so the package and its CLI import numpy alone,
-    and no process pool: multiprocessing loads only when a search runs with jobs > 1."""
+    and no process pool: multiprocessing loads only when a search starts more than one worker."""
     src = str(Path(depscope.__file__).resolve().parents[1])
     code = (
         "import sys, depscope, depscope.cli; "

@@ -47,7 +47,7 @@ from depscope.search import (
     write_trial_log_csv,
     write_trial_log_json,
 )
-from depscope.shaping import discretize, pair_targets
+from depscope.shaping import anchor_grid, discretize, pair_targets
 from depscope.verify import SyntheticSpec, dependence_frame, generate_synthetic
 
 from _oracles import (
@@ -377,6 +377,7 @@ def test_evaluate_pairs_turns_value_errors_into_degenerate_records():
         ({"feature_bins": -3}, "feature_bins must be between 2 and 16"),
         ({"feature_bins": 1}, "feature_bins must be between 2 and 16"),
         ({"feature_bins": 17}, "feature_bins must be between 2 and 16"),
+        ({"bin_width": math.inf}, "bin_width must be finite"),
     ),
 )
 def test_every_scoring_path_refuses_invalid_binning(binning, message):
@@ -863,12 +864,82 @@ def test_grid_search_min_samples_guard():
 
 def test_grid_search_parallel_matches_serial():
     frame = small_frame(40, seed=5)
-    # Window 40 leaves no anchor, so it sends the pool no work; a repeated window repeats its trials.
-    for windows in ((8, 9), (8, 40), (9, 9)):
+    # Windows 37 and 40 leave no anchor, so they send the pool no work, and (37, 40) makes
+    # no trial at all; a repeated window repeats its trials.
+    for windows in ((8, 9), (8, 40), (9, 9), (37, 40)):
         space = tiny_space(window_sizes=windows, measures=("PC", "MI"))
         serial = run_grid_search(frame, space, seed=42, jobs=1)
         parallel = run_grid_search(frame, space, seed=42, jobs=2)
         assert serial.records == parallel.records
+    assert serial.records == ()
+
+
+class _InProcessPool:
+    """A stand-in for ProcessPoolExecutor that records each pool it makes (its max_workers
+    and the units mapped over it) and scores the units in this process."""
+
+    def __init__(self, pools, max_workers, initializer, initargs):
+        self.max_workers, self.units = max_workers, []
+        initializer(*initargs)
+        pools.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, units):
+        self.units = list(units)
+        return map(fn, self.units)
+
+
+def in_process_pools(mp):
+    """Patch concurrent.futures.ProcessPoolExecutor with _InProcessPool and return the list
+    of the pools that run_grid_search makes."""
+    import concurrent.futures
+
+    pools = []
+    mp.setattr(search, "_worker_scan", None)  # the stand-in's initializer sets it
+    mp.setattr(
+        concurrent.futures, "ProcessPoolExecutor",
+        lambda **kwargs: _InProcessPool(pools, **kwargs),
+    )
+    return pools
+
+
+def test_grid_search_units_are_the_scan_blocks():
+    """The pool's units are the anchor blocks a jobs=1 grid scores, window by window, and
+    jobs=2 writes the jobs=1 records."""
+    frame = small_frame(40, seed=5)
+    space = tiny_space(window_sizes=(8, 9), measures=("PC", "MI"))
+    counts = {w: len(anchor_grid(len(frame), w, space.step, space.horizon)) for w in (8, 9)}
+    assert counts == {8: 10, 9: 10}  # 3 anchors a block leave a remainder
+    with pytest.MonkeyPatch.context() as mp:
+        blocks = cut_blocks_of(mp, 3, 9, space.feature_sets)  # 3 a block at window 8 too
+        serial = run_grid_search(frame, space, jobs=1)
+        assert blocks == [3, 3, 3, 1, 3, 3, 3, 1]
+        assert run_grid_search(frame, space, jobs=2).records == serial.records
+        pools = in_process_pools(mp)
+        assert run_grid_search(frame, space, jobs=2).records == serial.records
+    [pool] = pools
+    units = [(w, len(range(counts[w])[cut])) for w, cut in pool.units]
+    assert units == [(w, n) for w in (8, 9) for n in (3, 3, 3, 1)]
+    assert blocks == [n for _, n in units] * 2  # the jobs=1 grid's, then the stand-in pool's
+
+
+def test_grid_search_starts_no_more_workers_than_blocks():
+    """jobs caps the pool at one worker per block, and one block takes no pool."""
+    frame = small_frame(40, seed=5)
+    with pytest.MonkeyPatch.context() as mp:
+        pools = in_process_pools(mp)
+        for windows, jobs, workers in (((8, 9), 512, 2), ((8, 9), 2, 2), ((8,), 512, None)):
+            space = tiny_space(window_sizes=windows, measures=("PC", "MI"))
+            log = run_grid_search(frame, space, jobs=jobs)
+            assert log.records == run_grid_search(frame, space, jobs=1).records
+            made = [pool.max_workers for pool in pools]
+            assert made == ([] if workers is None else [workers])
+            pools.clear()
 
 
 def _reference_frame():
